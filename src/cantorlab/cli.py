@@ -32,6 +32,7 @@ from .constructions import (
 from .deficiency import rd_at_stage
 from .enumeration import (
     Budgets,
+    Enumeration,
     MLTest,
     Scenario,
     descending_chain,
@@ -125,19 +126,41 @@ SELECTORS = {c.name for c in CATALOG}
 # selector execution
 # ---------------------------------------------------------------------------
 
+def _grid_change_points(comp: Enumeration, grid: range) -> list[int]:
+    """Grid point 0 plus the first grid point at or after each change stage.
+
+    A measure only moves at change stages, so these are the grid points at
+    which the component's measure can differ from the previous grid point:
+    together they see every value the full grid sees.
+    """
+    points = [0]
+    for c in comp.change_stages():
+        if c > grid[-1]:
+            break
+        p = -(-c // grid.step) * grid.step
+        if p != points[-1]:
+            points.append(p)
+    return points
+
+
 def _budget_sweep(trace: ConstructionTrace, tests: dict[str, MLTest],
                   budgets: Budgets, stride: int) -> int:
-    """Exact measure-budget check at every (index, stage) on the stride grid."""
+    """Exact measure-budget check over the (index, stage) stride grid.
+
+    Every grid point counts as a check, but a component's measure is compared
+    against its ``2^-i`` bound only at the grid points where it can change.
+    """
+    grid = range(0, budgets.max_stage + 1, stride)
     checks = 0
     for name, t in sorted(tests.items()):
         ok = True
         for i in range(t.max_index + 1):
+            checks += len(grid)
             comp = t.component(i)
             bound = Dyadic.exp2(-i)
-            for s in range(0, budgets.max_stage + 1, stride):
-                checks += 1
-                if comp.measure_at(s) > bound:
-                    ok = False
+            if grid and any(comp.measure_at(s) > bound
+                            for s in _grid_change_points(comp, grid)):
+                ok = False
         trace.witness(f"budget.{name}", ok, components=t.max_index + 1)
     trace.add(-1, "budget_sweep", checks=checks, stride=stride)
     return checks
@@ -404,22 +427,48 @@ def read_header(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
     rec = json.loads(first)
-    if rec.get("action") != "header" or "payload" not in rec:
+    if (not isinstance(rec, dict) or rec.get("action") != "header"
+            or not isinstance(rec.get("payload"), dict)):
         raise ScenarioError("trace file has no header record")
     return rec["payload"]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_selector(selector: object) -> None:
+    if not isinstance(selector, str) or selector not in SELECTORS:
+        raise ScenarioError(f"unknown selector {selector!r}; "
+                            "see list-constructions")
+
+
+def _check_stride(stride: object) -> None:
+    if not _is_int(stride) or stride < 1:
+        raise ScenarioError(f"stride must be a positive integer, got {stride!r}")
+
+
 def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list[str]]:
-    sc = load_scenario(header["scenario"])
-    sc = _apply_budget_overrides(sc, header["budgets"])
+    """Re-run the selector a trace header describes; a malformed header
+    raises ScenarioError."""
+    try:
+        selector, budgets_json = header["selector"], header["budgets"]
+        sc = load_scenario(header["scenario"])
+    except KeyError as exc:
+        raise ScenarioError(f"trace header missing field {exc}") from None
+    _check_selector(selector)
+    grace, sigma_stages = header.get("grace"), header.get("sigma_stages")
+    stride = header.get("stride", 1)
+    for name, value in (("grace", grace), ("sigma_stages", sigma_stages)):
+        if value is not None and not _is_int(value):
+            raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    _check_stride(stride)
+    sc = _apply_budget_overrides(sc, budgets_json)
     validate_scenario(sc)
-    trace = execute(sc, header["selector"], grace=header.get("grace"),
-                    sigma_stages=header.get("sigma_stages"),
-                    stride=header.get("stride", 1))
-    lines = trace_lines(sc, header["selector"], trace,
-                        grace=header.get("grace"),
-                        sigma_stages=header.get("sigma_stages"),
-                        stride=header.get("stride", 1))
+    trace = execute(sc, selector, grace=grace, sigma_stages=sigma_stages,
+                    stride=stride)
+    lines = trace_lines(sc, selector, trace, grace=grace,
+                        sigma_stages=sigma_stages, stride=stride)
     return sc, trace, lines
 
 
@@ -442,6 +491,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (ScenarioError, BudgetError) as exc:
+        print(f"error: validation: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         overrides = sc.budgets.to_json()
         if args.stages is not None:
@@ -452,9 +504,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             overrides["I"] = args.max_index
         sc = _apply_budget_overrides(sc, overrides)
         validate_scenario(sc)
-        if args.select not in SELECTORS:
-            raise ScenarioError(f"unknown selector {args.select!r}; "
-                                "see list-constructions")
+        _check_selector(args.select)
+        _check_stride(args.stride)
         trace = execute(sc, args.select, grace=args.grace,
                         sigma_stages=args.sigma_stages, stride=args.stride)
         lines = trace_lines(sc, args.select, trace, grace=args.grace,
@@ -507,7 +558,7 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
         print(f"error: search exhausted during replay: {exc}", file=sys.stderr)
         return EXIT_SEARCH
     except (ScenarioError, BudgetError, ValueError) as exc:
-        print(f"error: replay validation: {exc}", file=sys.stderr)
+        print(f"error: validation: replay: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     regenerated = "\n".join(lines) + "\n"

@@ -555,6 +555,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
     trace.add(-1, "n0", value=n0, tree_measure=final_measure)
 
     cones: list[tuple[int, str]] = []
+    cone_set: set[str] = set()
     rightmost: dict[int, str] = {}
 
     def current_clopen() -> Clopen:
@@ -570,12 +571,12 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
             if sigma is None:
                 raise SearchExhaustedError(f"no uncovered string of length {n}")
             cones.append((s, sigma))
+            cone_set.add(sigma)
             rightmost[n] = sigma
             trace.add(s, "init", length=n, sigma=sigma)
             continue
         sigma = rightmost[n]
-        covered = any(len(c) < len(sigma) and sigma.startswith(c)
-                      for _, c in cones)
+        covered = any(sigma[:k] in cone_set for k in range(len(sigma)))
         alive = tree.alive(sigma, min(s, big_s))
         if covered or not alive:
             nxt = sigma_plus(sigma)
@@ -584,6 +585,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
                     f"right neighbour exhausted at length {n} "
                     "(tree measure precondition violated)")
             cones.append((s, nxt))
+            cone_set.add(nxt)
             rightmost[n] = nxt
             trace.add(s, "replace", length=n, old=sigma, new=nxt,
                       reason="covered" if covered else "dead")

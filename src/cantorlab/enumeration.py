@@ -3,8 +3,9 @@ and the scenario world they are instantiated over.
 
 An enumeration is a finite schedule of (stage, cylinder) pairs; its view at a
 stage is the canonical union of everything scheduled so far, so views only
-grow.  A test is an indexed family of enumerations where component ``i`` must
-stay within measure ``2**-i`` at every stage, checked exactly.
+grow, and they change only at the stages that schedule something.  A test is
+an indexed family of enumerations where component ``i`` must stay within
+measure ``2**-i`` at every stage, checked exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from .deficiency import CoTree, Stream, rd_at_stage
 
 
 class Enumeration:
-    """A monotone stage-scheduled clopen: cylinders tagged with entry stages."""
+    """A monotone stage-scheduled clopen: cylinders tagged with entry stages.
+
+    The view and its measure are constant between consecutive
+    ``change_stages()``, so anything derived from views at one stage holds
+    until the next change stage.
+    """
 
     __slots__ = ("schedule", "_stages", "_views", "_measures")
 
@@ -118,6 +124,10 @@ class MLTest:
     Component ``i`` must satisfy measure <= 2**-i at every stage; since views
     only grow it suffices to check the final view, which the constructor does
     unless ``check=False``.
+
+    Every component's view and measure are constant between consecutive
+    stages of ``change_stages()`` (the union over components); ``meet_view``
+    relies on this to share one intersection per change interval.
     """
 
     def __init__(
@@ -133,6 +143,8 @@ class MLTest:
             raise ValueError("a test needs at least one component")
         self.nested = nested
         self.notes: dict[str, object] = dict(notes or {})
+        self._changes: tuple[int, ...] | None = None
+        self._meets: dict[tuple[int, int], Clopen] = {}
         if check:
             self.ensure_budget()
 
@@ -152,10 +164,28 @@ class MLTest:
         return max(c.last_stage() for c in self.components)
 
     def change_stages(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for c in self.components:
-            out.update(c.change_stages())
-        return tuple(sorted(out))
+        if self._changes is None:
+            out: set[int] = set()
+            for c in self.components:
+                out.update(c.change_stages())
+            self._changes = tuple(sorted(out))
+        return self._changes
+
+    def meet_view(self, n: int, s: int) -> Clopen:
+        """Intersection of the views of components 0..n at stage ``s``.
+
+        Memoized per (n, change interval): no view moves between two
+        consecutive change stages, so the key is exact, and the shared
+        clopen is immutable.
+        """
+        if s < 0:
+            raise ValueError("stage must be non-negative")
+        key = (n, bisect_right(self.change_stages(), s))
+        meet = self._meets.get(key)
+        if meet is None:
+            meet = intersect_all(self.stage_view(i, s) for i in range(n + 1))
+            self._meets[key] = meet
+        return meet
 
     def ensure_budget(self) -> None:
         for i, comp in enumerate(self.components):
@@ -242,6 +272,8 @@ class Budgets:
             )
         except KeyError as exc:
             raise ScenarioError(f"budgets missing field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ScenarioError(f"malformed budgets: {exc}") from exc
 
     def to_json(self) -> dict:
         return {"I": self.max_index, "S": self.max_stage,
@@ -291,13 +323,27 @@ def _parse_schedule(entries: Iterable[Mapping], *, with_component: bool) -> list
 
 
 def load_scenario(source: str | Path | Mapping) -> Scenario:
-    """Parse a scenario from a JSON file path or an already-loaded mapping."""
+    """Parse a scenario from a JSON file path or an already-loaded mapping.
+
+    An unreadable file raises OSError or JSONDecodeError; content with a
+    missing field, a wrong type or an invalid value raises ScenarioError.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     else:
-        raw = dict(source)
+        raw = source
+    if not isinstance(raw, Mapping):
+        raise ScenarioError("scenario must be a JSON object")
+    try:
+        return _parse_scenario(dict(raw))
+    except KeyError as exc:
+        raise ScenarioError(f"scenario missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ScenarioError(f"malformed scenario: {exc}") from exc
 
+
+def _parse_scenario(raw: dict) -> Scenario:
     budgets = Budgets.from_json(raw.get("budgets", {}))
     big_i = budgets.max_index
 
@@ -483,7 +529,7 @@ def descending_chain(u: MLTest) -> MLTest:
         sched: list[tuple[int, str]] = []
         prev: Clopen | None = None
         for s in sorted(changes):
-            view = intersect_all(u.stage_view(i, s) for i in range(n + 1))
+            view = u.meet_view(n, s)
             if view != prev:
                 sched.extend((s, c) for c in view.cylinders)
                 prev = view

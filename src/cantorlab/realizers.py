@@ -23,7 +23,7 @@ from .core import (
     ScenarioError,
     SearchExhaustedError,
     first_extension_into,
-    intersect_all,
+    intersect_all,  # noqa: F401  unused; perfbench/test_perfbench.py patches it here
     unpair,
     unpair3,
 )
@@ -89,7 +89,7 @@ class Emitter:
 def _pad_into(em: Emitter, stage: int, u: MLTest, upto: int, depth: int,
               label: str) -> None:
     top = min(upto, effective_top(u))
-    target = intersect_all(u.stage_view(i, stage) for i in range(top + 1))
+    target = u.meet_view(top, stage)
     tau = first_extension_into(em.committed, target, depth)
     if tau is None:
         raise SearchExhaustedError(
@@ -109,10 +109,6 @@ class RealizerRun:
     pads: list[dict]
     trace: ConstructionTrace
     data: dict = field(default_factory=dict)
-
-    def monotone_ok(self) -> bool:
-        hist = self.data.get("history", [])
-        return all(a <= b for a, b in zip(hist, hist[1:]))
 
 
 def _finish(name: str, em: Emitter, trace: ConstructionTrace, **data) -> RealizerRun:
@@ -269,7 +265,7 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
         i, n, t = unpair3(s)
         if i < len(xs) and n <= top and t <= budgets.max_stage:
             if member_at_stage(xs[i], u, n, t):
-                target = intersect_all(u.stage_view(m, s) for m in range(n + 1))
+                target = u.meet_view(n, s)
                 if not target.covers(em.committed):
                     trace.add(s, "trigger", input=i, index=n, seen_at=t)
                     tau = first_extension_into(em.committed, target,
@@ -462,7 +458,7 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
             fired.append(s)
             trace.add(s, "stable", value=stable_value(f_values, s))
             bound = min(s, top)
-            target = intersect_all(u.stage_view(i, s) for i in range(bound + 1))
+            target = u.meet_view(bound, s)
             if not target.covers(em.committed):
                 tau = first_extension_into(em.committed, target, budgets.max_depth)
                 if tau is None:
@@ -602,8 +598,7 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
                 f_trace.add(s, "trigger", stage_found=s)
                 bound = min(s - 1, top)
                 if bound >= 0:
-                    target = intersect_all(w.stage_view(i, s)
-                                           for i in range(bound + 1))
+                    target = w.meet_view(bound, s)
                 else:
                     target = Clopen([""])
                 tau = first_extension_into(em.committed, target, depth)

@@ -10,8 +10,13 @@ from cantorlab.cli import (
     EXIT_SEARCH,
     EXIT_VALIDATION,
     SELECTORS,
+    _budget_sweep,
+    _derived_tests,
     main,
 )
+from cantorlab.constructions import ConstructionTrace
+from cantorlab.core import Dyadic
+from cantorlab.enumeration import Budgets, Enumeration, MLTest
 
 MAIN = str(bundled_scenario("main"))
 
@@ -77,6 +82,115 @@ class TestRun:
             code = run_cli("run", "--scenario", MAIN, "--select", entry.name,
                            "--trace", str(trace))
             assert code == 0, entry.name
+
+
+def _break_period(raw):
+    raw["streams"][0]["period"] = ""
+
+
+def _drop_stage(raw):
+    del raw["tests"][0][0]["stage"]
+
+
+def _string_budgets(raw):
+    raw["budgets"] = "x"
+
+
+def _negative_stage(raw):
+    raw["tests"][0][0]["stage"] = -1
+
+
+def _tests_as_mapping(raw):
+    raw["tests"] = {"a": 1}
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("breaker", [_break_period, _drop_stage,
+                                         _string_budgets, _negative_stage,
+                                         _tests_as_mapping])
+    def test_run_exits_validation(self, breaker, tmp_path, capsys):
+        raw = json.load(open(MAIN))
+        breaker(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = run_cli("run", "--scenario", str(bad), "--select", "thm33")
+        assert code == EXIT_VALIDATION
+        assert "error: validation:" in capsys.readouterr().err
+
+    def test_run_rejects_zero_stride(self, capsys):
+        code = run_cli("run", "--scenario", MAIN, "--select", "thm33",
+                       "--stride", "0")
+        assert code == EXIT_VALIDATION
+        assert "error: validation:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("breaker", [
+        lambda p: p["scenario"]["tests"][0][0].pop("stage"),
+        lambda p: p.pop("budgets"),
+        lambda p: p.update(stride="x"),
+        lambda p: p.update(grace="x"),
+    ], ids=["scenario_stage", "budgets", "stride", "grace"])
+    def test_verify_exits_validation(self, breaker, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
+                       "--trace", str(trace)) == 0
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        breaker(header["payload"])
+        trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_VALIDATION
+        assert "error: validation:" in capsys.readouterr().err
+
+
+def _full_grid_sweep(tests, budgets, stride):
+    """Reference: compare the measure at every grid point."""
+    ok, checks = {}, 0
+    for name, t in sorted(tests.items()):
+        ok[name] = True
+        for i in range(t.max_index + 1):
+            for s in range(0, budgets.max_stage + 1, stride):
+                checks += 1
+                if t.component(i).measure_at(s) > Dyadic.exp2(-i):
+                    ok[name] = False
+    return ok, checks
+
+
+def _sweep(tests, budgets, stride):
+    trace = ConstructionTrace(name="sweep")
+    checks = _budget_sweep(trace, tests, budgets, stride)
+    ok = {w["claim"][len("budget."):]: w["status"] == "pass"
+          for w in trace.witnesses}
+    return ok, checks
+
+
+class TestBudgetSweep:
+    @pytest.mark.parametrize("stride", [1, 7, 513])
+    def test_matches_full_grid_on_derived_tests(self, main_scenario, stride):
+        tests = _derived_tests(main_scenario)
+        got = _sweep(tests, main_scenario.budgets, stride)
+        assert got == _full_grid_sweep(tests, main_scenario.budgets, stride)
+        assert all(got[0].values())
+
+    @pytest.mark.parametrize("stride", [1, 7, 21])
+    def test_matches_full_grid_over_budget(self, stride):
+        # S=20: stride 7 sees stages 0, 7, 14; stride 21 sees stage 0 only.
+        budgets = Budgets(max_index=1, max_stage=20, max_depth=8, max_layers=4)
+
+        def over_at(stage, first=None):
+            # 1/2 (at the bound) from ``first``, 3/4 > 2^-1 from ``stage``
+            first = stage if first is None else first
+            over = Enumeration([(first, "0"), (stage, "10")])
+            return MLTest([Enumeration(), over], check=False)
+
+        tests = {"off_grid": over_at(3), "on_grid": over_at(14),
+                 "after_grid": over_at(16), "at_zero": over_at(0),
+                 "two_steps": over_at(2, first=1)}
+        got = _sweep(tests, budgets, stride)
+        assert got == _full_grid_sweep(tests, budgets, stride)
+        want_fail = {1: set(tests),
+                     7: {"off_grid", "on_grid", "at_zero", "two_steps"},
+                     21: {"at_zero"}}[stride]
+        assert {n for n, ok in got[0].items() if not ok} == want_fail
 
 
 class TestVerify:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError
@@ -272,6 +275,19 @@ class TestThm410:
 class TestLemma63:
     def test_n0(self, lemma63_result):
         assert lemma63_result.n0 == 3
+
+    @pytest.mark.parametrize("scenario_name, count, digest", [
+        ("main", 337,
+         "d38ddf5fbb7b6472039a897441807631dd3df3397af16f67636b9160439438db"),
+        ("deep", 5468,
+         "e0c35d1120161b1982a1284fdc3cd30ca3b7b39f917537fc71b6175138c3e0d8"),
+    ], ids=["main", "deep"])
+    def test_cones_pinned(self, request, scenario_name, count, digest):
+        sc = request.getfixturevalue(f"{scenario_name}_scenario")
+        cones = build_lemma63(sc.tree("positive"), sc.budgets).cones
+        data = json.dumps([list(c) for c in cones], separators=(",", ":"))
+        assert len(cones) == count
+        assert hashlib.sha256(data.encode()).hexdigest() == digest
 
     def test_half_measure_every_stage(self, lemma63_result, main_scenario):
         tree = main_scenario.tree("positive")

@@ -138,6 +138,28 @@ class TestDescendingChain:
                 assert chain.stage_view(n, s) == want
 
 
+class TestMeetView:
+    @pytest.mark.parametrize("which", ["universal", "chain"])
+    def test_matches_intersect_all_at_every_stage(self, surrogate, chain,
+                                                  main_scenario, which):
+        from cantorlab.core import intersect_all
+        t = surrogate if which == "universal" else chain
+        top = effective_top(t)
+        for s in range(main_scenario.budgets.max_stage + 1):
+            views = [t.stage_view(i, s) for i in range(top + 1)]
+            for n in range(top + 1):
+                assert t.meet_view(n, s) == intersect_all(views[:n + 1])
+
+    def test_shared_within_a_change_interval(self, surrogate):
+        changes = surrogate.change_stages()
+        lo, hi = changes[-1], changes[-1] + 100
+        assert surrogate.meet_view(3, lo) is surrogate.meet_view(3, hi)
+
+    def test_rejects_negative_stage(self, surrogate):
+        with pytest.raises(ValueError):
+            surrogate.meet_view(0, -1)
+
+
 class TestEvenShift:
     def test_reindexing(self, chain):
         w = even_shift(chain)
