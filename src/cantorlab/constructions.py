@@ -9,6 +9,7 @@ reproduce the trace byte for byte.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -49,8 +50,11 @@ def to_jsonable(obj):
     return obj
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def jline(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(to_jsonable(obj))
 
 
 @dataclass
@@ -81,10 +85,14 @@ class ConstructionTrace:
         return not self.failed_claims()
 
     def lines(self) -> list[str]:
-        out = [jline(e) for e in self.events]
+        """One JSON line per event, the outputs, one per witness.  Events and
+        witnesses hold ``to_jsonable`` projections already, so they are
+        encoded as they are."""
+        encode = _ENCODER.encode
+        out = [encode(e) for e in self.events]
         out.append(jline({"stage": -1, "action": "outputs",
                           "payload": {k: to_jsonable(v) for k, v in sorted(self.outputs.items())}}))
-        out.extend(jline(w) for w in self.witnesses)
+        out.extend(encode(w) for w in self.witnesses)
         return out
 
 
@@ -598,15 +606,20 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
 def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
                     a_enum: Enumeration, cones: list[tuple[int, str]], n0: int) -> Lemma63Result:
     big_s = budgets.max_stage
-    dead_changes = tuple(getattr(tree.dead, "change_stages", tuple)())
+    dead_changes = tree.change_stages()
     stages = sorted({s for s, _ in cones} | set(dead_changes) | {0, big_s})
+    # the tree's live set and measure, per interval of its dead view
+    per_interval: dict[int, tuple[Clopen, Dyadic]] = {}
     for s in stages:
-        live = tree.live_clopen(min(s, big_s))
+        t = min(s, big_s)
+        key = bisect_right(dead_changes, t)
+        if key not in per_interval:
+            per_interval[key] = (tree.live_clopen(t), tree.path_measure(t))
+        live, measure = per_interval[key]
         inter = a_enum.stage_view(s).intersect(live)
-        ok = inter.measure() <= tree.path_measure(min(s, big_s)).half()
+        ok = inter.measure() <= measure.half()
         trace.witness(f"lemma63.half_measure.{s}", ok,
-                      intersection=inter.measure(),
-                      tree=tree.path_measure(min(s, big_s)))
+                      intersection=inter.measure(), tree=measure)
 
     live_final = tree.live_clopen(big_s)
     ordered = [c for _, c in cones]

@@ -21,6 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class StageViewSource(Protocol):
     def stage_view(self, s: int) -> Clopen: ...
 
+    def change_stages(self) -> tuple[int, ...]: ...
+
 
 @dataclass(frozen=True)
 class Stream:
@@ -46,6 +48,17 @@ class Stream:
             return self.pad[:k]
         reps = (k - len(self.pad)) // len(self.period) + 1
         return (self.pad + self.period * reps)[:k]
+
+    def bits(self, start: int, stop: int) -> str:
+        """``prefix(stop)[start:]``, built in time linear in its length."""
+        n, p = len(self.pad), len(self.period)
+        head = self.pad[start:stop]
+        start = max(start, n)
+        if stop <= start:
+            return head
+        lo = (start - n) % p
+        reps = (lo + stop - start) // p + 1
+        return head + (self.period * reps)[lo:lo + stop - start]
 
     def starts_with(self, bits: str) -> bool:
         return self.prefix(len(bits)) == bits
@@ -113,8 +126,9 @@ def rd_at_stage(x: Stream | str, t: "MLTest", s: int) -> DeficiencyReport:
 class CoTree:
     """The depth-``depth`` tree of strings not yet covered by dead cones.
 
-    ``dead`` is anything with ``stage_view(s) -> Clopen``; a node belongs to
-    the tree at stage ``s`` while its cylinder is not fully covered.  A static
+    ``dead`` is anything with ``stage_view(s) -> Clopen`` and the sorted
+    ``change_stages()`` at which that view grows; a node belongs to the tree
+    at stage ``s`` while its cylinder is not fully covered.  A static
     tree is the special case of all dead cones present at stage 0.
     """
 
@@ -129,6 +143,9 @@ class CoTree:
 
     def dead_view(self, s: int) -> Clopen:
         return self.dead.stage_view(s)
+
+    def change_stages(self) -> tuple[int, ...]:
+        return self.dead.change_stages()
 
     def path_measure(self, s: int) -> Dyadic:
         """Exact measure of the set of paths at stage ``s``."""
@@ -148,6 +165,9 @@ class _StaticDead:
 
     def stage_view(self, s: int) -> Clopen:
         return self._view
+
+    def change_stages(self) -> tuple[int, ...]:
+        return (0,)
 
 
 def static_cotree(dead_cones: Iterable[str], depth: int) -> CoTree:

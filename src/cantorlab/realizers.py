@@ -5,17 +5,29 @@ a trigger appends a pad block whose cylinder sits inside the demanded stage
 view, resets the source cursor, and re-emits the source from position 0.  The
 final output is therefore pad-then-source, materializable as a stream again.
 
-Scheduling is fixed for determinism: one enumeration stage of each watched
-test per step, triggers checked before emission, and source bits emitted only
-once a trigger has been pending for ``grace`` stages.  The default grace is
-three quarters of the stage budget: triggers resolve over pad-only prefixes in
-the front of the run while the back of the run keeps the output growing, so
-productivity still scales with the stage budget.
+Scheduling is fixed for determinism.  At each stage the watches are checked
+first; then stage ``t`` emits one source bit iff ``t - last_progress >
+grace``, where ``last_progress`` is the last stage that padded or raised a
+watermark.  The default grace is three quarters of the stage budget: triggers
+resolve over pad-only prefixes in the front of the run while the back of the
+run keeps the output growing, so productivity still scales with the stage
+budget.
+
+Most realizers step only the stages at which a watch can fire (see
+``_run_clock``): the change stages of the views they watch, and the stage
+right after each stage at which they acted.  The emission and history of the
+stages in between follow in closed form, so the cost grows with the number
+of view changes, not with the stage budget.  ``parallel_merge`` dovetails
+over stages and ``cn_times_mlr_to_lay`` writes one trace event per stage, so
+those two still step every stage.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import le
 from typing import Callable, Sequence
 
 from .core import (
@@ -38,32 +50,56 @@ def default_grace(budgets: Budgets) -> int:
 
 
 class Emitter:
-    """Committed-output bookkeeping for one monotone transducer run."""
+    """Committed-output bookkeeping for one monotone transducer run.
+
+    ``committed == base + source.prefix(cursor)`` always holds.  Stages are
+    accounted for in order: ``history`` holds the committed length after
+    each stage from the run's first stage up to, not including, ``next``.
+    """
 
     def __init__(self, source: Stream, trace: ConstructionTrace,
-                 grace: int) -> None:
+                 budgets: Budgets, grace: int | None) -> None:
         self.source = source
         self.trace = trace
-        self.grace = grace
+        self.grace = default_grace(budgets) if grace is None else grace
+        self.depth = budgets.max_depth
         self.committed = ""
         self.cursor = 0
         self.base = ""  # committed output at the last restart point
         self.last_progress = 0
+        self.next = 0
         self.pads: list[dict] = []
         self.history: list[int] = []
+
+    def _advance(self, end: int) -> None:
+        """Account for stages ``next..end-1``, at none of which the realizer
+        acted: each emits one source bit iff it lies more than ``grace``
+        stages past ``last_progress``, so the history is a constant run
+        followed by a ramp."""
+        start = self.next
+        if end <= start:
+            return
+        self.next = end
+        n = len(self.committed)
+        first_emit = max(self.last_progress + self.grace + 1, start)
+        if first_emit >= end:
+            self.history.extend(repeat(n, end - start))
+            return
+        self.history.extend(repeat(n, first_emit - start))
+        k = end - first_emit
+        self.committed += self.source.bits(self.cursor, self.cursor + k)
+        self.cursor += k
+        self.history.extend(range(n + 1, n + k + 1))
+
+    def record(self, stage: int) -> None:
+        """Account for every stage up to and including ``stage``; called once
+        per stepped stage, after its watches."""
+        self._advance(stage + 1)
 
     def note_progress(self, stage: int) -> None:
         self.last_progress = stage
 
-    def step_emit(self, stage: int) -> None:
-        if stage - self.last_progress > self.grace:
-            self.committed += self.source.bit(self.cursor)
-            self.cursor += 1
-
-    def record(self, stage: int) -> None:
-        self.history.append(len(self.committed))
-
-    def pad(self, stage: int, tau: str, target: Clopen, demanded: list[int]) -> None:
+    def pad(self, stage: int, tau: str, demanded: list[int]) -> None:
         """Commit ``tau``, record the demanded component indices, restart."""
         self.committed += tau
         self.pads.append({"stage": stage, "block": tau,
@@ -83,19 +119,49 @@ class Emitter:
         return self.source.prefix(len(tail)) == tail
 
     def monotone_ok(self) -> bool:
-        return all(a <= b for a, b in zip(self.history, self.history[1:]))
+        return all(map(le, self.history, islice(self.history, 1, None)))
 
 
-def _pad_into(em: Emitter, stage: int, u: MLTest, upto: int, depth: int,
-              label: str) -> None:
-    top = min(upto, effective_top(u))
-    target = u.meet_view(top, stage)
-    tau = first_extension_into(em.committed, target, depth)
+def _pad_into(em: Emitter, stage: int, target: Clopen, demanded: list[int],
+              message: str) -> None:
+    """Pad with the first extension of the committed output into ``target``,
+    or raise SearchExhaustedError with ``message``."""
+    tau = first_extension_into(em.committed, target, em.depth)
     if tau is None:
-        raise SearchExhaustedError(
-            f"{label}: no pad into components 0..{top} at stage {stage} "
-            f"below {em.committed!r}")
-    em.pad(stage, tau, target, demanded=list(range(top + 1)))
+        raise SearchExhaustedError(message)
+    em.pad(stage, tau, demanded)
+
+
+def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
+               last: int, step: Callable[[int], bool]) -> None:
+    """Step the stages ``first..last`` at which a watch can fire.
+
+    ``step(s)`` checks the realizer's watches at stage ``s`` and returns
+    whether it acted (padded, or moved one of its counters).  The watches
+    read only stage views, which are constant between consecutive stages of
+    the sorted ``changes``, and counters that move only when the realizer
+    acts.  A stage that is not ``first``, not a change stage and not right
+    after a stage that acted would therefore repeat the previous step's
+    outcome, which was to do nothing: it is not stepped, and ``em`` fills
+    in its emission in closed form.  ``em`` is None for a realizer with no
+    output stream (``lay_to_cn``).
+    """
+    if em is not None:
+        em.next = first
+    s = first
+    while s <= last:
+        if em is not None:
+            em._advance(s)  # the watches may read the committed output
+        acted = step(s)
+        if em is not None:
+            em.record(s)
+        if acted:
+            s += 1
+        else:
+            k = bisect_right(changes, s)
+            s = changes[k] if k < len(changes) else last + 1
+    if em is not None:
+        em._advance(last + 1)
 
 
 @dataclass
@@ -148,15 +214,23 @@ def lay_to_lay(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
     """
     trace = ConstructionTrace(name="lay_to_lay")
     vp = shift_union(v)
-    em = Emitter(x, trace, default_grace(budgets) if grace is None else grace)
+    em = Emitter(x, trace, budgets, grace)
+    top = effective_top(u)
     j = 0
-    for s in range(budgets.max_stage + 1):
+
+    def step(s: int) -> bool:
+        nonlocal j
+        start = j
         while j <= vp.max_index and member_at_stage(x, vp, j, s):
             trace.add(s, "trigger", index=j)
-            _pad_into(em, s, u, j + 1, budgets.max_depth, "lay_to_lay")
+            n = min(j + 1, top)
+            _pad_into(em, s, u.meet_view(n, s), list(range(n + 1)),
+                      f"lay_to_lay: no pad into components 0..{n} at stage {s} "
+                      f"below {em.committed!r}")
             j += 1
-        em.step_emit(s)
-        em.record(s)
+        return j != start
+
+    _run_clock(em, vp.change_stages(), 0, budgets.max_stage, step)
     return _finish("lay_to_lay", em, trace, final_index=j)
 
 
@@ -180,15 +254,23 @@ def rd_from_lay_phi(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
     the intersection of ``u``'s components up to s (so the bound read off the
     output dominates every witness stage)."""
     trace = ConstructionTrace(name="rd_from_lay")
-    em = Emitter(x, trace, default_grace(budgets) if grace is None else grace)
+    em = Emitter(x, trace, budgets, grace)
+    top = effective_top(u)
     j = 0
-    for s in range(budgets.max_stage + 1):
+
+    def step(s: int) -> bool:
+        nonlocal j
+        start = j
         while j <= v.max_index and member_at_stage(x, v, j, s):
             trace.add(s, "trigger", index=j, stage_found=s)
-            _pad_into(em, s, u, s, budgets.max_depth, "rd_from_lay")
+            n = min(s, top)
+            _pad_into(em, s, u.meet_view(n, s), list(range(n + 1)),
+                      f"rd_from_lay: no pad into components 0..{n} at stage {s} "
+                      f"below {em.committed!r}")
             j += 1
-        em.step_emit(s)
-        em.record(s)
+        return j != start
+
+    _run_clock(em, v.change_stages(), 0, budgets.max_stage, step)
     return _finish("rd_from_lay", em, trace, final_index=j)
 
 
@@ -229,10 +311,14 @@ def product_merge(u: MLTest, x: Stream, y: Stream, budgets: Budgets,
     if not u.nested:
         raise ScenarioError("product merge needs a nested test")
     trace = ConstructionTrace(name="product_merge")
-    em = Emitter(x, trace, default_grace(budgets) if grace is None else grace)
+    em = Emitter(x, trace, budgets, grace)
+    top = effective_top(u)
     level = 0
     dx = dy = 0
-    for s in range(budgets.max_stage + 1):
+
+    def step(s: int) -> bool:
+        nonlocal level, dx, dy
+        start = (dx, dy)
         while dx <= u.max_index and member_at_stage(x, u, dx, s):
             dx += 1
         while dy <= u.max_index and member_at_stage(y, u, dy, s):
@@ -240,10 +326,14 @@ def product_merge(u: MLTest, x: Stream, y: Stream, budgets: Budgets,
         seen = max(dx, dy)
         if seen > level:
             trace.add(s, "trigger", level=seen)
-            _pad_into(em, s, u, seen - 1, budgets.max_depth, "product_merge")
+            n = min(seen - 1, top)
+            _pad_into(em, s, u.meet_view(n, s), list(range(n + 1)),
+                      f"product_merge: no pad into components 0..{n} at stage {s} "
+                      f"below {em.committed!r}")
             level = seen
-        em.step_emit(s)
-        em.record(s)
+        return (dx, dy) != start
+
+    _run_clock(em, u.change_stages(), 0, budgets.max_stage, step)
     return _finish("product_merge", em, trace, level=level)
 
 
@@ -259,7 +349,7 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
     if not xs:
         raise ScenarioError("parallel merge needs at least one stream")
     trace = ConstructionTrace(name="parallel_merge")
-    em = Emitter(xs[0], trace, default_grace(budgets) if grace is None else grace)
+    em = Emitter(xs[0], trace, budgets, grace)
     top = effective_top(u)
     for s in range(budgets.max_stage + 1):
         i, n, t = unpair3(s)
@@ -268,13 +358,8 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
                 target = u.meet_view(n, s)
                 if not target.covers(em.committed):
                     trace.add(s, "trigger", input=i, index=n, seen_at=t)
-                    tau = first_extension_into(em.committed, target,
-                                               budgets.max_depth)
-                    if tau is None:
-                        raise SearchExhaustedError(
-                            f"parallel_merge: no pad into 0..{n} at stage {s}")
-                    em.pad(s, tau, target, demanded=list(range(n + 1)))
-        em.step_emit(s)
+                    _pad_into(em, s, target, list(range(n + 1)),
+                              f"parallel_merge: no pad into 0..{n} at stage {s}")
         em.record(s)
     return _finish("parallel_merge", em, trace)
 
@@ -308,31 +393,32 @@ def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
         raise ScenarioError("composition needs a nested test")
     trace = ConstructionTrace(name="compose_star")
     y = inner_g.phi(x)
-    em = Emitter(y, trace, default_grace(budgets) if grace is None else grace)
+    em = Emitter(y, trace, budgets, grace)
     d_y = d_z = 0
     z = inner_f.phi(inner_g.psi(x, d_y))
     if not isinstance(z, Stream):
         raise ScenarioError("inner post-processor must produce a stream input")
     events: list[tuple[str, int, int]] = []
-    for s in range(budgets.max_stage + 1):
+
+    def step(s: int) -> bool:
+        nonlocal d_y, d_z, z
         if d_y <= u.max_index and member_at_stage(y, u, d_y, s):
             d_y += 1
             z = inner_f.phi(inner_g.psi(x, d_y))
             trace.add(s, "raise_dy", d_y=d_y)
             events.append(("dy", s, d_y))
             em.note_progress(s)
-        elif d_z <= u.max_index and member_at_stage(z, u, d_z, s):
+            return True
+        if d_z <= u.max_index and member_at_stage(z, u, d_z, s):
             trace.add(s, "raise_dz", d_z=d_z + 1)
-            target = u.stage_view(d_z, s)
-            tau = first_extension_into(em.committed, target, budgets.max_depth)
-            if tau is None:
-                raise SearchExhaustedError(
-                    f"compose_star: no pad into component {d_z} at stage {s}")
-            em.pad(s, tau, target, demanded=[d_z])
+            _pad_into(em, s, u.stage_view(d_z, s), [d_z],
+                      f"compose_star: no pad into component {d_z} at stage {s}")
             d_z += 1
             events.append(("dz", s, d_z))
-        em.step_emit(s)
-        em.record(s)
+            return True
+        return False
+
+    _run_clock(em, u.change_stages(), 0, budgets.max_stage, step)
     run = _finish("compose_star", em, trace, d_y=d_y, d_z=d_z, events=events)
     run.data["y"] = y
     run.data["z"] = z
@@ -386,7 +472,10 @@ def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets, batch: int = 64) -> Choice
     counter = 0
     idx = 0
     target = primes[0]
-    for s in range(budgets.max_stage + 1):
+
+    def step(s: int) -> bool:
+        nonlocal counter, idx, target
+        acted = False
         if idx <= u.max_index and member_at_stage(x, u, idx, s):
             idx += 1
             bound = max(enumerated, default=0)
@@ -397,6 +486,7 @@ def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets, batch: int = 64) -> Choice
             omitted.append(target)
             target = power
             trace.add(s, "retarget", index=idx, target=target)
+            acted = True
         for _ in range(batch):
             pool = sorted(o for o in omitted if o != target)
             if pool:
@@ -411,6 +501,10 @@ def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets, batch: int = 64) -> Choice
                 break  # everything below the bound except the target is out
             enumerated.append(m)
             enumerated_set.add(m)
+            acted = True
+        return acted
+
+    _run_clock(None, u.change_stages(), 0, budgets.max_stage, step)
     survivors = [n for n in range(counter) if n not in enumerated_set]
     unique = len(survivors) == 1
     survivor = survivors[0] if survivors else None
@@ -450,27 +544,28 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
     value is stable, make sure the output sits inside the components up to
     that stage (padding only when it does not already)."""
     trace = ConstructionTrace(name="cn_times_mlr")
-    em = Emitter(x, trace, default_grace(budgets) if grace is None else grace)
+    em = Emitter(x, trace, budgets, grace)
     top = effective_top(u)
-    fired: list[int] = []
+    # stable_value reads only the first s+1 values, so it is constant from
+    # s = len(f_values) - 1 on
+    settled = len(f_values)
+    values = [stable_value(f_values, s) for s in range(settled + 1)]
+    fired = 0
     for s in range(budgets.max_stage):
-        if stable_value(f_values, s) == stable_value(f_values, s + 1):
-            fired.append(s)
-            trace.add(s, "stable", value=stable_value(f_values, s))
+        now, nxt = values[min(s, settled)], values[min(s + 1, settled)]
+        if now == nxt:
+            fired += 1
+            trace.add(s, "stable", value=now)
             bound = min(s, top)
             target = u.meet_view(bound, s)
             if not target.covers(em.committed):
-                tau = first_extension_into(em.committed, target, budgets.max_depth)
-                if tau is None:
-                    raise SearchExhaustedError(
-                        f"cn_times_mlr: no pad into 0..{bound} at stage {s}")
-                em.pad(s, tau, target, demanded=list(range(bound + 1)))
+                _pad_into(em, s, target, list(range(bound + 1)),
+                          f"cn_times_mlr: no pad into 0..{bound} at stage {s}")
         else:
-            trace.add(s, "changed", value=stable_value(f_values, s + 1))
+            trace.add(s, "changed", value=nxt)
             em.note_progress(s)
-        em.step_emit(s)
         em.record(s)
-    return _finish("cn_times_mlr", em, trace, fired=len(fired))
+    return _finish("cn_times_mlr", em, trace, fired=fired)
 
 
 def cn_times_mlr_psi(f_values: Sequence[int], x: Stream, s: int) -> tuple[int, Stream]:
@@ -491,49 +586,27 @@ def delta02_to_lay_phi(u: MLTest, t_trees: Sequence[CoTree],
     if len(t_trees) != len(s_trees):
         raise ScenarioError("tree families must have equal length")
     trace = ConstructionTrace(name="delta02_to_lay")
-    em = Emitter(x, trace, default_grace(budgets) if grace is None else grace)
-    depth = budgets.max_depth
-    tau0 = first_extension_into("", u.stage_view(0, 0), depth)
-    if tau0 is None:
-        raise SearchExhaustedError("no initial pad inside component 0")
-    em.pad(0, tau0, u.stage_view(0, 0), demanded=[0])
+    em = Emitter(x, trace, budgets, grace)
+    _pad_into(em, 0, u.stage_view(0, 0), [0], "no initial pad inside component 0")
     j = 0
     top = effective_top(u)
 
-    def tree_static(tr: CoTree) -> bool:
-        changes = getattr(tr.dead, "change_stages", tuple)()
-        return tuple(changes) in ((), (0,))
-
-    esc_cache: dict[int, int | None] = {}
-
-    def escape_at(idx: int, s: int) -> int | None:
-        static = tree_static(t_trees[idx]) and tree_static(s_trees[idx])
-        if static and idx in esc_cache:
-            return esc_cache[idx]
-        found = None
-        for n in range(depth + 1):
+    def step(s: int) -> bool:
+        nonlocal j
+        if j >= len(t_trees) or j + 1 > top:
+            return False
+        for n in range(budgets.max_depth + 1):
             node = x.prefix(n)
-            if not t_trees[idx].alive(node, s) and not s_trees[idx].alive(node, s):
-                found = n
-                break
-        if static:
-            esc_cache[idx] = found
-        return found
-
-    for s in range(1, budgets.max_stage + 1):
-        if j < len(t_trees) and j + 1 <= top:
-            esc = escape_at(j, s)
-            if esc is not None:
-                trace.add(s, "trigger", index=j, escape_at=esc)
-                target = u.stage_view(j + 1, s)
-                tau = first_extension_into(em.committed, target, depth)
-                if tau is None:
-                    raise SearchExhaustedError(
-                        f"delta02: no pad into component {j + 1} at stage {s}")
-                em.pad(s, tau, target, demanded=[j + 1])
+            if not t_trees[j].alive(node, s) and not s_trees[j].alive(node, s):
+                trace.add(s, "trigger", index=j, escape_at=n)
+                _pad_into(em, s, u.stage_view(j + 1, s), [j + 1],
+                          f"delta02: no pad into component {j + 1} at stage {s}")
                 j += 1
-        em.step_emit(s)
-        em.record(s)
+                return True
+        return False
+
+    changes = sorted({c for tr in (*t_trees, *s_trees) for c in tr.change_stages()})
+    _run_clock(em, changes, 1, budgets.max_stage, step)
     return _finish("delta02_to_lay", em, trace, final_index=j)
 
 
@@ -577,7 +650,7 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
     watch the chosen open set, and on entry pad into every component below
     the discovery stage so the second bound certifies the stage."""
     trace = ConstructionTrace(name="semidecidable_star")
-    big_s, depth = budgets.max_stage, budgets.max_depth
+    big_s = budgets.max_stage
 
     g_run = rd_from_lay_phi(w, u_oracle, x, budgets, grace)
     g_advice = rd_at_stage(g_run.output, u_oracle, big_s).value
@@ -587,28 +660,25 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
         raise ScenarioError(f"no open set registered for level {level}")
 
     f_trace = ConstructionTrace(name="semidecidable_star.f")
-    em = Emitter(x, f_trace, default_grace(budgets) if grace is None else grace)
+    em = Emitter(x, f_trace, budgets, grace)
     target_enum = us[level]
     done = False
     top = effective_top(w)
-    for s in range(big_s + 1):
-        if not done:
-            view = target_enum.stage_view(s)
-            if any(x.starts_with(c) for c in view.cylinders):
-                f_trace.add(s, "trigger", stage_found=s)
-                bound = min(s - 1, top)
-                if bound >= 0:
-                    target = w.meet_view(bound, s)
-                else:
-                    target = Clopen([""])
-                tau = first_extension_into(em.committed, target, depth)
-                if tau is None:
-                    raise SearchExhaustedError(
-                        f"semidecidable: no pad into 0..{bound} at stage {s}")
-                em.pad(s, tau, target, demanded=list(range(bound + 1)))
-                done = True
-        em.step_emit(s)
-        em.record(s)
+
+    def step(s: int) -> bool:
+        nonlocal done
+        if done or not any(x.starts_with(c)
+                           for c in target_enum.stage_view(s).cylinders):
+            return False
+        f_trace.add(s, "trigger", stage_found=s)
+        bound = min(s - 1, top)
+        target = w.meet_view(bound, s) if bound >= 0 else Clopen([""])
+        _pad_into(em, s, target, list(range(bound + 1)),
+                  f"semidecidable: no pad into 0..{bound} at stage {s}")
+        done = True
+        return True
+
+    _run_clock(em, target_enum.change_stages(), 0, big_s, step)
     f_run = _finish("semidecidable_star.f", em, f_trace)
 
     f_advice = rd_at_stage(f_run.output, w, big_s).value

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from cantorlab.deficiency import (
     CoTree,
@@ -30,6 +31,13 @@ class TestStream:
         x = Stream("x", "01", "1")
         y = prepend("110", x)
         assert y.prefix(6) == "110011"
+
+    @given(pad=st.text(alphabet="01", max_size=5),
+           period=st.text(alphabet="01", min_size=1, max_size=5),
+           start=st.integers(0, 30), length=st.integers(0, 30))
+    def test_bits_is_a_prefix_slice(self, pad, period, start, length):
+        x = Stream("x", pad, period)
+        assert x.bits(start, start + length) == x.prefix(start + length)[start:]
 
     def test_period_required(self):
         with pytest.raises(ValueError):
@@ -172,6 +180,10 @@ class TestCoTree:
         assert tree.alive("000", 4)
         assert not tree.alive("000", 5)
         assert not tree.alive("110", 0)
+        assert tree.change_stages() == (0, 5)
+
+    def test_static_tree_changes_only_at_stage_zero(self):
+        assert static_cotree(["11"], 8).change_stages() == (0,)
 
     def test_path_measure(self):
         dead = Enumeration([(0, "11")])

@@ -1,10 +1,24 @@
-import pytest
+import hashlib
+import json
 
-from cantorlab.core import Clopen, ScenarioError
-from cantorlab.deficiency import Stream, member_at_stage, rd_at_stage
-from cantorlab.enumeration import shift_union
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cantorlab import realizers
+from cantorlab.constructions import ConstructionTrace
+from cantorlab.core import Clopen, ScenarioError, SearchExhaustedError
+from cantorlab.deficiency import CoTree, Stream, member_at_stage, rd_at_stage
+from cantorlab.enumeration import (
+    HARD_MAX_STAGE,
+    Budgets,
+    descending_chain,
+    shift_union,
+    universal_sum,
+)
 from cantorlab.realizers import (
+    Emitter,
     InnerReduction,
+    _run_clock,
     cn_times_mlr_psi,
     cn_times_mlr_to_lay,
     compose_star,
@@ -379,3 +393,179 @@ class TestMonotonicityAndShape:
             run = rd_from_lay_phi(surrogate, surrogate, x, shrunk)
             lengths.append(len(run.committed))
         assert lengths[0] < lengths[1]
+
+
+# ---------------------------------------------------------------------------
+# behaviour of the clocked realizers beyond the default-grace golden traces
+# ---------------------------------------------------------------------------
+
+CLOCKED = ("lay_to_lay", "rd_from_lay", "product_merge", "compose_star",
+           "delta02_to_lay", "semidecidable_star")
+
+
+def _clocked_calls(sc, budgets, grace):
+    """(realizer, stream, thunk) for every clocked realizer and declared
+    stream, wired as the CLI wires them; each thunk returns a RealizerRun
+    and the trace that run contributes."""
+    u = universal_sum(sc)
+    chain = descending_chain(u)
+    inner_f = InnerReduction(
+        phi=lambda s: rd_from_lay_phi(u, u, s, budgets, grace).output,
+        psi=lambda s, m: rd_from_lay_psi(u, s, m, budgets))
+    t_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("inA")]
+    s_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("outA")]
+    names = list(sc.streams)
+
+    def semidecidable(x):
+        res = semidecidable_to_rd_star(u, sc.opens["layerA"], u, x, budgets, grace)
+        return res.f_run, res.trace
+
+    def plain(run):
+        return run, run.trace
+
+    for k, name in enumerate(names):
+        x = sc.stream(name)
+        y = sc.stream(names[(k + 1) % len(names)])
+        yield "lay_to_lay", name, lambda x=x: plain(
+            lay_to_lay(chain, u, x, budgets, grace))
+        yield "rd_from_lay", name, lambda x=x: plain(
+            rd_from_lay_phi(u, u, x, budgets, grace))
+        yield "product_merge", name, lambda x=x, y=y: plain(
+            product_merge(chain, x, y, budgets, grace))
+        yield "compose_star", name, lambda x=x: plain(
+            compose_star(chain, inner_f, identity_reduction(), x, budgets, grace))
+        yield "delta02_to_lay", name, lambda x=x: plain(
+            delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets, grace))
+        yield "semidecidable_star", name, lambda x=x: semidecidable(x)
+
+
+def _clocked_digests(sc) -> dict[str, str]:
+    """sha256 per clocked realizer over (history, committed, pads, trace
+    lines) of every declared stream at five graces; a run that exhausts its
+    search contributes its error text instead."""
+    budgets = sc.budgets
+    hashes = {name: hashlib.sha256() for name in CLOCKED}
+    for grace in (None, 0, -1, 5, budgets.max_stage):
+        for realizer, stream, call in _clocked_calls(sc, budgets, grace):
+            try:
+                run, trace = call()
+                record = [run.data["history"], run.committed, run.pads,
+                          trace.lines()]
+            except (ScenarioError, SearchExhaustedError) as exc:
+                record = f"{type(exc).__name__}: {exc}"
+            hashes[realizer].update(
+                json.dumps([grace, stream, record], sort_keys=True).encode())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+# Recorded from the per-stage loops the event clock replaced, which stepped
+# every stage 0..S.
+MAIN_CLOCKED_DIGESTS = {
+    "lay_to_lay":
+        "b8fadc583a97f335586dc3d72238ae1a36a492346d8a2f654166df7798acd68e",
+    "rd_from_lay":
+        "2adbbab048a5dcce469dbba8041cab749fd12001dfa8cb7bf5492f2aab44dbe6",
+    "product_merge":
+        "e0b94e299f8ad307818399ebd25fe208c9efd1eefbc00ef7a079305e23e2d114",
+    "compose_star":
+        "92af868fea60cd8f132926ea169b38eed3b14d3c70413b21bd55dd425cafdf21",
+    "delta02_to_lay":
+        "2528dccb8ae4c16ade943ce3ef19daba2a8f38affdfea1c780c47dc982b20496",
+    "semidecidable_star":
+        "8487c2658feff7f692f2abcaf72a3ba7bbb2916132060b1f4306f3486c75fde1",
+}
+
+
+def test_clocked_runs_pinned(main_scenario):
+    assert _clocked_digests(main_scenario) == MAIN_CLOCKED_DIGESTS
+
+
+def _stepped_reference(source, grace, first, last, pads, progress):
+    """The emission rule applied at every stage ``first..last``: a pad or a
+    progress note at a stage comes before that stage's emission."""
+    committed, cursor, last_progress, history = "", 0, 0, []
+    for s in range(first, last + 1):
+        if s in pads:
+            committed += pads[s]
+            cursor = 0
+            last_progress = s
+        elif s in progress:
+            last_progress = s
+        if s - last_progress > grace:
+            committed += source.bit(cursor)
+            cursor += 1
+        history.append(len(committed))
+    return committed, cursor, history
+
+
+bit_strings = st.text(alphabet="01", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pad=bit_strings, period=bit_strings.filter(bool),
+       last=st.integers(0, 60), first=st.integers(0, 2),
+       grace=st.one_of(st.integers(-4, -1), st.just(0), st.integers(1, 6),
+                       st.integers(61, 120)),
+       pads=st.dictionaries(st.integers(0, 60), bit_strings, max_size=6),
+       progress=st.sets(st.integers(0, 60), max_size=6))
+def test_closed_form_fill_matches_every_stage(pad, period, last, first, grace,
+                                              pads, progress):
+    source = Stream("s", pad, period)
+    budgets = Budgets(max_index=1, max_stage=last, max_depth=8, max_layers=0)
+    em = Emitter(source, ConstructionTrace(name="fill"), budgets, grace)
+
+    def step(s):
+        if s in pads:
+            em.pad(s, pads[s], [])
+        elif s in progress:
+            em.note_progress(s)
+        else:
+            return False
+        return True
+
+    _run_clock(em, sorted(set(pads) | progress), first, last, step)
+    committed, cursor, history = _stepped_reference(
+        source, grace, first, last, pads, progress)
+    assert em.committed == committed
+    assert em.cursor == cursor
+    assert em.history == history
+    assert em.committed == em.base + source.prefix(em.cursor)
+
+
+def test_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
+    """The clocked realizers read views only at change stages and right after
+    acting, so the stage budget does not change how often they look."""
+    counts = {}
+    calls = {"member": 0, "alive": 0}
+    member, alive = realizers.member_at_stage, CoTree.alive
+
+    def counted_member(*args):
+        calls["member"] += 1
+        return member(*args)
+
+    def counted_alive(*args):
+        calls["alive"] += 1
+        return alive(*args)
+
+    monkeypatch.setattr(realizers, "member_at_stage", counted_member)
+    monkeypatch.setattr(CoTree, "alive", counted_alive)
+    b = main_scenario.budgets
+    u = universal_sum(main_scenario)
+    for stages in (b.max_stage, HARD_MAX_STAGE):
+        budgets = Budgets(max_index=b.max_index, max_stage=stages,
+                          max_depth=b.max_depth, max_layers=b.max_layers)
+        seen = []
+        for realizer, stream, call in _clocked_calls(main_scenario, budgets, None):
+            if stream not in ("x3", "ones"):
+                continue
+            calls.update(member=0, alive=0)
+            try:
+                call()
+            except SearchExhaustedError as exc:
+                seen.append(str(exc))
+            seen.append((realizer, stream, dict(calls)))
+        calls.update(member=0, alive=0)
+        lay_to_cn(u, main_scenario.stream("x3"), budgets)
+        seen.append(("lay_to_cn", "x3", dict(calls)))
+        counts[stages] = seen
+    assert counts[b.max_stage] == counts[HARD_MAX_STAGE]
