@@ -2,9 +2,10 @@
 
 The ambient space is the set of infinite binary sequences.  A cylinder is the
 set of all sequences extending a finite string; a clopen set is a finite union
-of cylinders, held in canonical form (prefix-free and sibling-merged) so that
-equality, containment, and measure are exact decidable queries.  Measures are
-dyadic rationals with arbitrary-precision numerators.  No floats anywhere.
+of cylinders, held in a canonical form (sorted integer spans of leaves at the
+set's own depth) so that equality, containment, and measure are exact
+decidable queries.  Measures are dyadic rationals with arbitrary-precision
+numerators.  No floats anywhere.
 
 Bit strings are plain ``str`` over ``{'0', '1'}``; the empty string denotes
 the whole space's root.
@@ -13,8 +14,11 @@ the whole space's root.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from operator import or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 #: Largest denominator exponent a Dyadic may carry.  Stage constructions add
 #: long tails of 2**-(s+c) terms; the cap turns a runaway scenario into an
@@ -70,10 +74,8 @@ def str_order(a: str, b: str) -> int:
 
 
 def sigma_plus(bits: str) -> str | None:
-    """The string immediately to the right of ``bits`` at the same length.
-
-    Returns None when ``bits`` is the rightmost string of its length.
-    """
+    """The string immediately to the right of ``bits`` at the same length, or
+    None when ``bits`` is the rightmost string of its length."""
     check_bits(bits)
     if not bits or bits == "1" * len(bits):
         return None
@@ -83,14 +85,9 @@ def sigma_plus(bits: str) -> str | None:
 
 def extensions(prefix: str, length: int) -> Iterator[str]:
     """All length-``length`` extensions of ``prefix`` in lexicographic order."""
-    gap = length - len(prefix)
-    if gap < 0:
-        return
-    if gap == 0:
-        yield prefix
-        return
-    for tail in product("01", repeat=gap):
-        yield prefix + "".join(tail)
+    if length >= len(prefix):
+        for tail in product("01", repeat=length - len(prefix)):
+            yield prefix + "".join(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +109,9 @@ class Dyadic:
             raise ValueError("Dyadic numerator must be non-negative")
         if exponent < 0:
             raise ValueError("Dyadic exponent must be non-negative")
-        while numerator and exponent and numerator % 2 == 0:
-            numerator //= 2
-            exponent -= 1
-        if numerator == 0:
-            exponent = 0
+        # strip every factor of 2 the exponent allows at once; zero is 0/2^0
+        k = min((numerator & -numerator).bit_length() - 1, exponent) if numerator else exponent
+        numerator, exponent = numerator >> k, exponent - k
         if exponent > DYADIC_EXPONENT_CAP:
             raise BudgetError(f"dyadic exponent {exponent} exceeds cap {DYADIC_EXPONENT_CAP}")
         self.numerator = numerator
@@ -195,75 +190,80 @@ class Dyadic:
 # canonical clopen sets
 # ---------------------------------------------------------------------------
 
-def _trie_insert(root: list, bits: str) -> None:
-    # node layout: [child0, child1, terminal]
-    node = root
-    for ch in bits:
-        if node[2]:
-            return  # already covered by a shorter cylinder
-        i = 1 if ch == "1" else 0
-        if node[i] is None:
-            node[i] = [None, None, False]
-        node = node[i]
-    node[0] = node[1] = None  # absorb anything below
-    node[2] = True
+def _leaf_span(bits: str, d: int) -> tuple[int, int]:
+    """The depth-``d`` leaves ``[lo, hi)`` under ``bits`` (at most ``d`` long)."""
+    gap = d - len(bits)
+    lo = int(bits, 2) << gap if bits else 0
+    return lo, lo + (1 << gap)
 
 
-def _trie_merge(node: list | None) -> None:
-    if node is None or node[2]:
-        return
-    _trie_merge(node[0])
-    _trie_merge(node[1])
-    if node[0] is not None and node[1] is not None and node[0][2] and node[1][2]:
-        node[0] = node[1] = None
-        node[2] = True
+def _clip(b: Sequence[int], lo: int, hi: int) -> list[int]:
+    """The span boundaries ``b`` cut to the leaves ``[lo, hi)``."""
+    i, j = bisect_right(b, lo), bisect_left(b, hi)
+    return [lo] * (i % 2) + list(b[i:j]) + [hi] * (j % 2)
 
 
-def _trie_collect(node: list | None, prefix: str, out: list[str]) -> None:
-    if node is None:
-        return
-    if node[2]:
-        out.append(prefix)
-        return
-    _trie_collect(node[0], prefix + "0", out)
-    _trie_collect(node[1], prefix + "1", out)
+def _blocks(d: int, b: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """``(length, value)`` of each maximal aligned block of depth-``d`` leaves
+    in the spans ``b``: the cylinder of the ``length``-bit expansion of value."""
+    for lo, hi in zip(b[::2], b[1::2]):
+        while lo < hi:
+            k = min((lo & -lo or 1 << d).bit_length(), (hi - lo).bit_length()) - 1
+            yield d - k, lo >> k
+            lo += 1 << k
 
 
 class Clopen:
-    """A finite union of cylinders in canonical (prefix-free, merged) form.
+    """A finite union of cylinders, held as the pair ``(d, b)``.
 
-    The constructor canonicalizes eagerly: extensions of a present string are
-    absorbed, and sibling pairs sigma0/sigma1 are merged to sigma, repeatedly.
-    Two clopens denote the same set iff their ``cylinders`` tuples are equal.
+    Leaf ``v`` is the cylinder of the ``d``-bit expansion of ``v``; ``b`` is
+    the flat tuple ``lo0, hi0, lo1, hi1, ...`` of the set's maximal leaf spans
+    ``[lo, hi)``, sorted, disjoint and not adjacent; ``d`` is the least depth
+    at which the set is a union of leaves, the length of its longest canonical
+    cylinder.  So the pair is unique per set, and the set operations are
+    merges of sorted boundaries.  ``cylinders``, the canonical (prefix-free,
+    sibling-merged) cylinders in length-lex order, is derived on first read.
     """
 
-    __slots__ = ("cylinders",)
+    __slots__ = ("_d", "_b", "_cyl")
 
-    def __init__(self, strings: Iterable[str] = ()) -> None:
-        items = [check_bits(s) for s in strings]
-        if items:
-            root: list = [None, None, False]
-            for s in sorted(items, key=len):
-                _trie_insert(root, s)
-            _trie_merge(root)
-            collected: list[str] = []
-            _trie_collect(root, "", collected)
-            self.cylinders = tuple(sorted(collected, key=str_order_key))
+    def __init__(self, strings: Iterable[str] = (), *,
+                 _spans: tuple[int, Sequence[int]] | None = None) -> None:
+        if _spans is None:
+            items = [check_bits(s) for s in strings]
+            d = max(map(len, items), default=0)
+            b: list[int] = []
+            for lo, hi in sorted(_leaf_span(s, d) for s in items):
+                if b and lo <= b[-1]:
+                    b[-1] = max(b[-1], hi)
+                else:
+                    b += (lo, hi)
         else:
-            self.cylinders = ()
+            d, b = _spans
+        low = reduce(or_, b, 0)  # coarsen while every boundary is even
+        k = min((low & -low).bit_length() - 1, d) if low else d
+        self._d, self._b, self._cyl = d - k, tuple([x >> k for x in b]), None
+
+    @property
+    def cylinders(self) -> tuple[str, ...]:
+        """The canonical cylinders in length-lex order."""
+        if self._cyl is None:
+            self._cyl = tuple(format(v, f"0{n}b") if n else ""
+                              for n, v in sorted(_blocks(self._d, self._b)))
+        return self._cyl
 
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Clopen):
             return NotImplemented
-        return self.cylinders == other.cylinders
+        return self._d == other._d and self._b == other._b
 
     def __hash__(self) -> int:
-        return hash(self.cylinders)
+        return hash((self._d, self._b))
 
     def __bool__(self) -> bool:
-        return bool(self.cylinders)
+        return bool(self._b)
 
     def __len__(self) -> int:
         return len(self.cylinders)
@@ -280,81 +280,84 @@ class Clopen:
     # -- queries -----------------------------------------------------------
 
     def is_full(self) -> bool:
-        return self.cylinders == ("",)
+        return self._d == 0 and bool(self._b)
 
     def covers(self, bits: str) -> bool:
-        """True iff the cylinder of ``bits`` lies inside this set."""
-        return any(bits.startswith(c) for c in self.cylinders)
+        """True iff the cylinder of ``bits`` lies inside this set.  Only the
+        first ``d`` bits are read: a longer string lies in one leaf."""
+        d, b = self._d, self._b
+        lo, hi = _leaf_span(bits[:d], d)
+        i = bisect_right(b, lo)
+        return i % 2 == 1 and b[i] >= hi
 
     def meets(self, bits: str) -> bool:
         """True iff the cylinder of ``bits`` intersects this set."""
-        return any(bits.startswith(c) or c.startswith(bits) for c in self.cylinders)
+        d, b = self._d, self._b
+        lo, hi = _leaf_span(bits[:d], d)
+        i = bisect_right(b, lo)
+        return i % 2 == 1 or (i < len(b) and b[i] < hi)
 
     def max_length(self) -> int:
-        return max((len(c) for c in self.cylinders), default=0)
+        return self._d
 
     def measure(self) -> Dyadic:
-        """Exact measure: the sum of 2**-len over the canonical cylinders."""
-        if not self.cylinders:
-            return Dyadic.zero()
-        k = self.max_length()
-        num = sum(1 << (k - len(c)) for c in self.cylinders)
-        return Dyadic(num, k)
+        """Exact measure: the number of leaves over 2**d."""
+        b = self._b
+        return Dyadic(sum(b[1::2]) - sum(b[::2]), self._d)
 
     # -- algebra -----------------------------------------------------------
 
+    def _aligned(self, other: "Clopen") -> tuple[int, Sequence[int], Sequence[int]]:
+        """The common depth and both sets' boundaries at it."""
+        d = max(self._d, other._d)
+        return d, [x << d - self._d for x in self._b], [x << d - other._d for x in other._b]
+
     def union(self, other: "Clopen") -> "Clopen":
-        return Clopen(self.cylinders + other.cylinders)
+        """Each span of the smaller side replaces the boundaries it spans."""
+        d, x, y = self._aligned(other)
+        if len(x) < len(y):
+            x, y = y, x
+        out = list(x)
+        for lo, hi in zip(y[::2], y[1::2]):
+            i, j = bisect_left(out, lo), bisect_right(out, hi)
+            out[i:j] = [lo] * (i % 2 == 0) + [hi] * (j % 2 == 0)
+        return Clopen(_spans=(d, out))
 
     def intersect(self, other: "Clopen") -> "Clopen":
-        kept: list[str] = []
-        for a in self.cylinders:
-            for b in other.cylinders:
-                if a.startswith(b):
-                    kept.append(a)
-                elif b.startswith(a):
-                    kept.append(b)
-        return Clopen(kept)
+        """The larger side cut to each span of the smaller side."""
+        d, x, y = self._aligned(other)
+        if len(x) < len(y):
+            x, y = y, x
+        out: list[int] = []
+        for lo, hi in zip(y[::2], y[1::2]):
+            out += _clip(x, lo, hi)
+        return Clopen(_spans=(d, out))
 
     def complement(self, depth: int) -> "Clopen":
-        """The complement within the whole space, exact and canonical.
-
-        ``depth`` only bounds residency: every cylinder of this set must have
-        length at most ``depth``.
-        """
-        deep = [c for c in self.cylinders if len(c) > depth]
-        if deep:
+        """The complement within the whole space.  ``depth`` only bounds
+        residency: every cylinder of this set must be at most that long."""
+        if self._d > depth:
+            deep = next(c for c in self.cylinders if len(c) > depth)
             raise DepthExceededError(
-                f"complement at depth {depth} requested below resident string {deep[0]!r}")
-        if not self.cylinders:
-            return Clopen([""])
-        root: list = [None, None, False]
-        for c in self.cylinders:
-            _trie_insert(root, c)
-        out: list[str] = []
-
-        def walk(node: list | None, prefix: str) -> None:
-            if node is None:
-                out.append(prefix)
-                return
-            if node[2]:
-                return
-            walk(node[0], prefix + "0")
-            walk(node[1], prefix + "1")
-
-        walk(root, "")
-        return Clopen(out)
+                f"complement at depth {depth} requested below resident string {deep!r}")
+        out = [0, *self._b, 1 << self._d]  # a boundary met twice cancels
+        if out[1] == 0:
+            del out[:2]
+        if out and out[-2] == out[-1]:
+            del out[-2:]
+        return Clopen(_spans=(self._d, out))
 
     def difference(self, other: "Clopen", depth: int) -> "Clopen":
         return self.intersect(other.complement(depth))
 
     def is_subset_of(self, other: "Clopen") -> bool:
         """True iff every point of this set lies in ``other``."""
-        return all(other.covers(c) for c in self.cylinders)
-
-    def restrict(self, bits: str) -> "Clopen":
-        """Intersection with the single cylinder of ``bits``."""
-        return self.intersect(Clopen([bits]))
+        _, x, y = self._aligned(other)
+        for lo, hi in zip(x[::2], x[1::2]):
+            i = bisect_right(y, lo)
+            if i % 2 == 0 or y[i] < hi:
+                return False
+        return True
 
 
 def intersect_all(clopens: Iterable[Clopen]) -> Clopen:
@@ -432,19 +435,17 @@ def first_extension_into(prefix: str, target: Clopen, max_len: int) -> str | Non
     """
     if target.covers(prefix):
         return ""
-    for c in target.cylinders:  # sorted by (len, lex): first hit is least
-        if c.startswith(prefix) and len(c) <= max_len:
-            return c[len(prefix):]
-    return None
+    # the least is the shortest, then leftmost, block of target under prefix
+    d = target.max_length()
+    best = min(_blocks(d, _clip(target._b, *_leaf_span(prefix[:d], d))), default=None)
+    if best is None or best[0] > max_len:
+        return None
+    return format(best[1], f"0{best[0]}b")[len(prefix):]
 
 
-def first_free_string(
-    min_len: int,
-    max_len: int,
-    covered: Clopen,
-    pred: Callable[[str], bool] | None = None,
-    scan_limit: int = 200_000,
-) -> str:
+def first_free_string(min_len: int, max_len: int, covered: Clopen,
+                      pred: Callable[[str], bool] | None = None,
+                      scan_limit: int = 200_000) -> str:
     """First string in length-lex order whose cylinder avoids ``covered``.
 
     Searches lengths ``min_len..max_len``; an optional ``pred`` filters
@@ -467,13 +468,11 @@ def first_free_string(
 
 
 def leftmost_uncovered(length: int, cones: Clopen) -> str | None:
-    """Leftmost length-``length`` string whose cylinder is not inside ``cones``."""
-
-    def walk(prefix: str) -> str | None:
-        if cones.covers(prefix):
-            return None
-        if len(prefix) == length:
-            return prefix
-        return walk(prefix + "0") or walk(prefix + "1")
-
-    return walk("")
+    """Leftmost length-``length`` string whose cylinder is not inside ``cones``:
+    the one over the first leaf the spans leave out."""
+    d, b = cones.max_length(), cones._b
+    gap = b[1] if b and b[0] == 0 else 0
+    if gap == 1 << d:
+        return None
+    v = gap >> (d - length) if length <= d else gap << (length - d)
+    return format(v, f"0{length}b") if length else ""

@@ -49,17 +49,6 @@ class Stream:
         reps = (k - len(self.pad)) // len(self.period) + 1
         return (self.pad + self.period * reps)[:k]
 
-    def bits(self, start: int, stop: int) -> str:
-        """``prefix(stop)[start:]``, built in time linear in its length."""
-        n, p = len(self.pad), len(self.period)
-        head = self.pad[start:stop]
-        start = max(start, n)
-        if stop <= start:
-            return head
-        lo = (start - n) % p
-        reps = (lo + stop - start) // p + 1
-        return head + (self.period * reps)[lo:lo + stop - start]
-
     def starts_with(self, bits: str) -> bool:
         return self.prefix(len(bits)) == bits
 
@@ -87,16 +76,19 @@ class DeficiencyReport:
         return {"value": self.value, "stage": self.stage, "determined": self.determined}
 
 
+def _inside(x: Stream, view: Clopen) -> bool:
+    """True iff some cylinder of ``view`` prefixes ``x``: no cylinder is longer
+    than ``view.max_length()``, so that prefix of ``x`` decides it."""
+    return view.covers(x.prefix(view.max_length()))
+
+
 def _escapes(x: Stream | str, view: Clopen) -> bool:
-    if isinstance(x, str):
-        return not view.covers(x)
-    return not any(x.starts_with(c) for c in view.cylinders)
+    return not view.covers(x) if isinstance(x, str) else not _inside(x, view)
 
 
 def member_at_stage(x: Stream, t: "MLTest", i: int, s: int) -> bool:
     """True iff some cylinder of component ``i``'s stage-``s`` view prefixes ``x``."""
-    view = t.stage_view(i, s)
-    return any(x.starts_with(c) for c in view.cylinders)
+    return _inside(x, t.stage_view(i, s))
 
 
 def _least_escape(x: Stream | str, t: "MLTest", s: int) -> int:

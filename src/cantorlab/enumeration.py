@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -57,16 +59,9 @@ class Enumeration:
         stages: list[int] = []
         views: list[Clopen] = []
         measures: list[Dyadic] = []
-        acc: list[str] = []
-        i = 0
-        sched = self.schedule
-        while i < len(sched):
-            s = sched[i][0]
-            while i < len(sched) and sched[i][0] == s:
-                acc.append(sched[i][1])
-                i += 1
-            view = Clopen(acc)
-            acc = list(view.cylinders)
+        for s, entries in groupby(self.schedule, key=itemgetter(0)):
+            new = Clopen(c for _, c in entries)
+            view = views[-1].union(new) if views else new
             stages.append(s)
             views.append(view)
             measures.append(view.measure())

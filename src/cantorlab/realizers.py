@@ -63,13 +63,26 @@ class Emitter:
         self.trace = trace
         self.grace = default_grace(budgets) if grace is None else grace
         self.depth = budgets.max_depth
-        self.committed = ""
         self.cursor = 0
         self.base = ""  # committed output at the last restart point
         self.last_progress = 0
         self.next = 0
         self.pads: list[dict] = []
         self.history: list[int] = []
+
+    @property
+    def committed(self) -> str:
+        """The committed output, built on each read: emission only moves
+        ``cursor``, so committing a bit is O(1)."""
+        return self.base + self.source.prefix(self.cursor)
+
+    def _covered_by(self, target: Clopen) -> bool:
+        """``target.covers(self.committed)``, building only the first
+        ``target.max_length()`` bits: ``covers`` reads no more."""
+        n, head = target.max_length(), self.base
+        if n > len(head):
+            head += self.source.prefix(min(n - len(head), self.cursor))
+        return target.covers(head)
 
     def _advance(self, end: int) -> None:
         """Account for stages ``next..end-1``, at none of which the realizer
@@ -80,14 +93,13 @@ class Emitter:
         if end <= start:
             return
         self.next = end
-        n = len(self.committed)
+        n = len(self.base) + self.cursor
         first_emit = max(self.last_progress + self.grace + 1, start)
         if first_emit >= end:
             self.history.extend(repeat(n, end - start))
             return
         self.history.extend(repeat(n, first_emit - start))
         k = end - first_emit
-        self.committed += self.source.bits(self.cursor, self.cursor + k)
         self.cursor += k
         self.history.extend(range(n + 1, n + k + 1))
 
@@ -101,14 +113,13 @@ class Emitter:
 
     def pad(self, stage: int, tau: str, demanded: list[int]) -> None:
         """Commit ``tau``, record the demanded component indices, restart."""
-        self.committed += tau
-        self.pads.append({"stage": stage, "block": tau,
-                          "end": len(self.committed), "demanded": demanded})
-        self.base = self.committed
+        self.base = self.committed + tau
         self.cursor = 0
+        self.pads.append({"stage": stage, "block": tau,
+                          "end": len(self.base), "demanded": demanded})
         self.last_progress = stage
         self.trace.add(stage, "pad", block=tau, demanded=demanded,
-                       committed=len(self.committed))
+                       committed=len(self.base))
         self.trace.add(stage, "restart")
 
     def output_stream(self, name: str) -> Stream:
@@ -180,13 +191,14 @@ class RealizerRun:
 def _finish(name: str, em: Emitter, trace: ConstructionTrace, **data) -> RealizerRun:
     trace.sort_events()
     out = em.output_stream(f"{name}({em.source.name})")
-    trace.outputs.update({"committed": em.committed, "output_pad": out.pad,
+    committed = em.committed
+    trace.outputs.update({"committed": committed, "output_pad": out.pad,
                           "pads": em.pads})
     trace.witness(f"{name}.monotone", em.monotone_ok())
     trace.witness(f"{name}.shape", em.shape_ok(),
-                  base=em.base, tail_len=len(em.committed) - len(em.base))
+                  base=em.base, tail_len=len(committed) - len(em.base))
     return RealizerRun(name=name, source=em.source, output=out,
-                       committed=em.committed, pads=em.pads, trace=trace,
+                       committed=committed, pads=em.pads, trace=trace,
                        data={"history": em.history, **data})
 
 
@@ -356,7 +368,7 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
         if i < len(xs) and n <= top and t <= budgets.max_stage:
             if member_at_stage(xs[i], u, n, t):
                 target = u.meet_view(n, s)
-                if not target.covers(em.committed):
+                if not em._covered_by(target):
                     trace.add(s, "trigger", input=i, index=n, seen_at=t)
                     _pad_into(em, s, target, list(range(n + 1)),
                               f"parallel_merge: no pad into 0..{n} at stage {s}")
@@ -558,7 +570,7 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
             trace.add(s, "stable", value=now)
             bound = min(s, top)
             target = u.meet_view(bound, s)
-            if not target.covers(em.committed):
+            if not em._covered_by(target):
                 _pad_into(em, s, target, list(range(bound + 1)),
                           f"cn_times_mlr: no pad into 0..{bound} at stage {s}")
         else:

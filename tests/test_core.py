@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cantorlab.core import (
     BudgetError,
@@ -55,6 +55,12 @@ class TestDyadic:
     def test_exponent_cap(self):
         with pytest.raises(BudgetError):
             Dyadic(3, 5000)
+
+    @given(st.integers(0, 1 << 40), st.integers(0, 60))
+    def test_normal_form(self, n, e):
+        d = Dyadic(n, e)
+        assert d.numerator * 2 ** e == n * 2 ** d.exponent
+        assert d.exponent == 0 or d.numerator % 2 == 1
 
     @given(st.integers(0, 1000), st.integers(0, 30), st.integers(0, 1000),
            st.integers(0, 30))
@@ -217,3 +223,99 @@ class TestSearches:
         assert sigma_plus("0") == "1"
         assert sigma_plus("111") is None
         assert sigma_plus("") is None
+
+
+# Sets of depth at most 4 against query strings up to 3x that long, with the
+# leaf-bitset oracle of the strings a set is built from, at the queries' depth.
+QDEPTH = 12
+short_bits_st = st.text(alphabet="01", max_size=4)
+strings_st = st.lists(short_bits_st, max_size=6)
+query_st = st.one_of(short_bits_st, st.text(alphabet="01", max_size=QDEPTH))
+length_st = st.one_of(st.integers(0, 5), st.integers(0, QDEPTH))
+
+
+def _mask(strings) -> int:
+    return leaf_mask(strings, QDEPTH)
+
+
+def _oracle_covers(strings, bits: str) -> bool:
+    return _mask([bits]) & ~_mask(strings) == 0
+
+
+def _oracle_meets(strings, bits: str) -> bool:
+    return _mask([bits]) & _mask(strings) != 0
+
+
+class TestQueriesAgainstOracle:
+    @settings(max_examples=300)
+    @given(strings_st, query_st)
+    def test_covers_and_meets(self, strings, q):
+        c = Clopen(strings)
+        assert c.covers(q) == _oracle_covers(strings, q)
+        assert c.meets(q) == _oracle_meets(strings, q)
+
+    @pytest.mark.parametrize("strings", [[""], ["", "0101"], ["0", "1"], ["1"], ["01"],
+                                         ["1", "0010", "011"]])
+    def test_whole_space_and_mixed_lengths(self, strings):
+        c = Clopen(strings)
+        for q in ("", "0", "1", "00", "0011", "0" * 12, "0010" * 3, "1" * 9):
+            assert c.covers(q) == _oracle_covers(strings, q)
+            assert c.meets(q) == _oracle_meets(strings, q)
+
+    @settings(max_examples=300)
+    @given(strings_st, query_st, length_st)
+    def test_first_extension_into(self, strings, prefix, max_len):
+        if _oracle_covers(strings, prefix):
+            expected = ""
+        else:
+            expected = next((sigma[len(prefix):]
+                             for n in range(len(prefix) + 1, max_len + 1)
+                             for sigma in extensions(prefix, n)
+                             if _oracle_covers(strings, sigma)), None)
+        assert first_extension_into(prefix, Clopen(strings), max_len) == expected
+
+    @settings(max_examples=300)
+    @given(strings_st, length_st)
+    def test_leftmost_uncovered(self, strings, length):
+        expected = next((sigma for sigma in extensions("", length)
+                         if not _oracle_covers(strings, sigma)), None)
+        assert leftmost_uncovered(length, Clopen(strings)) == expected
+
+    @given(strings_st, strings_st)
+    def test_equal_iff_cylinders_equal(self, sa, sb):
+        a, b = Clopen(sa), Clopen(sb)
+        assert (a == b) == (a.cylinders == b.cylinders) == (_mask(sa) == _mask(sb))
+        halves = Clopen([c + t for c in a.cylinders for t in "01"])
+        assert halves == a and halves.cylinders == a.cylinders
+        assert hash(halves) == hash(a)
+
+
+class TestLongCylinders:
+    def test_depth_1200(self):
+        a = Clopen(["0" * 1200])
+        assert a.cylinders == ("0" * 1200,)
+        assert a.measure() == Dyadic(1, 1200)
+        assert a.union(Clopen(["1"])).cylinders == ("1", "0" * 1200)
+        assert a.intersect(Clopen(["0"])) == a
+        assert not a.intersect(Clopen(["1"]))
+        rest = a.complement(4096)
+        assert rest.cylinders == tuple("0" * k + "1" for k in range(1200))
+        assert rest.measure() == Dyadic((1 << 1200) - 1, 1200)
+        assert rest.union(a).is_full() and not rest.intersect(a)
+
+    def test_depth_4096(self):
+        a = Clopen(["1" * 4096, "0"])
+        assert a.cylinders == ("0", "1" * 4096)
+        assert a.measure() == Dyadic((1 << 4095) + 1, 4096)
+        rest = a.complement(4096)
+        assert rest.cylinders == tuple("1" * k + "0" for k in range(1, 4096))
+        assert rest.measure() == Dyadic((1 << 4095) - 1, 4096)
+        assert a.union(rest) == Clopen([""])
+        assert a.intersect(rest) == Clopen()
+        assert a.intersect(Clopen(["1"])) == Clopen(["1" * 4096])
+        with pytest.raises(DepthExceededError, match="1{4096}"):
+            a.complement(4095)
+
+    def test_measure_past_the_dyadic_cap(self):
+        with pytest.raises(BudgetError):
+            Clopen(["0" * 4097]).measure()

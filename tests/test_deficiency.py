@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from cantorlab.deficiency import (
     CoTree,
@@ -31,13 +30,6 @@ class TestStream:
         x = Stream("x", "01", "1")
         y = prepend("110", x)
         assert y.prefix(6) == "110011"
-
-    @given(pad=st.text(alphabet="01", max_size=5),
-           period=st.text(alphabet="01", min_size=1, max_size=5),
-           start=st.integers(0, 30), length=st.integers(0, 30))
-    def test_bits_is_a_prefix_slice(self, pad, period, start, length):
-        x = Stream("x", pad, period)
-        assert x.bits(start, start + length) == x.prefix(start + length)[start:]
 
     def test_period_required(self):
         with pytest.raises(ValueError):

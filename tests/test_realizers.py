@@ -532,6 +532,15 @@ def test_closed_form_fill_matches_every_stage(pad, period, last, first, grace,
     assert em.committed == em.base + source.prefix(em.cursor)
 
 
+@given(pad=bit_strings, period=bit_strings.filter(bool), base=st.text("01", max_size=8),
+       cursor=st.integers(0, 12), target=st.lists(bit_strings, max_size=4).map(Clopen))
+def test_covered_by_reads_committed_output(pad, period, base, cursor, target):
+    budgets = Budgets(max_index=1, max_stage=8, max_depth=8, max_layers=0)
+    em = Emitter(Stream("s", pad, period), ConstructionTrace(name="cover"), budgets, 0)
+    em.base, em.cursor = base, cursor
+    assert em._covered_by(target) == target.covers(em.committed)
+
+
 def test_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
     """The clocked realizers read views only at change stages and right after
     acting, so the stage budget does not change how often they look."""
