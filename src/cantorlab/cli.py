@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     BudgetError,
@@ -76,54 +76,8 @@ EXIT_IO = 4
 TRACE_FORMAT = 1
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    anchor: str
-    kind: str
-    description: str
-
-
-CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry("lemma31", "3.1", "construction",
-                 "marker family no single open cover contains"),
-    CatalogEntry("thm32", "3.2", "construction",
-                 "component surgery: swap the carved cover into index 0"),
-    CatalogEntry("thm33", "3.3", "construction",
-                 "divergence witnesses against partial-function tables"),
-    CatalogEntry("thm41", "4.1", "construction",
-                 "diagonal in/out set defeating every advice table"),
-    CatalogEntry("thm410", "4.10", "construction",
-                 "halting-sensitive rebuild over the unary-prefixed test"),
-    CatalogEntry("lemma63", "6.3", "construction",
-                 "right-shift cone enumeration along a shrinking tree"),
-    CatalogEntry("combinators", "1.1/5.2", "construction",
-                 "derived tests (sum, chain, shifts, stratification) with budget sweep"),
-    CatalogEntry("lay_to_lay", "5.2", "reduction",
-                 "deficiency-bound transfer between tests"),
-    CatalogEntry("rd_from_lay", "5.4", "reduction",
-                 "exact deficiency recovery from any upper bound"),
-    CatalogEntry("product_merge", "5.6", "reduction",
-                 "pairwise merge dominating both deficiencies"),
-    CatalogEntry("parallel_merge", "5.7", "reduction",
-                 "dovetailed merge of a uniformly bounded family"),
-    CatalogEntry("compose_star", "5.8", "reduction",
-                 "two-call composition through a pair of exact bounds"),
-    CatalogEntry("lay_to_cn", "5.9", "reduction",
-                 "prime-power number-choice encoding of the deficiency"),
-    CatalogEntry("cn_times_mlr", "5.10", "reduction",
-                 "tagged number choice decoded through a deficiency bound"),
-    CatalogEntry("delta02_to_lay", "5.11", "reduction",
-                 "two-sided tree membership decided from a bound"),
-    CatalogEntry("semidecidable_star", "6.1", "reduction",
-                 "layerwise semi-decidable membership via two exact bounds"),
-)
-
-SELECTORS = {c.name for c in CATALOG}
-
-
 # ---------------------------------------------------------------------------
-# selector execution
+# budget sweep and the derived test families
 # ---------------------------------------------------------------------------
 
 def _grid_change_points(comp: Enumeration, grid: range) -> list[int]:
@@ -166,237 +120,299 @@ def _budget_sweep(trace: ConstructionTrace, tests: dict[str, MLTest],
     return checks
 
 
-def _derived_tests(sc: Scenario) -> dict[str, MLTest]:
+def derived_tests(sc: Scenario) -> dict[str, MLTest]:
+    """The tests derived from the scenario's universal test by the
+    combinators; verify sweeps their budgets."""
     u = universal_sum(sc)
     chain = descending_chain(u)
-    derived = {
+    return {
         "universal": u,
         "chain": chain,
         "even_shift": even_shift(chain),
         "shift_union": shift_union(u),
         "stratify": stratify(u, sc.budgets),
     }
-    return derived
+
+
+def produced_tests(sc: Scenario,
+                   sigma_stages: int | None = None) -> dict[str, MLTest]:
+    """The derived tests plus every test the constructions output."""
+    tests = derived_tests(sc)
+    u, budgets = tests["universal"], sc.budgets
+    res31 = build_lemma31(u, budgets, sigma_stages)
+    tests["lemma31_v"] = res31.v
+    tests["surgered"] = replace_component(u, 0, res31.w0)
+    res33 = build_thm33(u, sc.partial_functions, budgets)
+    tests["thm33_w"], tests["thm33_v"] = res33.w, res33.v
+    tests["thm41_w"] = build_thm41(tests["chain"], sc.functionals, budgets,
+                                   sc.inert_functionals).w
+    tests["thm410_u"] = build_thm410(index_shift(u, 2), sc.halting, budgets).u
+    return tests
+
+
+# ---------------------------------------------------------------------------
+# selectors: a construction returns its trace; a reduction yields one
+# (tag, run trace, (pre_output, oracle_answer, post_output, verdict)) case
+# per input, and ``execute`` folds the cases into one trace
+# ---------------------------------------------------------------------------
+
+class RunOptions(NamedTuple):
+    grace: int | None
+    sigma_stages: int | None
+    stride: int
+
+
+Cases = Iterator[tuple[str, ConstructionTrace, tuple]]
+
+
+def _thm32(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
+    res = build_lemma31(u, sc.budgets, o.sigma_stages)
+    trace = res.trace
+    trace.name = "thm32"
+    surgery = replace_component(u, 0, res.w0)
+    trace.outputs["surgered"] = surgery
+    final = max(sc.budgets.max_stage, surgery.final_stage())
+    comp0 = surgery.stage_view(0, final)
+    for i in range(res.v.max_index + 1):
+        trace.witness(f"thm32.non_containment.{i}",
+                      not res.v.stage_view(i, final).is_subset_of(comp0))
+    return trace
+
+
+def _thm410(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
+    streams = [sc.stream(n) for n in sc.random_streams]
+    return build_thm410(index_shift(u, 2), sc.halting, sc.budgets, streams).trace
+
+
+def _combinators(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
+    trace = ConstructionTrace(name="combinators")
+    tests = produced_tests(sc, o.sigma_stages)
+    _budget_sweep(trace, tests, sc.budgets, o.stride)
+    trace.witness("combinators.chain_nested",
+                  tests["chain"].check_nested_stagewise())
+    trace.outputs = dict(sorted(tests.items()))
+    return trace
+
+
+def _lay_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    budgets = sc.budgets
+    chain = descending_chain(u)
+    for name in sc.random_streams:
+        x = sc.stream(name)
+        run = lay_to_lay(chain, u, x, budgets, o.grace)
+        sound = lay_to_lay_contract(run, chain, u, x, budgets)
+        run.trace.witness("lay_to_lay.sound", sound)
+        run.trace.witness("lay_to_lay.pads_valid",
+                          verify_pads(run, u, budgets.max_stage))
+        bound = rd_at_stage(run.output, u, budgets.max_stage).value
+        yield name, run.trace, (run.committed, bound, bound, sound)
+
+
+def _rd_from_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    for name in sc.random_streams:
+        run = rd_from_lay_run(u, u, sc.stream(name), sc.budgets, o.grace)
+        d = run.data
+        yield name, run.trace, (run.committed, d["advice"], d["decoded"],
+                                d["decoded"] == d["expected"])
+
+
+def _product_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    big_s = sc.budgets.max_stage
+    chain = descending_chain(u)
+    names = list(sc.random_streams)
+    for k, nx in enumerate(names):
+        ny = names[(k + 1) % len(names)]
+        x, y = sc.stream(nx), sc.stream(ny)
+        run = product_merge(chain, x, y, sc.budgets, o.grace)
+        got = rd_at_stage(run.output, chain, big_s).value
+        want = max(rd_at_stage(x, chain, big_s).value,
+                   rd_at_stage(y, chain, big_s).value)
+        run.trace.witness("product_merge.dominates", got >= want,
+                          got=got, want=want)
+        run.trace.witness("product_merge.pads_valid",
+                          verify_pads(run, chain, big_s))
+        yield f"{nx}+{ny}", run.trace, (run.committed, got, [got, got], got >= want)
+
+
+def _parallel_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    big_s = sc.budgets.max_stage
+    family = sc.parallel_family or sc.random_streams[:3]
+    xs = [sc.stream(n) for n in family]
+    run = parallel_merge(u, xs, sc.budgets, o.grace)
+    got = rd_at_stage(run.output, u, big_s).value
+    want = max(rd_at_stage(x, u, big_s).value for x in xs)
+    run.trace.witness("parallel_merge.dominates", got >= want,
+                      got=got, want=want)
+    run.trace.witness("parallel_merge.pads_valid", verify_pads(run, u, big_s))
+    yield "+".join(family), run.trace, (run.committed, got, got, got >= want)
+
+
+def _compose_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    budgets, big_s = sc.budgets, sc.budgets.max_stage
+    chain = descending_chain(u)
+    inner_f = InnerReduction(
+        phi=lambda s: rd_from_lay_phi(u, u, s, budgets, o.grace).output,
+        psi=lambda s, m: rd_from_lay_psi(u, s, m, budgets))
+    inner_g = identity_reduction()
+    for name in sc.random_streams:
+        x = sc.stream(name)
+        run = compose_star(chain, inner_f, inner_g, x, budgets, o.grace)
+        n = rd_at_stage(run.data["y"], chain, big_s).value
+        m = rd_at_stage(run.output, chain, big_s).value
+        decoded = compose_star_psi(inner_f, inner_g, x, n, m)
+        expected = rd_at_stage(x, u, big_s).value
+        run.trace.witness("compose_star.end_to_end", decoded == expected,
+                          decoded=decoded, expected=expected)
+        run.trace.witness(
+            "compose_star.dominates",
+            m >= rd_at_stage(run.data["z"], chain, big_s).value)
+        yield name, run.trace, (run.committed, [n, m], decoded, decoded == expected)
+
+
+def _lay_to_cn(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    for name in sc.random_streams:
+        x = sc.stream(name)
+        run = lay_to_cn(u, x, sc.budgets)
+        expected = rd_at_stage(x, u, sc.budgets.max_stage).value
+        decoded = (lay_to_cn_psi(run.survivor, u)
+                   if run.survivor is not None and run.survivor >= 2 else None)
+        run.trace.witness("lay_to_cn.round_trip", decoded == expected,
+                          survivor=run.survivor, decoded=decoded,
+                          expected=expected)
+        yield name, run.trace, (run.instance_values()[:40], run.survivor,
+                                decoded, decoded == expected)
+
+
+def _cn_times_mlr(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    big_s = sc.budgets.max_stage
+    instances = [("omega", []), ("skip5", [1, 3, 2, 5, 4])]
+    for name in sc.random_streams[:2]:
+        x = sc.stream(name)
+        for tag, values in instances:
+            run = cn_times_mlr_to_lay(u, values, x, sc.budgets, o.grace)
+            advice = max(rd_at_stage(run.output, u, big_s).value, 0)
+            decoded, _ = cn_times_mlr_psi(values, x, max(advice, big_s))
+            want, _ = cn_times_mlr_psi(values, x, big_s)
+            run.trace.witness("cn_times_mlr.decodes", decoded == want,
+                              decoded=decoded, want=want)
+            yield f"{name}.{tag}", run.trace, (run.committed, advice, decoded,
+                                               decoded == want)
+
+
+def _delta02_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    budgets, big_s = sc.budgets, sc.budgets.max_stage
+    chain = descending_chain(u)
+    t_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("inA")]
+    s_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("outA")]
+    if not t_trees or len(t_trees) != len(s_trees):
+        raise ScenarioError("delta02 needs matching inA*/outA* tree families")
+    for name in sc.random_streams:
+        x = sc.stream(name)
+        run = delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets, o.grace)
+        advice = rd_at_stage(run.output, chain, big_s).value
+        got = delta02_to_lay_psi(t_trees, s_trees, x, advice,
+                                 budgets.max_depth, big_s)
+        want = 1 if any(tr.carries(x, big_s) for tr in t_trees) else 0
+        run.trace.witness("delta02.membership", got == want,
+                          advice=advice, got=got, want=want)
+        yield name, run.trace, (run.committed, advice, got, got == want)
+
+
+def _semidecidable_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    if "layerA" not in sc.opens:
+        raise ScenarioError("semidecidable needs the 'layerA' open family")
+    for name in sc.random_streams:
+        run = semidecidable_to_rd_star(u, sc.opens["layerA"], u, sc.stream(name),
+                                       sc.budgets, o.grace)
+        yield name, run.trace, (run.f_run.committed, [run.g_advice, run.f_advice],
+                                run.verdict, run.verdict == run.expected)
+
+
+class CatalogEntry(NamedTuple):
+    """One selector: ``run(scenario, universal test, options)`` returns the
+    trace of a ``construction`` or the cases of a ``reduction``."""
+
+    name: str
+    anchor: str
+    kind: str
+    description: str
+    run: Callable[[Scenario, MLTest, RunOptions], ConstructionTrace | Cases]
+
+
+CATALOG: tuple[CatalogEntry, ...] = (
+    CatalogEntry("lemma31", "3.1", "construction",
+                 "marker family no single open cover contains",
+                 lambda sc, u, o: build_lemma31(u, sc.budgets, o.sigma_stages).trace),
+    CatalogEntry("thm32", "3.2", "construction",
+                 "component surgery: swap the carved cover into index 0", _thm32),
+    CatalogEntry("thm33", "3.3", "construction",
+                 "divergence witnesses against partial-function tables",
+                 lambda sc, u, o: build_thm33(u, sc.partial_functions, sc.budgets).trace),
+    CatalogEntry("thm41", "4.1", "construction",
+                 "diagonal in/out set defeating every advice table",
+                 lambda sc, u, o: build_thm41(descending_chain(u), sc.functionals,
+                                              sc.budgets, sc.inert_functionals).trace),
+    CatalogEntry("thm410", "4.10", "construction",
+                 "halting-sensitive rebuild over the unary-prefixed test", _thm410),
+    CatalogEntry("lemma63", "6.3", "construction",
+                 "right-shift cone enumeration along a shrinking tree",
+                 lambda sc, u, o: build_lemma63(sc.tree("positive"), sc.budgets).trace),
+    CatalogEntry("combinators", "1.1/5.2", "construction",
+                 "derived tests (sum, chain, shifts, stratification) with budget sweep",
+                 _combinators),
+    CatalogEntry("lay_to_lay", "5.2", "reduction",
+                 "deficiency-bound transfer between tests", _lay_to_lay),
+    CatalogEntry("rd_from_lay", "5.4", "reduction",
+                 "exact deficiency recovery from any upper bound", _rd_from_lay),
+    CatalogEntry("product_merge", "5.6", "reduction",
+                 "pairwise merge dominating both deficiencies", _product_merge),
+    CatalogEntry("parallel_merge", "5.7", "reduction",
+                 "dovetailed merge of a uniformly bounded family", _parallel_merge),
+    CatalogEntry("compose_star", "5.8", "reduction",
+                 "two-call composition through a pair of exact bounds", _compose_star),
+    CatalogEntry("lay_to_cn", "5.9", "reduction",
+                 "prime-power number-choice encoding of the deficiency", _lay_to_cn),
+    CatalogEntry("cn_times_mlr", "5.10", "reduction",
+                 "tagged number choice decoded through a deficiency bound",
+                 _cn_times_mlr),
+    CatalogEntry("delta02_to_lay", "5.11", "reduction",
+                 "two-sided tree membership decided from a bound", _delta02_to_lay),
+    CatalogEntry("semidecidable_star", "6.1", "reduction",
+                 "layerwise semi-decidable membership via two exact bounds",
+                 _semidecidable_star),
+)
+
+SELECTORS: dict[str, CatalogEntry] = {c.name: c for c in CATALOG}
 
 
 def execute(sc: Scenario, selector: str, *, grace: int | None = None,
             sigma_stages: int | None = None, stride: int = 1) -> ConstructionTrace:
-    """Run one selector over a validated scenario, returning its full trace."""
-    budgets = sc.budgets
-    big_s = budgets.max_stage
-    u = universal_sum(sc)
+    """Run one selector over a validated scenario, returning its full trace.
 
-    if selector == "lemma31":
-        return build_lemma31(u, budgets, sigma_stages).trace
-
-    if selector == "thm32":
-        res = build_lemma31(u, budgets, sigma_stages)
-        trace = res.trace
-        trace.name = "thm32"
-        surgery = replace_component(u, 0, res.w0)
-        trace.outputs["surgered"] = surgery
-        final = max(big_s, surgery.final_stage())
-        comp0 = surgery.stage_view(0, final)
-        for i in range(res.v.max_index + 1):
-            trace.witness(f"thm32.non_containment.{i}",
-                          not res.v.stage_view(i, final).is_subset_of(comp0))
-        return trace
-
-    if selector == "thm33":
-        return build_thm33(u, sc.partial_functions, budgets).trace
-
-    if selector == "thm41":
-        nested = descending_chain(u)
-        return build_thm41(nested, sc.functionals, budgets, sc.inert_functionals).trace
-
-    if selector == "thm410":
-        v = index_shift(u, 2)
-        streams = [sc.stream(n) for n in sc.random_streams]
-        return build_thm410(v, sc.halting, budgets, streams).trace
-
-    if selector == "lemma63":
-        tree = sc.tree("positive")
-        return build_lemma63(tree, budgets).trace
-
-    if selector == "combinators":
-        trace = ConstructionTrace(name="combinators")
-        tests = _derived_tests(sc)
-        res31 = build_lemma31(u, budgets, sigma_stages)
-        tests["surgered"] = replace_component(u, 0, res31.w0)
-        res33 = build_thm33(u, sc.partial_functions, budgets)
-        tests["thm33_w"], tests["thm33_v"] = res33.w, res33.v
-        res41 = build_thm41(tests["chain"], sc.functionals, budgets,
-                            sc.inert_functionals)
-        tests["thm41_w"] = res41.w
-        res410 = build_thm410(index_shift(u, 2), sc.halting, budgets)
-        tests["thm410_u"] = res410.u
-        tests["lemma31_v"] = res31.v
-        _budget_sweep(trace, tests, budgets, stride)
-        trace.witness("combinators.chain_nested",
-                      tests["chain"].check_nested_stagewise())
-        trace.outputs = {name: t for name, t in sorted(tests.items())}
-        return trace
-
-    # reductions run over every declared random stream
+    A reduction's trace is its cases in order: for each, a ``run_stream``
+    event, the case's events, its witnesses with the tag appended to their
+    claims, and a record under ``outputs["runs"][tag]``.
+    """
+    entry = SELECTORS.get(selector)
+    if entry is None:
+        raise ScenarioError(f"unknown selector {selector!r}")
+    result = entry.run(sc, universal_sum(sc),
+                       RunOptions(grace, sigma_stages, stride))
+    if entry.kind == "construction":
+        return result
     trace = ConstructionTrace(name=selector)
     runs: dict[str, dict] = {}
     trace.outputs["runs"] = runs
-
-    def fold(run_trace: ConstructionTrace, tag: str,
-             record: dict | None = None) -> None:
+    for tag, run_trace, (pre_output, oracle_answer, post_output, verdict) in result:
         trace.add(-1, "run_stream", stream=tag)
         trace.events.extend(run_trace.events)
-        for w in run_trace.witnesses:
-            trace.witnesses.append({"claim": f"{w['claim']}.{tag}",
-                                    "status": w["status"], "data": w["data"]})
-        if record is not None:
-            runs[tag] = record
-
-    def record_of(pre_output, oracle_answer, post_output, verdict) -> dict:
-        return {"pre_output": pre_output, "oracle_answer": oracle_answer,
-                "post_output": post_output,
-                "verdict": "pass" if verdict else "fail"}
-
-    if selector == "lay_to_lay":
-        chain = descending_chain(u)
-        for name in sc.random_streams:
-            x = sc.stream(name)
-            run = lay_to_lay(chain, u, x, budgets, grace)
-            sound = lay_to_lay_contract(run, chain, u, x, budgets)
-            run.trace.witness("lay_to_lay.sound", sound)
-            run.trace.witness("lay_to_lay.pads_valid", verify_pads(run, u, big_s))
-            bound = rd_at_stage(run.output, u, big_s).value
-            fold(run.trace, name,
-                 record_of(run.committed, bound, bound, sound))
-        return trace
-
-    if selector == "rd_from_lay":
-        for name in sc.random_streams:
-            x = sc.stream(name)
-            run = rd_from_lay_run(u, u, x, budgets, grace)
-            fold(run.trace, name,
-                 record_of(run.committed, run.data["advice"],
-                           run.data["decoded"],
-                           run.data["decoded"] == run.data["expected"]))
-        return trace
-
-    if selector == "product_merge":
-        chain = descending_chain(u)
-        names = list(sc.random_streams)
-        pairs = [(names[i], names[(i + 1) % len(names)]) for i in range(len(names))]
-        for nx, ny in pairs:
-            x, y = sc.stream(nx), sc.stream(ny)
-            run = product_merge(chain, x, y, budgets, grace)
-            got = rd_at_stage(run.output, chain, big_s).value
-            want = max(rd_at_stage(x, chain, big_s).value,
-                       rd_at_stage(y, chain, big_s).value)
-            run.trace.witness("product_merge.dominates", got >= want,
-                              got=got, want=want)
-            run.trace.witness("product_merge.pads_valid",
-                              verify_pads(run, chain, big_s))
-            fold(run.trace, f"{nx}+{ny}",
-                 record_of(run.committed, got, [got, got], got >= want))
-        return trace
-
-    if selector == "parallel_merge":
-        family = sc.parallel_family or sc.random_streams[:3]
-        xs = [sc.stream(n) for n in family]
-        run = parallel_merge(u, xs, budgets, grace)
-        got = rd_at_stage(run.output, u, big_s).value
-        want = max(rd_at_stage(x, u, big_s).value for x in xs)
-        run.trace.witness("parallel_merge.dominates", got >= want,
-                          got=got, want=want)
-        run.trace.witness("parallel_merge.pads_valid", verify_pads(run, u, big_s))
-        fold(run.trace, "+".join(family),
-             record_of(run.committed, got, got, got >= want))
-        return trace
-
-    if selector == "compose_star":
-        chain = descending_chain(u)
-        inner_f = InnerReduction(
-            phi=lambda s: rd_from_lay_phi(u, u, s, budgets, grace).output,
-            psi=lambda s, m: rd_from_lay_psi(u, s, m, budgets))
-        inner_g = identity_reduction()
-        for name in sc.random_streams:
-            x = sc.stream(name)
-            run = compose_star(chain, inner_f, inner_g, x, budgets, grace)
-            n = rd_at_stage(run.data["y"], chain, big_s).value
-            m = rd_at_stage(run.output, chain, big_s).value
-            decoded = compose_star_psi(inner_f, inner_g, x, n, m)
-            expected = rd_at_stage(x, u, big_s).value
-            run.trace.witness("compose_star.end_to_end", decoded == expected,
-                              decoded=decoded, expected=expected)
-            run.trace.witness(
-                "compose_star.dominates",
-                m >= rd_at_stage(run.data["z"], chain, big_s).value)
-            fold(run.trace, name,
-                 record_of(run.committed, [n, m], decoded, decoded == expected))
-        return trace
-
-    if selector == "lay_to_cn":
-        for name in sc.random_streams:
-            x = sc.stream(name)
-            run = lay_to_cn(u, x, budgets)
-            expected = rd_at_stage(x, u, big_s).value
-            decoded = (lay_to_cn_psi(run.survivor, u)
-                       if run.survivor is not None and run.survivor >= 2 else None)
-            run.trace.witness("lay_to_cn.round_trip", decoded == expected,
-                              survivor=run.survivor, decoded=decoded,
-                              expected=expected)
-            fold(run.trace, name,
-                 record_of(run.instance_values()[:40], run.survivor, decoded,
-                           decoded == expected))
-        return trace
-
-    if selector == "cn_times_mlr":
-        instances = [("omega", []), ("skip5", [1, 3, 2, 5, 4])]
-        for name in sc.random_streams[:2]:
-            x = sc.stream(name)
-            for tag, values in instances:
-                run = cn_times_mlr_to_lay(u, values, x, budgets, grace)
-                report = rd_at_stage(run.output, u, big_s)
-                advice = max(report.value, 0)
-                decoded, _ = cn_times_mlr_psi(values, x, max(advice, big_s))
-                want, _ = cn_times_mlr_psi(values, x, big_s)
-                run.trace.witness("cn_times_mlr.decodes", decoded == want,
-                                  decoded=decoded, want=want)
-                fold(run.trace, f"{name}.{tag}",
-                     record_of(run.committed, advice, decoded, decoded == want))
-        return trace
-
-    if selector == "delta02_to_lay":
-        chain = descending_chain(u)
-        t_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("inA")]
-        s_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("outA")]
-        if not t_trees or len(t_trees) != len(s_trees):
-            raise ScenarioError("delta02 needs matching inA*/outA* tree families")
-        for name in sc.random_streams:
-            x = sc.stream(name)
-            run = delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets, grace)
-            advice = rd_at_stage(run.output, chain, big_s).value
-            got = delta02_to_lay_psi(t_trees, s_trees, x, advice,
-                                     budgets.max_depth, big_s)
-            want = 1 if any(
-                tr.carries(x, big_s) for tr in t_trees) else 0
-            run.trace.witness("delta02.membership", got == want,
-                              advice=advice, got=got, want=want)
-            fold(run.trace, name,
-                 record_of(run.committed, advice, got, got == want))
-        return trace
-
-    if selector == "semidecidable_star":
-        if "layerA" not in sc.opens:
-            raise ScenarioError("semidecidable needs the 'layerA' open family")
-        for name in sc.random_streams:
-            x = sc.stream(name)
-            run = semidecidable_to_rd_star(u, sc.opens["layerA"], u, x,
-                                           budgets, grace)
-            fold(run.trace, name,
-                 record_of(run.f_run.committed, [run.g_advice, run.f_advice],
-                           run.verdict, run.verdict == run.expected))
-        return trace
-
-    raise ScenarioError(f"unknown selector {selector!r}")
+        trace.witnesses.extend({"claim": f"{w['claim']}.{tag}",
+                                "status": w["status"], "data": w["data"]}
+                               for w in run_trace.witnesses)
+        runs[tag] = {"pre_output": pre_output, "oracle_answer": oracle_answer,
+                     "post_output": post_output,
+                     "verdict": "pass" if verdict else "fail"}
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +439,9 @@ def write_trace(path: str | Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_header(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    rec = json.loads(first)
+def parse_header(line: str) -> dict:
+    """The header payload of a trace's first line."""
+    rec = json.loads(line)
     if (not isinstance(rec, dict) or rec.get("action") != "header"
             or not isinstance(rec.get("payload"), dict)):
         raise ScenarioError("trace file has no header record")
@@ -435,41 +450,6 @@ def read_header(path: str | Path) -> dict:
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_selector(selector: object) -> None:
-    if not isinstance(selector, str) or selector not in SELECTORS:
-        raise ScenarioError(f"unknown selector {selector!r}; "
-                            "see list-constructions")
-
-
-def _check_stride(stride: object) -> None:
-    if not _is_int(stride) or stride < 1:
-        raise ScenarioError(f"stride must be a positive integer, got {stride!r}")
-
-
-def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list[str]]:
-    """Re-run the selector a trace header describes; a malformed header
-    raises ScenarioError."""
-    try:
-        selector, budgets_json = header["selector"], header["budgets"]
-        sc = load_scenario(header["scenario"])
-    except KeyError as exc:
-        raise ScenarioError(f"trace header missing field {exc}") from None
-    _check_selector(selector)
-    grace, sigma_stages = header.get("grace"), header.get("sigma_stages")
-    stride = header.get("stride", 1)
-    for name, value in (("grace", grace), ("sigma_stages", sigma_stages)):
-        if value is not None and not _is_int(value):
-            raise ScenarioError(f"{name} must be an integer, got {value!r}")
-    _check_stride(stride)
-    sc = _apply_budget_overrides(sc, budgets_json)
-    validate_scenario(sc)
-    trace = execute(sc, selector, grace=grace, sigma_stages=sigma_stages,
-                    stride=stride)
-    lines = trace_lines(sc, selector, trace, grace=grace,
-                        sigma_stages=sigma_stages, stride=stride)
-    return sc, trace, lines
 
 
 def _apply_budget_overrides(sc: Scenario, budgets_json: dict) -> Scenario:
@@ -481,35 +461,65 @@ def _apply_budget_overrides(sc: Scenario, budgets_json: dict) -> Scenario:
     return load_scenario(raw)
 
 
+def produce(sc: Scenario, budgets_json: dict, selector: object, grace: object,
+            sigma_stages: object, stride: object
+            ) -> tuple[Scenario, ConstructionTrace, list[str]]:
+    """Check the run options, apply the budgets, run the selector and
+    serialize its trace.  ``run`` and verify's replay both go through here,
+    so a trace and its replay come from the same code; bad options raise
+    ScenarioError."""
+    if not isinstance(selector, str) or selector not in SELECTORS:
+        raise ScenarioError(f"unknown selector {selector!r}; "
+                            "see list-constructions")
+    for name, value in (("grace", grace), ("sigma_stages", sigma_stages)):
+        if value is not None and not _is_int(value):
+            raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    if not _is_int(stride) or stride < 1:
+        raise ScenarioError(f"stride must be a positive integer, got {stride!r}")
+    sc = _apply_budget_overrides(sc, budgets_json)
+    validate_scenario(sc)
+    trace = execute(sc, selector, grace=grace, sigma_stages=sigma_stages,
+                    stride=stride)
+    lines = trace_lines(sc, selector, trace, grace=grace,
+                        sigma_stages=sigma_stages, stride=stride)
+    return sc, trace, lines
+
+
+def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list[str]]:
+    """Re-run the selector a trace header describes; a malformed header
+    raises ScenarioError."""
+    try:
+        selector, budgets_json = header["selector"], header["budgets"]
+        sc = load_scenario(header["scenario"])
+    except KeyError as exc:
+        raise ScenarioError(f"trace header missing field {exc}") from None
+    return produce(sc, budgets_json, selector, header.get("grace"),
+                   header.get("sigma_stages"), header.get("stride", 1))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.verify and not args.trace:
+        print("error: validation: --verify needs --trace", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         sc = load_scenario(args.scenario)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ScenarioError, BudgetError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    overrides = sc.budgets.to_json()
+    for key, value in (("S", args.stages), ("K", args.depth), ("I", args.max_index)):
+        if value is not None:
+            overrides[key] = value
     try:
-        overrides = sc.budgets.to_json()
-        if args.stages is not None:
-            overrides["S"] = args.stages
-        if args.depth is not None:
-            overrides["K"] = args.depth
-        if args.max_index is not None:
-            overrides["I"] = args.max_index
-        sc = _apply_budget_overrides(sc, overrides)
-        validate_scenario(sc)
-        _check_selector(args.select)
-        _check_stride(args.stride)
-        trace = execute(sc, args.select, grace=args.grace,
-                        sigma_stages=args.sigma_stages, stride=args.stride)
-        lines = trace_lines(sc, args.select, trace, grace=args.grace,
-                            sigma_stages=args.sigma_stages, stride=args.stride)
+        sc, trace, lines = produce(sc, overrides, args.select, args.grace,
+                                   args.sigma_stages, args.stride)
     except SearchExhaustedError as exc:
         print(f"error: search exhausted: {exc}", file=sys.stderr)
         return EXIT_SEARCH
@@ -532,7 +542,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if failed:
         return EXIT_OBLIGATION
 
-    if args.verify and args.trace:
+    if args.verify:
         code = _verify_file(args.trace, quiet=False)
         if code != EXIT_OK:
             return code
@@ -545,8 +555,8 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             original = fh.read()
-        header = read_header(path)
-    except (OSError, json.JSONDecodeError) as exc:
+        header = parse_header(original.partition("\n")[0])
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_IO
     except ScenarioError as exc:
@@ -567,7 +577,7 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
 
     stride = header.get("stride", 1)
     budget_trace = ConstructionTrace(name="verify.budgets")
-    checks = _budget_sweep(budget_trace, _derived_tests(sc), sc.budgets, stride)
+    checks = _budget_sweep(budget_trace, derived_tests(sc), sc.budgets, stride)
     budget_failed = budget_trace.failed_claims()
 
     report = {

@@ -317,7 +317,6 @@ class Thm41Result:
     w: MLTest
     in_set: Clopen
     out_set: Clopen
-    a_enum: Enumeration
     trace: ConstructionTrace
     triggers: dict[int, dict]
 
@@ -422,7 +421,6 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
             raise BudgetError(f"component {i} exceeded its 2^-{i + 4} bound")
     in_set = Clopen([c for _, c in in_list])
     out_set = Clopen([c for _, c in out_list])
-    a_enum = Enumeration(in_list)
     trace.outputs = {"w": w, "in": in_set, "out": out_set,
                      "triggers": {str(k): v for k, v in sorted(triggered.items())}}
 
@@ -451,8 +449,8 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
                       not sig.is_subset_of(w_final)
                       and sig.intersect(w_final).measure() < sig.measure())
     trace.sort_events()
-    return Thm41Result(w=w, in_set=in_set, out_set=out_set, a_enum=a_enum,
-                       trace=trace, triggers=triggered)
+    return Thm41Result(w=w, in_set=in_set, out_set=out_set, trace=trace,
+                       triggers=triggered)
 
 
 # ---------------------------------------------------------------------------

@@ -133,9 +133,6 @@ class Dyadic:
     def half(self) -> "Dyadic":
         return Dyadic(self.numerator, self.exponent + 1)
 
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
     def _pair(self, other: "Dyadic") -> tuple[int, int, int]:
         e = max(self.exponent, other.exponent)
         return (self.numerator << (e - self.exponent),

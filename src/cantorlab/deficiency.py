@@ -10,9 +10,9 @@ freezes once the test's schedules are exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
 
-from .core import Clopen, Dyadic, check_bits, extensions
+from .core import Clopen, Dyadic, check_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .enumeration import MLTest
@@ -72,9 +72,6 @@ class DeficiencyReport:
     stage: int
     determined: bool
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "stage": self.stage, "determined": self.determined}
-
 
 def _inside(x: Stream, view: Clopen) -> bool:
     """True iff some cylinder of ``view`` prefixes ``x``: no cylinder is longer
@@ -132,9 +129,6 @@ class CoTree:
         if len(node) > self.depth:
             raise ValueError(f"node {node!r} deeper than tree depth {self.depth}")
         return not self.dead.stage_view(s).covers(node)
-
-    def dead_view(self, s: int) -> Clopen:
-        return self.dead.stage_view(s)
 
     def change_stages(self) -> tuple[int, ...]:
         return self.dead.change_stages()
@@ -195,12 +189,6 @@ class FilteredTree:
         value = self.table.get((node, self.advice))
         return alive and (value is None or value == self.advice)
 
-    def nodes(self, max_len: int) -> Iterator[str]:
-        for d in range(max_len + 1):
-            for node in extensions("", d):
-                if self.contains(node):
-                    yield node
-
 
 def filter_tree(t_i: CoTree, phi: AdviceTable, i: int) -> FilteredTree:
     """Prune ``t_i`` to the nodes consistent with advice ``i`` under ``phi``."""
@@ -226,16 +214,6 @@ class LayerwiseVerdict:
     consistent: bool
     exact_advice: int | None
     exact_value: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "advices": list(self.advices),
-            "values": [[a, v] for a, v in self.values],
-            "divergent": list(self.divergent),
-            "consistent": self.consistent,
-            "exact_advice": self.exact_advice,
-            "exact_value": self.exact_value,
-        }
 
 
 def layerwise_eval(phi: AdviceTable, x: Stream, t: "MLTest") -> LayerwiseVerdict:

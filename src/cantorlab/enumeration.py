@@ -299,9 +299,6 @@ class Scenario:
         except KeyError:
             raise ScenarioError(f"unknown stream {name!r}") from None
 
-    def declared_random(self) -> list[Stream]:
-        return [self.streams[n] for n in self.random_streams]
-
     def tree(self, name: str) -> CoTree:
         try:
             return CoTree(self.trees[name], self.budgets.max_depth)

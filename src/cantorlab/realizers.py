@@ -13,13 +13,14 @@ resolve over pad-only prefixes in the front of the run while the back of the
 run keeps the output growing, so productivity still scales with the stage
 budget.
 
-Most realizers step only the stages at which a watch can fire (see
-``_run_clock``): the change stages of the views they watch, and the stage
-right after each stage at which they acted.  The emission and history of the
-stages in between follow in closed form, so the cost grows with the number
-of view changes, not with the stage budget.  ``parallel_merge`` dovetails
-over stages and ``cn_times_mlr_to_lay`` writes one trace event per stage, so
-those two still step every stage.
+Every realizer drives its stages through ``_run_clock``, which steps only
+the stages at which a watch can fire: the change stages of the views it
+watches, and the stage right after each stage at which it acted.  The
+emission and history of the stages in between follow in closed form, so the
+cost grows with the number of view changes, not with the stage budget.
+``parallel_merge`` dovetails over stages and ``cn_times_mlr_to_lay`` writes
+one trace event per stage, so their steps report acting at every stage and
+every stage is stepped.
 """
 
 from __future__ import annotations
@@ -154,15 +155,14 @@ def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
     acts.  A stage that is not ``first``, not a change stage and not right
     after a stage that acted would therefore repeat the previous step's
     outcome, which was to do nothing: it is not stepped, and ``em`` fills
-    in its emission in closed form.  ``em`` is None for a realizer with no
-    output stream (``lay_to_cn``).
+    in its emission in closed form.  A step that always returns True steps
+    every stage.  ``em`` is None for a realizer with no output stream
+    (``lay_to_cn``).
     """
     if em is not None:
         em.next = first
     s = first
     while s <= last:
-        if em is not None:
-            em._advance(s)  # the watches may read the committed output
         acted = step(s)
         if em is not None:
             em.record(s)
@@ -170,9 +170,9 @@ def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
             s += 1
         else:
             k = bisect_right(changes, s)
-            s = changes[k] if k < len(changes) else last + 1
-    if em is not None:
-        em._advance(last + 1)
+            s = min(changes[k], last + 1) if k < len(changes) else last + 1
+            if em is not None:
+                em._advance(s)  # the next watches may read the committed output
 
 
 @dataclass
@@ -363,16 +363,19 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
     trace = ConstructionTrace(name="parallel_merge")
     em = Emitter(xs[0], trace, budgets, grace)
     top = effective_top(u)
-    for s in range(budgets.max_stage + 1):
+
+    def step(s: int) -> bool:
         i, n, t = unpair3(s)
-        if i < len(xs) and n <= top and t <= budgets.max_stage:
-            if member_at_stage(xs[i], u, n, t):
-                target = u.meet_view(n, s)
-                if not em._covered_by(target):
-                    trace.add(s, "trigger", input=i, index=n, seen_at=t)
-                    _pad_into(em, s, target, list(range(n + 1)),
-                              f"parallel_merge: no pad into 0..{n} at stage {s}")
-        em.record(s)
+        if (i < len(xs) and n <= top and t <= budgets.max_stage
+                and member_at_stage(xs[i], u, n, t)):
+            target = u.meet_view(n, s)
+            if not em._covered_by(target):
+                trace.add(s, "trigger", input=i, index=n, seen_at=t)
+                _pad_into(em, s, target, list(range(n + 1)),
+                          f"parallel_merge: no pad into 0..{n} at stage {s}")
+        return True  # the dovetail reads a new triple at every stage
+
+    _run_clock(em, (), 0, budgets.max_stage, step)
     return _finish("parallel_merge", em, trace)
 
 
@@ -563,7 +566,9 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
     settled = len(f_values)
     values = [stable_value(f_values, s) for s in range(settled + 1)]
     fired = 0
-    for s in range(budgets.max_stage):
+
+    def step(s: int) -> bool:
+        nonlocal fired
         now, nxt = values[min(s, settled)], values[min(s + 1, settled)]
         if now == nxt:
             fired += 1
@@ -576,7 +581,10 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
         else:
             trace.add(s, "changed", value=nxt)
             em.note_progress(s)
-        em.record(s)
+        return True  # every stage writes an event
+
+    # a step compares stage s with s + 1, so the last one is S - 1
+    _run_clock(em, (), 0, budgets.max_stage - 1, step)
     return _finish("cn_times_mlr", em, trace, fired=fired)
 
 

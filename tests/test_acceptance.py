@@ -14,19 +14,10 @@ from cantorlab.constructions import (
     build_lemma63,
     build_thm33,
     build_thm41,
-    build_thm410,
 )
 from cantorlab.deficiency import prepend, rd_at_stage
-from cantorlab.enumeration import (
-    descending_chain,
-    even_shift,
-    index_shift,
-    replace_component,
-    shift_union,
-    stratify,
-    universal_sum,
-)
-from cantorlab.cli import SELECTORS, execute, trace_lines
+from cantorlab.enumeration import stratify, universal_sum
+from cantorlab.cli import SELECTORS, execute, produced_tests, trace_lines
 from cantorlab.realizers import (
     delta02_to_lay_phi,
     delta02_to_lay_psi,
@@ -81,32 +72,11 @@ def test_criterion_clopen_oracle():
     crit.done()
 
 
-def _all_produced_tests(sc):
-    u = universal_sum(sc)
-    chain = descending_chain(u)
-    tests = {
-        "universal": u,
-        "chain": chain,
-        "even_shift": even_shift(chain),
-        "shift_union": shift_union(u),
-        "stratify": stratify(u, sc.budgets),
-    }
-    r31 = build_lemma31(u, sc.budgets)
-    tests["lemma31_v"] = r31.v
-    tests["surgered"] = replace_component(u, 0, r31.w0)
-    r33 = build_thm33(u, sc.partial_functions, sc.budgets)
-    tests["thm33_w"], tests["thm33_v"] = r33.w, r33.v
-    r41 = build_thm41(chain, sc.functionals, sc.budgets, sc.inert_functionals)
-    tests["thm41_w"] = r41.w
-    tests["thm410_u"] = build_thm410(index_shift(u, 2), sc.halting, sc.budgets).u
-    return tests
-
-
 def test_criterion_measure_budgets(main_scenario, deep_scenario):
     crit = Criterion("measure-budgets-stride-1", 30.0)
     for sc in (main_scenario, deep_scenario):
         big_s = sc.budgets.max_stage
-        for name, t in sorted(_all_produced_tests(sc).items()):
+        for name, t in sorted(produced_tests(sc).items()):
             for i in range(t.max_index + 1):
                 comp = t.component(i)
                 bound = Dyadic.exp2(-i)

@@ -6,12 +6,13 @@ import pytest
 from cantorlab import bundled_scenario
 from cantorlab.cli import (
     CATALOG,
+    EXIT_IO,
     EXIT_OBLIGATION,
     EXIT_SEARCH,
     EXIT_VALIDATION,
     SELECTORS,
     _budget_sweep,
-    _derived_tests,
+    derived_tests,
     main,
 )
 from cantorlab.constructions import ConstructionTrace
@@ -62,6 +63,13 @@ class TestRun:
         code = run_cli("run", "--scenario", str(tmp_path / "missing.json"),
                        "--select", "lemma31")
         assert code == 4
+
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        code = run_cli("run", "--scenario", str(bad), "--select", "lemma31")
+        assert code == EXIT_IO
+        assert "error: cannot read scenario:" in capsys.readouterr().err
 
     def test_missing_reservoir_diagnostic(self, tmp_path, capsys):
         raw = json.load(open(MAIN))
@@ -166,7 +174,7 @@ def _sweep(tests, budgets, stride):
 class TestBudgetSweep:
     @pytest.mark.parametrize("stride", [1, 7, 513])
     def test_matches_full_grid_on_derived_tests(self, main_scenario, stride):
-        tests = _derived_tests(main_scenario)
+        tests = derived_tests(main_scenario)
         got = _sweep(tests, main_scenario.budgets, stride)
         assert got == _full_grid_sweep(tests, main_scenario.budgets, stride)
         assert all(got[0].values())
@@ -230,6 +238,45 @@ class TestVerify:
         trace = tmp_path / "t.jsonl"
         assert run_cli("run", "--scenario", MAIN, "--select", "lemma63",
                        "--trace", str(trace), "--verify") == 0
+
+    def test_inline_verify_needs_trace(self, capsys):
+        code = run_cli("run", "--scenario", MAIN, "--select", "lemma63",
+                       "--verify")
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "error: validation:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("data, code", [
+        (None, EXIT_IO),
+        (b"", EXIT_IO),
+        (b"not json\n", EXIT_IO),
+        (b"\xff\xfe\n", EXIT_IO),
+        (b"[1]\n", EXIT_VALIDATION),
+        (b'{"stage": -1, "action": "pad", "payload": {}}\n', EXIT_VALIDATION),
+    ], ids=["missing", "empty", "not_json", "not_utf8", "not_object",
+            "not_header"])
+    def test_unreadable_or_headerless_trace(self, data, code, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        if data is not None:
+            trace.write_bytes(data)
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == code
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("selector", sorted(SELECTORS))
+    def test_round_trip_under_overrides(self, selector, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", selector,
+                       "--stages", "300", "--sigma-stages", "5",
+                       "--stride", "7", "--trace", str(trace)) == 0
+        header = json.loads(trace.read_text().splitlines()[0])["payload"]
+        assert (header["budgets"]["S"], header["sigma_stages"],
+                header["stride"]) == (300, 5, 7)
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert report["deterministic"] is True
+        assert report["stride"] == 7
 
     def test_verify_on_deep_scenario(self, tmp_path, capsys):
         deep = str(bundled_scenario("deep"))

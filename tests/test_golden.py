@@ -12,7 +12,7 @@ from cantorlab import bundled_scenario
 from cantorlab.cli import (
     CATALOG,
     _budget_sweep,
-    _derived_tests,
+    derived_tests,
     execute,
     trace_lines,
 )
@@ -51,6 +51,6 @@ def test_trace_matches_golden_digest(scenario_name, selector):
 def test_budget_checks_match_golden(scenario_name):
     sc = _scenario(scenario_name)
     trace = ConstructionTrace(name="verify.budgets")
-    checks = _budget_sweep(trace, _derived_tests(sc), sc.budgets, 1)
+    checks = _budget_sweep(trace, derived_tests(sc), sc.budgets, 1)
     assert checks == GOLDEN[scenario_name]["budget_checks"]
     assert trace.failed_claims() == []
