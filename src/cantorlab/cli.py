@@ -434,9 +434,16 @@ def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
     return [jline(header)] + trace.lines()
 
 
+def _text_blocks(lines: list[str]) -> Iterator[str]:
+    """The trace text, each line ended by "\n", in blocks of 1024 lines:
+    writing and comparing a trace never builds its whole text."""
+    for i in range(0, len(lines), 1024):
+        yield "\n".join(lines[i:i + 1024]) + "\n"
+
+
 def write_trace(path: str | Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_text_blocks(lines))
 
 
 def parse_header(line: str) -> dict:
@@ -552,10 +559,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _verify_file(path: str | Path, *, quiet: bool) -> int:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            original = fh.read()
-        header = parse_header(original.partition("\n")[0])
+    try:  # newline="" keeps "\r\n" and "\r", so the compare below sees them
+        with open(path, encoding="utf-8", newline="") as fh:
+            header = parse_header(fh.readline())
+            while fh.read(1 << 16):  # a byte that is not UTF-8 anywhere is unreadable input
+                pass
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -571,8 +579,13 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
         print(f"error: validation: replay: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    regenerated = "\n".join(lines) + "\n"
-    deterministic = regenerated == original
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            deterministic = (all(fh.read(len(b)) == b for b in _text_blocks(lines))
+                             and not fh.read(1))
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read trace: {exc}", file=sys.stderr)
+        return EXIT_IO
     failed = trace.failed_claims()
 
     stride = header.get("stride", 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .core import (
@@ -29,8 +30,13 @@ from .deficiency import CoTree, Stream, prepend, rd_at_stage
 from .enumeration import Budgets, Enumeration, MLTest, stratify
 
 
+_SCALAR = frozenset({int, str, bool, type(None)})
+
+
 def to_jsonable(obj):
     """Deterministic JSON projection for trace payloads."""
+    if type(obj) in _SCALAR:
+        return obj
     if isinstance(obj, Clopen):
         return obj.to_list()
     if isinstance(obj, Dyadic):
@@ -57,22 +63,35 @@ def jline(obj) -> str:
     return _ENCODER.encode(to_jsonable(obj))
 
 
+def _event_head(action: str, payload: dict) -> str:
+    """``jline`` of the event record up to its stage, which sorts last; a
+    payload of plain values is its own projection."""
+    if not all(type(v) in _SCALAR for v in payload.values()):
+        payload = to_jsonable(payload)
+    return f'{{"action":{_ENCODER.encode(action)},"payload":{_ENCODER.encode(payload)},"stage":'
+
+
 @dataclass
 class ConstructionTrace:
-    """Ordered events, named outputs, and pass/fail witness obligations."""
+    """Ordered events as ``(stage, line)`` pairs, each line encoded once,
+    named outputs, and pass/fail witness obligations."""
 
     name: str
-    events: list[dict] = field(default_factory=list)
+    events: list[tuple[int, str]] = field(default_factory=list)
     outputs: dict[str, object] = field(default_factory=dict)
     witnesses: list[dict] = field(default_factory=list)
 
     def add(self, stage: int, action: str, **payload) -> None:
-        self.events.append({"stage": stage, "action": action,
-                            "payload": to_jsonable(payload)})
+        self.events.append((stage, f"{_event_head(action, payload)}{stage}}}"))
+
+    def add_run(self, first: int, stop: int, action: str, **payload) -> None:
+        """The same event at each stage ``first..stop-1``, encoded once."""
+        head = _event_head(action, payload)
+        self.events.extend((s, f"{head}{s}}}") for s in range(first, stop))
 
     def sort_events(self) -> None:
         """Stable stage order; same-stage events keep their emission order."""
-        self.events.sort(key=lambda e: e["stage"])
+        self.events.sort(key=itemgetter(0))
 
     def witness(self, claim: str, ok: bool, **data) -> None:
         self.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
@@ -85,14 +104,13 @@ class ConstructionTrace:
         return not self.failed_claims()
 
     def lines(self) -> list[str]:
-        """One JSON line per event, the outputs, one per witness.  Events and
-        witnesses hold ``to_jsonable`` projections already, so they are
-        encoded as they are."""
-        encode = _ENCODER.encode
-        out = [encode(e) for e in self.events]
+        """One JSON line per event, the outputs, one per witness.  Event
+        lines are stored encoded and witnesses hold ``to_jsonable``
+        projections already, so neither is projected again."""
+        out = [line for _, line in self.events]
         out.append(jline({"stage": -1, "action": "outputs",
                           "payload": {k: to_jsonable(v) for k, v in sorted(self.outputs.items())}}))
-        out.extend(encode(w) for w in self.witnesses)
+        out.extend(map(_ENCODER.encode, self.witnesses))
         return out
 
 

@@ -26,7 +26,7 @@ from .core import (
     ScenarioError,
     SearchExhaustedError,
     check_bits,
-    intersect_all,
+    intersect_all,  # noqa: F401  unused; perfbench/test_perfbench.py patches it here
     str_order_key,
 )
 from .deficiency import CoTree, Stream, rd_at_stage
@@ -171,15 +171,20 @@ class MLTest:
 
         Memoized per (n, change interval): no view moves between two
         consecutive change stages, so the key is exact, and the shared
-        clopen is immutable.
+        clopen is immutable.  A new key extends the largest memoized k < n
+        by one ``intersect`` per index.
         """
-        if s < 0:
-            raise ValueError("stage must be non-negative")
-        key = (n, bisect_right(self.change_stages(), s))
-        meet = self._meets.get(key)
-        if meet is None:
-            meet = intersect_all(self.stage_view(i, s) for i in range(n + 1))
-            self._meets[key] = meet
+        if s < 0 or n < 0:
+            raise ValueError("index and stage must be non-negative")
+        at, meets = bisect_right(self.change_stages(), s), self._meets
+        k = n
+        while k >= 0 and (k, at) not in meets:
+            k -= 1
+        meet = meets[k, at] if k >= 0 else None
+        for i in range(k + 1, n + 1):
+            view = self.stage_view(i, s)
+            meet = view if meet is None else meet.intersect(view)
+            meets[i, at] = meet
         return meet
 
     def ensure_budget(self) -> None:

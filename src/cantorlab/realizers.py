@@ -18,9 +18,9 @@ the stages at which a watch can fire: the change stages of the views it
 watches, and the stage right after each stage at which it acted.  The
 emission and history of the stages in between follow in closed form, so the
 cost grows with the number of view changes, not with the stage budget.
-``parallel_merge`` dovetails over stages and ``cn_times_mlr_to_lay`` writes
-one trace event per stage, so their steps report acting at every stage and
-every stage is stepped.
+``parallel_merge`` dovetails over stages, so its step reports acting at
+every stage and every stage is stepped.  ``cn_times_mlr_to_lay`` writes the
+trace events of a skipped stretch as one run.
 """
 
 from __future__ import annotations
@@ -557,7 +557,12 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
                         budgets: Budgets, grace: int | None = None) -> RealizerRun:
     """Tagged choice to deficiency bound: at every stage where the excluded
     value is stable, make sure the output sits inside the components up to
-    that stage (padding only when it does not already)."""
+    that stage (padding only when it does not already).
+
+    The pad target is constant between the watched stages and each step
+    leaves the output inside it, so emission cannot make a pad fire in
+    between: once the value has settled, a step that did not pad writes the
+    ``stable`` events up to the next watched stage as one run."""
     trace = ConstructionTrace(name="cn_times_mlr")
     em = Emitter(x, trace, budgets, grace)
     top = effective_top(u)
@@ -565,26 +570,35 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
     # s = len(f_values) - 1 on
     settled = len(f_values)
     values = [stable_value(f_values, s) for s in range(settled + 1)]
+    # a step compares stage s with s + 1, so the last one is S - 1
+    last = budgets.max_stage - 1
+    # the pad target moves only at these stages; last + 1 ends the final run
+    watched = sorted(set(range(top + 1)).union(u.change_stages(), [last + 1]))
     fired = 0
 
     def step(s: int) -> bool:
         nonlocal fired
         now, nxt = values[min(s, settled)], values[min(s + 1, settled)]
-        if now == nxt:
-            fired += 1
-            trace.add(s, "stable", value=now)
-            bound = min(s, top)
-            target = u.meet_view(bound, s)
-            if not em._covered_by(target):
-                _pad_into(em, s, target, list(range(bound + 1)),
-                          f"cn_times_mlr: no pad into 0..{bound} at stage {s}")
-        else:
+        if now != nxt:
             trace.add(s, "changed", value=nxt)
             em.note_progress(s)
-        return True  # every stage writes an event
+            return True
+        bound = min(s, top)
+        target = u.meet_view(bound, s)
+        padded = not em._covered_by(target)
+        if padded or s < settled:
+            fired += 1
+            trace.add(s, "stable", value=now)
+            if padded:
+                _pad_into(em, s, target, list(range(bound + 1)),
+                          f"cn_times_mlr: no pad into 0..{bound} at stage {s}")
+            return True
+        stop = watched[bisect_right(watched, s)]
+        fired += stop - s
+        trace.add_run(s, stop, "stable", value=now)
+        return False
 
-    # a step compares stage s with s + 1, so the last one is S - 1
-    _run_clock(em, (), 0, budgets.max_stage - 1, step)
+    _run_clock(em, watched, 0, last, step)
     return _finish("cn_times_mlr", em, trace, fired=fired)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from cantorlab import bundled_scenario
@@ -26,6 +28,11 @@ def leaf_mask(strings, depth: int = DEPTH) -> int:
         width = 1 << gap
         mask |= ((1 << width) - 1) << lo
     return mask
+
+
+def decoded_events(trace) -> list[dict]:
+    """A trace's events as records: each is held as a (stage, line) pair."""
+    return [json.loads(line) for _, line in trace.events]
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from cantorlab.cli import (
     _budget_sweep,
     derived_tests,
     main,
+    write_trace,
 )
 from cantorlab.constructions import ConstructionTrace
 from cantorlab.core import Dyadic
@@ -245,6 +246,46 @@ class TestVerify:
         assert code == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert "error: validation:" in captured.err
+        assert captured.out == ""
+
+    def test_write_trace_writes_every_line(self, tmp_path):
+        lines = [f'{{"n":{i}}}' for i in range(2500)]
+        trace = tmp_path / "t.jsonl"
+        write_trace(trace, lines)
+        assert trace.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda b: b.replace(b"\n", b"\r\n"),
+        lambda b: b.replace(b"\n", b"\r"),
+        lambda b: b[:-1],
+        lambda b: b + b"\n",
+    ], ids=["crlf", "cr", "no_final_newline", "extra_blank_line"])
+    def test_line_ends_compared_as_bytes(self, rewrite, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
+                       "--trace", str(trace)) == 0
+        trace.write_bytes(rewrite(trace.read_bytes()))
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_OBLIGATION
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert report["deterministic"] is False
+
+    @pytest.mark.parametrize("replayable", [True, False])
+    def test_not_utf8_after_the_header(self, replayable, tmp_path, capsys):
+        # unreadable input exits 4 before any replay, even one that would fail
+        trace = tmp_path / "t.jsonl"
+        if replayable:
+            assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
+                           "--trace", str(trace)) == 0
+        else:
+            trace.write_bytes(b'{"action":"header","payload":{"selector":"nope"},'
+                              b'"stage":-1}\n')
+        with open(trace, "ab") as fh:
+            fh.write(b"x" * 65536 + b"\n\xff\n")  # past the first decoded chunk
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read trace")
         assert captured.out == ""
 
     @pytest.mark.parametrize("data, code", [

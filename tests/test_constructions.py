@@ -2,15 +2,19 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError
 from cantorlab.constructions import (
+    _ENCODER,
+    ConstructionTrace,
     build_lemma31,
     build_lemma63,
     build_thm33,
     build_thm41,
     build_thm410,
     least_divergence_point,
+    to_jsonable,
 )
 from cantorlab.deficiency import CoTree, prepend, rd_at_stage
 from cantorlab.enumeration import (
@@ -19,6 +23,7 @@ from cantorlab.enumeration import (
     index_shift,
     replace_component,
 )
+from conftest import decoded_events
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +115,7 @@ class TestThm33:
 
     def test_e_state_monotone(self, thm33_result):
         seen: dict[int, int] = {}
-        for ev in thm33_result.trace.events:
+        for ev in decoded_events(thm33_result.trace):
             if ev["action"] == "converge":
                 e = ev["payload"]["e"]
                 idx = ev["payload"]["e_index"]
@@ -123,7 +128,7 @@ class TestThm33:
     def test_total_table_lag(self, thm33_result, surrogate, main_scenario):
         # table 0 converges on every probed argument before stalling at 4;
         # during those episodes component 0 swallows the stage view above it
-        for ev in thm33_result.trace.events:
+        for ev in decoded_events(thm33_result.trace):
             if ev["action"] == "converge" and ev["payload"]["e"] == 0:
                 s = ev["stage"]
                 assert surrogate.stage_view(1, s).is_subset_of(
@@ -174,7 +179,7 @@ class TestThm41:
 
     def test_initial_watch_and_stagewise_containment(self, thm41_result, chain,
                                                      main_scenario):
-        for ev in thm41_result.trace.events:
+        for ev in decoded_events(thm41_result.trace):
             if ev["action"] == "trigger":
                 # the first bump starts from i+4
                 assert ev["payload"]["e_index"] >= ev["payload"]["e"] + 5
@@ -299,7 +304,7 @@ class TestLemma63:
 
     def test_replacements_follow_rules(self, lemma63_result, main_scenario):
         tree = main_scenario.tree("positive")
-        by_action = [e for e in lemma63_result.trace.events
+        by_action = [e for e in decoded_events(lemma63_result.trace)
                      if e["action"] == "replace"]
         assert by_action, "the staged deaths should force replacements"
         for ev in by_action:
@@ -313,8 +318,8 @@ class TestLemma63:
         full = CoTree(Enumeration([]), 64)
         b = Budgets(max_index=12, max_stage=64, max_depth=64, max_layers=8)
         res = build_lemma63(full, b, n0=2)
-        assert not [e for e in res.trace.events if e["action"] == "replace"]
-        inits = [e["payload"]["sigma"] for e in res.trace.events
+        assert not [e for e in decoded_events(res.trace) if e["action"] == "replace"]
+        inits = [e["payload"]["sigma"] for e in decoded_events(res.trace)
                  if e["action"] == "init"]
         assert inits[0] == "00"
         assert inits[1] == "010"
@@ -342,13 +347,55 @@ class TestTraceShape:
                                     thm41_result, thm410_result, lemma63_result):
         for res in (lemma31_result, thm33_result, thm41_result, thm410_result,
                     lemma63_result):
-            stages = [e["stage"] for e in res.trace.events]
+            stages = [e["stage"] for e in decoded_events(res.trace)]
             assert stages == sorted(stages)
 
     def test_witness_record_shape(self, thm41_result):
         for w in thm41_result.trace.witnesses:
             assert set(w) == {"claim", "status", "data"}
             assert w["status"] in ("pass", "fail")
+
+
+dyadics = st.builds(Dyadic, st.integers(0, 64), st.integers(0, 8))
+payload_values = st.one_of(
+    st.text(alphabet=st.sampled_from('ab"\\/\n\u00e9\u03c3\U0001d11e'), max_size=6),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.lists(st.integers(), max_size=4),
+    dyadics,
+    st.lists(dyadics, max_size=3),
+    st.lists(st.text(alphabet="01", max_size=5), max_size=4).map(Clopen),
+    st.dictionaries(st.integers(-3, 12), st.integers(), max_size=3),
+)
+
+
+class TestEventLines:
+    """An event line is the encoding of its full record, whichever path
+    (plain payload or projected) and whichever method wrote it."""
+
+    @given(stage=st.integers(-1, 10**7),
+           action=st.text(alphabet=st.sampled_from('ax_"\\\u00e9'), min_size=1,
+                          max_size=8),
+           payload=st.dictionaries(st.text(min_size=1, max_size=6), payload_values,
+                                   max_size=4))
+    def test_line_is_the_record_encoding(self, stage, action, payload):
+        want = _ENCODER.encode(to_jsonable(
+            {"action": action, "payload": payload, "stage": stage}))
+        trace = ConstructionTrace(name="lines")
+        trace.add(stage, action, **payload)
+        trace.add_run(stage, stage + 1, action, **payload)
+        assert trace.events == [(stage, want), (stage, want)]
+
+    def test_run_lines_match_single_adds(self):
+        one, run = ConstructionTrace(name="one"), ConstructionTrace(name="run")
+        for s in range(3, 9):
+            one.add(s, "stable", value=4)
+        run.add_run(3, 9, "stable", value=4)
+        run.add_run(9, 9, "stable", value=4)  # an empty run adds nothing
+        assert run.events == one.events
+        assert run.lines() == one.lines()
 
 
 class TestDeterminism:

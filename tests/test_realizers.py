@@ -11,13 +11,17 @@ from cantorlab.deficiency import CoTree, Stream, member_at_stage, rd_at_stage
 from cantorlab.enumeration import (
     HARD_MAX_STAGE,
     Budgets,
+    MLTest,
     descending_chain,
+    effective_top,
     shift_union,
     universal_sum,
 )
 from cantorlab.realizers import (
     Emitter,
     InnerReduction,
+    _finish,
+    _pad_into,
     _run_clock,
     cn_times_mlr_psi,
     cn_times_mlr_to_lay,
@@ -40,6 +44,7 @@ from cantorlab.realizers import (
     stable_value,
     verify_pads,
 )
+from conftest import decoded_events
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +258,8 @@ class TestCnTimesMlr:
     def test_omega_instance(self, surrogate, budgets, main_scenario):
         x = main_scenario.stream("x1")
         run = cn_times_mlr_to_lay(surrogate, [], x, budgets)
-        stable_events = [e for e in run.trace.events if e["action"] == "stable"]
+        stable_events = [e for e in decoded_events(run.trace)
+                         if e["action"] == "stable"]
         assert len(stable_events) == budgets.max_stage  # every stage fires
         n, tag = cn_times_mlr_psi([], x, 0)
         assert n == 0 and tag is x
@@ -578,3 +584,98 @@ def test_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
         seen.append(("lay_to_cn", "x3", dict(calls)))
         counts[stages] = seen
     assert counts[b.max_stage] == counts[HARD_MAX_STAGE]
+
+
+# ---------------------------------------------------------------------------
+# cn_times_mlr_to_lay on the event clock against its every-stage loop
+# ---------------------------------------------------------------------------
+
+def _cn_times_mlr_every_stage(u, f_values, x, budgets, grace):
+    """The per-stage loop ``cn_times_mlr_to_lay`` ran before it was clocked:
+    every stage 0..S-1 writes its event and checks the pad target."""
+    trace = ConstructionTrace(name="cn_times_mlr")
+    em = Emitter(x, trace, budgets, grace)
+    top = effective_top(u)
+    settled = len(f_values)
+    values = [stable_value(f_values, s) for s in range(settled + 1)]
+    fired = 0
+    for s in range(budgets.max_stage):
+        now, nxt = values[min(s, settled)], values[min(s + 1, settled)]
+        if now == nxt:
+            fired += 1
+            trace.add(s, "stable", value=now)
+            bound = min(s, top)
+            target = u.meet_view(bound, s)
+            if not target.covers(em.committed):
+                _pad_into(em, s, target, list(range(bound + 1)),
+                          f"cn_times_mlr: no pad into 0..{bound} at stage {s}")
+        else:
+            trace.add(s, "changed", value=nxt)
+            em.note_progress(s)
+        em.record(s)
+    return _finish("cn_times_mlr", em, trace, fired=fired)
+
+
+def _cn_record(realizer, *args):
+    """What a run leaves: (history, fired, committed, pads, trace lines), or
+    the error text of a search that ran out."""
+    try:
+        run = realizer(*args)
+    except SearchExhaustedError as exc:
+        return str(exc)
+    return (run.data["history"], run.data["fired"], run.committed, run.pads,
+            run.trace.lines())
+
+
+# the last value list changes its stable value at stage 18, past every
+# watched stage of main's tests (0..12), so the clock must step until it settles
+CN_F_VALUES = ([], [1, 3, 2, 5, 4], [2, 1], list(range(20, 0, -1)))
+
+
+@pytest.mark.parametrize("which", ["universal", "chain"])
+def test_cn_times_mlr_matches_every_stage_loop(main_scenario, surrogate, chain,
+                                               which):
+    u = surrogate if which == "universal" else chain
+    budgets = main_scenario.budgets
+    outcomes = set()
+    for grace in (None, 0, -1, 5, budgets.max_stage):
+        for f_values in CN_F_VALUES:
+            for name in main_scenario.streams:
+                x = main_scenario.stream(name)
+                args = (u, f_values, x, budgets, grace)
+                want = _cn_record(_cn_times_mlr_every_stage, *args)
+                assert _cn_record(cn_times_mlr_to_lay, *args) == want, \
+                    (grace, f_values, name)
+                outcomes.add(type(want))
+    assert outcomes == {tuple, str}  # both full runs and exhausted searches
+
+
+def test_cn_times_mlr_lookups_do_not_grow_with_stage_budget(main_scenario,
+                                                            monkeypatch):
+    """The clocked loop reads the pad target at its watched stages and right
+    after acting, so the stage budget does not change how often it looks."""
+    calls = [0]
+    meet_view = MLTest.meet_view
+
+    def counted(self, n, s):
+        calls[0] += 1
+        return meet_view(self, n, s)
+
+    monkeypatch.setattr(MLTest, "meet_view", counted)
+    b = main_scenario.budgets
+    u = universal_sum(main_scenario)
+    counts = {}
+    for stages in (b.max_stage, 2 ** 14):
+        budgets = Budgets(max_index=b.max_index, max_stage=stages,
+                          max_depth=b.max_depth, max_layers=b.max_layers)
+        seen = []
+        for grace in (None, 0):
+            for f_values in CN_F_VALUES:
+                for name in ("x3", "ones"):
+                    calls[0] = 0
+                    record = _cn_record(cn_times_mlr_to_lay, u, f_values,
+                                        main_scenario.stream(name), budgets, grace)
+                    pads = record if isinstance(record, str) else len(record[3])
+                    seen.append((grace, len(f_values), name, calls[0], pads))
+        counts[stages] = seen
+    assert counts[b.max_stage] == counts[2 ** 14]
