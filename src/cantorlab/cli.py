@@ -543,9 +543,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot write trace: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    failed = trace.failed_claims()
-    for claim in failed:
-        print(f"FAIL {claim}", file=sys.stderr)
+    failed = [w for w in trace.witnesses if w["status"] != "pass"]
+    for w in failed:  # the claim, then its data as one JSON line
+        print(f"FAIL {w['claim']}\n{jline(w['data'])}", file=sys.stderr)
     if failed:
         return EXIT_OBLIGATION
 
@@ -606,6 +606,8 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
     if not quiet:
         for w in trace.witnesses:
             print(f"{w['status'].upper():4} {w['claim']}")
+            if w["status"] != "pass":
+                print(jline(w["data"]))
     if not deterministic:
         print("FAIL determinism: regenerated trace differs", file=sys.stderr)
         return EXIT_OBLIGATION

@@ -4,6 +4,12 @@ Each builder replays one staged construction deterministically, records every
 decision as an event, and afterwards evaluates its finite-stage obligations
 (the claims a verifier re-checks).  Rebuilding from the same inputs must
 reproduce the trace byte for byte.
+
+``thm33`` and ``thm41`` run on the realizers' event clock
+(``enumeration._run_clock``): they step only the stages at which a watched
+view or a table can move, so their cost grows with the number of change
+stages, not with the stage budget.  ``lemma63`` still dovetails over every
+stage, and checks its half-measure witnesses in one pass over its cones.
 """
 
 from __future__ import annotations
@@ -22,12 +28,13 @@ from .core import (
     SearchExhaustedError,
     first_free_string,
     leftmost_uncovered,
+    pair,
     sigma_plus,
     str_order_key,
     unpair,
 )
 from .deficiency import CoTree, Stream, prepend, rd_at_stage
-from .enumeration import Budgets, Enumeration, MLTest, stratify
+from .enumeration import Budgets, Enumeration, MLTest, _run_clock, stratify
 
 
 _SCALAR = frozenset({int, str, bool, type(None)})
@@ -57,10 +64,20 @@ def to_jsonable(obj):
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# ``_ENCODER.encode`` builds a new C encoder per call; one instance with the
+# same settings, and no circular-reference markers, is shared instead.
+_chunks = json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
+
+
+def _encode(obj) -> str:
+    """``_ENCODER.encode(obj)`` for an already projected ``obj``."""
+    return "".join(_chunks(obj, 0))
 
 
 def jline(obj) -> str:
-    return _ENCODER.encode(to_jsonable(obj))
+    return _encode(to_jsonable(obj))
 
 
 def _event_head(action: str, payload: dict) -> str:
@@ -68,7 +85,7 @@ def _event_head(action: str, payload: dict) -> str:
     payload of plain values is its own projection."""
     if not all(type(v) in _SCALAR for v in payload.values()):
         payload = to_jsonable(payload)
-    return f'{{"action":{_ENCODER.encode(action)},"payload":{_ENCODER.encode(payload)},"stage":'
+    return f'{{"action":{_encode(action)},"payload":{_encode(payload)},"stage":'
 
 
 @dataclass
@@ -105,12 +122,12 @@ class ConstructionTrace:
 
     def lines(self) -> list[str]:
         """One JSON line per event, the outputs, one per witness.  Event
-        lines are stored encoded and witnesses hold ``to_jsonable``
-        projections already, so neither is projected again."""
+        lines are stored encoded, the outputs are projected once, and
+        witnesses hold ``to_jsonable`` projections already."""
         out = [line for _, line in self.events]
-        out.append(jline({"stage": -1, "action": "outputs",
-                          "payload": {k: to_jsonable(v) for k, v in sorted(self.outputs.items())}}))
-        out.extend(map(_ENCODER.encode, self.witnesses))
+        out.append(_encode({"stage": -1, "action": "outputs",
+                            "payload": {str(k): to_jsonable(v) for k, v in self.outputs.items()}}))
+        out.extend(map(_encode, self.witnesses))
         return out
 
 
@@ -232,8 +249,8 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
     fresh witness cylinder into the small components and jump the watched
     component index above the witness length.
 
-    Runs stage-major over all tracked indices; enumerations land one stage
-    after the action that produced them.
+    Runs stage-major over all tracked indices on the event clock;
+    enumerations land one stage after the action that produced them.
     """
     big_s, depth = budgets.max_stage, budgets.max_depth
     indices = sorted(tables.keys())
@@ -258,7 +275,8 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
             w_current[e] = w_current[e].union(view)
             w_prev_view[e] = view
 
-    for s in range(big_s):
+    def step(s: int) -> bool:
+        acted = False
         for e in indices:
             entry = tables[e].get(n_state[e])
             converged = entry is not None and entry[0] <= s
@@ -266,6 +284,7 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
                 if e_state[e] <= u.max_index:
                     w_add(e, s + 1, u.stage_view(e_state[e], s))
                 continue
+            acted = True
             w_add(e, s + 1, u.stage_view(e + 1, s))
             n = n_state[e]
 
@@ -292,7 +311,12 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
                       e_index=new_e, v_targets=list(range(n + 1)))
             conv_stages[e].append(s)
             e_state[e] = new_e
+        return acted
 
+    # A watch moves only at a change stage of u, at a table entry's stage, or
+    # right after a convergence; an unconverged table repeats its last view.
+    entry_stages = {st for tbl in tables.values() for st, _ in tbl.values()}
+    _run_clock(None, sorted({0, *u.change_stages(), *entry_stages}), 0, big_s - 1, step)
     w = MLTest([Enumeration(w_sched.get(e, [])) for e in range(top + 1)])
     v_comps = [Enumeration([(s, c) for s, j, c in v_sched if j == i])
                for i in range(u.max_index + 1)]
@@ -390,10 +414,10 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
     def y_view(e: int, t: int) -> Clopen:
         return y.stage_view(e, t) if e <= y.max_index else Clopen()
 
-    for s in range(big_s + 1):
+    def step(s: int) -> bool:
         i, t = unpair(s)
         if i > max_i:
-            continue
+            return False
         tbl = functionals.get(i)
         if tbl is not None and t_half.get(i) == t and i not in triggered:
             blocked = w_current[i].union(Clopen([c for _, c in in_list]))
@@ -432,6 +456,14 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
         if view and not view.is_subset_of(w_current[i]):
             w_sched[i].extend((s, c) for c in view.cylinders)
             w_current[i] = w_current[i].union(view)
+        return False
+
+    # Row i moves only at t = 0, a change stage of y, or its trigger t_half[i]:
+    # in between its view repeats, and a repeated view is inside w_current[i].
+    row_moves = {0, *y.change_stages()}
+    visits = {pair(i, t) for i in range(max_i + 1)
+              for t in row_moves | ({t_half.get(i)} - {None})}
+    _run_clock(None, sorted(v for v in visits if v <= big_s), 0, big_s, step)
 
     w = MLTest([Enumeration(w_sched[i]) for i in range(max_i + 1)], check=False)
     for i in range(max_i + 1):
@@ -581,9 +613,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
     cones: list[tuple[int, str]] = []
     cone_set: set[str] = set()
     rightmost: dict[int, str] = {}
-
-    def current_clopen() -> Clopen:
-        return Clopen([c for _, c in cones])
+    cover, counted = Clopen(), 0  # the union of cones[:counted]
 
     for s in range(big_s + 1):
         i, _t = unpair(s)
@@ -591,7 +621,9 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
         if n > depth:
             continue
         if n not in rightmost:
-            sigma = leftmost_uncovered(n, current_clopen())
+            cover = cover.union(Clopen([c for _, c in cones[counted:]]))
+            counted = len(cones)
+            sigma = leftmost_uncovered(n, cover)
             if sigma is None:
                 raise SearchExhaustedError(f"no uncovered string of length {n}")
             cones.append((s, sigma))
@@ -623,19 +655,32 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
                     a_enum: Enumeration, cones: list[tuple[int, str]], n0: int) -> Lemma63Result:
     big_s = budgets.max_stage
     dead_changes = tree.change_stages()
-    stages = sorted({s for s, _ in cones} | set(dead_changes) | {0, big_s})
-    # the tree's live set and measure, per interval of its dead view
-    per_interval: dict[int, tuple[Clopen, Dyadic]] = {}
+    cone_stages = [st for st, _ in cones]
+    stages = sorted({*cone_stages, *dead_changes, 0, big_s})
+    # One pass over the stages: the view of a_enum at s, cones[:upto], meets
+    # the live set in a running intersection.  It is rebuilt when the tree's
+    # dead view moves, and otherwise grows by the new cones' pieces.
+    interval, seen = -1, 0
     for s in stages:
         t = min(s, big_s)
-        key = bisect_right(dead_changes, t)
-        if key not in per_interval:
-            per_interval[key] = (tree.live_clopen(t), tree.path_measure(t))
-        live, measure = per_interval[key]
-        inter = a_enum.stage_view(s).intersect(live)
-        ok = inter.measure() <= measure.half()
-        trace.witness(f"lemma63.half_measure.{s}", ok,
-                      intersection=inter.measure(), tree=measure)
+        upto, key = bisect_right(cone_stages, s), bisect_right(dead_changes, t)
+        if key != interval:
+            interval = key
+            live, measure = tree.live_clopen(t), tree.path_measure(t)
+            inter = Clopen([c for _, c in cones[:upto]]).intersect(live)
+            inter_measure = inter.measure()
+        else:
+            grown = inter
+            for _, c in cones[seen:upto]:
+                if not grown.covers(c):  # else its piece is a subset too
+                    piece = Clopen([c]).intersect(live)
+                    if not piece.is_subset_of(grown):
+                        grown = grown.union(piece)
+            if grown is not inter:
+                inter, inter_measure = grown, grown.measure()
+        seen = upto
+        trace.witness(f"lemma63.half_measure.{s}", inter_measure <= measure.half(),
+                      intersection=inter_measure, tree=measure)
 
     live_final = tree.live_clopen(big_s)
     ordered = [c for _, c in cones]

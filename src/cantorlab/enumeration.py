@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .core import (
     BudgetError,
@@ -30,6 +30,9 @@ from .core import (
     str_order_key,
 )
 from .deficiency import CoTree, Stream, rd_at_stage
+
+if TYPE_CHECKING:
+    from .realizers import Emitter
 
 
 class Enumeration:
@@ -230,6 +233,37 @@ def stage_view(t: MLTest, i: int, s: int, budgets: "Budgets | None" = None) -> C
         if s > budgets.max_stage:
             raise BudgetError(f"stage {s} exceeds budget S={budgets.max_stage}")
     return t.stage_view(i, s)
+
+
+def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
+               last: int, step: Callable[[int], bool]) -> None:
+    """Step the stages ``first..last`` at which a watch can fire.
+
+    ``step(s)`` checks the watches of a realizer or a construction at stage
+    ``s`` and returns whether it acted (padded, or moved one of its
+    counters).  The watches read only stage views, which are constant
+    between consecutive stages of the sorted ``changes``, and counters that
+    move only when the loop acts.  A stage that is not ``first``, not a
+    change stage and not right after a stage that acted would therefore
+    repeat the previous step's outcome, which was to do nothing: it is not
+    stepped, and ``em`` fills in its emission in closed form.  A step that
+    always returns True steps every stage.  ``em`` is None for a loop with
+    no output stream (``lay_to_cn`` and the constructions).
+    """
+    if em is not None:
+        em.next = first
+    s = first
+    while s <= last:
+        acted = step(s)
+        if em is not None:
+            em.record(s)
+        if acted:
+            s += 1
+        else:
+            k = bisect_right(changes, s)
+            s = min(changes[k], last + 1) if k < len(changes) else last + 1
+            if em is not None:
+                em._advance(s)  # the next watches may read the committed output
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .core import (
     unpair3,
 )
 from .deficiency import CoTree, Stream, member_at_stage, prepend, rd_at_stage
-from .enumeration import Budgets, Enumeration, MLTest, effective_top, shift_union
+from .enumeration import Budgets, Enumeration, MLTest, _run_clock, effective_top, shift_union
 from .constructions import ConstructionTrace
 
 
@@ -142,37 +142,6 @@ def _pad_into(em: Emitter, stage: int, target: Clopen, demanded: list[int],
     if tau is None:
         raise SearchExhaustedError(message)
     em.pad(stage, tau, demanded)
-
-
-def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
-               last: int, step: Callable[[int], bool]) -> None:
-    """Step the stages ``first..last`` at which a watch can fire.
-
-    ``step(s)`` checks the realizer's watches at stage ``s`` and returns
-    whether it acted (padded, or moved one of its counters).  The watches
-    read only stage views, which are constant between consecutive stages of
-    the sorted ``changes``, and counters that move only when the realizer
-    acts.  A stage that is not ``first``, not a change stage and not right
-    after a stage that acted would therefore repeat the previous step's
-    outcome, which was to do nothing: it is not stepped, and ``em`` fills
-    in its emission in closed form.  A step that always returns True steps
-    every stage.  ``em`` is None for a realizer with no output stream
-    (``lay_to_cn``).
-    """
-    if em is not None:
-        em.next = first
-    s = first
-    while s <= last:
-        acted = step(s)
-        if em is not None:
-            em.record(s)
-        if acted:
-            s += 1
-        else:
-            k = bisect_right(changes, s)
-            s = min(changes[k], last + 1) if k < len(changes) else last + 1
-            if em is not None:
-                em._advance(s)  # the next watches may read the committed output
 
 
 @dataclass

@@ -11,6 +11,7 @@ from cantorlab.cli import (
     EXIT_SEARCH,
     EXIT_VALIDATION,
     SELECTORS,
+    CatalogEntry,
     _budget_sweep,
     derived_tests,
     main,
@@ -234,6 +235,31 @@ class TestVerify:
         bad.write_text(text)
         assert run_cli("verify", "--trace", str(bad), "--quiet") == EXIT_OBLIGATION
         assert "determinism" in capsys.readouterr().err
+
+    def test_failed_obligation_shows_its_data(self, tmp_path, capsys,
+                                              monkeypatch):
+        def failing(sc, u, o):
+            trace = ConstructionTrace(name="failing")
+            trace.witness("failing.bound", False, got=Dyadic(3, 2), want=[1, 2])
+            trace.witness("failing.ok", True, note="fine")
+            return trace
+
+        monkeypatch.setitem(SELECTORS, "failing", CatalogEntry(
+            "failing", "-", "construction", "one obligation fails", failing))
+        data = '{"got":"3/2^2","want":[1,2]}'
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "failing",
+                       "--trace", str(trace)) == EXIT_OBLIGATION
+        assert capsys.readouterr().err.splitlines() == ["FAIL failing.bound", data]
+        lines = trace.read_text().splitlines()
+        assert json.loads(lines[-2]) == {"claim": "failing.bound", "status": "fail",
+                                         "data": json.loads(data)}
+        assert run_cli("verify", "--trace", str(trace)) == EXIT_OBLIGATION
+        out = capsys.readouterr().out.splitlines()
+        assert json.loads(out[0])["failed"] == ["failing.bound"]
+        assert out[1:] == ["FAIL failing.bound", data, "PASS failing.ok"]
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_OBLIGATION
+        assert capsys.readouterr().out.splitlines() == out[:1]
 
     def test_run_with_inline_verify(self, tmp_path):
         trace = tmp_path / "t.jsonl"

@@ -1,27 +1,57 @@
+from __future__ import annotations
+
+import copy
+import dataclasses
 import hashlib
 import json
+import random
+from bisect import bisect_right
+from typing import Mapping
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError
+from cantorlab.core import (
+    BudgetError,
+    CantorError,
+    Clopen,
+    Dyadic,
+    ScenarioError,
+    SearchExhaustedError,
+    first_free_string,
+    leftmost_uncovered,
+    pair,
+    str_order_key,
+    unpair,
+)
+from cantorlab.cli import execute
 from cantorlab.constructions import (
     _ENCODER,
     ConstructionTrace,
+    Thm33Result,
+    Thm41Result,
+    _encode,
+    _half_coverage_stage,
     build_lemma31,
     build_lemma63,
     build_thm33,
     build_thm41,
     build_thm410,
+    jline,
     least_divergence_point,
     to_jsonable,
 )
 from cantorlab.deficiency import CoTree, prepend, rd_at_stage
 from cantorlab.enumeration import (
+    HARD_MAX_STAGE,
+    Budgets,
     Enumeration,
     MLTest,
+    descending_chain,
     index_shift,
+    load_scenario,
     replace_component,
+    universal_sum,
 )
 from conftest import decoded_events
 
@@ -388,6 +418,25 @@ class TestEventLines:
         trace.add_run(stage, stage + 1, action, **payload)
         assert trace.events == [(stage, want), (stage, want)]
 
+    @given(value=st.one_of(payload_values, st.dictionaries(
+        st.text(max_size=6), payload_values, max_size=4)))
+    def test_shared_encoder_is_the_json_encoder(self, value):
+        projected = to_jsonable(value)
+        assert _encode(projected) == _ENCODER.encode(projected)
+        assert jline(value) == _ENCODER.encode(projected)
+
+    @given(outputs=st.dictionaries(st.text(max_size=6), payload_values, max_size=4),
+           data=st.dictionaries(st.text(alphabet="xyz_\u00e9", min_size=1, max_size=6),
+                                payload_values, max_size=3))
+    def test_outputs_and_witness_lines(self, outputs, data):
+        trace = ConstructionTrace(name="lines", outputs=outputs)
+        trace.witness("claim", False, **data)
+        assert trace.lines() == [
+            _ENCODER.encode(to_jsonable(
+                {"stage": -1, "action": "outputs", "payload": outputs})),
+            _ENCODER.encode({"claim": "claim", "status": "fail",
+                             "data": to_jsonable(data)})]
+
     def test_run_lines_match_single_adds(self):
         one, run = ConstructionTrace(name="one"), ConstructionTrace(name="run")
         for s in range(3, 9):
@@ -411,3 +460,418 @@ class TestDeterminism:
         t2 = build_thm41(chain, main_scenario.functionals, b,
                          main_scenario.inert_functionals).trace
         assert t1.lines() == t2.lines()
+
+
+# ---------------------------------------------------------------------------
+# clocked constructions against their every-stage loops
+# ---------------------------------------------------------------------------
+
+def _thm33_every_stage(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
+                       budgets: Budgets) -> Thm33Result:
+    """The per-stage loop ``build_thm33`` ran before it was clocked:
+    every stage 0..S-1 reads the watched views of every table."""
+    big_s, depth = budgets.max_stage, budgets.max_depth
+    indices = sorted(tables.keys())
+    if not indices:
+        raise ScenarioError("no partial-function tables registered")
+    top = max(indices)
+    trace = ConstructionTrace(name="thm33")
+
+    n_state = {e: 0 for e in indices}
+    e_state = {e: e + 1 for e in indices}
+    w_sched: dict[int, list[tuple[int, str]]] = {e: [] for e in indices}
+    w_current: dict[int, Clopen] = {e: Clopen() for e in indices}
+    w_prev_view: dict[int, Clopen] = {e: Clopen() for e in indices}
+    v_sched: list[tuple[int, int, str]] = []
+    v_current: dict[int, Clopen] = {}
+    conv_stages: dict[int, list[int]] = {e: [] for e in indices}
+    decisive: dict[int, str] = {}
+
+    def w_add(e: int, stage: int, view: Clopen) -> None:
+        if view != w_prev_view[e]:
+            w_sched[e].extend((stage, c) for c in view.cylinders)
+            w_current[e] = w_current[e].union(view)
+            w_prev_view[e] = view
+
+    for s in range(big_s):
+        for e in indices:
+            entry = tables[e].get(n_state[e])
+            converged = entry is not None and entry[0] <= s
+            if not converged:
+                if e_state[e] <= u.max_index:
+                    w_add(e, s + 1, u.stage_view(e_state[e], s))
+                continue
+            w_add(e, s + 1, u.stage_view(e + 1, s))
+            n = n_state[e]
+
+            def fits(sig: str, n=n) -> bool:
+                cost = Dyadic.exp2(-len(sig))
+                for j in range(n + 1):
+                    vj = v_current.get(j, Clopen())
+                    if not (vj.union(Clopen([sig])).measure() < Dyadic.exp2(-j)):
+                        return False
+                return True
+
+            sigma = first_free_string(0, depth, w_current[e], pred=fits)
+            for j in range(n + 1):
+                v_sched.append((s + 1, j, sigma))
+                v_current[j] = v_current.get(j, Clopen()).union(Clopen([sigma]))
+            decisive[e] = sigma
+            n_state[e] = n + 1
+            new_e = max(e_state[e], len(sigma)) + 1
+            if new_e > u.max_index:
+                raise BudgetError(
+                    f"watched component index {new_e} for table {e} exceeds "
+                    f"budget I={u.max_index}")
+            trace.add(s, "converge", e=e, arg=n, sigma=sigma,
+                      e_index=new_e, v_targets=list(range(n + 1)))
+            conv_stages[e].append(s)
+            e_state[e] = new_e
+
+    w = MLTest([Enumeration(w_sched.get(e, [])) for e in range(top + 1)])
+    v_comps = [Enumeration([(s, c) for s, j, c in v_sched if j == i])
+               for i in range(u.max_index + 1)]
+    v = MLTest(v_comps)
+    least_div = {e: least_divergence_point(tables[e]) for e in indices}
+    trace.outputs = {"w": w, "v": v, "n_final": dict(sorted(n_state.items())),
+                     "e_final": dict(sorted(e_state.items())),
+                     "least_divergence": dict(sorted(least_div.items()))}
+
+    final = big_s
+    for e in indices:
+        trace.witness(f"thm33.w_budget.{e}",
+                      w.component(e).final_measure() <= Dyadic.exp2(-e))
+        for s in conv_stages[e]:
+            ok = u.stage_view(e + 1, s).is_subset_of(w.stage_view(e, s + 1))
+            trace.witness(f"thm33.conv_lag.{e}.{s}", ok)
+        n = least_div[e]
+        if n_state[e] == n and n > 0:
+            sig = decisive[e]
+            w_final = w.stage_view(e, final)
+            inside = Clopen([sig]).intersect(w_final)
+            trace.witness(f"thm33.decisive_escape.{e}",
+                          inside.measure() < Dyadic.exp2(-len(sig)),
+                          sigma=sig, inside=inside.measure())
+            for j in range(n):
+                # Monotone target: the final stage certifies all stages.
+                trace.witness(
+                    f"thm33.witness_bound.{e}.{j}",
+                    not v.stage_view(j, final).is_subset_of(w_final))
+    trace.sort_events()
+    return Thm33Result(w=w, v=v, trace=trace, least_divergence=least_div)
+
+
+# ---------------------------------------------------------------------------
+# diagonal set against advice tables
+
+
+def _thm41_every_stage(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], int]],
+                       budgets: Budgets, inert: frozenset[int] = frozenset()) -> Thm41Result:
+    """The per-stage loop ``build_thm41`` ran before it was clocked:
+    every stage 0..S visits its row ``i`` at column ``t``."""
+    if not y.nested:
+        raise ScenarioError("diagonal construction needs a nested test")
+    big_s, depth = budgets.max_stage, budgets.max_depth
+    max_i = y.max_index - 4
+    if max_i < 0:
+        raise BudgetError("test too short: need component 4")
+    for e in functionals:
+        if e > max_i:
+            raise ScenarioError(f"advice table {e} beyond component budget {max_i}")
+    trace = ConstructionTrace(name="thm41")
+
+    t_half = {e: _half_coverage_stage(tbl, e) for e, tbl in sorted(functionals.items())}
+    for e, t in sorted(t_half.items()):
+        if t is None and e not in inert:
+            raise ScenarioError(
+                f"advice table {e} never reaches half coverage and is not declared inert")
+        if t is not None and e in inert:
+            raise ScenarioError(f"advice table {e} declared inert but reaches half coverage")
+        trace.add(-1, "half_coverage", e=e, t=t)
+
+    e_state = {i: i + 4 for i in range(max_i + 1)}
+    in_list: list[tuple[int, str]] = []
+    out_list: list[tuple[int, str]] = []
+    w_sched: dict[int, list[tuple[int, str]]] = {i: [] for i in range(max_i + 1)}
+    w_current: dict[int, Clopen] = {i: Clopen() for i in range(max_i + 1)}
+    triggered: dict[int, dict] = {}
+
+    def y_view(e: int, t: int) -> Clopen:
+        return y.stage_view(e, t) if e <= y.max_index else Clopen()
+
+    for s in range(big_s + 1):
+        i, t = unpair(s)
+        if i > max_i:
+            continue
+        tbl = functionals.get(i)
+        if tbl is not None and t_half.get(i) == t and i not in triggered:
+            blocked = w_current[i].union(Clopen([c for _, c in in_list]))
+            blocked = blocked.union(Clopen([c for _, c in out_list]))
+            candidates = sorted((p for (p, a), v in tbl.items()
+                                 if a == i and v < 2 and len(p) >= s + 5),
+                                key=str_order_key)
+            sigma = None
+            for cand in candidates:
+                if not blocked.meets(cand):
+                    sigma = cand
+                    break
+            if sigma is None:
+                raise SearchExhaustedError(
+                    f"no undecided cylinder of measure <= 2^-{s + 5} for table {i} "
+                    f"at stage {s} (budget misconfiguration)")
+            vote = tbl[(sigma, i)]
+            if vote == 0:
+                in_list.append((s, sigma))
+            else:
+                out_list.append((s, sigma))
+            e_state[i] = max(e_state[i], len(sigma)) + 1
+            triggered[i] = {"stage": s, "t": t, "sigma": sigma, "vote": vote,
+                            "e_index": e_state[i]}
+            trace.add(s, "trigger", e=i, t=t, sigma=sigma, vote=vote,
+                      e_index=e_state[i])
+            trace.witness(f"thm41.sigma_measure.{i}",
+                          Dyadic.exp2(-len(sigma)) <= Dyadic.exp2(-(s + 5)),
+                          sigma=sigma, stage=s)
+            in_c, out_c = Clopen([c for _, c in in_list]), Clopen([c for _, c in out_list])
+            trace.witness(f"thm41.in_out_stage.{s}",
+                          in_c.intersect(out_c) == Clopen()
+                          and in_c.measure() <= Dyadic(1, 4)
+                          and out_c.measure() <= Dyadic(1, 4))
+        view = y_view(e_state[i], t)
+        if view and not view.is_subset_of(w_current[i]):
+            w_sched[i].extend((s, c) for c in view.cylinders)
+            w_current[i] = w_current[i].union(view)
+
+    w = MLTest([Enumeration(w_sched[i]) for i in range(max_i + 1)], check=False)
+    for i in range(max_i + 1):
+        if w.component(i).final_measure() > Dyadic.exp2(-(i + 4)):
+            raise BudgetError(f"component {i} exceeded its 2^-{i + 4} bound")
+    in_set = Clopen([c for _, c in in_list])
+    out_set = Clopen([c for _, c in out_list])
+    trace.outputs = {"w": w, "in": in_set, "out": out_set,
+                     "triggers": {str(k): v for k, v in sorted(triggered.items())}}
+
+    final = big_s
+    stages = sorted({s for s, _ in in_list + out_list})
+    for s in stages:
+        in_c = Clopen([c for st, c in in_list if st <= s])
+        out_c = Clopen([c for st, c in out_list if st <= s])
+        trace.witness(f"thm41.in_out_cumulative.{s}",
+                      in_c.intersect(out_c) == Clopen()
+                      and in_c.measure() <= Dyadic(1, 4)
+                      and out_c.measure() <= Dyadic(1, 4))
+    for i in range(max_i + 1):
+        y_ref = y.stage_view(i + 4, final)
+        trace.witness(f"thm41.w_inside_reference.{i}",
+                      w.stage_view(i, final).is_subset_of(y_ref))
+    for i, info in sorted(triggered.items()):
+        sig = Clopen([info["sigma"]])
+        w_final = w.stage_view(i, final)
+        placed_in = sig.is_subset_of(in_set)
+        disjoint_in = sig.intersect(in_set) == Clopen()
+        contradicts = (info["vote"] == 0 and placed_in) or \
+                      (info["vote"] == 1 and disjoint_in)
+        trace.witness(f"thm41.vote_contradiction.{i}", contradicts, **info)
+        trace.witness(f"thm41.witness_escape.{i}",
+                      not sig.is_subset_of(w_final)
+                      and sig.intersect(w_final).measure() < sig.measure())
+    trace.sort_events()
+    return Thm41Result(w=w, in_set=in_set, out_set=out_set, trace=trace,
+                       triggers=triggered)
+
+
+
+def _half_measure_every_stage(res, tree, budgets):
+    """The half-measure loop ``_finish_lemma63`` ran before it walked the
+    cones once: every stage intersects the whole view of ``a_enum``."""
+    trace = ConstructionTrace(name="lemma63")
+    big_s = budgets.max_stage
+    dead_changes = tree.change_stages()
+    stages = sorted({s for s, _ in res.cones} | set(dead_changes) | {0, big_s})
+    per_interval: dict[int, tuple[Clopen, Dyadic]] = {}
+    for s in stages:
+        t = min(s, big_s)
+        key = bisect_right(dead_changes, t)
+        if key not in per_interval:
+            per_interval[key] = (tree.live_clopen(t), tree.path_measure(t))
+        live, measure = per_interval[key]
+        inter = res.a_enum.stage_view(s).intersect(live)
+        ok = inter.measure() <= measure.half()
+        trace.witness(f"lemma63.half_measure.{s}", ok,
+                      intersection=inter.measure(), tree=measure)
+    return trace.witnesses
+
+
+def _outcome(build, *args):
+    """What a build leaves: its trace lines and projected result, or the
+    text of the error it raised."""
+    try:
+        res = build(*args)
+    except CantorError as exc:
+        return type(exc).__name__, str(exc)
+    return res.trace.lines(), to_jsonable(
+        {k: v for k, v in vars(res).items() if k != "trace"})
+
+
+def _with_stages(sc, stages):
+    return dataclasses.replace(
+        sc, budgets=dataclasses.replace(sc.budgets, max_stage=stages))
+
+
+def _shifted_tests(sc, r):
+    """``sc`` with every test entry moved by a few stages (budgets keep:
+    the final views do not change)."""
+    raw = copy.deepcopy(sc.raw)
+    for entries in raw["tests"]:
+        for entry in entries:
+            entry["stage"] = max(0, entry["stage"] + r.randint(-2, 6))
+    return load_scenario(raw)
+
+
+BASE_WORLDS = [("main", None), ("deep", None), ("main", 1), ("main", 2),
+               ("main", 7), ("main", 64)]
+
+
+def _base_world(request, name, stages):
+    sc = request.getfixturevalue(f"{name}_scenario")
+    return sc if stages is None else _with_stages(sc, stages)
+
+
+def _thm33_world(sc, seed):
+    """A seeded world for thm33: table entry stages shifted, made adjacent,
+    or one moved to S or past it, sometimes over shifted test stages."""
+    r = random.Random(seed)
+    sc = _with_stages(sc, r.choice((1, 2, 7, 64, 512)))
+    if r.random() < 0.5:
+        sc = _shifted_tests(sc, r)
+    big_s = sc.budgets.max_stage
+    tables = {}
+    for e, table in sc.partial_functions.items():
+        args = sorted(table)
+        if seed % 3 == 0:  # adjacent
+            first = r.randint(0, 8)
+            stages = [first + k for k in range(len(args))]
+        else:
+            stages = [max(0, table[a][0] + r.randint(-3, 8)) for a in args]
+        tables[e] = {a: (st, table[a][1]) for a, st in zip(args, stages)}
+    if seed % 3 == 2 and tables[0]:  # one entry at the last stage, at S or past it
+        arg = r.choice(sorted(tables[0]))
+        tables[0][arg] = (r.choice((big_s - 1, big_s, big_s + 5)), tables[0][arg][1])
+    return sc, tables
+
+
+def _thm41_world(sc, seed):
+    """A seeded world for thm41: advice tables whose half-coverage depth
+    t_half moves, with long candidates past pair(i, t_half) + 5, sometimes
+    over shifted test stages."""
+    r = random.Random(seed)
+    sc = _with_stages(sc, r.choice((1, 2, 7, 64, 512)))
+    if r.random() < 0.5:
+        sc = _shifted_tests(sc, r)
+    functionals = {e: dict(t) for e, t in sc.functionals.items() if e >= 2}
+    for i in r.sample(range(5), r.randint(1, 3)):
+        t = r.randint(1, 5)
+        head = r.choice("01")
+        table = {(head + format(k, f"0{t - 1}b") if t > 1 else head, i): r.randint(0, 1)
+                 for k in range(2 ** (t - 1))}
+        n = pair(i, t) + 5 + r.randint(0, 3)
+        for _ in range(3):
+            table["".join(r.choice("01") for _ in range(n)), i] = r.randint(0, 1)
+        functionals[i] = table
+    inert = frozenset(e for e, tbl in functionals.items()
+                      if _half_coverage_stage(tbl, e) is None)
+    return sc, functionals, inert
+
+
+class TestClockedAgainstEveryStage:
+    """The clocked constructions leave the same trace lines and outputs, or
+    raise the same error, as the per-stage loops they replaced."""
+
+    @pytest.mark.parametrize("name, stages", BASE_WORLDS)
+    def test_thm33_bundles(self, request, name, stages):
+        sc = _base_world(request, name, stages)
+        args = (universal_sum(sc), sc.partial_functions, sc.budgets)
+        assert _outcome(build_thm33, *args) == _outcome(_thm33_every_stage, *args)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_thm33_seeded(self, main_scenario, seed):
+        sc, tables = _thm33_world(main_scenario, seed)
+        args = (universal_sum(sc), tables, sc.budgets)
+        assert _outcome(build_thm33, *args) == _outcome(_thm33_every_stage, *args)
+
+    @pytest.mark.parametrize("name, stages", BASE_WORLDS)
+    def test_thm41_bundles(self, request, name, stages):
+        sc = _base_world(request, name, stages)
+        args = (descending_chain(universal_sum(sc)), sc.functionals, sc.budgets,
+                sc.inert_functionals)
+        assert _outcome(build_thm41, *args) == _outcome(_thm41_every_stage, *args)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_thm41_seeded(self, main_scenario, seed):
+        sc, functionals, inert = _thm41_world(main_scenario, seed)
+        args = (descending_chain(universal_sum(sc)), functionals, sc.budgets, inert)
+        assert _outcome(build_thm41, *args) == _outcome(_thm41_every_stage, *args)
+
+    @staticmethod
+    def _check_lemma63(tree, budgets):
+        res = build_lemma63(tree, budgets)
+        clocked = [w for w in res.trace.witnesses
+                   if w["claim"].startswith("lemma63.half_measure.")]
+        assert clocked == _half_measure_every_stage(res, tree, budgets)
+        # each init is the leftmost string the earlier cones leave uncovered
+        for k, (s, sigma) in enumerate(res.cones):
+            if unpair(s)[1] == 0:
+                assert sigma == leftmost_uncovered(
+                    len(sigma), Clopen([c for _, c in res.cones[:k]]))
+        return res
+
+    @pytest.mark.parametrize("name, stages", BASE_WORLDS)
+    def test_lemma63_bundles(self, request, name, stages):
+        sc = _base_world(request, name, stages)
+        self._check_lemma63(sc.tree("positive"), sc.budgets)
+
+    def test_lemma63_seeded_dead_trees(self, main_scenario):
+        """Dead cones land on init stages, which are always cone stages, or
+        anywhere; both a death at a cone stage and one strictly between
+        two cone stages must occur."""
+        kinds = set()
+        for seed in range(16):
+            r = random.Random(seed)
+            budgets = _with_stages(main_scenario, r.choice((7, 64, 512))).budgets
+            inits = [pair(i, 0) for i in range(12) if pair(i, 0) <= budgets.max_stage]
+            dead = [(0, "11")]
+            for _ in range(r.randint(1, 4)):
+                stage = r.choice(inits) if r.random() < 0.5 else r.randint(1, budgets.max_stage)
+                dead.append((stage, "".join(r.choice("01") for _ in range(r.randint(3, 6)))))
+            tree = CoTree(Enumeration(dead), budgets.max_depth)
+            res = self._check_lemma63(tree, budgets)
+            cone_stages = {s for s, _ in res.cones}
+            for d in tree.change_stages():
+                if d in cone_stages:
+                    kinds.add("at")
+                elif min(cone_stages) < d < max(cone_stages):
+                    kinds.add("between")
+        assert kinds == {"at", "between"}
+
+
+def test_view_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
+    """thm33 and thm41 step only where a view or a table can move, so the
+    stage budget does not change how often they, or combinators, which
+    rebuilds both, read a stage view."""
+    calls = [0]
+    stage_view = Enumeration.stage_view
+
+    def counted(self, s):
+        calls[0] += 1
+        return stage_view(self, s)
+
+    monkeypatch.setattr(Enumeration, "stage_view", counted)
+    counts = {}
+    for stages in (main_scenario.budgets.max_stage, HARD_MAX_STAGE):
+        sc = _with_stages(main_scenario, stages)
+        counts[stages] = []
+        for selector in ("thm33", "thm41", "combinators"):
+            calls[0] = 0
+            execute(sc, selector)
+            counts[stages].append(calls[0])
+    assert counts[main_scenario.budgets.max_stage] == counts[HARD_MAX_STAGE]
