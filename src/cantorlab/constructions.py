@@ -8,8 +8,15 @@ reproduce the trace byte for byte.
 ``thm33`` and ``thm41`` run on the realizers' event clock
 (``enumeration._run_clock``): they step only the stages at which a watched
 view or a table can move, so their cost grows with the number of change
-stages, not with the stage budget.  ``lemma63`` still dovetails over every
-stage, and checks its half-measure witnesses in one pass over its cones.
+stages, not with the stage budget.  ``lemma63`` dovetails over its visits,
+the stages ``pair(i, t) <= S`` whose length ``n0 + i`` is within the depth;
+it adds a cone at most of them (5,468 of 6,851 on the bundled deep
+scenario), so its loop stays O(visits).  A visit costs a few integer
+operations: each length's cones form one lex interval, so the covered test
+compares integer bounds; the tree's dead view is read once per interval
+between its change stages; and the event lines come from fixed-shape
+templates.  Its half-measure witnesses are checked in one pass over its
+cones.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .core import (
     first_free_string,
     leftmost_uncovered,
     pair,
-    sigma_plus,
     str_order_key,
     unpair,
 )
@@ -44,6 +50,8 @@ def to_jsonable(obj):
     """Deterministic JSON projection for trace payloads."""
     if type(obj) in _SCALAR:
         return obj
+    if type(obj) is list or type(obj) is tuple:
+        return [v if type(v) in _SCALAR else to_jsonable(v) for v in obj]
     if isinstance(obj, Clopen):
         return obj.to_list()
     if isinstance(obj, Dyadic):
@@ -111,8 +119,10 @@ class ConstructionTrace:
         self.events.sort(key=itemgetter(0))
 
     def witness(self, claim: str, ok: bool, **data) -> None:
+        if not all(type(v) in _SCALAR for v in data.values()):
+            data = to_jsonable(data)
         self.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
-                               "data": to_jsonable(data)})
+                               "data": data})
 
     def failed_claims(self) -> list[str]:
         return [w["claim"] for w in self.witnesses if w["status"] != "pass"]
@@ -123,11 +133,18 @@ class ConstructionTrace:
     def lines(self) -> list[str]:
         """One JSON line per event, the outputs, one per witness.  Event
         lines are stored encoded, the outputs are projected once, and
-        witnesses hold ``to_jsonable`` projections already."""
+        witnesses hold ``to_jsonable`` projections already; a data object
+        shared by consecutive witnesses is encoded once."""
         out = [line for _, line in self.events]
         out.append(_encode({"stage": -1, "action": "outputs",
                             "payload": {str(k): to_jsonable(v) for k, v in self.outputs.items()}}))
-        out.extend(map(_encode, self.witnesses))
+        data = encoded = None
+        for w in self.witnesses:
+            if w["data"] is not data:
+                data = w["data"]
+                encoded = _encode(data)
+            out.append(f'{{"claim":{_encode(w["claim"])},"data":{encoded},'
+                       f'"status":{_encode(w["status"])}}}')
         return out
 
 
@@ -593,6 +610,18 @@ class Lemma63Result:
     trace: ConstructionTrace
 
 
+def _init_line(s: int, n: int, sigma: str) -> str:
+    """``jline`` of an ``init`` event: its ints and binary strings encode as
+    themselves, and the keys are written in sorted order."""
+    return f'{{"action":"init","payload":{{"length":{n},"sigma":"{sigma}"}},"stage":{s}}}'
+
+
+def _replace_line(s: int, n: int, old: str, new: str, reason: str) -> str:
+    """``jline`` of a ``replace`` event, written like ``_init_line``."""
+    return (f'{{"action":"replace","payload":{{"length":{n},"new":"{new}",'
+            f'"old":"{old}","reason":"{reason}"}},"stage":{s}}}')
+
+
 def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemma63Result:
     """Enumerate, per length, one tracked cylinder meeting the tree, shifting
     it one step right whenever it dies in the tree or is swallowed by a
@@ -611,40 +640,70 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
     trace.add(-1, "n0", value=n0, tree_measure=final_measure)
 
     cones: list[tuple[int, str]] = []
-    cone_set: set[str] = set()
-    rightmost: dict[int, str] = {}
+    events = trace.events
     cover, counted = Clopen(), 0  # the union of cones[:counted]
+    # The cones of length n0 + i are the lex interval [lows[i], highs[i]]:
+    # each starts at its init and moves one step right at a time.  sigmas[i]
+    # is the string of highs[i], the tracked cone.
+    sigmas: list[str] = []
+    lows: list[int] = []
+    highs: list[int] = []
+    # The tree's dead view is constant between its change stages, and the
+    # visits come in stage order, so it is read at most once per interval.
+    dead_changes, tree_depth = tree.change_stages(), tree.depth
+    dead, next_change = None, 0
 
-    for s in range(big_s + 1):
-        i, _t = unpair(s)
-        n = n0 + i
-        if n > depth:
-            continue
-        if n not in rightmost:
-            cover = cover.union(Clopen([c for _, c in cones[counted:]]))
-            counted = len(cones)
-            sigma = leftmost_uncovered(n, cover)
-            if sigma is None:
-                raise SearchExhaustedError(f"no uncovered string of length {n}")
-            cones.append((s, sigma))
-            cone_set.add(sigma)
-            rightmost[n] = sigma
-            trace.add(s, "init", length=n, sigma=sigma)
-            continue
-        sigma = rightmost[n]
-        covered = any(sigma[:k] in cone_set for k in range(len(sigma)))
-        alive = tree.alive(sigma, min(s, big_s))
-        if covered or not alive:
-            nxt = sigma_plus(sigma)
-            if nxt is None:
+    # Stage s = pair(i, t) visits length n0 + i; diagonal w holds the stages
+    # w(w+1)/2 + i for i <= w, in stage order, and lengths past the depth
+    # are never visited.
+    top, w, first = depth - n0, 0, 0
+    while first <= big_s:
+        for i in range(min(w, top, big_s - first) + 1):
+            s, n = first + i, n0 + i
+            if i == w:  # t == 0: the first visit of this length
+                cover = cover.union(Clopen([c for _, c in cones[counted:]]))
+                counted = len(cones)
+                sigma = leftmost_uncovered(n, cover)
+                if sigma is None:
+                    raise SearchExhaustedError(f"no uncovered string of length {n}")
+                cones.append((s, sigma))
+                sigmas.append(sigma)
+                v = int(sigma, 2)
+                lows.append(v)
+                highs.append(v)
+                events.append((s, _init_line(s, n, sigma)))
+                continue
+            if n > tree_depth:
+                raise ValueError(f"node {sigmas[i]!r} deeper than tree depth {tree_depth}")
+            # No cone is shorter than n0, and the prefix of length n0 + j of
+            # sigma is a cone iff it lies in length n0 + j's interval.
+            v = highs[i]
+            for j in range(i):
+                if lows[j] <= v >> (i - j) <= highs[j]:
+                    reason = "covered"
+                    break
+            else:
+                if s >= next_change:
+                    dead = tree.dead.stage_view(s)
+                    k = bisect_right(dead_changes, s)
+                    next_change = dead_changes[k] if k < len(dead_changes) else big_s + 1
+                if not dead.covers(sigmas[i]):
+                    continue
+                reason = "dead"
+            # n >= n0 >= 2 (2^-n0 <= 1/4 is enforced above): no tracked string
+            # is empty, so its int(sigma, 2) at init cannot raise, and
+            # v + 1 == 2**n means sigma was all ones.
+            v += 1
+            if v >> n:
                 raise SearchExhaustedError(
                     f"right neighbour exhausted at length {n} "
                     "(tree measure precondition violated)")
-            cones.append((s, nxt))
-            cone_set.add(nxt)
-            rightmost[n] = nxt
-            trace.add(s, "replace", length=n, old=sigma, new=nxt,
-                      reason="covered" if covered else "dead")
+            old, new = sigmas[i], format(v, f"0{n}b")
+            cones.append((s, new))
+            sigmas[i], highs[i] = new, v
+            events.append((s, _replace_line(s, n, old, new, reason)))
+        w += 1
+        first += w
 
     a_enum = Enumeration(cones)
     trace.outputs = {"a": a_enum, "cones": [[s, c] for s, c in cones], "n0": n0}
@@ -659,7 +718,10 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     stages = sorted({*cone_stages, *dead_changes, 0, big_s})
     # One pass over the stages: the view of a_enum at s, cones[:upto], meets
     # the live set in a running intersection.  It is rebuilt when the tree's
-    # dead view moves, and otherwise grows by the new cones' pieces.
+    # dead view moves, and otherwise grows by the new cones' pieces.  A
+    # witness's data is projected only when the intersection or the tree
+    # moved; consecutive witnesses share it (nothing mutates it).
+    witnesses = trace.witnesses
     interval, seen = -1, 0
     for s in stages:
         t = min(s, big_s)
@@ -667,8 +729,9 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
         if key != interval:
             interval = key
             live, measure = tree.live_clopen(t), tree.path_measure(t)
+            half, tree_str = measure.half(), str(measure)
             inter = Clopen([c for _, c in cones[:upto]]).intersect(live)
-            inter_measure = inter.measure()
+            data = None
         else:
             grown = inter
             for _, c in cones[seen:upto]:
@@ -677,10 +740,14 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
                     if not piece.is_subset_of(grown):
                         grown = grown.union(piece)
             if grown is not inter:
-                inter, inter_measure = grown, grown.measure()
+                inter, data = grown, None
         seen = upto
-        trace.witness(f"lemma63.half_measure.{s}", inter_measure <= measure.half(),
-                      intersection=inter_measure, tree=measure)
+        if data is None:
+            inter_measure = inter.measure()
+            status = "pass" if inter_measure <= half else "fail"
+            data = {"intersection": str(inter_measure), "tree": tree_str}
+        witnesses.append({"claim": f"lemma63.half_measure.{s}", "status": status,
+                          "data": data})
 
     live_final = tree.live_clopen(big_s)
     ordered = [c for _, c in cones]

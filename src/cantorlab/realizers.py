@@ -37,7 +37,6 @@ from .core import (
     SearchExhaustedError,
     first_extension_into,
     intersect_all,  # noqa: F401  unused; perfbench/test_perfbench.py patches it here
-    unpair,
     unpair3,
 )
 from .deficiency import CoTree, Stream, member_at_stage, prepend, rd_at_stage

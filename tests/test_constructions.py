@@ -11,6 +11,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, strategies as st
 
+from cantorlab import bundled_scenario
 from cantorlab.core import (
     BudgetError,
     CantorError,
@@ -21,17 +22,22 @@ from cantorlab.core import (
     first_free_string,
     leftmost_uncovered,
     pair,
+    sigma_plus,
     str_order_key,
     unpair,
 )
-from cantorlab.cli import execute
+from cantorlab.cli import EXIT_SEARCH, EXIT_VALIDATION, execute, main
 from cantorlab.constructions import (
     _ENCODER,
     ConstructionTrace,
+    Lemma63Result,
     Thm33Result,
     Thm41Result,
     _encode,
+    _finish_lemma63,
     _half_coverage_stage,
+    _init_line,
+    _replace_line,
     build_lemma31,
     build_lemma63,
     build_thm33,
@@ -47,6 +53,7 @@ from cantorlab.enumeration import (
     Budgets,
     Enumeration,
     MLTest,
+    Scenario,
     descending_chain,
     index_shift,
     load_scenario,
@@ -437,6 +444,35 @@ class TestEventLines:
             _ENCODER.encode({"claim": "claim", "status": "fail",
                              "data": to_jsonable(data)})]
 
+    @given(stage=st.integers(0, 10**6),
+           old=st.text(alphabet="01", min_size=1, max_size=64),
+           new=st.text(alphabet="01", min_size=1, max_size=64),
+           reason=st.sampled_from(["covered", "dead"]))
+    def test_lemma63_event_templates(self, stage, old, new, reason):
+        n = len(old)
+        assert _init_line(stage, n, old) == _ENCODER.encode(
+            {"action": "init", "payload": {"length": n, "sigma": old}, "stage": stage})
+        assert _replace_line(stage, n, old, new, reason) == _ENCODER.encode(
+            {"action": "replace", "stage": stage,
+             "payload": {"length": n, "old": old, "new": new, "reason": reason}})
+
+    @given(claims=st.lists(st.text(alphabet=st.sampled_from('ab."\\éσ\U0001d11e\n'),
+                                   max_size=8), min_size=1, max_size=6),
+           datas=st.lists(st.dictionaries(st.text(alphabet='xy"\\é', max_size=4),
+                                          payload_values, max_size=3).map(to_jsonable),
+                          min_size=1, max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=6,
+                          max_size=6))
+    def test_spliced_witness_lines(self, claims, datas, picks):
+        """Witness lines are the encodings of their records, whether
+        consecutive witnesses share one data object or hold equal copies."""
+        trace = ConstructionTrace(name="lines")
+        for claim, (k, ok) in zip(claims, picks):
+            data = datas[k % len(datas)]
+            trace.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
+                                    "data": data if ok else dict(data)})
+        assert trace.lines()[1:] == [_ENCODER.encode(w) for w in trace.witnesses]
+
     def test_run_lines_match_single_adds(self):
         one, run = ConstructionTrace(name="one"), ConstructionTrace(name="run")
         for s in range(3, 9):
@@ -702,6 +738,65 @@ def _half_measure_every_stage(res, tree, budgets):
     return trace.witnesses
 
 
+def _lemma63_every_stage(tree: CoTree, budgets: Budgets,
+                         n0: int | None = None) -> Lemma63Result:
+    """The dovetail ``build_lemma63`` ran before it walked the diagonals:
+    every stage 0..S is unpaired, the tree is read at each visit, and the
+    covered test slices every prefix."""
+    big_s, depth = budgets.max_stage, budgets.max_depth
+    final_measure = tree.path_measure(big_s)
+    quarter = final_measure.half().half()
+    if n0 is None:
+        n0 = 0
+        while n0 < depth and not (Dyadic.exp2(-n0) <= quarter):
+            n0 += 1
+    if n0 >= depth or not (Dyadic.exp2(-n0) <= quarter):
+        raise BudgetError(
+            f"tree too thin: need 4 * 2^-n0 <= {final_measure} with n0 < K")
+    trace = ConstructionTrace(name="lemma63")
+    trace.add(-1, "n0", value=n0, tree_measure=final_measure)
+
+    cones: list[tuple[int, str]] = []
+    cone_set: set[str] = set()
+    rightmost: dict[int, str] = {}
+    cover, counted = Clopen(), 0  # the union of cones[:counted]
+
+    for s in range(big_s + 1):
+        i, _t = unpair(s)
+        n = n0 + i
+        if n > depth:
+            continue
+        if n not in rightmost:
+            cover = cover.union(Clopen([c for _, c in cones[counted:]]))
+            counted = len(cones)
+            sigma = leftmost_uncovered(n, cover)
+            if sigma is None:
+                raise SearchExhaustedError(f"no uncovered string of length {n}")
+            cones.append((s, sigma))
+            cone_set.add(sigma)
+            rightmost[n] = sigma
+            trace.add(s, "init", length=n, sigma=sigma)
+            continue
+        sigma = rightmost[n]
+        covered = any(sigma[:k] in cone_set for k in range(len(sigma)))
+        alive = tree.alive(sigma, min(s, big_s))
+        if covered or not alive:
+            nxt = sigma_plus(sigma)
+            if nxt is None:
+                raise SearchExhaustedError(
+                    f"right neighbour exhausted at length {n} "
+                    "(tree measure precondition violated)")
+            cones.append((s, nxt))
+            cone_set.add(nxt)
+            rightmost[n] = nxt
+            trace.add(s, "replace", length=n, old=sigma, new=nxt,
+                      reason="covered" if covered else "dead")
+
+    a_enum = Enumeration(cones)
+    trace.outputs = {"a": a_enum, "cones": [[s, c] for s, c in cones], "n0": n0}
+    return _finish_lemma63(tree, budgets, trace, a_enum, cones, n0)
+
+
 def _outcome(build, *args):
     """What a build leaves: its trace lines and projected result, or the
     text of the error it raised."""
@@ -814,6 +909,8 @@ class TestClockedAgainstEveryStage:
 
     @staticmethod
     def _check_lemma63(tree, budgets):
+        assert (_outcome(build_lemma63, tree, budgets)
+                == _outcome(_lemma63_every_stage, tree, budgets))
         res = build_lemma63(tree, budgets)
         clocked = [w for w in res.trace.witnesses
                    if w["claim"].startswith("lemma63.half_measure.")]
@@ -852,6 +949,117 @@ class TestClockedAgainstEveryStage:
                 elif min(cone_stages) < d < max(cone_stages):
                     kinds.add("between")
         assert kinds == {"at", "between"}
+
+    def test_lemma63_full_tree(self):
+        tree = CoTree(Enumeration([]), 64)
+        budgets = Budgets(max_index=12, max_stage=64, max_depth=64, max_layers=8)
+        assert (_outcome(build_lemma63, tree, budgets, 2)
+                == _outcome(_lemma63_every_stage, tree, budgets, 2))
+
+    @pytest.mark.parametrize("start", [0, 2016])
+    def test_lemma63_exhausted(self, start):
+        tree = CoTree(_DeadBetween(start, 10**4), 64)
+        budgets = Budgets(max_index=12, max_stage=10**4, max_depth=64, max_layers=8)
+        got = _outcome(build_lemma63, tree, budgets)
+        assert got[0] == "SearchExhaustedError"
+        assert got == _outcome(_lemma63_every_stage, tree, budgets)
+
+
+class _DeadBetween:
+    """A dead source with everything dead on stages ``start..stop-1`` and
+    nothing dead before or after.  Its view shrinks at ``stop``, which no
+    scenario tree's can: the tree at ``S = stop`` passes the §6.3 measure
+    precondition (``n0`` is 2) that the earlier stages break."""
+
+    def __init__(self, start: int, stop: int) -> None:
+        self.start, self.stop = start, stop
+
+    def stage_view(self, s: int) -> Clopen:
+        return Clopen([""]) if self.start <= s < self.stop else Clopen()
+
+    def change_stages(self) -> tuple[int, ...]:
+        return (self.start, self.stop)
+
+
+def _run_lemma63(monkeypatch, raw=None, dead=None, tmp_path=None):
+    """``cantorlab run --select lemma63`` on the deep scenario, on ``raw``
+    written out, or with its positive tree's dead view replaced by ``dead``."""
+    path = bundled_scenario("deep")
+    if raw is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+    if dead is not None:
+        monkeypatch.setattr(Scenario, "tree",
+                            lambda sc, name: CoTree(dead, sc.budgets.max_depth))
+    return main(["run", "--scenario", str(path), "--select", "lemma63"])
+
+
+class TestLemma63Errors:
+    """The three ways ``build_lemma63`` can fail, from the builder and from
+    ``cantorlab run``.
+
+    Neither search can be exhausted while the tree's dead view only grows.
+    A replaced cone was dead, or inside a shorter cone, so by induction on
+    length every cone lies in the dead set or in one of the tracked cones,
+    one per length ``m >= n0``.  Those measure at most
+    ``sum 2^-m = 2 * 2^-n0 <= mu_S / 2 <= mu_s / 2`` by the precondition
+    ``2^-n0 <= mu_S / 4``, with ``mu_s`` the tree's measure at stage ``s``.
+    So the cones measure at most ``(1 - mu_s) + mu_s / 2 < 1``.  But
+    ``no uncovered string`` means the cones cover every string, and so does
+    ``right neighbour exhausted at length n``: every length-n string is
+    then a cone, or was covered when length n began at its leftmost
+    uncovered string.  The raises stay; these tests reach them only with
+    ``_DeadBetween``, whose view shrinks."""
+
+    def test_tree_too_thin(self, deep_scenario, monkeypatch, tmp_path, capsys):
+        tree = CoTree(Enumeration([(0, "0"), (3, "1")]), 64)
+        with pytest.raises(BudgetError) as err:
+            build_lemma63(tree, deep_scenario.budgets)
+        assert str(err.value) == "tree too thin: need 4 * 2^-n0 <= 0/2^0 with n0 < K"
+        raw = copy.deepcopy(deep_scenario.raw)
+        raw["trees"]["positive"] = [{"cylinder": "", "stage": 0}]
+        assert _run_lemma63(monkeypatch, raw=raw, tmp_path=tmp_path) == EXIT_VALIDATION
+        assert "tree too thin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start, message", [
+        (0, "no uncovered string of length 5"),
+        (2016, "right neighbour exhausted at length 2 "
+               "(tree measure precondition violated)"),
+    ], ids=["no_uncovered", "right_neighbour"])
+    def test_search_exhausted(self, deep_scenario, monkeypatch, capsys,
+                              start, message):
+        """From stage 0 everything is dead, so length 2 moves right at each
+        visit until, at stage 9, the cones cover everything and length 5 has
+        nowhere to start.  From stage 2016, after the last length (64) began
+        at stage 2015, length 2 moves right from ``00`` until ``11`` dies."""
+        dead = _DeadBetween(start, deep_scenario.budgets.max_stage)
+        with pytest.raises(SearchExhaustedError) as err:
+            build_lemma63(CoTree(dead, 64), deep_scenario.budgets)
+        assert str(err.value) == message
+        assert _run_lemma63(monkeypatch, dead=dead) == EXIT_SEARCH
+        assert message in capsys.readouterr().err
+
+
+def test_lemma63_reads_the_dead_view_once_per_interval(main_scenario):
+    """build_lemma63 reads its tree's dead view a bounded number of times
+    per interval between change stages, whatever the stage budget."""
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner, self.calls = inner, 0
+
+        def stage_view(self, s):
+            self.calls += 1
+            return self.inner.stage_view(s)
+
+        def change_stages(self):
+            return self.inner.change_stages()
+
+    for stages in (512, 4096):
+        budgets = _with_stages(main_scenario, stages).budgets
+        dead = Counting(main_scenario.trees["positive"])
+        build_lemma63(CoTree(dead, budgets.max_depth), budgets)
+        assert dead.calls <= 4 * (len(dead.change_stages()) + 1), stages
 
 
 def test_view_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
