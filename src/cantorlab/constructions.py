@@ -13,10 +13,9 @@ the stages ``pair(i, t) <= S`` whose length ``n0 + i`` is within the depth;
 it adds a cone at most of them (5,468 of 6,851 on the bundled deep
 scenario), so its loop stays O(visits).  A visit costs a few integer
 operations: each length's cones form one lex interval, so the covered test
-compares integer bounds; the tree's dead view is read once per interval
-between its change stages; and the event lines come from fixed-shape
-templates.  Its half-measure witnesses are checked in one pass over its
-cones.
+compares integer bounds, the tree is asked about liveness only when a visit
+is not covered, and the event lines come from fixed-shape templates.  Its
+half-measure witnesses are checked in one pass over its cones.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def to_jsonable(obj):
     """Deterministic JSON projection for trace payloads."""
     if type(obj) in _SCALAR:
         return obj
-    if type(obj) is list or type(obj) is tuple:
+    if isinstance(obj, (list, tuple)):
         return [v if type(v) in _SCALAR else to_jsonable(v) for v in obj]
     if isinstance(obj, Clopen):
         return obj.to_list()
@@ -64,8 +63,6 @@ def to_jsonable(obj):
         return {"name": obj.name, "pad": obj.pad, "period": obj.period}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(to_jsonable(v) for v in obj)
     return obj
@@ -648,10 +645,6 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
     sigmas: list[str] = []
     lows: list[int] = []
     highs: list[int] = []
-    # The tree's dead view is constant between its change stages, and the
-    # visits come in stage order, so it is read at most once per interval.
-    dead_changes, tree_depth = tree.change_stages(), tree.depth
-    dead, next_change = None, 0
 
     # Stage s = pair(i, t) visits length n0 + i; diagonal w holds the stages
     # w(w+1)/2 + i for i <= w, in stage order, and lengths past the depth
@@ -673,8 +666,8 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
                 highs.append(v)
                 events.append((s, _init_line(s, n, sigma)))
                 continue
-            if n > tree_depth:
-                raise ValueError(f"node {sigmas[i]!r} deeper than tree depth {tree_depth}")
+            if n > tree.depth:  # raises, as for a node deeper than the tree
+                tree.alive(sigmas[i], s)
             # No cone is shorter than n0, and the prefix of length n0 + j of
             # sigma is a cone iff it lies in length n0 + j's interval.
             v = highs[i]
@@ -683,11 +676,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
                     reason = "covered"
                     break
             else:
-                if s >= next_change:
-                    dead = tree.dead.stage_view(s)
-                    k = bisect_right(dead_changes, s)
-                    next_change = dead_changes[k] if k < len(dead_changes) else big_s + 1
-                if not dead.covers(sigmas[i]):
+                if tree.alive(sigmas[i], s):
                     continue
                 reason = "dead"
             # n >= n0 >= 2 (2^-n0 <= 1/4 is enforced above): no tracked string

@@ -956,6 +956,19 @@ class TestClockedAgainstEveryStage:
         assert (_outcome(build_lemma63, tree, budgets, 2)
                 == _outcome(_lemma63_every_stage, tree, budgets, 2))
 
+    @pytest.mark.parametrize("depth", [10, 11, 13, 25])
+    def test_lemma63_shallow_tree(self, main_scenario, depth):
+        """A tree shallower than the depth budget raises at the first visit
+        past its depth, covered or not, naming the same node (at these
+        depths that visit is covered)."""
+        tree = CoTree(main_scenario.trees["positive"], depth)
+        messages = []
+        for build in (build_lemma63, _lemma63_every_stage):
+            with pytest.raises(ValueError) as err:
+                build(tree, main_scenario.budgets)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize("start", [0, 2016])
     def test_lemma63_exhausted(self, start):
         tree = CoTree(_DeadBetween(start, 10**4), 64)
@@ -1038,28 +1051,6 @@ class TestLemma63Errors:
         assert str(err.value) == message
         assert _run_lemma63(monkeypatch, dead=dead) == EXIT_SEARCH
         assert message in capsys.readouterr().err
-
-
-def test_lemma63_reads_the_dead_view_once_per_interval(main_scenario):
-    """build_lemma63 reads its tree's dead view a bounded number of times
-    per interval between change stages, whatever the stage budget."""
-
-    class Counting:
-        def __init__(self, inner):
-            self.inner, self.calls = inner, 0
-
-        def stage_view(self, s):
-            self.calls += 1
-            return self.inner.stage_view(s)
-
-        def change_stages(self):
-            return self.inner.change_stages()
-
-    for stages in (512, 4096):
-        budgets = _with_stages(main_scenario, stages).budgets
-        dead = Counting(main_scenario.trees["positive"])
-        build_lemma63(CoTree(dead, budgets.max_depth), budgets)
-        assert dead.calls <= 4 * (len(dead.change_stages()) + 1), stages
 
 
 def test_view_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
