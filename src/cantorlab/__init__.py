@@ -5,76 +5,7 @@ deficiency, staged set constructions, and monotone stream realizers.
 
 from importlib import resources
 
-from .core import (
-    BudgetError,
-    CantorError,
-    Clopen,
-    DepthExceededError,
-    Dyadic,
-    ScenarioError,
-    SearchExhaustedError,
-    canonicalize,
-    complement,
-    intersect,
-    measure,
-    pair,
-    str_order,
-    str_order_key,
-    subset,
-    union,
-    unpair,
-)
-from .deficiency import (
-    CoTree,
-    DeficiencyReport,
-    LayerwiseVerdict,
-    Stream,
-    complement_tree,
-    filter_tree,
-    layerwise_eval,
-    member_at_stage,
-    prepend,
-    rd_at_stage,
-    static_cotree,
-)
-from .enumeration import (
-    Budgets,
-    Enumeration,
-    MLTest,
-    Scenario,
-    descending_chain,
-    even_shift,
-    load_scenario,
-    replace_component,
-    shift_union,
-    stage_view,
-    stratify,
-    universal_sum,
-    validate_scenario,
-)
-from .constructions import (
-    ConstructionTrace,
-    build_lemma31,
-    build_lemma63,
-    build_thm33,
-    build_thm41,
-    build_thm410,
-)
-from .realizers import (
-    InnerReduction,
-    RealizerRun,
-    cn_times_mlr_to_lay,
-    compose_star,
-    delta02_to_lay_phi,
-    delta02_to_lay_psi,
-    lay_to_cn,
-    lay_to_lay,
-    parallel_merge,
-    product_merge,
-    rd_from_lay_phi,
-    rd_from_lay_psi,
-    semidecidable_to_rd_star,
-)
+from .core import Clopen  # noqa: F401  perfbench reads cantorlab.Clopen
 
 __version__ = "0.1.0"
 

@@ -601,7 +601,6 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
 
 @dataclass
 class Lemma63Result:
-    a_enum: Enumeration
     cones: tuple[tuple[int, str], ...]
     n0: int
     trace: ConstructionTrace
@@ -694,20 +693,22 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
         w += 1
         first += w
 
-    a_enum = Enumeration(cones)
-    trace.outputs = {"a": a_enum, "cones": [[s, c] for s, c in cones], "n0": n0}
-    return _finish_lemma63(tree, budgets, trace, a_enum, cones, n0)
+    # One cone per stage, in stage order: the list is the schedule that
+    # ``Enumeration(cones).to_json()`` would write for ``a``.
+    schedule = [[s, c] for s, c in cones]
+    trace.outputs = {"a": schedule, "cones": schedule, "n0": n0}
+    return _finish_lemma63(tree, budgets, trace, cones, n0)
 
 
 def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
-                    a_enum: Enumeration, cones: list[tuple[int, str]], n0: int) -> Lemma63Result:
+                    cones: list[tuple[int, str]], n0: int) -> Lemma63Result:
     big_s = budgets.max_stage
     dead_changes = tree.change_stages()
     cone_stages = [st for st, _ in cones]
     stages = sorted({*cone_stages, *dead_changes, 0, big_s})
-    # One pass over the stages: the view of a_enum at s, cones[:upto], meets
-    # the live set in a running intersection.  It is rebuilt when the tree's
-    # dead view moves, and otherwise grows by the new cones' pieces.  A
+    # One pass over the stages: the union of the cones up to s, cones[:upto],
+    # meets the live set in a running intersection.  It is rebuilt when the
+    # tree's dead view moves, and otherwise grows by the new cones' pieces.  A
     # witness's data is projected only when the intersection or the tree
     # moved; consecutive witnesses share it (nothing mutates it).
     witnesses = trace.witnesses
@@ -752,4 +753,4 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     trace.witness("lemma63.n0_bound",
                   Dyadic.exp2(-n0) <= tree.path_measure(big_s).half().half())
     trace.sort_events()
-    return Lemma63Result(a_enum=a_enum, cones=tuple(cones), n0=n0, trace=trace)
+    return Lemma63Result(cones=tuple(cones), n0=n0, trace=trace)

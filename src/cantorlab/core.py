@@ -57,20 +57,9 @@ def check_bits(bits: str) -> str:
     return bits
 
 
-def is_prefix(a: str, b: str) -> bool:
-    """True iff ``a`` is a (not necessarily proper) prefix of ``b``."""
-    return b.startswith(a)
-
-
 def str_order_key(bits: str) -> tuple[int, str]:
     """Sort key for the length-lexicographic order: shorter first, 0 before 1."""
     return (len(bits), bits)
-
-
-def str_order(a: str, b: str) -> int:
-    """Three-way length-lexicographic comparison: -1, 0, or 1."""
-    ka, kb = str_order_key(a), str_order_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
 
 
 def sigma_plus(bits: str) -> str | None:
@@ -175,13 +164,6 @@ class Dyadic:
 
     __repr__ = __str__
 
-    @classmethod
-    def parse(cls, text: str) -> "Dyadic":
-        num, _, rest = text.partition("/2^")
-        if not rest:
-            raise ValueError(f"not a dyadic literal: {text!r}")
-        return cls(int(num), int(rest))
-
 
 # ---------------------------------------------------------------------------
 # canonical clopen sets
@@ -276,9 +258,6 @@ class Clopen:
 
     # -- queries -----------------------------------------------------------
 
-    def is_full(self) -> bool:
-        return self._d == 0 and bool(self._b)
-
     def covers(self, bits: str) -> bool:
         """True iff the cylinder of ``bits`` lies inside this set.  Only the
         first ``d`` bits are read: a longer string lies in one leaf."""
@@ -365,32 +344,6 @@ def intersect_all(clopens: Iterable[Clopen]) -> Clopen:
     if result is None:
         raise ValueError("intersect_all needs at least one clopen")
     return result
-
-
-# Operation-named wrappers kept as the stable public surface.
-
-def canonicalize(strings: Iterable[str]) -> Clopen:
-    return Clopen(strings)
-
-
-def measure(c: Clopen) -> Dyadic:
-    return c.measure()
-
-
-def union(a: Clopen, b: Clopen) -> Clopen:
-    return a.union(b)
-
-
-def intersect(a: Clopen, b: Clopen) -> Clopen:
-    return a.intersect(b)
-
-
-def complement(a: Clopen, depth: int) -> Clopen:
-    return a.complement(depth)
-
-
-def subset(a: Clopen, b: Clopen) -> bool:
-    return a.is_subset_of(b)
 
 
 # ---------------------------------------------------------------------------

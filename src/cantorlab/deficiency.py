@@ -10,18 +10,12 @@ freezes once the test's schedules are exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Mapping
 
 from .core import Clopen, Dyadic, check_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .enumeration import MLTest
-
-
-class StageViewSource(Protocol):
-    def stage_view(self, s: int) -> Clopen: ...
-
-    def change_stages(self) -> tuple[int, ...]: ...
+    from .enumeration import Enumeration, MLTest
 
 
 @dataclass(frozen=True)
@@ -115,13 +109,14 @@ def rd_at_stage(x: Stream | str, t: "MLTest", s: int) -> DeficiencyReport:
 class CoTree:
     """The depth-``depth`` tree of strings not yet covered by dead cones.
 
-    ``dead`` is anything with ``stage_view(s) -> Clopen`` and the sorted
-    ``change_stages()`` at which that view grows; a node belongs to the tree
-    at stage ``s`` while its cylinder is not fully covered.  A static
-    tree is the special case of all dead cones present at stage 0.
+    ``dead`` is the ``Enumeration`` of dead cones: its ``stage_view(s)`` is
+    the dead set at stage ``s`` and its ``change_stages()`` are the stages
+    at which that set grows; a node belongs to the tree at stage ``s`` while
+    its cylinder is not fully covered.  A static tree is the special case of
+    all dead cones scheduled at stage 0.
     """
 
-    def __init__(self, dead: StageViewSource, depth: int) -> None:
+    def __init__(self, dead: "Enumeration", depth: int) -> None:
         self.dead = dead
         self.depth = depth
 
@@ -145,54 +140,11 @@ class CoTree:
         return self.alive(x.prefix(self.depth), s)
 
 
-class _StaticDead:
-    def __init__(self, cones: Iterable[str]) -> None:
-        self._view = Clopen(cones)
-
-    def stage_view(self, s: int) -> Clopen:
-        return self._view
-
-    def change_stages(self) -> tuple[int, ...]:
-        return (0,)
-
-
-def static_cotree(dead_cones: Iterable[str], depth: int) -> CoTree:
-    return CoTree(_StaticDead(dead_cones), depth)
-
-
-def complement_tree(t: "MLTest", i: int, depth: int) -> CoTree:
-    """The tree of strings whose cylinders escape component ``i``'s final view."""
-    return static_cotree(t.stage_view(i, t.final_stage()).cylinders, depth)
-
-
 # ---------------------------------------------------------------------------
 # advice tables
 # ---------------------------------------------------------------------------
 
 AdviceTable = Mapping[tuple[str, int], int]
-
-
-@dataclass(frozen=True)
-class FilteredTree:
-    """A co-tree pruned by an advice table at a fixed advice.
-
-    A node survives iff the table has no entry for it (divergence) or the
-    entry returns exactly the advice.
-    """
-
-    base: CoTree
-    table: AdviceTable
-    advice: int
-
-    def contains(self, node: str, s: int = 0) -> bool:
-        alive = self.base.alive(node, s)
-        value = self.table.get((node, self.advice))
-        return alive and (value is None or value == self.advice)
-
-
-def filter_tree(t_i: CoTree, phi: AdviceTable, i: int) -> FilteredTree:
-    """Prune ``t_i`` to the nodes consistent with advice ``i`` under ``phi``."""
-    return FilteredTree(base=t_i, table=dict(phi), advice=i)
 
 
 def eval_table(phi: AdviceTable, x: Stream, advice: int, max_len: int) -> int | None:
@@ -202,48 +154,3 @@ def eval_table(phi: AdviceTable, x: Stream, advice: int, max_len: int) -> int | 
         if value is not None:
             return value
     return None
-
-
-@dataclass(frozen=True)
-class LayerwiseVerdict:
-    """Outcome of evaluating an advice table at every admissible advice."""
-
-    advices: tuple[int, ...]
-    values: tuple[tuple[int, int | None], ...]
-    divergent: tuple[int, ...]
-    consistent: bool
-    exact_advice: int | None
-    exact_value: int | None
-
-
-def layerwise_eval(phi: AdviceTable, x: Stream, t: "MLTest") -> LayerwiseVerdict:
-    """Evaluate ``phi`` at every advice where ``x`` escapes the final view.
-
-    Consistency requires every admissible evaluation to converge to one common
-    value; the exact-advice slot evaluates at the least escaping index.
-    """
-    final = t.final_stage()
-    max_len = max((len(k[0]) for k in phi.keys()), default=0)
-    advices = tuple(i for i in range(t.max_index + 1)
-                    if _escapes(x, t.stage_view(i, final)))
-    values: list[tuple[int, int | None]] = []
-    divergent: list[int] = []
-    for i in advices:
-        v = eval_table(phi, x, i, max_len)
-        values.append((i, v))
-        if v is None:
-            divergent.append(i)
-    defined = [v for _, v in values if v is not None]
-    consistent = not divergent and len(set(defined)) <= 1
-    rd = rd_at_stage(x, t, final)
-    exact_advice = rd.value if rd.value <= t.max_index else None
-    exact_value = (eval_table(phi, x, exact_advice, max_len)
-                   if exact_advice is not None else None)
-    return LayerwiseVerdict(
-        advices=advices,
-        values=tuple(values),
-        divergent=tuple(divergent),
-        consistent=consistent,
-        exact_advice=exact_advice,
-        exact_value=exact_value,
-    )

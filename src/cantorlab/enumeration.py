@@ -87,10 +87,6 @@ class Enumeration:
         self._ensure()
         return tuple(self._stages)
 
-    def final_view(self) -> Clopen:
-        self._ensure()
-        return self._views[-1] if self._views else Clopen()
-
     def final_measure(self) -> Dyadic:
         self._ensure()
         return self._measures[-1] if self._measures else Dyadic.zero()
@@ -223,16 +219,6 @@ def effective_top(t: MLTest) -> int:
         if t.component(i).schedule:
             return i
     return 0
-
-
-def stage_view(t: MLTest, i: int, s: int, budgets: "Budgets | None" = None) -> Clopen:
-    """Component view with explicit budget enforcement when budgets are given."""
-    if budgets is not None:
-        if i > budgets.max_index:
-            raise BudgetError(f"index {i} exceeds budget I={budgets.max_index}")
-        if s > budgets.max_stage:
-            raise BudgetError(f"stage {s} exceeds budget S={budgets.max_stage}")
-    return t.stage_view(i, s)
 
 
 def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
@@ -487,11 +473,8 @@ def validate_scenario(sc: Scenario) -> None:
     # stage 0.  Components above the effective top are structurally empty
     # (their source indices fall outside the index budget) and no pad ever
     # targets them.
-    inter: Clopen | None = None
     for i in range(effective_top(surrogate) + 1):
-        view = surrogate.stage_view(i, 0)
-        inter = view if inter is None else inter.intersect(view)
-        if not inter:
+        if not surrogate.meet_view(i, 0):
             raise SearchExhaustedError(
                 f"padding reservoir missing: intersection of components 0..{i} "
                 "is empty at stage 0")

@@ -39,7 +39,7 @@ from .core import (
     intersect_all,  # noqa: F401  unused; perfbench/test_perfbench.py patches it here
     unpair3,
 )
-from .deficiency import CoTree, Stream, member_at_stage, prepend, rd_at_stage
+from .deficiency import CoTree, Stream, _inside, member_at_stage, prepend, rd_at_stage
 from .enumeration import Budgets, Enumeration, MLTest, _run_clock, effective_top, shift_union
 from .constructions import ConstructionTrace
 
@@ -315,10 +315,6 @@ def product_merge(u: MLTest, x: Stream, y: Stream, budgets: Budgets,
 
     _run_clock(em, u.change_stages(), 0, budgets.max_stage, step)
     return _finish("product_merge", em, trace, level=level)
-
-
-def product_merge_decoder(n: int) -> tuple[int, int]:
-    return (n, n)
 
 
 def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
@@ -669,8 +665,7 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
 
     def step(s: int) -> bool:
         nonlocal done
-        if done or not any(x.starts_with(c)
-                           for c in target_enum.stage_view(s).cylinders):
+        if done or not _inside(x, target_enum.stage_view(s)):
             return False
         f_trace.add(s, "trigger", stage_found=s)
         bound = min(s - 1, top)
@@ -684,10 +679,8 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
     f_run = _finish("semidecidable_star.f", em, f_trace)
 
     f_advice = rd_at_stage(f_run.output, w, big_s).value
-    verdict = 1 if any(x.starts_with(c)
-                       for c in target_enum.stage_view(min(f_advice, big_s)).cylinders) else 0
-    expected = 1 if any(x.starts_with(c)
-                        for c in target_enum.stage_view(big_s).cylinders) else 0
+    verdict = 1 if _inside(x, target_enum.stage_view(min(f_advice, big_s))) else 0
+    expected = 1 if _inside(x, target_enum.stage_view(big_s)) else 0
     trace.add(-1, "f_side", advice=f_advice, verdict=verdict, expected=expected)
     trace.witness("semidecidable_star.characteristic", verdict == expected,
                   level=level, advice=f_advice)

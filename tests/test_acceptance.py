@@ -8,7 +8,7 @@ slack is the per-criterion wall-clock limit stated alongside each check.
 import random
 import time
 
-from cantorlab.core import Clopen, Dyadic, complement, intersect, measure, subset, union
+from cantorlab.core import Clopen, Dyadic
 from cantorlab.constructions import (
     build_lemma31,
     build_lemma63,
@@ -16,7 +16,7 @@ from cantorlab.constructions import (
     build_thm41,
 )
 from cantorlab.deficiency import prepend, rd_at_stage
-from cantorlab.enumeration import stratify, universal_sum
+from cantorlab.enumeration import Enumeration, stratify, universal_sum
 from cantorlab.cli import SELECTORS, execute, produced_tests, trace_lines
 from cantorlab.realizers import (
     delta02_to_lay_phi,
@@ -59,15 +59,15 @@ def test_criterion_clopen_oracle():
     for trial in range(10_000):
         a, b = rand_clopen(rng), rand_clopen(rng)
         ma, mb = leaf_mask(a.cylinders), leaf_mask(b.cylinders)
-        if leaf_mask(union(a, b).cylinders) != ma | mb:
+        if leaf_mask(a.union(b).cylinders) != ma | mb:
             crit.fail(f"union mismatch at trial {trial}")
-        if leaf_mask(intersect(a, b).cylinders) != ma & mb:
+        if leaf_mask(a.intersect(b).cylinders) != ma & mb:
             crit.fail(f"intersect mismatch at trial {trial}")
-        if leaf_mask(complement(a, 8).cylinders) != (~ma & FULL_MASK):
+        if leaf_mask(a.complement(8).cylinders) != (~ma & FULL_MASK):
             crit.fail(f"complement mismatch at trial {trial}")
-        if subset(a, b) != (ma & ~mb == 0):
+        if a.is_subset_of(b) != (ma & ~mb == 0):
             crit.fail(f"subset mismatch at trial {trial}")
-        if measure(a) != Dyadic(bin(ma).count("1"), 8):
+        if a.measure() != Dyadic(bin(ma).count("1"), 8):
             crit.fail(f"measure mismatch at trial {trial}")
     crit.done()
 
@@ -263,9 +263,10 @@ def test_criterion_lemma63(main_scenario):
     big_s = b.max_stage
     tree = main_scenario.tree("positive")
     res = build_lemma63(tree, b)
+    a_enum = Enumeration(res.cones)
     for s in range(big_s + 1):
         live = tree.live_clopen(s)
-        inter = res.a_enum.stage_view(s).intersect(live)
+        inter = a_enum.stage_view(s).intersect(live)
         if inter.measure() > tree.path_measure(s).half():
             crit.fail(f"half-measure bound violated at stage {s}")
     live_final = tree.live_clopen(big_s)

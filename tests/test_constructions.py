@@ -334,9 +334,10 @@ class TestLemma63:
     def test_half_measure_every_stage(self, lemma63_result, main_scenario):
         tree = main_scenario.tree("positive")
         big_s = main_scenario.budgets.max_stage
+        a_enum = Enumeration(lemma63_result.cones)
         for s in range(0, big_s + 1, 8):
             live = tree.live_clopen(s)
-            inter = lemma63_result.a_enum.stage_view(s).intersect(live)
+            inter = a_enum.stage_view(s).intersect(live)
             assert inter.measure() <= tree.path_measure(s).half()
 
     def test_replacements_follow_rules(self, lemma63_result, main_scenario):
@@ -719,11 +720,12 @@ def _thm41_every_stage(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, i
 
 def _half_measure_every_stage(res, tree, budgets):
     """The half-measure loop ``_finish_lemma63`` ran before it walked the
-    cones once: every stage intersects the whole view of ``a_enum``."""
+    cones once: every stage intersects the whole view of the cones."""
     trace = ConstructionTrace(name="lemma63")
     big_s = budgets.max_stage
     dead_changes = tree.change_stages()
     stages = sorted({s for s, _ in res.cones} | set(dead_changes) | {0, big_s})
+    a_enum = Enumeration(res.cones)
     per_interval: dict[int, tuple[Clopen, Dyadic]] = {}
     for s in stages:
         t = min(s, big_s)
@@ -731,7 +733,7 @@ def _half_measure_every_stage(res, tree, budgets):
         if key not in per_interval:
             per_interval[key] = (tree.live_clopen(t), tree.path_measure(t))
         live, measure = per_interval[key]
-        inter = res.a_enum.stage_view(s).intersect(live)
+        inter = a_enum.stage_view(s).intersect(live)
         ok = inter.measure() <= measure.half()
         trace.witness(f"lemma63.half_measure.{s}", ok,
                       intersection=inter.measure(), tree=measure)
@@ -794,7 +796,7 @@ def _lemma63_every_stage(tree: CoTree, budgets: Budgets,
 
     a_enum = Enumeration(cones)
     trace.outputs = {"a": a_enum, "cones": [[s, c] for s, c in cones], "n0": n0}
-    return _finish_lemma63(tree, budgets, trace, a_enum, cones, n0)
+    return _finish_lemma63(tree, budgets, trace, cones, n0)
 
 
 def _outcome(build, *args):

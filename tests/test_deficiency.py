@@ -3,14 +3,10 @@ import pytest
 from cantorlab.deficiency import (
     CoTree,
     Stream,
-    complement_tree,
     eval_table,
-    filter_tree,
-    layerwise_eval,
     member_at_stage,
     prepend,
     rd_at_stage,
-    static_cotree,
 )
 from cantorlab.enumeration import Enumeration, MLTest
 from conftest import leaf_mask
@@ -103,61 +99,8 @@ class TestRd:
                     assert member[i]
 
 
-class TestFilterTree:
-    def test_empty_table_is_identity(self):
-        base = static_cotree(["11"], 6)
-        ft = filter_tree(base, {}, 0)
-        for node in ["", "0", "01", "10", "110"]:
-            assert ft.contains(node) == base.alive(node, 0)
-
-    def test_agreeing_table_is_identity(self):
-        base = static_cotree(["11"], 6)
-        table = {("0", 2): 2, ("10", 2): 2}
-        ft = filter_tree(base, table, 2)
-        for node in ["", "0", "10", "011"]:
-            assert ft.contains(node) == base.alive(node, 0)
-
-    def test_branch_pruned_against_predicate(self):
-        base = static_cotree([], 6)
-        table = {("01", 3): 4, ("1", 3): 3}
-        ft = filter_tree(base, table, 3)
-        for node in ["", "0", "00", "01", "1", "011"]:
-            want = base.alive(node, 0) and (
-                (node, 3) not in table or table[(node, 3)] == 3)
-            assert ft.contains(node) == want
-        assert not ft.contains("01")
-        assert ft.contains("1")
-
-    def test_complement_tree(self, surrogate, main_scenario):
-        big_s = main_scenario.budgets.max_stage
-        tree = complement_tree(surrogate, 0, main_scenario.budgets.max_depth)
-        view = surrogate.stage_view(0, big_s)
-        for node in ["", "0", "111", "0010", "01"]:
-            assert tree.alive(node, 0) == (not view.covers(node))
-
-
 class TestLayerwiseEval:
-    def test_constant_table_consistent(self, surrogate, main_scenario):
-        x = main_scenario.stream("x2")
-        table = {("", i): 7 for i in range(13)}
-        verdict = layerwise_eval(table, x, surrogate)
-        assert verdict.consistent
-        assert verdict.exact_value == 7
-
-    def test_echo_table_inconsistent(self, main_scenario, surrogate):
-        x = main_scenario.stream("x2")
-        echo = {("", i): i for i in range(13)}
-        verdict = layerwise_eval(echo, x, surrogate)
-        assert len(verdict.advices) >= 2
-        assert not verdict.consistent
-        assert verdict.exact_value == verdict.exact_advice
-
-    def test_divergence_reported(self, main_scenario, surrogate):
-        x = main_scenario.stream("alt")
-        table = {("0", 0): 1}  # hits advice 0 only; all larger advices diverge
-        verdict = layerwise_eval(table, x, surrogate)
-        assert verdict.divergent
-        assert not verdict.consistent
+    """``eval_table``: the oracle the thm41 tests check table votes against."""
 
     def test_eval_table_shortest_prefix(self):
         x = Stream("x", "0011", "0")
@@ -173,9 +116,6 @@ class TestCoTree:
         assert not tree.alive("000", 5)
         assert not tree.alive("110", 0)
         assert tree.change_stages() == (0, 5)
-
-    def test_static_tree_changes_only_at_stage_zero(self):
-        assert static_cotree(["11"], 8).change_stages() == (0,)
 
     def test_path_measure(self):
         dead = Enumeration([(0, "11")])

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError, SearchExhaustedError
 from cantorlab.enumeration import (
-    Budgets,
     Enumeration,
     MLTest,
     effective_top,
@@ -12,7 +11,6 @@ from cantorlab.enumeration import (
     load_scenario,
     replace_component,
     shift_union,
-    stage_view,
     stratify,
     universal_sum,
     validate_scenario,
@@ -67,15 +65,6 @@ class TestMLTest:
     def test_budget_enforced(self):
         with pytest.raises(BudgetError):
             MLTest([Enumeration([(0, "")]), Enumeration([(0, "")])])
-
-    def test_stage_view_budget_guard(self):
-        t = MLTest([Enumeration([(0, "0")])])
-        b = Budgets(max_index=0, max_stage=5, max_depth=4, max_layers=2)
-        assert stage_view(t, 0, 3, b) == Clopen(["0"])
-        with pytest.raises(BudgetError):
-            stage_view(t, 1, 3, b)
-        with pytest.raises(BudgetError):
-            stage_view(t, 0, 9, b)
 
     def test_replace_component_identity(self, surrogate):
         same = replace_component(surrogate, 0, surrogate.component(0))

@@ -11,6 +11,7 @@ from cantorlab.deficiency import CoTree, Stream, member_at_stage, rd_at_stage
 from cantorlab.enumeration import (
     HARD_MAX_STAGE,
     Budgets,
+    Enumeration,
     MLTest,
     descending_chain,
     effective_top,
@@ -163,10 +164,6 @@ class TestProductMerge:
                            rd_at_stage(y, chain, big_s).value)
                 assert got >= want, (nx, ny)
 
-    def test_decoder_diagonal(self):
-        from cantorlab.realizers import product_merge_decoder
-        assert product_merge_decoder(4) == (4, 4)
-
 
 class TestParallelMerge:
     def test_singleton_family(self, surrogate, budgets, main_scenario):
@@ -313,24 +310,22 @@ class TestDelta02:
                 assert got == want, (name, k)
 
     def test_partition_violation_detected(self, budgets):
-        from cantorlab.deficiency import static_cotree
         # a stream that is a path through both sides never clears either
-        both_t = [static_cotree(["1"], budgets.max_depth)]   # paths below 0
-        both_s = [static_cotree(["01", "1"], budgets.max_depth)]  # paths below 00
+        depth = budgets.max_depth
+        both_t = [CoTree(Enumeration([(0, "1")]), depth)]   # paths below 0
+        both_s = [CoTree(Enumeration([(0, "01"), (0, "1")]), depth)]  # paths below 00
         x = Stream("bad", "", "0")
         with pytest.raises(ScenarioError):
-            delta02_to_lay_psi(both_t, both_s, x, 0, budgets.max_depth,
-                               budgets.max_stage)
+            delta02_to_lay_psi(both_t, both_s, x, 0, depth, budgets.max_stage)
 
     def test_clopen_set_special_case(self, chain, budgets, main_scenario):
         # in-side an effectively open (clopen) set; out-side its complement,
         # a positive-measure tree
-        from cantorlab.core import Clopen
-        from cantorlab.deficiency import static_cotree
         open_set = Clopen(["0010", "000010"])
         depth = budgets.max_depth
-        t_trees = [static_cotree(open_set.complement(depth).cylinders, depth)]
-        s_trees = [static_cotree(open_set.cylinders, depth)]
+        t_trees = [CoTree(Enumeration((0, c) for c in open_set.complement(depth)),
+                          depth)]
+        s_trees = [CoTree(Enumeration((0, c) for c in open_set), depth)]
         big_s = budgets.max_stage
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)

@@ -1,0 +1,88 @@
+"""Every public name of ``src/cantorlab`` is read somewhere in the package.
+
+A public top-level function, class or assignment, or a public method, that
+no module of the package reads by name outside its own definition is dead
+code, unless ``ALLOWED`` says why it stays.  Names are matched as plain
+names and as attributes, so a method counts as read when any ``.name`` is.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cantorlab"
+
+# Public names the package itself never reads, each with the reason it stays.
+ALLOWED = {
+    "bundled_scenario": "the path to a bundled scenario, for the tests and users",
+    "__version__": "the package version, for users",
+    "sigma_plus": "the tests' every-stage lemma63 reference steps right with it",
+    "eval_table": "the oracle the thm41 tests check table votes against",
+    "intersect_all": "the meet_view oracle; perfbench's tracer test patches it",
+    "ConstructionTrace.all_passed": "the tests check whole traces with it",
+    "Stream.bit": "the reference emitter of the realizer tests reads streams by bit",
+    "Stream.starts_with": "the naive membership oracle of the tests",
+}
+
+TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _top_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _definitions() -> dict[str, list[tuple[str, int, int]]]:
+    """Each public top-level name and ``Class.method``, with the (module,
+    first line, last line) of every statement defining it.  A dunder at top
+    level (``__version__``) is public; a dunder method is protocol."""
+    defs: dict[str, list[tuple[str, int, int]]] = {}
+    for mod, tree in TREES.items():
+        for node in tree.body:
+            span = (mod, node.lineno, node.end_lineno)
+            for name in _top_names(node):
+                if not name.startswith("_") or name.endswith("__"):
+                    defs.setdefault(name, []).append(span)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defs.setdefault(f"{node.name}.{item.name}", []).append(
+                            (mod, item.lineno, item.end_lineno))
+    return defs
+
+
+def _reads() -> dict[str, list[tuple[str, int]]]:
+    """Where each name is read: a loaded plain name or any attribute."""
+    reads: dict[str, list[tuple[str, int]]] = {}
+    for mod, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((mod, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((mod, node.lineno))
+    return reads
+
+
+DEFS, READS = _definitions(), _reads()
+
+
+def _read_elsewhere(key: str) -> bool:
+    spans = DEFS[key]
+    return any(not any(mod == m and lo <= line <= hi for m, lo, hi in spans)
+               for mod, line in READS.get(key.rpartition(".")[2], []))
+
+
+def test_every_public_name_is_read_by_the_package():
+    unused = sorted(k for k in DEFS if k not in ALLOWED and not _read_elsewhere(k))
+    assert unused == [], f"public names nothing in src/cantorlab reads: {unused}"
+
+
+def test_allowlist_names_only_defined_unread_names():
+    stale = sorted(k for k in ALLOWED if k not in DEFS or _read_elsewhere(k))
+    assert stale == [], f"allowlisted names that are read or gone: {stale}"
