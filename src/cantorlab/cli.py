@@ -405,10 +405,7 @@ def execute(sc: Scenario, selector: str, *, grace: int | None = None,
     trace.outputs["runs"] = runs
     for tag, run_trace, (pre_output, oracle_answer, post_output, verdict) in result:
         trace.add(-1, "run_stream", stream=tag)
-        trace.events.extend(run_trace.events)
-        trace.witnesses.extend({"claim": f"{w['claim']}.{tag}",
-                                "status": w["status"], "data": w["data"]}
-                               for w in run_trace.witnesses)
+        trace.extend(run_trace, tag)
         runs[tag] = {"pre_output": pre_output, "oracle_answer": oracle_answer,
                      "post_output": post_output,
                      "verdict": "pass" if verdict else "fail"}

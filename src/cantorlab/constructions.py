@@ -42,54 +42,41 @@ from .deficiency import CoTree, Stream, prepend, rd_at_stage
 from .enumeration import Budgets, Enumeration, MLTest, _run_clock, stratify
 
 
-_SCALAR = frozenset({int, str, bool, type(None)})
-
-
-def to_jsonable(obj):
-    """Deterministic JSON projection for trace payloads."""
-    if type(obj) in _SCALAR:
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _SCALAR else to_jsonable(v) for v in obj]
+def _default(obj):
+    """The JSON form of a library value, the encoder's ``default`` hook: the
+    encoder writes what this returns, calling the hook again on any library
+    value inside it, and writes tuples as lists."""
     if isinstance(obj, Clopen):
-        return obj.to_list()
+        return obj.cylinders
     if isinstance(obj, Dyadic):
         return str(obj)
     if isinstance(obj, Enumeration):
-        return obj.to_json()
+        return obj.schedule
     if isinstance(obj, MLTest):
-        return obj.to_json()
-    if isinstance(obj, Stream):
-        return {"name": obj.name, "pad": obj.pad, "period": obj.period}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, frozenset):
-        return sorted(to_jsonable(v) for v in obj)
-    return obj
+        return {"components": obj.components, "nested": obj.nested, "notes": obj.notes}
+    raise TypeError(f"Object of type {type(obj).__name__} has no trace JSON form")
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_default)
 # ``_ENCODER.encode`` builds a new C encoder per call; one instance with the
 # same settings, and no circular-reference markers, is shared instead.
 _chunks = json.encoder.c_make_encoder(
-    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    None, _default, json.encoder.encode_basestring_ascii, None,
     _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
 
 
 def _encode(obj) -> str:
-    """``_ENCODER.encode(obj)`` for an already projected ``obj``."""
+    """``_ENCODER.encode(obj)`` through the shared C encoder."""
     return "".join(_chunks(obj, 0))
 
 
 def jline(obj) -> str:
-    return _encode(to_jsonable(obj))
+    """``_encode`` for the CLI, whose calls a tracer can count apart."""
+    return _encode(obj)
 
 
 def _event_head(action: str, payload: dict) -> str:
-    """``jline`` of the event record up to its stage, which sorts last; a
-    payload of plain values is its own projection."""
-    if not all(type(v) in _SCALAR for v in payload.values()):
-        payload = to_jsonable(payload)
+    """``jline`` of the event record up to its stage, which sorts last."""
     return f'{{"action":{_encode(action)},"payload":{_encode(payload)},"stage":'
 
 
@@ -116,10 +103,16 @@ class ConstructionTrace:
         self.events.sort(key=itemgetter(0))
 
     def witness(self, claim: str, ok: bool, **data) -> None:
-        if not all(type(v) in _SCALAR for v in data.values()):
-            data = to_jsonable(data)
         self.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
                                "data": data})
+
+    def extend(self, other: ConstructionTrace, tag: str | None = None) -> None:
+        """Append ``other``'s events and witnesses, suffixing each claim with
+        ``.tag`` when a tag is given (an empty tag still adds the dot)."""
+        self.events.extend(other.events)
+        self.witnesses.extend(other.witnesses if tag is None else (
+            {"claim": f"{w['claim']}.{tag}", "status": w["status"], "data": w["data"]}
+            for w in other.witnesses))
 
     def failed_claims(self) -> list[str]:
         return [w["claim"] for w in self.witnesses if w["status"] != "pass"]
@@ -129,12 +122,10 @@ class ConstructionTrace:
 
     def lines(self) -> list[str]:
         """One JSON line per event, the outputs, one per witness.  Event
-        lines are stored encoded, the outputs are projected once, and
-        witnesses hold ``to_jsonable`` projections already; a data object
-        shared by consecutive witnesses is encoded once."""
+        lines are stored encoded; a data object shared by consecutive
+        witnesses is encoded once."""
         out = [line for _, line in self.events]
-        out.append(_encode({"stage": -1, "action": "outputs",
-                            "payload": {str(k): to_jsonable(v) for k, v in self.outputs.items()}}))
+        out.append(_encode({"stage": -1, "action": "outputs", "payload": self.outputs}))
         data = encoded = None
         for w in self.witnesses:
             if w["data"] is not data:
@@ -336,9 +327,9 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
                for i in range(u.max_index + 1)]
     v = MLTest(v_comps)
     least_div = {e: least_divergence_point(tables[e]) for e in indices}
-    trace.outputs = {"w": w, "v": v, "n_final": dict(sorted(n_state.items())),
-                     "e_final": dict(sorted(e_state.items())),
-                     "least_divergence": dict(sorted(least_div.items()))}
+    trace.outputs = {"w": w, "v": v, "n_final": {str(e): n_state[e] for e in indices},
+                     "e_final": {str(e): e_state[e] for e in indices},
+                     "least_divergence": {str(e): least_div[e] for e in indices}}
 
     final = big_s
     for e in indices:
@@ -694,7 +685,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
         first += w
 
     # One cone per stage, in stage order: the list is the schedule that
-    # ``Enumeration(cones).to_json()`` would write for ``a``.
+    # ``Enumeration(cones)`` would be written as for ``a``.
     schedule = [[s, c] for s, c in cones]
     trace.outputs = {"a": schedule, "cones": schedule, "n0": n0}
     return _finish_lemma63(tree, budgets, trace, cones, n0)
@@ -709,8 +700,8 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     # One pass over the stages: the union of the cones up to s, cones[:upto],
     # meets the live set in a running intersection.  It is rebuilt when the
     # tree's dead view moves, and otherwise grows by the new cones' pieces.  A
-    # witness's data is projected only when the intersection or the tree
-    # moved; consecutive witnesses share it (nothing mutates it).
+    # witness's data is built only when the intersection or the tree moved;
+    # consecutive witnesses share it (nothing mutates it).
     witnesses = trace.witnesses
     interval, seen = -1, 0
     for s in stages:

@@ -253,9 +253,6 @@ class Clopen:
     def __repr__(self) -> str:
         return "Clopen({" + ", ".join(self.cylinders) + "})"
 
-    def to_list(self) -> list[str]:
-        return list(self.cylinders)
-
     # -- queries -----------------------------------------------------------
 
     def covers(self, bits: str) -> bool:
@@ -394,12 +391,11 @@ def first_extension_into(prefix: str, target: Clopen, max_len: int) -> str | Non
 
 
 def first_free_string(min_len: int, max_len: int, covered: Clopen,
-                      pred: Callable[[str], bool] | None = None,
-                      scan_limit: int = 200_000) -> str:
+                      pred: Callable[[str], bool] | None = None) -> str:
     """First string in length-lex order whose cylinder avoids ``covered``.
 
     Searches lengths ``min_len..max_len``; an optional ``pred`` filters
-    candidates (evaluated in order, bounded by ``scan_limit``).
+    candidates (evaluated in order, at most 200,000 of them).
     """
     free = covered.complement(max_len)
     scanned = 0
@@ -410,9 +406,9 @@ def first_free_string(min_len: int, max_len: int, covered: Clopen,
                 if pred is None or pred(sigma):
                     return sigma
                 scanned += 1
-                if scanned > scan_limit:
+                if scanned > 200_000:
                     raise SearchExhaustedError(
-                        f"free-string search exceeded {scan_limit} candidates")
+                        "free-string search exceeded 200000 candidates")
     raise SearchExhaustedError(
         f"no free string of length in [{min_len}, {max_len}] outside {covered!r}")
 

@@ -63,7 +63,6 @@ class DeficiencyReport:
     """
 
     value: int
-    stage: int
     determined: bool
 
 
@@ -99,7 +98,7 @@ def rd_at_stage(x: Stream | str, t: "MLTest", s: int) -> DeficiencyReport:
     value = _least_escape(x, t, s)
     final = _least_escape(x, t, t.final_stage())
     determined = value <= t.max_index and value == final
-    return DeficiencyReport(value=value, stage=s, determined=determined)
+    return DeficiencyReport(value=value, determined=determined)
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,6 @@ class Enumeration:
     def max_length(self) -> int:
         return max((len(c) for _, c in self.schedule), default=0)
 
-    def to_json(self) -> list[list]:
-        return [[s, c] for s, c in self.schedule]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Enumeration):
             return NotImplemented
@@ -200,13 +197,6 @@ class MLTest:
                 if not self.stage_view(i + 1, s).is_subset_of(self.stage_view(i, s)):
                     return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "components": [c.to_json() for c in self.components],
-            "nested": self.nested,
-            "notes": self.notes,
-        }
 
 
 def effective_top(t: MLTest) -> int:

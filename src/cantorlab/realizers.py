@@ -438,7 +438,7 @@ class ChoiceRun:
         return [n + 1 for n in self.enumerated]
 
 
-def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets, batch: int = 64) -> ChoiceRun:
+def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets) -> ChoiceRun:
     """Enumerate the complement of a moving prime-power target: each time the
     stream enters the next component, retarget to a power of the next prime
     larger than everything enumerated so far.  The survivor decodes the final
@@ -466,7 +466,7 @@ def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets, batch: int = 64) -> Choice
             target = power
             trace.add(s, "retarget", index=idx, target=target)
             acted = True
-        for _ in range(batch):
+        for _ in range(64):  # at most 64 numbers enumerated per stage
             pool = sorted(o for o in omitted if o != target)
             if pool:
                 m = pool[0]
@@ -631,7 +631,6 @@ def delta02_to_lay_psi(t_trees: Sequence[CoTree], s_trees: Sequence[CoTree],
 
 @dataclass
 class SemiDecidableRun:
-    g_run: RealizerRun
     g_advice: int
     level: int
     f_run: RealizerRun
@@ -684,12 +683,10 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
     trace.add(-1, "f_side", advice=f_advice, verdict=verdict, expected=expected)
     trace.witness("semidecidable_star.characteristic", verdict == expected,
                   level=level, advice=f_advice)
-    trace.events.extend(g_run.trace.events)
-    trace.events.extend(f_trace.events)
-    trace.witnesses.extend(g_run.trace.witnesses)
-    trace.witnesses.extend(f_trace.witnesses)
+    trace.extend(g_run.trace)
+    trace.extend(f_trace)
     trace.outputs = {"level": level, "g_advice": g_advice, "f_advice": f_advice,
                      "verdict": verdict, "expected": expected}
-    return SemiDecidableRun(g_run=g_run, g_advice=g_advice, level=level,
+    return SemiDecidableRun(g_advice=g_advice, level=level,
                             f_run=f_run, f_advice=f_advice, verdict=verdict,
                             expected=expected, trace=trace)

@@ -45,9 +45,8 @@ from cantorlab.constructions import (
     build_thm410,
     jline,
     least_divergence_point,
-    to_jsonable,
 )
-from cantorlab.deficiency import CoTree, prepend, rd_at_stage
+from cantorlab.deficiency import CoTree, Stream, prepend, rd_at_stage
 from cantorlab.enumeration import (
     HARD_MAX_STAGE,
     Budgets,
@@ -244,7 +243,7 @@ class TestThm41:
                                             chain):
         # replaying the trace: at each witness cylinder, the table's bit and
         # the built set's membership bit differ
-        from cantorlab.deficiency import Stream, eval_table
+        from cantorlab.deficiency import eval_table
         for i, info in thm41_result.triggers.items():
             sigma = info["sigma"]
             x = Stream(f"w{i}", sigma, "01")
@@ -395,6 +394,8 @@ class TestTraceShape:
 
 
 dyadics = st.builds(Dyadic, st.integers(0, 64), st.integers(0, 8))
+enumerations = st.lists(st.tuples(st.integers(0, 9), st.text(alphabet="01", max_size=5)),
+                        max_size=4).map(Enumeration)
 payload_values = st.one_of(
     st.text(alphabet=st.sampled_from('ab"\\/\n\u00e9\u03c3\U0001d11e'), max_size=6),
     st.text(max_size=4),
@@ -406,12 +407,17 @@ payload_values = st.one_of(
     st.lists(dyadics, max_size=3),
     st.lists(st.text(alphabet="01", max_size=5), max_size=4).map(Clopen),
     st.dictionaries(st.integers(-3, 12), st.integers(), max_size=3),
+    enumerations,
+    st.builds(lambda comps, nested, notes: MLTest(comps, nested=nested, notes=notes,
+                                                  check=False),
+              st.lists(enumerations, min_size=1, max_size=3), st.booleans(),
+              st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)),
 )
 
 
 class TestEventLines:
-    """An event line is the encoding of its full record, whichever path
-    (plain payload or projected) and whichever method wrote it."""
+    """An event line is the encoding of its full record, whichever method
+    wrote it."""
 
     @given(stage=st.integers(-1, 10**7),
            action=st.text(alphabet=st.sampled_from('ax_"\\\u00e9'), min_size=1,
@@ -419,8 +425,7 @@ class TestEventLines:
            payload=st.dictionaries(st.text(min_size=1, max_size=6), payload_values,
                                    max_size=4))
     def test_line_is_the_record_encoding(self, stage, action, payload):
-        want = _ENCODER.encode(to_jsonable(
-            {"action": action, "payload": payload, "stage": stage}))
+        want = _ENCODER.encode({"action": action, "payload": payload, "stage": stage})
         trace = ConstructionTrace(name="lines")
         trace.add(stage, action, **payload)
         trace.add_run(stage, stage + 1, action, **payload)
@@ -429,9 +434,30 @@ class TestEventLines:
     @given(value=st.one_of(payload_values, st.dictionaries(
         st.text(max_size=6), payload_values, max_size=4)))
     def test_shared_encoder_is_the_json_encoder(self, value):
-        projected = to_jsonable(value)
-        assert _encode(projected) == _ENCODER.encode(projected)
-        assert jline(value) == _ENCODER.encode(projected)
+        assert _encode(value) == _ENCODER.encode(value)
+        assert jline(value) == _ENCODER.encode(value)
+
+    def test_json_forms(self):
+        """A clopen is its canonical cylinders in length-lex order, a dyadic
+        is "n/2^e", an enumeration is its [stage, cylinder] schedule and a
+        test is its components, ``nested`` and ``notes``."""
+        enum = Enumeration([(3, "01"), (0, "1")])
+        assert jline(Clopen(["010", "1", "00"])) == '["1","00","010"]'
+        assert jline(Clopen(["00", "01"])) == '["0"]'
+        assert jline(Dyadic(3, 4)) == '"3/2^4"'
+        assert jline(enum) == '[[0,"1"],[3,"01"]]'
+        assert jline(MLTest([enum], nested=True, notes={"k": Dyadic(1, 1)})) == (
+            '{"components":[[[0,"1"],[3,"01"]]],"nested":true,"notes":{"k":"1/2^1"}}')
+
+    def test_value_without_json_form_raises(self):
+        x = Stream("x", "01", "1")
+        trace = ConstructionTrace(name="lines", outputs={"x": x})
+        with pytest.raises(TypeError, match="Stream"):
+            trace.add(0, "probe", stream=x)
+        with pytest.raises(TypeError, match="Stream"):
+            trace.lines()
+        with pytest.raises(TypeError, match="Stream"):
+            jline([{"x": x}])
 
     @given(outputs=st.dictionaries(st.text(max_size=6), payload_values, max_size=4),
            data=st.dictionaries(st.text(alphabet="xyz_\u00e9", min_size=1, max_size=6),
@@ -440,10 +466,8 @@ class TestEventLines:
         trace = ConstructionTrace(name="lines", outputs=outputs)
         trace.witness("claim", False, **data)
         assert trace.lines() == [
-            _ENCODER.encode(to_jsonable(
-                {"stage": -1, "action": "outputs", "payload": outputs})),
-            _ENCODER.encode({"claim": "claim", "status": "fail",
-                             "data": to_jsonable(data)})]
+            _ENCODER.encode({"stage": -1, "action": "outputs", "payload": outputs}),
+            _ENCODER.encode({"claim": "claim", "status": "fail", "data": data})]
 
     @given(stage=st.integers(0, 10**6),
            old=st.text(alphabet="01", min_size=1, max_size=64),
@@ -460,7 +484,7 @@ class TestEventLines:
     @given(claims=st.lists(st.text(alphabet=st.sampled_from('ab."\\éσ\U0001d11e\n'),
                                    max_size=8), min_size=1, max_size=6),
            datas=st.lists(st.dictionaries(st.text(alphabet='xy"\\é', max_size=4),
-                                          payload_values, max_size=3).map(to_jsonable),
+                                          payload_values, max_size=3),
                           min_size=1, max_size=3),
            picks=st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=6,
                           max_size=6))
@@ -800,13 +824,13 @@ def _lemma63_every_stage(tree: CoTree, budgets: Budgets,
 
 
 def _outcome(build, *args):
-    """What a build leaves: its trace lines and projected result, or the
+    """What a build leaves: its trace lines and encoded result, or the
     text of the error it raised."""
     try:
         res = build(*args)
     except CantorError as exc:
         return type(exc).__name__, str(exc)
-    return res.trace.lines(), to_jsonable(
+    return res.trace.lines(), jline(
         {k: v for k, v in vars(res).items() if k != "trace"})
 
 
@@ -914,9 +938,9 @@ class TestClockedAgainstEveryStage:
         assert (_outcome(build_lemma63, tree, budgets)
                 == _outcome(_lemma63_every_stage, tree, budgets))
         res = build_lemma63(tree, budgets)
-        clocked = [w for w in res.trace.witnesses
+        clocked = [jline(w) for w in res.trace.witnesses
                    if w["claim"].startswith("lemma63.half_measure.")]
-        assert clocked == _half_measure_every_stage(res, tree, budgets)
+        assert clocked == [jline(w) for w in _half_measure_every_stage(res, tree, budgets)]
         # each init is the leftmost string the earlier cones leave uncovered
         for k, (s, sigma) in enumerate(res.cones):
             if unpair(s)[1] == 0:

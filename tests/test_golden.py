@@ -1,6 +1,8 @@
 """Behaviour pinned across commits: every selector's trace on both bundled
 scenarios must hash to the digest recorded in ``perfbench/golden.json``, and
-verify's budget sweep must report the recorded number of checks."""
+verify's budget sweep must report the recorded number of checks.  Every dict
+a trace writes is keyed by strings, so its key order does not depend on how
+the encoder sorts other keys."""
 
 import hashlib
 import json
@@ -17,7 +19,7 @@ from cantorlab.cli import (
     trace_lines,
 )
 from cantorlab.constructions import ConstructionTrace
-from cantorlab.enumeration import load_scenario, validate_scenario
+from cantorlab.enumeration import MLTest, load_scenario, validate_scenario
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
@@ -45,6 +47,30 @@ def test_trace_matches_golden_digest(scenario_name, selector):
     want = GOLDEN[scenario_name]["traces"][selector]
     assert len(data) == want["bytes"]
     assert hashlib.sha256(data).hexdigest() == want["sha256"]
+
+
+def _dict_keys(value):
+    """Every dict key under ``value``; a test's notes are the only dict a
+    library value holds."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield k
+            yield from _dict_keys(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _dict_keys(v)
+    elif isinstance(value, MLTest):
+        yield from _dict_keys(value.notes)
+
+
+@pytest.mark.parametrize("scenario_name", ["main", "deep"])
+@pytest.mark.parametrize("selector", [c.name for c in CATALOG])
+def test_trace_dict_keys_are_strings(scenario_name, selector):
+    """The encoder sorts keys that are not strings by value, not as the
+    strings it writes them as."""
+    trace = execute(_scenario(scenario_name), selector)
+    values = [trace.outputs, *(w["data"] for w in trace.witnesses)]
+    assert [k for k in _dict_keys(values) if not isinstance(k, str)] == []
 
 
 @pytest.mark.parametrize("scenario_name", ["main", "deep"])

@@ -1,9 +1,12 @@
-"""Every public name of ``src/cantorlab`` is read somewhere in the package.
+"""Every public name of ``src/cantorlab`` is read somewhere in the package,
+and every record field somewhere in the package or its tests.
 
 A public top-level function, class or assignment, or a public method, that
 no module of the package reads by name outside its own definition is dead
 code, unless ``ALLOWED`` says why it stays.  Names are matched as plain
 names and as attributes, so a method counts as read when any ``.name`` is.
+A field of a ``@dataclass`` or ``NamedTuple`` that no module of the package
+or the tests reads as an attribute is dead too, unless ``ALLOWED`` says why.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantorlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cantorlab"
 
 # Public names the package itself never reads, each with the reason it stays.
 ALLOWED = {
@@ -23,9 +27,16 @@ ALLOWED = {
     "ConstructionTrace.all_passed": "the tests check whole traces with it",
     "Stream.bit": "the reference emitter of the realizer tests reads streams by bit",
     "Stream.starts_with": "the naive membership oracle of the tests",
+    "Thm41Result.out_set": "the thm41 every-stage reference compares vars(res), which holds it",
 }
 
-TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+def _parse(paths) -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(paths)}
+
+
+TREES = _parse(SRC.glob("*.py"))
+TEST_TREES = _parse(TESTS.glob("*.py"))
 
 
 def _top_names(node: ast.stmt) -> list[str]:
@@ -69,7 +80,31 @@ def _reads() -> dict[str, list[tuple[str, int]]]:
     return reads
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``@dataclass`` (bare or called) or a ``NamedTuple`` subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases))
+
+
+def _fields() -> set[str]:
+    """Each ``Class.field`` of a record class of the package."""
+    return {f"{node.name}.{item.target.id}"
+            for tree in TREES.values() for node in tree.body
+            if isinstance(node, ast.ClassDef) and _is_record(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+
+
+def _attribute_reads() -> set[str]:
+    """Every attribute name loaded anywhere in the package or the tests."""
+    return {node.attr for tree in (*TREES.values(), *TEST_TREES.values())
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 DEFS, READS = _definitions(), _reads()
+FIELDS, ATTRIBUTE_READS = _fields(), _attribute_reads()
 
 
 def _read_elsewhere(key: str) -> bool:
@@ -83,6 +118,16 @@ def test_every_public_name_is_read_by_the_package():
     assert unused == [], f"public names nothing in src/cantorlab reads: {unused}"
 
 
+def _field_read(key: str) -> bool:
+    return key.rpartition(".")[2] in ATTRIBUTE_READS
+
+
+def test_every_record_field_is_read():
+    unread = sorted(k for k in FIELDS if k not in ALLOWED and not _field_read(k))
+    assert unread == [], f"record fields nothing in src/ or tests/ reads: {unread}"
+
+
 def test_allowlist_names_only_defined_unread_names():
-    stale = sorted(k for k in ALLOWED if k not in DEFS or _read_elsewhere(k))
+    stale = sorted(k for k in ALLOWED
+                   if (_field_read(k) if k in FIELDS else k not in DEFS or _read_elsewhere(k)))
     assert stale == [], f"allowlisted names that are read or gone: {stale}"
