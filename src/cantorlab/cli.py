@@ -490,9 +490,12 @@ def produce(sc: Scenario, budgets_json: dict, selector: object, grace: object,
 
 
 def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list[str]]:
-    """Re-run the selector a trace header describes; a malformed header
-    raises ScenarioError."""
+    """Re-run the selector a trace header describes; a malformed header, or
+    one of another trace format, raises ScenarioError."""
     try:
+        fmt = header["format"]
+        if not (_is_int(fmt) and fmt == TRACE_FORMAT):
+            raise ScenarioError(f"trace format {fmt!r} is not {TRACE_FORMAT}")
         selector, budgets_json = header["selector"], header["budgets"]
         sc = load_scenario(header["scenario"])
     except KeyError as exc:

@@ -222,24 +222,23 @@ def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
     move only when the loop acts.  A stage that is not ``first``, not a
     change stage and not right after a stage that acted would therefore
     repeat the previous step's outcome, which was to do nothing: it is not
-    stepped, and ``em`` fills in its emission in closed form.  A step that
-    always returns True steps every stage.  ``em`` is None for a loop with
-    no output stream (``lay_to_cn`` and the constructions).
+    stepped, and ``em`` fills in its emission in closed form.  A step may
+    also return False after acting when no watch can fire again before the
+    next change stage.  ``em`` is None for a loop with no output stream
+    (``lay_to_cn`` and the constructions).
     """
     if em is not None:
         em.next = first
     s = first
     while s <= last:
-        acted = step(s)
-        if em is not None:
-            em.record(s)
-        if acted:
-            s += 1
+        if step(s):
+            nxt = s + 1
         else:
             k = bisect_right(changes, s)
-            s = min(changes[k], last + 1) if k < len(changes) else last + 1
-            if em is not None:
-                em._advance(s)  # the next watches may read the committed output
+            nxt = min(changes[k], last + 1) if k < len(changes) else last + 1
+        if em is not None:
+            em.record(nxt - 1)  # the next watches may read the committed output
+        s = nxt
 
 
 # ---------------------------------------------------------------------------

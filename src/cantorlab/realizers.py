@@ -16,19 +16,17 @@ budget.
 Every realizer drives its stages through ``_run_clock``, which steps only
 the stages at which a watch can fire: the change stages of the views it
 watches, and the stage right after each stage at which it acted.  The
-emission and history of the stages in between follow in closed form, so the
-cost grows with the number of view changes, not with the stage budget.
-``parallel_merge`` dovetails over stages, so its step reports acting at
-every stage and every stage is stepped.  ``cn_times_mlr_to_lay`` writes the
-trace events of a skipped stretch as one run.
+emission of the stages in between follows in closed form, one segment per
+stepped stage, so the cost grows with the number of view changes, not with
+the stage budget.  ``parallel_merge`` steps only its firing stages.
+``cn_times_mlr_to_lay`` writes the trace events of a skipped stretch as one
+run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import le
 from typing import Callable, Sequence
 
 from .core import (
@@ -37,6 +35,7 @@ from .core import (
     SearchExhaustedError,
     first_extension_into,
     intersect_all,  # noqa: F401  unused; perfbench/test_perfbench.py patches it here
+    pair,
     unpair3,
 )
 from .deficiency import CoTree, Stream, _inside, member_at_stage, prepend, rd_at_stage
@@ -53,8 +52,10 @@ class Emitter:
     """Committed-output bookkeeping for one monotone transducer run.
 
     ``committed == base + source.prefix(cursor)`` always holds.  Stages are
-    accounted for in order: ``history`` holds the committed length after
-    each stage from the run's first stage up to, not including, ``next``.
+    accounted for in order, from the run's first stage up to, not including,
+    ``next``, as ``segments``: a segment ``(first, stop, n, first_emit)``
+    covers stages ``first..stop-1``, and the committed length after its
+    stage ``t`` is ``n + max(0, t + 1 - first_emit)``.
     """
 
     def __init__(self, source: Stream, trace: ConstructionTrace,
@@ -68,7 +69,7 @@ class Emitter:
         self.last_progress = 0
         self.next = 0
         self.pads: list[dict] = []
-        self.history: list[int] = []
+        self.segments: list[tuple[int, int, int, int]] = []
 
     @property
     def committed(self) -> str:
@@ -84,29 +85,17 @@ class Emitter:
             head += self.source.prefix(min(n - len(head), self.cursor))
         return target.covers(head)
 
-    def _advance(self, end: int) -> None:
-        """Account for stages ``next..end-1``, at none of which the realizer
-        acted: each emits one source bit iff it lies more than ``grace``
-        stages past ``last_progress``, so the history is a constant run
-        followed by a ramp."""
-        start = self.next
-        if end <= start:
-            return
-        self.next = end
+    def record(self, last: int) -> None:
+        """Account for stages ``next..last`` as one segment; called once per
+        stepped stage, after its watches.  None of the stages acts after the
+        first, and each emits one source bit iff it lies more than ``grace``
+        stages past ``last_progress``: a constant run, then a ramp."""
+        first, stop = self.next, last + 1
         n = len(self.base) + self.cursor
-        first_emit = max(self.last_progress + self.grace + 1, start)
-        if first_emit >= end:
-            self.history.extend(repeat(n, end - start))
-            return
-        self.history.extend(repeat(n, first_emit - start))
-        k = end - first_emit
-        self.cursor += k
-        self.history.extend(range(n + 1, n + k + 1))
-
-    def record(self, stage: int) -> None:
-        """Account for every stage up to and including ``stage``; called once
-        per stepped stage, after its watches."""
-        self._advance(stage + 1)
+        first_emit = max(self.last_progress + self.grace + 1, first)
+        self.cursor += max(0, stop - first_emit)
+        self.next = stop
+        self.segments.append((first, stop, n, first_emit))
 
     def note_progress(self, stage: int) -> None:
         self.last_progress = stage
@@ -130,7 +119,10 @@ class Emitter:
         return self.source.prefix(len(tail)) == tail
 
     def monotone_ok(self) -> bool:
-        return all(map(le, self.history, islice(self.history, 1, None)))
+        """No segment ends above the next one's start (none falls within)."""
+        segs = self.segments
+        return all(n + max(0, stop - e) <= m + max(0, first + 1 - f)
+                   for (_, stop, n, e), (first, _, m, f) in zip(segs, segs[1:]))
 
 
 def _pad_into(em: Emitter, stage: int, target: Clopen, demanded: list[int],
@@ -160,14 +152,12 @@ def _finish(name: str, em: Emitter, trace: ConstructionTrace, **data) -> Realize
     trace.sort_events()
     out = em.output_stream(f"{name}({em.source.name})")
     committed = em.committed
-    trace.outputs.update({"committed": committed, "output_pad": out.pad,
-                          "pads": em.pads})
     trace.witness(f"{name}.monotone", em.monotone_ok())
     trace.witness(f"{name}.shape", em.shape_ok(),
                   base=em.base, tail_len=len(committed) - len(em.base))
     return RealizerRun(name=name, source=em.source, output=out,
                        committed=committed, pads=em.pads, trace=trace,
-                       data={"history": em.history, **data})
+                       data={"segments": em.segments, **data})
 
 
 def verify_pads(run: RealizerRun, u: MLTest, final_stage: int) -> bool:
@@ -272,8 +262,6 @@ def rd_from_lay_run(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
     decoded = rd_from_lay_psi(v, x, advice, budgets)
     expected = rd_at_stage(x, v, s).value
     run.data.update({"advice": advice, "decoded": decoded, "expected": expected})
-    run.trace.outputs.update({"advice": advice, "decoded": decoded,
-                              "expected": expected})
     run.trace.witness("rd_from_lay.exact", decoded == expected,
                       advice=advice, decoded=decoded, expected=expected)
     run.trace.witness("rd_from_lay.pads_valid", verify_pads(run, u, s))
@@ -321,25 +309,38 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
                    grace: int | None = None) -> RealizerRun:
     """Dovetail over (input, component, stage) triples; whenever some input
     is seen inside a component whose intersection the output has not yet
-    entered, pad into that intersection.  Decoder: constant sequence."""
+    entered, pad into that intersection.  Decoder: constant sequence.
+
+    Membership of input ``i`` in component ``n`` grows in ``t`` and changes
+    only at the component's change stages, so only the first such ``t`` can
+    pad for ``(i, n)``: the output then stays inside ``u.meet_view(n, s)``,
+    as views grow and ``covers`` is monotone.  Only these stages are stepped.
+    """
     if not xs:
         raise ScenarioError("parallel merge needs at least one stream")
     trace = ConstructionTrace(name="parallel_merge")
     em = Emitter(xs[0], trace, budgets, grace)
     top = effective_top(u)
+    firing = set()
+    for i, x in enumerate(xs):
+        for n in range(top + 1):
+            # the view is empty before the component's first change stage
+            t = next((t for t in u.component(n).change_stages()
+                      if t <= budgets.max_stage and member_at_stage(x, u, n, t)), None)
+            if t is not None:
+                firing.add(pair(pair(i, n), t))
 
     def step(s: int) -> bool:
-        i, n, t = unpair3(s)
-        if (i < len(xs) and n <= top and t <= budgets.max_stage
-                and member_at_stage(xs[i], u, n, t)):
+        if s in firing:
+            i, n, t = unpair3(s)
             target = u.meet_view(n, s)
             if not em._covered_by(target):
                 trace.add(s, "trigger", input=i, index=n, seen_at=t)
                 _pad_into(em, s, target, list(range(n + 1)),
                           f"parallel_merge: no pad into 0..{n} at stage {s}")
-        return True  # the dovetail reads a new triple at every stage
+        return False  # no watch can fire before the next firing stage
 
-    _run_clock(em, (), 0, budgets.max_stage, step)
+    _run_clock(em, sorted(firing), 0, budgets.max_stage, step)
     return _finish("parallel_merge", em, trace)
 
 
@@ -487,8 +488,6 @@ def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets) -> ChoiceRun:
     survivors = [n for n in range(counter) if n not in enumerated_set]
     unique = len(survivors) == 1
     survivor = survivors[0] if survivors else None
-    trace.outputs = {"survivor": survivor, "unique": unique,
-                     "count": len(enumerated), "final_index": idx}
     trace.witness("lay_to_cn.survivor_unique", unique, survivors=survivors[:5])
     return ChoiceRun(enumerated=tuple(enumerated), survivor=survivor,
                      survivor_unique=unique, final_index=idx, trace=trace)
@@ -685,8 +684,6 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
                   level=level, advice=f_advice)
     trace.extend(g_run.trace)
     trace.extend(f_trace)
-    trace.outputs = {"level": level, "g_advice": g_advice, "f_advice": f_advice,
-                     "verdict": verdict, "expected": expected}
     return SemiDecidableRun(g_advice=g_advice, level=level,
                             f_run=f_run, f_advice=f_advice, verdict=verdict,
                             expected=expected, trace=trace)

@@ -330,6 +330,30 @@ class TestVerify:
         assert run_cli("verify", "--trace", str(trace), "--quiet") == code
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("fmt, message", [
+        (2, "trace format 2 is not 1"),
+        ("1", "trace format '1' is not 1"),
+        (True, "trace format True is not 1"),
+        (None, "trace header missing field 'format'"),
+    ], ids=["format_2", "format_string", "format_bool", "no_format"])
+    def test_other_trace_format_rejected(self, fmt, message, tmp_path, capsys):
+        # a header of another format exits 2 before any replay
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
+                       "--trace", str(trace)) == 0
+        header, *rest = trace.read_text().splitlines()
+        rec = json.loads(header)
+        if fmt is None:
+            del rec["payload"]["format"]
+        else:
+            rec["payload"]["format"] = fmt
+        trace.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: validation: replay: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("selector", sorted(SELECTORS))
     def test_round_trip_under_overrides(self, selector, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"

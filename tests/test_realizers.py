@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorlab import realizers
 from cantorlab.constructions import ConstructionTrace
-from cantorlab.core import Clopen, ScenarioError, SearchExhaustedError
+from cantorlab.core import Clopen, ScenarioError, SearchExhaustedError, unpair3
 from cantorlab.deficiency import CoTree, Stream, member_at_stage, rd_at_stage
 from cantorlab.enumeration import (
     HARD_MAX_STAGE,
@@ -46,6 +46,14 @@ from cantorlab.realizers import (
     verify_pads,
 )
 from conftest import decoded_events
+
+
+def _stage_lengths(data):
+    """The committed length after each accounted stage, expanded from the
+    run's emission segments."""
+    return [n + max(0, t + 1 - first_emit)
+            for first, stop, n, first_emit in data["segments"]
+            for t in range(first, stop)]
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +383,7 @@ class TestMonotonicityAndShape:
         runs.append(rd_from_lay_phi(surrogate, surrogate, x, budgets))
         runs.append(product_merge(chain, x, main_scenario.stream("x1"), budgets))
         for run in runs:
-            hist = run.data["history"]
+            hist = _stage_lengths(run.data)
             assert all(a <= b for a, b in zip(hist, hist[1:]))
             assert run.trace.all_passed()
 
@@ -441,16 +449,16 @@ def _clocked_calls(sc, budgets, grace):
 
 
 def _clocked_digests(sc) -> dict[str, str]:
-    """sha256 per clocked realizer over (history, committed, pads, trace
-    lines) of every declared stream at five graces; a run that exhausts its
-    search contributes its error text instead."""
+    """sha256 per clocked realizer over (stage lengths, committed, pads,
+    trace lines) of every declared stream at five graces; a run that
+    exhausts its search contributes its error text instead."""
     budgets = sc.budgets
     hashes = {name: hashlib.sha256() for name in CLOCKED}
     for grace in (None, 0, -1, 5, budgets.max_stage):
         for realizer, stream, call in _clocked_calls(sc, budgets, grace):
             try:
                 run, trace = call()
-                record = [run.data["history"], run.committed, run.pads,
+                record = [_stage_lengths(run.data), run.committed, run.pads,
                           trace.lines()]
             except (ScenarioError, SearchExhaustedError) as exc:
                 record = f"{type(exc).__name__}: {exc}"
@@ -460,20 +468,21 @@ def _clocked_digests(sc) -> dict[str, str]:
 
 
 # Recorded from the per-stage loops the event clock replaced, which stepped
-# every stage 0..S.
+# every stage 0..S, with the run traces' outputs line empty: no CLI trace
+# carries a run trace's outputs, so the realizers no longer write them.
 MAIN_CLOCKED_DIGESTS = {
     "lay_to_lay":
-        "b8fadc583a97f335586dc3d72238ae1a36a492346d8a2f654166df7798acd68e",
+        "cf7be225ad2ba4028baa7129746cd56af3f5f1674d6f9c58ebf8cf2b1e3cd544",
     "rd_from_lay":
-        "2adbbab048a5dcce469dbba8041cab749fd12001dfa8cb7bf5492f2aab44dbe6",
+        "8c6b7ae87d1e4a887ca76335d6232e7875d313641ce388ec6052b78c20440888",
     "product_merge":
-        "e0b94e299f8ad307818399ebd25fe208c9efd1eefbc00ef7a079305e23e2d114",
+        "90ad48a51abb6034a21e6b7b013a513e1b77a41cacde9766be3e8df1f57765c6",
     "compose_star":
-        "92af868fea60cd8f132926ea169b38eed3b14d3c70413b21bd55dd425cafdf21",
+        "c3fee96614b8164a9827c8e350b4d7ae9b9e84131ebe39e3c8d55e81e08cec66",
     "delta02_to_lay":
-        "2528dccb8ae4c16ade943ce3ef19daba2a8f38affdfea1c780c47dc982b20496",
+        "1e37f2edf3893b369b61c131bf0ea07115e3cd60a186bd22d9e7fecf6bf2f9fb",
     "semidecidable_star":
-        "8487c2658feff7f692f2abcaf72a3ba7bbb2916132060b1f4306f3486c75fde1",
+        "9fb0d58f0ff1717bfccfa4b7c970dc68078597a44824dd10be37c06046301ed4",
 }
 
 
@@ -508,9 +517,10 @@ bit_strings = st.text(alphabet="01", max_size=6)
        grace=st.one_of(st.integers(-4, -1), st.just(0), st.integers(1, 6),
                        st.integers(61, 120)),
        pads=st.dictionaries(st.integers(0, 60), bit_strings, max_size=6),
+       quiet=st.sets(st.integers(0, 60), max_size=6),
        progress=st.sets(st.integers(0, 60), max_size=6))
 def test_closed_form_fill_matches_every_stage(pad, period, last, first, grace,
-                                              pads, progress):
+                                              pads, quiet, progress):
     source = Stream("s", pad, period)
     budgets = Budgets(max_index=1, max_stage=last, max_depth=8, max_layers=0)
     em = Emitter(source, ConstructionTrace(name="fill"), budgets, grace)
@@ -518,18 +528,18 @@ def test_closed_form_fill_matches_every_stage(pad, period, last, first, grace,
     def step(s):
         if s in pads:
             em.pad(s, pads[s], [])
-        elif s in progress:
+            return s not in quiet  # a pad after which no watch can fire
+        if s in progress:
             em.note_progress(s)
-        else:
-            return False
-        return True
+            return True
+        return False
 
     _run_clock(em, sorted(set(pads) | progress), first, last, step)
     committed, cursor, history = _stepped_reference(
         source, grace, first, last, pads, progress)
     assert em.committed == committed
     assert em.cursor == cursor
-    assert em.history == history
+    assert _stage_lengths({"segments": em.segments}) == history
     assert em.committed == em.base + source.prefix(em.cursor)
 
 
@@ -542,9 +552,37 @@ def test_covered_by_reads_committed_output(pad, period, base, cursor, target):
     assert em._covered_by(target) == target.covers(em.committed)
 
 
+segment_runs = st.lists(st.tuples(st.integers(1, 5), st.integers(0, 12),
+                                  st.integers(0, 6)), max_size=6)
+
+
+@given(runs=segment_runs)
+def test_monotone_ok_is_the_pairwise_scan(runs):
+    """Checking segment boundaries decides what the pairwise scan of the
+    expanded stage lengths decides."""
+    budgets = Budgets(max_index=1, max_stage=8, max_depth=8, max_layers=0)
+    em = Emitter(Stream("s", "", "01"), ConstructionTrace(name="mono"), budgets, 0)
+    first = 0
+    for width, n, delay in runs:
+        em.segments.append((first, first + width, n, first + delay))
+        first += width
+    lengths = _stage_lengths({"segments": em.segments})
+    assert em.monotone_ok() == all(a <= b for a, b in zip(lengths, lengths[1:]))
+
+
+def test_monotone_ok_sees_a_drop_between_segments():
+    budgets = Budgets(max_index=1, max_stage=8, max_depth=8, max_layers=0)
+    em = Emitter(Stream("s", "", "01"), ConstructionTrace(name="drop"), budgets, 0)
+    em.segments = [(0, 3, 2, 1), (3, 5, 3, 9)]  # lengths 2, 3, 4, then 3, 3
+    assert not em.monotone_ok()
+    em.segments[1] = (3, 5, 4, 9)  # lengths 2, 3, 4, then 4, 4
+    assert em.monotone_ok()
+
+
 def test_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
     """The clocked realizers read views only at change stages and right after
-    acting, so the stage budget does not change how often they look."""
+    acting, and keep one emission segment per stepped stage, so the stage
+    budget changes neither how often they look nor how much they hold."""
     counts = {}
     calls = {"member": 0, "alive": 0}
     member, alive = realizers.member_at_stage, CoTree.alive
@@ -570,13 +608,18 @@ def test_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
                 continue
             calls.update(member=0, alive=0)
             try:
-                call()
+                run, _ = call()
+                seen.append(len(run.data["segments"]))
             except SearchExhaustedError as exc:
                 seen.append(str(exc))
             seen.append((realizer, stream, dict(calls)))
         calls.update(member=0, alive=0)
         lay_to_cn(u, main_scenario.stream("x3"), budgets)
         seen.append(("lay_to_cn", "x3", dict(calls)))
+        calls.update(member=0, alive=0)
+        xs = [main_scenario.stream(n) for n in main_scenario.parallel_family]
+        run = parallel_merge(u, xs, budgets)
+        seen.append(("parallel_merge", dict(calls), len(run.data["segments"])))
         counts[stages] = seen
     assert counts[b.max_stage] == counts[HARD_MAX_STAGE]
 
@@ -611,15 +654,16 @@ def _cn_times_mlr_every_stage(u, f_values, x, budgets, grace):
     return _finish("cn_times_mlr", em, trace, fired=fired)
 
 
-def _cn_record(realizer, *args):
-    """What a run leaves: (history, fired, committed, pads, trace lines), or
-    the error text of a search that ran out."""
+def _run_record(realizer, *args):
+    """What a run leaves: (stage lengths, fired count if it keeps one,
+    committed, pads, trace lines), or the error text of a search that ran
+    out."""
     try:
         run = realizer(*args)
     except SearchExhaustedError as exc:
         return str(exc)
-    return (run.data["history"], run.data["fired"], run.committed, run.pads,
-            run.trace.lines())
+    return (_stage_lengths(run.data), run.data.get("fired"), run.committed,
+            run.pads, run.trace.lines())
 
 
 # the last value list changes its stable value at stage 18, past every
@@ -638,8 +682,8 @@ def test_cn_times_mlr_matches_every_stage_loop(main_scenario, surrogate, chain,
             for name in main_scenario.streams:
                 x = main_scenario.stream(name)
                 args = (u, f_values, x, budgets, grace)
-                want = _cn_record(_cn_times_mlr_every_stage, *args)
-                assert _cn_record(cn_times_mlr_to_lay, *args) == want, \
+                want = _run_record(_cn_times_mlr_every_stage, *args)
+                assert _run_record(cn_times_mlr_to_lay, *args) == want, \
                     (grace, f_values, name)
                 outcomes.add(type(want))
     assert outcomes == {tuple, str}  # both full runs and exhausted searches
@@ -668,9 +712,59 @@ def test_cn_times_mlr_lookups_do_not_grow_with_stage_budget(main_scenario,
             for f_values in CN_F_VALUES:
                 for name in ("x3", "ones"):
                     calls[0] = 0
-                    record = _cn_record(cn_times_mlr_to_lay, u, f_values,
+                    record = _run_record(cn_times_mlr_to_lay, u, f_values,
                                         main_scenario.stream(name), budgets, grace)
                     pads = record if isinstance(record, str) else len(record[3])
                     seen.append((grace, len(f_values), name, calls[0], pads))
         counts[stages] = seen
     assert counts[b.max_stage] == counts[2 ** 14]
+
+
+# ---------------------------------------------------------------------------
+# parallel_merge on the event clock against its every-stage dovetail
+# ---------------------------------------------------------------------------
+
+def _parallel_merge_every_stage(u, xs, budgets, grace):
+    """The dovetail ``parallel_merge`` ran before it was clocked: every stage
+    0..S reads its triple and pads when the output is not yet inside the
+    triple's intersection."""
+    trace = ConstructionTrace(name="parallel_merge")
+    em = Emitter(xs[0], trace, budgets, grace)
+    top = effective_top(u)
+    for s in range(budgets.max_stage + 1):
+        i, n, t = unpair3(s)
+        if (i < len(xs) and n <= top and t <= budgets.max_stage
+                and member_at_stage(xs[i], u, n, t)):
+            target = u.meet_view(n, s)
+            if not target.covers(em.committed):
+                trace.add(s, "trigger", input=i, index=n, seen_at=t)
+                _pad_into(em, s, target, list(range(n + 1)),
+                          f"parallel_merge: no pad into 0..{n} at stage {s}")
+        em.record(s)
+    return _finish("parallel_merge", em, trace)
+
+
+# stage 86 is pair(pair(2, 1), 4), index 1's first firing stage on main
+MERGE_STAGES = (0, 16, 64, 86, 128, 512)
+MERGE_FAMILIES = (("alt", "x1", "x2"), ("x3",), ("ones", "x4"),
+                  ("x4", "x3", "x2", "x1"))
+
+
+@pytest.mark.parametrize("which", ["universal", "chain"])
+def test_parallel_merge_matches_every_stage_loop(main_scenario, surrogate, chain,
+                                                 which):
+    u = surrogate if which == "universal" else chain
+    b = main_scenario.budgets
+    outcomes = set()
+    for stages in MERGE_STAGES:
+        budgets = Budgets(max_index=b.max_index, max_stage=stages,
+                          max_depth=b.max_depth, max_layers=b.max_layers)
+        for grace in (None, 0, -1, 5, stages):
+            for family in MERGE_FAMILIES:
+                xs = [main_scenario.stream(name) for name in family]
+                args = (u, xs, budgets, grace)
+                want = _run_record(_parallel_merge_every_stage, *args)
+                assert _run_record(parallel_merge, *args) == want, \
+                    (stages, grace, family)
+                outcomes.add(type(want))
+    assert outcomes == {tuple, str}  # both full runs and exhausted searches
