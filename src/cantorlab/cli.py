@@ -35,14 +35,12 @@ from .enumeration import (
     Enumeration,
     MLTest,
     Scenario,
-    descending_chain,
     even_shift,
     index_shift,
     load_scenario,
     replace_component,
     shift_union,
     stratify,
-    universal_sum,
     validate_scenario,
 )
 from .realizers import (
@@ -122,9 +120,9 @@ def _budget_sweep(trace: ConstructionTrace, tests: dict[str, MLTest],
 
 def derived_tests(sc: Scenario) -> dict[str, MLTest]:
     """The tests derived from the scenario's universal test by the
-    combinators; verify sweeps their budgets."""
-    u = universal_sum(sc)
-    chain = descending_chain(u)
+    combinators; verify sweeps their budgets.  ``sc.universal`` and
+    ``sc.chain`` are the scenario's own, shared with the selectors."""
+    u, chain = sc.universal, sc.chain
     return {
         "universal": u,
         "chain": chain,
@@ -196,7 +194,7 @@ def _combinators(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
 
 def _lay_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     budgets = sc.budgets
-    chain = descending_chain(u)
+    chain = sc.chain
     for name in sc.random_streams:
         x = sc.stream(name)
         run = lay_to_lay(chain, u, x, budgets, o.grace)
@@ -218,7 +216,7 @@ def _rd_from_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 def _product_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     big_s = sc.budgets.max_stage
-    chain = descending_chain(u)
+    chain = sc.chain
     names = list(sc.random_streams)
     for k, nx in enumerate(names):
         ny = names[(k + 1) % len(names)]
@@ -249,7 +247,7 @@ def _parallel_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 def _compose_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     budgets, big_s = sc.budgets, sc.budgets.max_stage
-    chain = descending_chain(u)
+    chain = sc.chain
     inner_f = InnerReduction(
         phi=lambda s: rd_from_lay_phi(u, u, s, budgets, o.grace).output,
         psi=lambda s, m: rd_from_lay_psi(u, s, m, budgets))
@@ -301,7 +299,7 @@ def _cn_times_mlr(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 def _delta02_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     budgets, big_s = sc.budgets, sc.budgets.max_stage
-    chain = descending_chain(u)
+    chain = sc.chain
     t_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("inA")]
     s_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("outA")]
     if not t_trees or len(t_trees) != len(s_trees):
@@ -329,8 +327,8 @@ def _semidecidable_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 class CatalogEntry(NamedTuple):
-    """One selector: ``run(scenario, universal test, options)`` returns the
-    trace of a ``construction`` or the cases of a ``reduction``."""
+    """One selector: ``run(scenario, scenario.universal, options)`` returns
+    the trace of a ``construction`` or the cases of a ``reduction``."""
 
     name: str
     anchor: str
@@ -350,7 +348,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
                  lambda sc, u, o: build_thm33(u, sc.partial_functions, sc.budgets).trace),
     CatalogEntry("thm41", "4.1", "construction",
                  "diagonal in/out set defeating every advice table",
-                 lambda sc, u, o: build_thm41(descending_chain(u), sc.functionals,
+                 lambda sc, u, o: build_thm41(sc.chain, sc.functionals,
                                               sc.budgets, sc.inert_functionals).trace),
     CatalogEntry("thm410", "4.10", "construction",
                  "halting-sensitive rebuild over the unary-prefixed test", _thm410),
@@ -396,7 +394,7 @@ def execute(sc: Scenario, selector: str, *, grace: int | None = None,
     entry = SELECTORS.get(selector)
     if entry is None:
         raise ScenarioError(f"unknown selector {selector!r}")
-    result = entry.run(sc, universal_sum(sc),
+    result = entry.run(sc, sc.universal,
                        RunOptions(grace, sigma_stages, stride))
     if entry.kind == "construction":
         return result

@@ -123,16 +123,18 @@ class ConstructionTrace:
     def lines(self) -> list[str]:
         """One JSON line per event, the outputs, one per witness.  Event
         lines are stored encoded; a data object shared by consecutive
-        witnesses is encoded once."""
+        witnesses is encoded once.  A claim is written as the encoder writes
+        a string, and a status, ``pass`` or ``fail``, as itself."""
         out = [line for _, line in self.events]
         out.append(_encode({"stage": -1, "action": "outputs", "payload": self.outputs}))
         data = encoded = None
+        claim = json.encoder.encode_basestring_ascii
         for w in self.witnesses:
             if w["data"] is not data:
                 data = w["data"]
                 encoded = _encode(data)
-            out.append(f'{{"claim":{_encode(w["claim"])},"data":{encoded},'
-                       f'"status":{_encode(w["status"])}}}')
+            out.append(f'{{"claim":{claim(w["claim"])},"data":{encoded},'
+                       f'"status":"{w["status"]}"}}')
         return out
 
 

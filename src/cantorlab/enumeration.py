@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -291,7 +292,8 @@ class Budgets:
 
 @dataclass
 class Scenario:
-    """The finite world a run quantifies over: tests, tables, streams, trees."""
+    """The finite world a run quantifies over: tests, tables, streams, trees.
+    Its ``universal`` test and ``chain`` are derived once, on first read."""
 
     budgets: Budgets
     tests: tuple[MLTest, ...]
@@ -306,6 +308,14 @@ class Scenario:
     parallel_family: tuple[str, ...] = ()
     parallel_bound: int = 0
     raw: dict = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def universal(self) -> MLTest:
+        return universal_sum(self)
+
+    @cached_property
+    def chain(self) -> MLTest:
+        return descending_chain(self.universal)
 
     def stream(self, name: str) -> Stream:
         try:
@@ -351,6 +361,7 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
 
 def _parse_scenario(raw: dict) -> Scenario:
     budgets = Budgets.from_json(raw.get("budgets", {}))
+    budgets.validate()  # before any test: I sizes every test built below
     big_i = budgets.max_index
 
     tests: list[MLTest] = []
@@ -456,7 +467,7 @@ def validate_scenario(sc: Scenario) -> None:
         if enum.max_length() > b.max_depth:
             raise ScenarioError(f"tree {name!r} deeper than K")
 
-    surrogate = universal_sum(sc)
+    surrogate = sc.universal
 
     # Padding reservoir: some cylinder inside every contentful component at
     # stage 0.  Components above the effective top are structurally empty
@@ -498,7 +509,8 @@ def universal_sum(sc: Scenario) -> MLTest:
     The n-th component collects component ``n+e+1`` of every registered test
     ``e``; the geometric index shift keeps the budget.  Terms whose index
     would exceed the index budget are dropped and recorded in the notes; a
-    test that would contribute to no component at all is an error.
+    test that would contribute to no component at all is an error.  A
+    component with one term is that registered component itself.
     """
     if not sc.tests:
         raise ValueError("universal_sum needs at least one registered test")
@@ -511,14 +523,15 @@ def universal_sum(sc: Scenario) -> MLTest:
     comps = []
     truncated: list[list[int]] = []
     for n in range(big_i + 1):
-        sched: list[tuple[int, str]] = []
+        terms: list[Enumeration] = []
         for e, t in enumerate(sc.tests):
             j = n + e + 1
             if j <= big_i and j <= t.max_index:
-                sched.extend(t.component(j).schedule)
+                terms.append(t.component(j))
             else:
                 truncated.append([n, e])
-        comps.append(Enumeration(sched))
+        comps.append(terms[0] if len(terms) == 1 else
+                     Enumeration(p for c in terms for p in c.schedule))
     return MLTest(comps, notes={"truncated_terms": truncated})
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cantorlab import bundled_scenario
+from cantorlab import bundled_scenario, cli, enumeration
 from cantorlab.cli import (
     CATALOG,
     EXIT_IO,
@@ -56,6 +56,14 @@ class TestRun:
         code = run_cli("run", "--scenario", MAIN, "--select", "lemma31",
                        "--depth", "65")
         assert code == EXIT_VALIDATION
+
+    def test_index_budget_rejected_before_tests_built(self, capsys):
+        # I sizes every test the loader builds, so it is checked first
+        code = run_cli("run", "--scenario", MAIN, "--select", "lemma31",
+                       "--max-index", "5000")
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: validation: budget I=5000 outside 0..64\n")
 
     def test_unknown_selector(self, capsys):
         code = run_cli("run", "--scenario", MAIN, "--select", "nope")
@@ -354,6 +362,19 @@ class TestVerify:
         assert captured.err == f"error: validation: replay: {message}\n"
         assert captured.out == ""
 
+    def test_header_index_budget_rejected(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
+                       "--trace", str(trace)) == 0
+        header, *rest = trace.read_text().splitlines()
+        rec = json.loads(header)
+        rec["payload"]["budgets"]["I"] = 5000
+        trace.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: validation: replay: budget I=5000 outside 0..64\n")
+
     @pytest.mark.parametrize("selector", sorted(SELECTORS))
     def test_round_trip_under_overrides(self, selector, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
@@ -377,6 +398,34 @@ class TestVerify:
         assert run_cli("verify", "--trace", str(trace), "--quiet") == 0
         report = json.loads(capsys.readouterr().out.splitlines()[0])
         assert report["deterministic"] is True
+
+
+@pytest.mark.parametrize("selector", sorted(SELECTORS))
+def test_one_derivation_per_command(selector, tmp_path, monkeypatch, capsys):
+    """A command builds the universal test once and its descending chain at
+    most once: validation, the selector and verify's budget sweep share the
+    ones on the command's Scenario."""
+    calls = {"universal_sum": 0, "descending_chain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:  # every binding, so a call by any module is counted
+        fn = getattr(enumeration, name)
+        for mod in (enumeration, cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    trace = tmp_path / "t.jsonl"
+    for argv in (["run", "--scenario", MAIN, "--select", selector,
+                  "--trace", str(trace)],
+                 ["verify", "--trace", str(trace), "--quiet"]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_cli(*argv) == 0
+        assert calls["universal_sum"] == 1, argv[0]
+        assert calls["descending_chain"] <= 1, argv[0]
 
 
 class TestDeterminism:

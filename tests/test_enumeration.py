@@ -81,6 +81,8 @@ class TestUniversalSum:
         v = main_scenario.tests[0]
         for n in range(surrogate.max_index):
             assert surrogate.component(n) == v.component(n + 1)
+            # a one-term component is the registered one, views and all
+            assert main_scenario.universal.component(n) is v.component(n + 1)
         assert surrogate.component(surrogate.max_index).schedule == ()
 
     def test_two_tests_union_oracle(self, main_scenario):
