@@ -35,12 +35,9 @@ from .enumeration import (
     Enumeration,
     MLTest,
     Scenario,
-    even_shift,
     index_shift,
     load_scenario,
     replace_component,
-    shift_union,
-    stratify,
     validate_scenario,
 )
 from .realizers import (
@@ -75,7 +72,7 @@ TRACE_FORMAT = 1
 
 
 # ---------------------------------------------------------------------------
-# budget sweep and the derived test families
+# budget sweep and the produced test families
 # ---------------------------------------------------------------------------
 
 def _grid_change_points(comp: Enumeration, grid: range) -> list[int]:
@@ -118,25 +115,12 @@ def _budget_sweep(trace: ConstructionTrace, tests: dict[str, MLTest],
     return checks
 
 
-def derived_tests(sc: Scenario) -> dict[str, MLTest]:
-    """The tests derived from the scenario's universal test by the
-    combinators; verify sweeps their budgets.  ``sc.universal`` and
-    ``sc.chain`` are the scenario's own, shared with the selectors."""
-    u, chain = sc.universal, sc.chain
-    return {
-        "universal": u,
-        "chain": chain,
-        "even_shift": even_shift(chain),
-        "shift_union": shift_union(u),
-        "stratify": stratify(u, sc.budgets),
-    }
-
-
 def produced_tests(sc: Scenario,
                    sigma_stages: int | None = None) -> dict[str, MLTest]:
-    """The derived tests plus every test the constructions output."""
-    tests = derived_tests(sc)
-    u, budgets = tests["universal"], sc.budgets
+    """The scenario's derived tests plus every test the constructions
+    output, in a new dict: ``sc.derived`` stays as verify sweeps it."""
+    tests = dict(sc.derived)
+    u, budgets = sc.universal, sc.budgets
     res31 = build_lemma31(u, budgets, sigma_stages)
     tests["lemma31_v"] = res31.v
     tests["surgered"] = replace_component(u, 0, res31.w0)
@@ -588,7 +572,7 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
 
     stride = header.get("stride", 1)
     budget_trace = ConstructionTrace(name="verify.budgets")
-    checks = _budget_sweep(budget_trace, derived_tests(sc), sc.budgets, stride)
+    checks = _budget_sweep(budget_trace, sc.derived, sc.budgets, stride)
     budget_failed = budget_trace.failed_claims()
 
     report = {

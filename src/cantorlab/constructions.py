@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     BudgetError,
@@ -80,20 +79,26 @@ def _event_head(action: str, payload: dict) -> str:
     return f'{{"action":{_encode(action)},"payload":{_encode(payload)},"stage":'
 
 
-@dataclass
 class ConstructionTrace:
     """Ordered events as ``(stage, line)`` pairs, each line encoded once,
     named outputs, and pass/fail witness obligations."""
 
-    name: str
-    events: list[tuple[int, str]] = field(default_factory=list)
-    outputs: dict[str, object] = field(default_factory=dict)
-    witnesses: list[dict] = field(default_factory=list)
+    __slots__ = ("name", "events", "outputs", "witnesses")
 
-    def add(self, stage: int, action: str, **payload) -> None:
+    def __init__(self, name: str, events: list[tuple[int, str]] | None = None,
+                 outputs: dict[str, object] | None = None,
+                 witnesses: list[dict] | None = None) -> None:
+        self.name = name
+        self.events = [] if events is None else events
+        self.outputs = {} if outputs is None else outputs
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def add(self, stage: int, action: str, /, **payload) -> None:
+        """One event; ``stage`` and ``action`` are positional, so any name,
+        ``action`` too, can be a payload key."""
         self.events.append((stage, f"{_event_head(action, payload)}{stage}}}"))
 
-    def add_run(self, first: int, stop: int, action: str, **payload) -> None:
+    def add_run(self, first: int, stop: int, action: str, /, **payload) -> None:
         """The same event at each stage ``first..stop-1``, encoded once."""
         head = _event_head(action, payload)
         self.events.extend((s, f"{head}{s}}}") for s in range(first, stop))
@@ -142,8 +147,7 @@ class ConstructionTrace:
 # non-containment cover: a single open set no small component fits inside
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Lemma31Result:
+class Lemma31Result(NamedTuple):
     w0: Enumeration
     v: MLTest
     sigmas: tuple[str, ...]
@@ -235,8 +239,7 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None) 
 # divergence-witness test pair
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Thm33Result:
+class Thm33Result(NamedTuple):
     w: MLTest
     v: MLTest
     trace: ConstructionTrace
@@ -361,8 +364,7 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
 # diagonal set against advice tables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Thm41Result:
+class Thm41Result(NamedTuple):
     w: MLTest
     in_set: Clopen
     out_set: Clopen
@@ -514,8 +516,7 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
 # halting-sensitive rebuild over the unary-prefixed test
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Thm410Result:
+class Thm410Result(NamedTuple):
     u: MLTest
     vstr: MLTest
     trace: ConstructionTrace
@@ -592,8 +593,7 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
 # right-shift cone enumeration along a shrinking tree
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Lemma63Result:
+class Lemma63Result(NamedTuple):
     cones: tuple[tuple[int, str], ...]
     n0: int
     trace: ConstructionTrace

@@ -46,6 +46,42 @@ class ScenarioError(CantorError):
     """A scenario file failed validation."""
 
 
+class Frozen:
+    """Base of the immutable value records: a subclass lists its fields in
+    ``__slots__`` and its ``__init__`` sets them once, in that order, with
+    ``_set``.  Records compare, hash and show as the tuple of their fields."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:  # copy and pickle go through __init__
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # bit strings
 # ---------------------------------------------------------------------------

@@ -9,28 +9,25 @@ freezes once the test's schedules are exhausted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .core import Clopen, Dyadic, check_bits
+from .core import Clopen, Dyadic, Frozen, check_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .enumeration import Enumeration, MLTest
 
 
-@dataclass(frozen=True)
-class Stream:
+class Stream(Frozen):
     """A deterministic infinite bit sequence: ``pad`` then ``period`` cycling."""
 
-    name: str
-    pad: str
-    period: str
+    __slots__ = ("name", "pad", "period")
 
-    def __post_init__(self) -> None:
-        check_bits(self.pad)
-        check_bits(self.period)
-        if not self.period:
-            raise ValueError(f"stream {self.name!r} needs a non-empty period")
+    def __init__(self, name: str, pad: str, period: str) -> None:
+        check_bits(pad)
+        check_bits(period)
+        if not period:
+            raise ValueError(f"stream {name!r} needs a non-empty period")
+        self._set(name, pad, period)
 
     def bit(self, k: int) -> str:
         if k < len(self.pad):
@@ -53,8 +50,7 @@ def prepend(bits: str, stream: Stream, name: str | None = None) -> Stream:
     return Stream(name or f"{bits}^{stream.name}", bits + stream.pad, stream.period)
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(Frozen):
     """Least escaping component index at a stage.
 
     ``determined`` says the same index results at the final stage; a stream
@@ -62,8 +58,10 @@ class DeficiencyReport:
     undetermined.
     """
 
-    value: int
-    determined: bool
+    __slots__ = ("value", "determined")
+
+    def __init__(self, value: int, determined: bool) -> None:
+        self._set(value, determined)
 
 
 def _inside(x: Stream, view: Clopen) -> bool:

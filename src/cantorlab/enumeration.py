@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -24,6 +23,7 @@ from .core import (
     Clopen,
     DepthExceededError,
     Dyadic,
+    Frozen,
     ScenarioError,
     SearchExhaustedError,
     check_bits,
@@ -251,14 +251,14 @@ HARD_MAX_STAGE = 10**6
 HARD_MAX_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(Frozen):
     """World bounds: max component index, max stage, max depth, unary-pad cap."""
 
-    max_index: int
-    max_stage: int
-    max_depth: int
-    max_layers: int
+    __slots__ = ("max_index", "max_stage", "max_depth", "max_layers")
+
+    def __init__(self, max_index: int, max_stage: int, max_depth: int,
+                 max_layers: int) -> None:
+        self._set(max_index, max_stage, max_depth, max_layers)
 
     def validate(self) -> None:
         if not 0 <= self.max_index <= HARD_MAX_INDEX:
@@ -290,24 +290,37 @@ class Budgets:
                 "K": self.max_depth, "L": self.max_layers}
 
 
-@dataclass
 class Scenario:
     """The finite world a run quantifies over: tests, tables, streams, trees.
-    Its ``universal`` test and ``chain`` are derived once, on first read."""
+    Its ``universal`` test, ``chain`` and ``derived`` tests are built once,
+    on first read, and kept in the instance ``__dict__``."""
 
-    budgets: Budgets
-    tests: tuple[MLTest, ...]
-    partial_functions: dict[int, dict[int, tuple[int, int]]]
-    functionals: dict[int, dict[tuple[str, int], int]]
-    halting: dict[int, int]
-    streams: dict[str, Stream]
-    random_streams: tuple[str, ...]
-    inert_functionals: frozenset[int]
-    opens: dict[str, tuple[Enumeration, ...]]
-    trees: dict[str, Enumeration]
-    parallel_family: tuple[str, ...] = ()
-    parallel_bound: int = 0
-    raw: dict = field(repr=False, default_factory=dict)
+    __slots__ = ("budgets", "tests", "partial_functions", "functionals",
+                 "halting", "streams", "random_streams", "inert_functionals",
+                 "opens", "trees", "parallel_family", "parallel_bound", "raw",
+                 "__dict__")
+
+    def __init__(self, budgets: Budgets, tests: tuple[MLTest, ...],
+                 partial_functions: dict[int, dict[int, tuple[int, int]]],
+                 functionals: dict[int, dict[tuple[str, int], int]],
+                 halting: dict[int, int], streams: dict[str, Stream],
+                 random_streams: tuple[str, ...], inert_functionals: frozenset[int],
+                 opens: dict[str, tuple[Enumeration, ...]],
+                 trees: dict[str, Enumeration], parallel_family: tuple[str, ...] = (),
+                 parallel_bound: int = 0, raw: dict | None = None) -> None:
+        self.budgets = budgets
+        self.tests = tests
+        self.partial_functions = partial_functions
+        self.functionals = functionals
+        self.halting = halting
+        self.streams = streams
+        self.random_streams = random_streams
+        self.inert_functionals = inert_functionals
+        self.opens = opens
+        self.trees = trees
+        self.parallel_family = parallel_family
+        self.parallel_bound = parallel_bound
+        self.raw = {} if raw is None else raw
 
     @cached_property
     def universal(self) -> MLTest:
@@ -316,6 +329,19 @@ class Scenario:
     @cached_property
     def chain(self) -> MLTest:
         return descending_chain(self.universal)
+
+    @cached_property
+    def derived(self) -> dict[str, MLTest]:
+        """The tests the combinators derive from ``universal``, by name;
+        verify sweeps their budgets.  Callers that add tests copy it."""
+        u, chain = self.universal, self.chain
+        return {
+            "universal": u,
+            "chain": chain,
+            "even_shift": even_shift(chain),
+            "shift_union": shift_union(u),
+            "stratify": stratify(u, self.budgets),
+        }
 
     def stream(self, name: str) -> Stream:
         try:

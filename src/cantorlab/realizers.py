@@ -26,8 +26,7 @@ run.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     Clopen,
@@ -135,17 +134,21 @@ def _pad_into(em: Emitter, stage: int, target: Clopen, demanded: list[int],
     em.pad(stage, tau, demanded)
 
 
-@dataclass
 class RealizerRun:
     """One transducer execution plus its decoded contract data."""
 
-    name: str
-    source: Stream
-    output: Stream
-    committed: str
-    pads: list[dict]
-    trace: ConstructionTrace
-    data: dict = field(default_factory=dict)
+    __slots__ = ("name", "source", "output", "committed", "pads", "trace", "data")
+
+    def __init__(self, name: str, source: Stream, output: Stream, committed: str,
+                 pads: list[dict], trace: ConstructionTrace,
+                 data: dict | None = None) -> None:
+        self.name = name
+        self.source = source
+        self.output = output
+        self.committed = committed
+        self.pads = pads
+        self.trace = trace
+        self.data = {} if data is None else data
 
 
 def _finish(name: str, em: Emitter, trace: ConstructionTrace, **data) -> RealizerRun:
@@ -348,8 +351,7 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
 # two-call composition through a pair of exact bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InnerReduction:
+class InnerReduction(NamedTuple):
     """A materialized pre/post-processor pair over the same scenario."""
 
     phi: Callable[[Stream], Stream]
@@ -425,8 +427,7 @@ def _primes(count: int) -> list[int]:
     return out
 
 
-@dataclass
-class ChoiceRun:
+class ChoiceRun(NamedTuple):
     """A number-choice instance produced by watching one stream's descent."""
 
     enumerated: tuple[int, ...]
@@ -628,8 +629,7 @@ def delta02_to_lay_psi(t_trees: Sequence[CoTree], s_trees: Sequence[CoTree],
 # layerwise semi-decidable membership through two exact bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SemiDecidableRun:
+class SemiDecidableRun(NamedTuple):
     g_advice: int
     level: int
     f_run: RealizerRun

@@ -13,13 +13,12 @@ from cantorlab.cli import (
     SELECTORS,
     CatalogEntry,
     _budget_sweep,
-    derived_tests,
     main,
     write_trace,
 )
 from cantorlab.constructions import ConstructionTrace
 from cantorlab.core import Dyadic
-from cantorlab.enumeration import Budgets, Enumeration, MLTest
+from cantorlab.enumeration import Budgets, Enumeration, MLTest, load_scenario
 
 MAIN = str(bundled_scenario("main"))
 
@@ -184,7 +183,7 @@ def _sweep(tests, budgets, stride):
 class TestBudgetSweep:
     @pytest.mark.parametrize("stride", [1, 7, 513])
     def test_matches_full_grid_on_derived_tests(self, main_scenario, stride):
-        tests = derived_tests(main_scenario)
+        tests = main_scenario.derived
         got = _sweep(tests, main_scenario.budgets, stride)
         assert got == _full_grid_sweep(tests, main_scenario.budgets, stride)
         assert all(got[0].values())
@@ -402,10 +401,11 @@ class TestVerify:
 
 @pytest.mark.parametrize("selector", sorted(SELECTORS))
 def test_one_derivation_per_command(selector, tmp_path, monkeypatch, capsys):
-    """A command builds the universal test once and its descending chain at
-    most once: validation, the selector and verify's budget sweep share the
-    ones on the command's Scenario."""
-    calls = {"universal_sum": 0, "descending_chain": 0}
+    """A command builds the universal test once, and its descending chain
+    and derived tests at most once: validation, the selector and verify's
+    budget sweep share the ones on the command's Scenario.  Only the derived
+    tests call ``even_shift``."""
+    calls = {"universal_sum": 0, "descending_chain": 0, "even_shift": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -426,6 +426,19 @@ def test_one_derivation_per_command(selector, tmp_path, monkeypatch, capsys):
         assert run_cli(*argv) == 0
         assert calls["universal_sum"] == 1, argv[0]
         assert calls["descending_chain"] <= 1, argv[0]
+        assert calls["even_shift"] <= 1, argv[0]
+
+
+def test_produced_tests_share_the_derived_tests():
+    """``produced_tests`` reuses the Scenario's derived tests and adds the
+    constructions' tests to a copy, so verify's sweep never sees them."""
+    sc = load_scenario(MAIN)
+    derived = sc.derived
+    names = sorted(derived)
+    produced = cli.produced_tests(sc)
+    assert all(produced[name] is derived[name] for name in names)
+    assert len(produced) > len(names)
+    assert sc.derived is derived and sorted(derived) == names
 
 
 class TestDeterminism:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
 import random
@@ -46,7 +45,7 @@ from cantorlab.constructions import (
     jline,
     least_divergence_point,
 )
-from cantorlab.deficiency import CoTree, Stream, prepend, rd_at_stage
+from cantorlab.deficiency import CoTree, DeficiencyReport, Stream, prepend, rd_at_stage
 from cantorlab.enumeration import (
     HARD_MAX_STAGE,
     Budgets,
@@ -458,6 +457,15 @@ class TestEventLines:
             trace.lines()
         with pytest.raises(TypeError, match="Stream"):
             jline([{"x": x}])
+        # a record that became a tuple would be written as a list instead
+        for value in (Budgets(1, 8, 8, 4), DeficiencyReport(2, True)):
+            name = type(value).__name__
+            with pytest.raises(TypeError, match=name):
+                ConstructionTrace(name="lines").add(0, "probe", value=value)
+            with pytest.raises(TypeError, match=name):
+                ConstructionTrace(name="lines", outputs={"v": value}).lines()
+            with pytest.raises(TypeError, match=name):
+                jline([{"v": value}])
 
     @given(outputs=st.dictionaries(st.text(max_size=6), payload_values, max_size=4),
            data=st.dictionaries(st.text(alphabet="xyz_\u00e9", min_size=1, max_size=6),
@@ -831,12 +839,19 @@ def _outcome(build, *args):
     except CantorError as exc:
         return type(exc).__name__, str(exc)
     return res.trace.lines(), jline(
-        {k: v for k, v in vars(res).items() if k != "trace"})
+        {k: v for k, v in res._asdict().items() if k != "trace"})
 
 
 def _with_stages(sc, stages):
-    return dataclasses.replace(
-        sc, budgets=dataclasses.replace(sc.budgets, max_stage=stages))
+    """``sc`` with stage budget ``stages``, as a fresh Scenario: no test it
+    derived for the old budgets (``universal``, ``chain``, ``derived``)
+    carries over."""
+    b = sc.budgets
+    return Scenario(
+        Budgets(b.max_index, stages, b.max_depth, b.max_layers), sc.tests,
+        sc.partial_functions, sc.functionals, sc.halting, sc.streams,
+        sc.random_streams, sc.inert_functionals, sc.opens, sc.trees,
+        sc.parallel_family, sc.parallel_bound, sc.raw)
 
 
 def _shifted_tests(sc, r):

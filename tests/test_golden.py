@@ -14,7 +14,6 @@ from cantorlab import bundled_scenario
 from cantorlab.cli import (
     CATALOG,
     _budget_sweep,
-    derived_tests,
     execute,
     trace_lines,
 )
@@ -77,6 +76,6 @@ def test_trace_dict_keys_are_strings(scenario_name, selector):
 def test_budget_checks_match_golden(scenario_name):
     sc = _scenario(scenario_name)
     trace = ConstructionTrace(name="verify.budgets")
-    checks = _budget_sweep(trace, derived_tests(sc), sc.budgets, 1)
+    checks = _budget_sweep(trace, sc.derived, sc.budgets, 1)
     assert checks == GOLDEN[scenario_name]["budget_checks"]
     assert trace.failed_claims() == []

@@ -5,8 +5,9 @@ A public top-level function, class or assignment, or a public method, that
 no module of the package reads by name outside its own definition is dead
 code, unless ``ALLOWED`` says why it stays.  Names are matched as plain
 names and as attributes, so a method counts as read when any ``.name`` is.
-A field of a ``@dataclass`` or ``NamedTuple`` that no module of the package
-or the tests reads as an attribute is dead too, unless ``ALLOWED`` says why.
+A field of a record (a ``NamedTuple``, or a class that lists its fields in
+``__slots__``) that no module of the package or the tests reads as an
+attribute is dead too, unless ``ALLOWED`` says why.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ ALLOWED = {
     "ConstructionTrace.all_passed": "the tests check whole traces with it",
     "Stream.bit": "the reference emitter of the realizer tests reads streams by bit",
     "Stream.starts_with": "the naive membership oracle of the tests",
-    "Thm41Result.out_set": "the thm41 every-stage reference compares vars(res), which holds it",
+    "Thm41Result.out_set": "the thm41 every-stage reference compares res._asdict(), which holds it",
 }
 
 
@@ -80,20 +81,25 @@ def _reads() -> dict[str, list[tuple[str, int]]]:
     return reads
 
 
-def _is_record(node: ast.ClassDef) -> bool:
-    """A ``@dataclass`` (bare or called) or a ``NamedTuple`` subclass."""
-    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-    return (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
-            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases))
+def _record_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a record class: a ``NamedTuple`` subclass's annotated
+    names, or the names a class lists in ``__slots__`` (but ``__dict__``);
+    none for any other class."""
+    if any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases):
+        return [item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return [elt.value for item in node.body
+            if isinstance(item, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+            for elt in item.value.elts if elt.value != "__dict__"]
 
 
 def _fields() -> set[str]:
     """Each ``Class.field`` of a record class of the package."""
-    return {f"{node.name}.{item.target.id}"
+    return {f"{node.name}.{name}"
             for tree in TREES.values() for node in tree.body
-            if isinstance(node, ast.ClassDef) and _is_record(node)
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            if isinstance(node, ast.ClassDef)
+            for name in _record_fields(node)}
 
 
 def _attribute_reads() -> set[str]:
