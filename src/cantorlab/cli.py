@@ -38,6 +38,7 @@ from .enumeration import (
     index_shift,
     load_scenario,
     replace_component,
+    shift_union,
     validate_scenario,
 )
 from .realizers import (
@@ -150,7 +151,6 @@ Cases = Iterator[tuple[str, ConstructionTrace, tuple]]
 def _thm32(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
     res = build_lemma31(u, sc.budgets, o.sigma_stages)
     trace = res.trace
-    trace.name = "thm32"
     surgery = replace_component(u, 0, res.w0)
     trace.outputs["surgered"] = surgery
     final = max(sc.budgets.max_stage, surgery.final_stage())
@@ -167,7 +167,7 @@ def _thm410(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
 
 
 def _combinators(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
-    trace = ConstructionTrace(name="combinators")
+    trace = ConstructionTrace()
     tests = produced_tests(sc, o.sigma_stages)
     _budget_sweep(trace, tests, sc.budgets, o.stride)
     trace.witness("combinators.chain_nested",
@@ -179,14 +179,15 @@ def _combinators(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
 def _lay_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     budgets = sc.budgets
     chain = sc.chain
+    watched = shift_union(chain)
     for name in sc.random_streams:
         x = sc.stream(name)
-        run = lay_to_lay(chain, u, x, budgets, o.grace)
+        run = lay_to_lay(watched, u, x, budgets, o.grace)
         sound = lay_to_lay_contract(run, chain, u, x, budgets)
         run.trace.witness("lay_to_lay.sound", sound)
         run.trace.witness("lay_to_lay.pads_valid",
                           verify_pads(run, u, budgets.max_stage))
-        bound = rd_at_stage(run.output, u, budgets.max_stage).value
+        bound = rd_at_stage(run.output, u, budgets.max_stage)
         yield name, run.trace, (run.committed, bound, bound, sound)
 
 
@@ -206,9 +207,9 @@ def _product_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
         ny = names[(k + 1) % len(names)]
         x, y = sc.stream(nx), sc.stream(ny)
         run = product_merge(chain, x, y, sc.budgets, o.grace)
-        got = rd_at_stage(run.output, chain, big_s).value
-        want = max(rd_at_stage(x, chain, big_s).value,
-                   rd_at_stage(y, chain, big_s).value)
+        got = rd_at_stage(run.output, chain, big_s)
+        want = max(rd_at_stage(x, chain, big_s),
+                   rd_at_stage(y, chain, big_s))
         run.trace.witness("product_merge.dominates", got >= want,
                           got=got, want=want)
         run.trace.witness("product_merge.pads_valid",
@@ -221,8 +222,8 @@ def _parallel_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     family = sc.parallel_family or sc.random_streams[:3]
     xs = [sc.stream(n) for n in family]
     run = parallel_merge(u, xs, sc.budgets, o.grace)
-    got = rd_at_stage(run.output, u, big_s).value
-    want = max(rd_at_stage(x, u, big_s).value for x in xs)
+    got = rd_at_stage(run.output, u, big_s)
+    want = max(rd_at_stage(x, u, big_s) for x in xs)
     run.trace.witness("parallel_merge.dominates", got >= want,
                       got=got, want=want)
     run.trace.witness("parallel_merge.pads_valid", verify_pads(run, u, big_s))
@@ -239,15 +240,15 @@ def _compose_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     for name in sc.random_streams:
         x = sc.stream(name)
         run = compose_star(chain, inner_f, inner_g, x, budgets, o.grace)
-        n = rd_at_stage(run.data["y"], chain, big_s).value
-        m = rd_at_stage(run.output, chain, big_s).value
+        n = rd_at_stage(run.data["y"], chain, big_s)
+        m = rd_at_stage(run.output, chain, big_s)
         decoded = compose_star_psi(inner_f, inner_g, x, n, m)
-        expected = rd_at_stage(x, u, big_s).value
+        expected = rd_at_stage(x, u, big_s)
         run.trace.witness("compose_star.end_to_end", decoded == expected,
                           decoded=decoded, expected=expected)
         run.trace.witness(
             "compose_star.dominates",
-            m >= rd_at_stage(run.data["z"], chain, big_s).value)
+            m >= rd_at_stage(run.data["z"], chain, big_s))
         yield name, run.trace, (run.committed, [n, m], decoded, decoded == expected)
 
 
@@ -255,7 +256,7 @@ def _lay_to_cn(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     for name in sc.random_streams:
         x = sc.stream(name)
         run = lay_to_cn(u, x, sc.budgets)
-        expected = rd_at_stage(x, u, sc.budgets.max_stage).value
+        expected = rd_at_stage(x, u, sc.budgets.max_stage)
         decoded = (lay_to_cn_psi(run.survivor, u)
                    if run.survivor is not None and run.survivor >= 2 else None)
         run.trace.witness("lay_to_cn.round_trip", decoded == expected,
@@ -272,7 +273,7 @@ def _cn_times_mlr(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
         x = sc.stream(name)
         for tag, values in instances:
             run = cn_times_mlr_to_lay(u, values, x, sc.budgets, o.grace)
-            advice = max(rd_at_stage(run.output, u, big_s).value, 0)
+            advice = rd_at_stage(run.output, u, big_s)
             decoded, _ = cn_times_mlr_psi(values, x, max(advice, big_s))
             want, _ = cn_times_mlr_psi(values, x, big_s)
             run.trace.witness("cn_times_mlr.decodes", decoded == want,
@@ -291,7 +292,7 @@ def _delta02_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     for name in sc.random_streams:
         x = sc.stream(name)
         run = delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets, o.grace)
-        advice = rd_at_stage(run.output, chain, big_s).value
+        advice = rd_at_stage(run.output, chain, big_s)
         got = delta02_to_lay_psi(t_trees, s_trees, x, advice,
                                  budgets.max_depth, big_s)
         want = 1 if any(tr.carries(x, big_s) for tr in t_trees) else 0
@@ -382,7 +383,7 @@ def execute(sc: Scenario, selector: str, *, grace: int | None = None,
                        RunOptions(grace, sigma_stages, stride))
     if entry.kind == "construction":
         return result
-    trace = ConstructionTrace(name=selector)
+    trace = ConstructionTrace()
     runs: dict[str, dict] = {}
     trace.outputs["runs"] = runs
     for tag, run_trace, (pre_output, oracle_answer, post_output, verdict) in result:
@@ -571,7 +572,7 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
     failed = trace.failed_claims()
 
     stride = header.get("stride", 1)
-    budget_trace = ConstructionTrace(name="verify.budgets")
+    budget_trace = ConstructionTrace()
     checks = _budget_sweep(budget_trace, sc.derived, sc.budgets, stride)
     budget_failed = budget_trace.failed_claims()
 

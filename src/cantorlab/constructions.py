@@ -83,15 +83,12 @@ class ConstructionTrace:
     """Ordered events as ``(stage, line)`` pairs, each line encoded once,
     named outputs, and pass/fail witness obligations."""
 
-    __slots__ = ("name", "events", "outputs", "witnesses")
+    __slots__ = ("events", "outputs", "witnesses")
 
-    def __init__(self, name: str, events: list[tuple[int, str]] | None = None,
-                 outputs: dict[str, object] | None = None,
-                 witnesses: list[dict] | None = None) -> None:
-        self.name = name
-        self.events = [] if events is None else events
-        self.outputs = {} if outputs is None else outputs
-        self.witnesses = [] if witnesses is None else witnesses
+    def __init__(self) -> None:
+        self.events: list[tuple[int, str]] = []
+        self.outputs: dict[str, object] = {}
+        self.witnesses: list[dict] = []
 
     def add(self, stage: int, action: str, /, **payload) -> None:
         """One event; ``stage`` and ``action`` are positional, so any name,
@@ -168,7 +165,7 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None) 
         raise BudgetError("construction needs component 2")
     big_s, depth = budgets.max_stage, budgets.max_depth
     n_sigma = min(sigma_stages if sigma_stages is not None else 16, big_s, depth - 2)
-    trace = ConstructionTrace(name="lemma31")
+    trace = ConstructionTrace()
 
     sigmas: list[str] = []
     for s in range(n_sigma):
@@ -267,7 +264,7 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
     if not indices:
         raise ScenarioError("no partial-function tables registered")
     top = max(indices)
-    trace = ConstructionTrace(name="thm33")
+    trace = ConstructionTrace()
 
     n_state = {e: 0 for e in indices}
     e_state = {e: e + 1 for e in indices}
@@ -402,7 +399,7 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
     for e in functionals:
         if e > max_i:
             raise ScenarioError(f"advice table {e} beyond component budget {max_i}")
-    trace = ConstructionTrace(name="thm41")
+    trace = ConstructionTrace()
 
     t_half = {e: _half_coverage_stage(tbl, e) for e, tbl in sorted(functionals.items())}
     for e, t in sorted(t_half.items()):
@@ -532,7 +529,7 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
             raise BudgetError(
                 f"input component {i} must stay within 2^-{i + 2}")
     depth = budgets.max_depth
-    trace = ConstructionTrace(name="thm410")
+    trace = ConstructionTrace()
     vstr = stratify(v, budgets)
 
     comps: list[Enumeration] = [vstr.component(0)]
@@ -578,13 +575,11 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
             continue
         for x in streams:
             d = rd_at_stage(x, v, final)
-            if not d.determined or d.value < 2:
+            if not 2 <= d <= v.max_index:
                 continue
-            shifted = prepend("1" * e + "0", x)
-            got = rd_at_stage(shifted, u, final)
-            trace.witness(f"thm410.halting_shift.{e}.{x.name}",
-                          got.value > d.value - 1,
-                          rd_input=d.value, rd_output=got.value)
+            got = rd_at_stage(prepend("1" * e + "0", x), u, final)
+            trace.witness(f"thm410.halting_shift.{e}.{x.name}", got > d - 1,
+                          rd_input=d, rd_output=got)
     trace.sort_events()
     return Thm410Result(u=u, vstr=vstr, trace=trace)
 
@@ -625,7 +620,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
     if n0 >= depth or not (Dyadic.exp2(-n0) <= quarter):
         raise BudgetError(
             f"tree too thin: need 4 * 2^-n0 <= {final_measure} with n0 < K")
-    trace = ConstructionTrace(name="lemma63")
+    trace = ConstructionTrace()
     trace.add(-1, "n0", value=n0, tree_measure=final_measure)
 
     cones: list[tuple[int, str]] = []

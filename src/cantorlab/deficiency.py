@@ -2,9 +2,11 @@
 
 A stream is a total infinite bit sequence realized as a finite pad followed by
 a periodic tail, so every prefix is computable and repeated reads agree.  The
-deficiency of a stream against a test at a stage is the least component index
-whose current stage view misses the stream; it is monotone in the stage and
-freezes once the test's schedules are exhausted.
+deficiency of a stream against a test at a stage, ``rd_at_stage``, is the
+least component index whose current stage view misses the stream, or one past
+the top index when every view captures it; it is monotone in the stage and
+freezes once the test's schedules are exhausted.  Every reduction and decoder
+reads deficiencies through it.
 """
 
 from __future__ import annotations
@@ -44,24 +46,10 @@ class Stream(Frozen):
         return self.prefix(len(bits)) == bits
 
 
-def prepend(bits: str, stream: Stream, name: str | None = None) -> Stream:
+def prepend(bits: str, stream: Stream) -> Stream:
     """The stream ``bits`` followed by ``stream`` from position 0."""
     check_bits(bits)
-    return Stream(name or f"{bits}^{stream.name}", bits + stream.pad, stream.period)
-
-
-class DeficiencyReport(Frozen):
-    """Least escaping component index at a stage.
-
-    ``determined`` says the same index results at the final stage; a stream
-    captured by every component reports ``max_index + 1`` and is flagged
-    undetermined.
-    """
-
-    __slots__ = ("value", "determined")
-
-    def __init__(self, value: int, determined: bool) -> None:
-        self._set(value, determined)
+    return Stream(f"{bits}^{stream.name}", bits + stream.pad, stream.period)
 
 
 def _inside(x: Stream, view: Clopen) -> bool:
@@ -70,33 +58,20 @@ def _inside(x: Stream, view: Clopen) -> bool:
     return view.covers(x.prefix(view.max_length()))
 
 
-def _escapes(x: Stream | str, view: Clopen) -> bool:
-    return not view.covers(x) if isinstance(x, str) else not _inside(x, view)
-
-
 def member_at_stage(x: Stream, t: "MLTest", i: int, s: int) -> bool:
     """True iff some cylinder of component ``i``'s stage-``s`` view prefixes ``x``."""
     return _inside(x, t.stage_view(i, s))
 
 
-def _least_escape(x: Stream | str, t: "MLTest", s: int) -> int:
+def rd_at_stage(x: Stream, t: "MLTest", s: int) -> int:
+    """Stage-``s`` deficiency of ``x`` against ``t``: the least index whose
+    stage-``s`` view misses ``x``, or ``t.max_index + 1`` when every view
+    captures it.  Views only grow, so the value never falls as ``s`` grows,
+    and every index below it stays a member at every later stage."""
     for i in range(t.max_index + 1):
-        if _escapes(x, t.stage_view(i, s)):
+        if not _inside(x, t.stage_view(i, s)):
             return i
     return t.max_index + 1
-
-
-def rd_at_stage(x: Stream | str, t: "MLTest", s: int) -> DeficiencyReport:
-    """Stage-relative deficiency of a stream (or of a cylinder, for ``str``).
-
-    For a stream the component view must prefix it; for a finite string the
-    view must cover its whole cylinder.  The value is monotone non-decreasing
-    in ``s``.
-    """
-    value = _least_escape(x, t, s)
-    final = _least_escape(x, t, t.final_stage())
-    determined = value <= t.max_index and value == final
-    return DeficiencyReport(value=value, determined=determined)
 
 
 # ---------------------------------------------------------------------------

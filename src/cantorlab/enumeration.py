@@ -508,8 +508,7 @@ def validate_scenario(sc: Scenario) -> None:
     top = effective_top(surrogate)
     for name in sc.random_streams:
         x = sc.stream(name)
-        report = rd_at_stage(x, surrogate, b.max_stage)
-        if report.value > top or not report.determined:
+        if rd_at_stage(x, surrogate, b.max_stage) > top:
             raise ScenarioError(
                 f"stream {name!r} declared random but captured by every "
                 f"contentful component at stage {b.max_stage}")
@@ -518,10 +517,10 @@ def validate_scenario(sc: Scenario) -> None:
         if name not in sc.random_streams:
             raise ScenarioError(
                 f"parallel family member {name!r} is not a declared random stream")
-        report = rd_at_stage(sc.stream(name), surrogate, b.max_stage)
-        if report.value > sc.parallel_bound:
+        d = rd_at_stage(sc.stream(name), surrogate, b.max_stage)
+        if d > sc.parallel_bound:
             raise ScenarioError(
-                f"parallel family member {name!r} has deficiency {report.value} "
+                f"parallel family member {name!r} has deficiency {d} "
                 f"above the declared bound {sc.parallel_bound}")
 
 

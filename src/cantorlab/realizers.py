@@ -38,7 +38,7 @@ from .core import (
     unpair3,
 )
 from .deficiency import CoTree, Stream, _inside, member_at_stage, prepend, rd_at_stage
-from .enumeration import Budgets, Enumeration, MLTest, _run_clock, effective_top, shift_union
+from .enumeration import Budgets, Enumeration, MLTest, _run_clock, effective_top
 from .constructions import ConstructionTrace
 
 
@@ -110,9 +110,6 @@ class Emitter:
                        committed=len(self.base))
         self.trace.add(stage, "restart")
 
-    def output_stream(self, name: str) -> Stream:
-        return prepend(self.base, self.source, name=name)
-
     def shape_ok(self) -> bool:
         tail = self.committed[len(self.base):]
         return self.source.prefix(len(tail)) == tail
@@ -137,13 +134,10 @@ def _pad_into(em: Emitter, stage: int, target: Clopen, demanded: list[int],
 class RealizerRun:
     """One transducer execution plus its decoded contract data."""
 
-    __slots__ = ("name", "source", "output", "committed", "pads", "trace", "data")
+    __slots__ = ("output", "committed", "pads", "trace", "data")
 
-    def __init__(self, name: str, source: Stream, output: Stream, committed: str,
-                 pads: list[dict], trace: ConstructionTrace,
-                 data: dict | None = None) -> None:
-        self.name = name
-        self.source = source
+    def __init__(self, output: Stream, committed: str, pads: list[dict],
+                 trace: ConstructionTrace, data: dict | None = None) -> None:
         self.output = output
         self.committed = committed
         self.pads = pads
@@ -153,13 +147,12 @@ class RealizerRun:
 
 def _finish(name: str, em: Emitter, trace: ConstructionTrace, **data) -> RealizerRun:
     trace.sort_events()
-    out = em.output_stream(f"{name}({em.source.name})")
     committed = em.committed
     trace.witness(f"{name}.monotone", em.monotone_ok())
     trace.witness(f"{name}.shape", em.shape_ok(),
                   base=em.base, tail_len=len(committed) - len(em.base))
-    return RealizerRun(name=name, source=em.source, output=out,
-                       committed=committed, pads=em.pads, trace=trace,
+    return RealizerRun(output=prepend(em.base, em.source), committed=committed,
+                       pads=em.pads, trace=trace,
                        data={"segments": em.segments, **data})
 
 
@@ -177,30 +170,32 @@ def verify_pads(run: RealizerRun, u: MLTest, final_stage: int) -> bool:
 # deficiency-bound transfer (upper bounds travel between tests)
 # ---------------------------------------------------------------------------
 
-def lay_to_lay(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
+def lay_to_lay(vp: MLTest, u: MLTest, x: Stream, budgets: Budgets,
                grace: int | None = None) -> RealizerRun:
     """Re-pad ``x`` so any deficiency bound read off against ``u`` is a valid
-    bound for ``x`` against ``v``.
+    bound for ``x`` against the test ``v`` whose tail-union
+    ``vp = shift_union(v)`` is given.
 
-    Watches the tail-union of ``v``; entering its component j triggers a pad
-    into the intersection of ``u``'s components up to j+1.
+    Watches ``vp``; entering its component j triggers a pad into the
+    intersection of ``u``'s components up to j+1.  Pads move the output,
+    never ``x``, and every index below the watermark stays a member, so each
+    stage's new triggers are the indices from the old watermark up to
+    ``rd_at_stage``.
     """
-    trace = ConstructionTrace(name="lay_to_lay")
-    vp = shift_union(v)
+    trace = ConstructionTrace()
     em = Emitter(x, trace, budgets, grace)
     top = effective_top(u)
     j = 0
 
     def step(s: int) -> bool:
         nonlocal j
-        start = j
-        while j <= vp.max_index and member_at_stage(x, vp, j, s):
-            trace.add(s, "trigger", index=j)
-            n = min(j + 1, top)
+        start, j = j, rd_at_stage(x, vp, s)
+        for k in range(start, j):
+            trace.add(s, "trigger", index=k)
+            n = min(k + 1, top)
             _pad_into(em, s, u.meet_view(n, s), list(range(n + 1)),
                       f"lay_to_lay: no pad into components 0..{n} at stage {s} "
                       f"below {em.committed!r}")
-            j += 1
         return j != start
 
     _run_clock(em, vp.change_stages(), 0, budgets.max_stage, step)
@@ -212,7 +207,7 @@ def lay_to_lay_contract(run: RealizerRun, v: MLTest, u: MLTest, x: Stream,
     """Soundness of the transferred bound: every index at or above the output's
     deficiency against ``u`` misses ``x`` in ``v``."""
     s = budgets.max_stage
-    out_rd = rd_at_stage(run.output, u, s).value
+    out_rd = rd_at_stage(run.output, u, s)
     return all(not member_at_stage(x, v, i, s)
                for i in range(out_rd, v.max_index + 1))
 
@@ -225,22 +220,22 @@ def rd_from_lay_phi(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
                     grace: int | None = None) -> RealizerRun:
     """Pre-processor: on entering component j of ``v`` at stage s, pad into
     the intersection of ``u``'s components up to s (so the bound read off the
-    output dominates every witness stage)."""
-    trace = ConstructionTrace(name="rd_from_lay")
+    output dominates every witness stage).  The triggers of stage s are the
+    indices from the old watermark up to ``rd_at_stage(x, v, s)``."""
+    trace = ConstructionTrace()
     em = Emitter(x, trace, budgets, grace)
     top = effective_top(u)
     j = 0
 
     def step(s: int) -> bool:
         nonlocal j
-        start = j
-        while j <= v.max_index and member_at_stage(x, v, j, s):
-            trace.add(s, "trigger", index=j, stage_found=s)
+        start, j = j, rd_at_stage(x, v, s)
+        for k in range(start, j):
+            trace.add(s, "trigger", index=k, stage_found=s)
             n = min(s, top)
             _pad_into(em, s, u.meet_view(n, s), list(range(n + 1)),
                       f"rd_from_lay: no pad into components 0..{n} at stage {s} "
                       f"below {em.committed!r}")
-            j += 1
         return j != start
 
     _run_clock(em, v.change_stages(), 0, budgets.max_stage, step)
@@ -248,22 +243,18 @@ def rd_from_lay_phi(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
 
 
 def rd_from_lay_psi(v: MLTest, x: Stream, k: int, budgets: Budgets) -> int:
-    """Decoder: least index whose view at stage ``k`` misses ``x`` (stages
-    clamp to the budget; views are frozen beyond it)."""
-    s = min(k, budgets.max_stage)
-    for i in range(v.max_index + 1):
-        if not member_at_stage(x, v, i, s):
-            return i
-    return v.max_index + 1
+    """Decoder: the deficiency of ``x`` against ``v`` at stage ``k``, clamped
+    to the budget (views are frozen beyond it)."""
+    return rd_at_stage(x, v, min(k, budgets.max_stage))
 
 
 def rd_from_lay_run(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
                     grace: int | None = None) -> RealizerRun:
     run = rd_from_lay_phi(v, u, x, budgets, grace)
     s = budgets.max_stage
-    advice = rd_at_stage(run.output, u, s).value
+    advice = rd_at_stage(run.output, u, s)
     decoded = rd_from_lay_psi(v, x, advice, budgets)
-    expected = rd_at_stage(x, v, s).value
+    expected = rd_at_stage(x, v, s)
     run.data.update({"advice": advice, "decoded": decoded, "expected": expected})
     run.trace.witness("rd_from_lay.exact", decoded == expected,
                       advice=advice, decoded=decoded, expected=expected)
@@ -281,7 +272,7 @@ def product_merge(u: MLTest, x: Stream, y: Stream, budgets: Budgets,
     the decoder duplicates the bound.  Requires a nested reference test."""
     if not u.nested:
         raise ScenarioError("product merge needs a nested test")
-    trace = ConstructionTrace(name="product_merge")
+    trace = ConstructionTrace()
     em = Emitter(x, trace, budgets, grace)
     top = effective_top(u)
     level = 0
@@ -290,10 +281,7 @@ def product_merge(u: MLTest, x: Stream, y: Stream, budgets: Budgets,
     def step(s: int) -> bool:
         nonlocal level, dx, dy
         start = (dx, dy)
-        while dx <= u.max_index and member_at_stage(x, u, dx, s):
-            dx += 1
-        while dy <= u.max_index and member_at_stage(y, u, dy, s):
-            dy += 1
+        dx, dy = rd_at_stage(x, u, s), rd_at_stage(y, u, s)
         seen = max(dx, dy)
         if seen > level:
             trace.add(s, "trigger", level=seen)
@@ -321,7 +309,7 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
     """
     if not xs:
         raise ScenarioError("parallel merge needs at least one stream")
-    trace = ConstructionTrace(name="parallel_merge")
+    trace = ConstructionTrace()
     em = Emitter(xs[0], trace, budgets, grace)
     top = effective_top(u)
     firing = set()
@@ -373,7 +361,7 @@ def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
     """
     if not u.nested:
         raise ScenarioError("composition needs a nested test")
-    trace = ConstructionTrace(name="compose_star")
+    trace = ConstructionTrace()
     y = inner_g.phi(x)
     em = Emitter(y, trace, budgets, grace)
     d_y = d_z = 0
@@ -445,7 +433,7 @@ def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets) -> ChoiceRun:
     stream enters the next component, retarget to a power of the next prime
     larger than everything enumerated so far.  The survivor decodes the final
     deficiency via its least prime divisor."""
-    trace = ConstructionTrace(name="lay_to_cn")
+    trace = ConstructionTrace()
     primes = _primes(u.max_index + 2)
     enumerated: list[int] = []
     enumerated_set: set[int] = set()
@@ -527,7 +515,7 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
     leaves the output inside it, so emission cannot make a pad fire in
     between: once the value has settled, a step that did not pad writes the
     ``stable`` events up to the next watched stage as one run."""
-    trace = ConstructionTrace(name="cn_times_mlr")
+    trace = ConstructionTrace()
     em = Emitter(x, trace, budgets, grace)
     top = effective_top(u)
     # stable_value reads only the first s+1 values, so it is constant from
@@ -583,7 +571,7 @@ def delta02_to_lay_phi(u: MLTest, t_trees: Sequence[CoTree],
         raise ScenarioError("tree membership realizer needs a nested test")
     if len(t_trees) != len(s_trees):
         raise ScenarioError("tree families must have equal length")
-    trace = ConstructionTrace(name="delta02_to_lay")
+    trace = ConstructionTrace()
     em = Emitter(x, trace, budgets, grace)
     _pad_into(em, 0, u.stage_view(0, 0), [0], "no initial pad inside component 0")
     j = 0
@@ -645,17 +633,17 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
     """Compose: first recover the exact bound of ``x`` against ``w``; then
     watch the chosen open set, and on entry pad into every component below
     the discovery stage so the second bound certifies the stage."""
-    trace = ConstructionTrace(name="semidecidable_star")
+    trace = ConstructionTrace()
     big_s = budgets.max_stage
 
     g_run = rd_from_lay_phi(w, u_oracle, x, budgets, grace)
-    g_advice = rd_at_stage(g_run.output, u_oracle, big_s).value
+    g_advice = rd_at_stage(g_run.output, u_oracle, big_s)
     level = rd_from_lay_psi(w, x, g_advice, budgets)
     trace.add(-1, "g_side", advice=g_advice, level=level)
     if level >= len(us):
         raise ScenarioError(f"no open set registered for level {level}")
 
-    f_trace = ConstructionTrace(name="semidecidable_star.f")
+    f_trace = ConstructionTrace()
     em = Emitter(x, f_trace, budgets, grace)
     target_enum = us[level]
     done = False
@@ -676,7 +664,7 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
     _run_clock(em, target_enum.change_stages(), 0, big_s, step)
     f_run = _finish("semidecidable_star.f", em, f_trace)
 
-    f_advice = rd_at_stage(f_run.output, w, big_s).value
+    f_advice = rd_at_stage(f_run.output, w, big_s)
     verdict = 1 if _inside(x, target_enum.stage_view(min(f_advice, big_s))) else 0
     expected = 1 if _inside(x, target_enum.stage_view(big_s)) else 0
     trace.add(-1, "f_side", advice=f_advice, verdict=verdict, expected=expected)

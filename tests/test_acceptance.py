@@ -165,12 +165,12 @@ def test_criterion_stratification(main_scenario, deep_scenario):
                 crit.fail(f"stratified component {i} over budget")
         for name in sc.random_streams:
             x = sc.stream(name)
-            d = rd_at_stage(x, u, big_s).value
+            d = rd_at_stage(x, u, big_s)
             if d < 1:
                 continue
             for layer in range(min(d + 2, sc.budgets.max_layers + 1)):
                 shifted = prepend("1" * layer + "0", x)
-                got = rd_at_stage(shifted, st, big_s).value
+                got = rd_at_stage(shifted, st, big_s)
                 if got != d - 1:
                     crit.fail(f"shift law failed for {name} at layer {layer}: "
                               f"{got} != {d - 1}")
@@ -187,8 +187,8 @@ def test_criterion_realizer_rd_from_lay(surrogate, main_scenario):
     for name in main_scenario.random_streams:
         x = main_scenario.stream(name)
         run = rd_from_lay_phi(surrogate, surrogate, x, b)
-        threshold = rd_at_stage(run.output, surrogate, big_s).value
-        expected = rd_at_stage(x, surrogate, big_s).value
+        threshold = rd_at_stage(run.output, surrogate, big_s)
+        expected = rd_at_stage(x, surrogate, big_s)
         for k in range(threshold, big_s + 1):
             if rd_from_lay_psi(surrogate, x, k, b) != expected:
                 crit.fail(f"{name}: advice {k} decodes wrongly")
@@ -203,7 +203,7 @@ def test_criterion_realizer_lay_to_cn(surrogate, main_scenario):
         run = lay_to_cn(surrogate, x, b)
         if not run.survivor_unique:
             crit.fail(f"{name}: survivor not unique")
-        expected = rd_at_stage(x, surrogate, b.max_stage).value
+        expected = rd_at_stage(x, surrogate, b.max_stage)
         if lay_to_cn_psi(run.survivor, surrogate) != expected:
             crit.fail(f"{name}: round trip decodes wrongly")
     crit.done()
@@ -218,7 +218,7 @@ def test_criterion_realizer_delta02(chain, main_scenario):
     for name in main_scenario.random_streams:
         x = main_scenario.stream(name)
         run = delta02_to_lay_phi(chain, t_trees, s_trees, x, b)
-        advice = rd_at_stage(run.output, chain, big_s).value
+        advice = rd_at_stage(run.output, chain, big_s)
         want = 1 if any(t.carries(x, big_s) for t in t_trees) else 0
         got = delta02_to_lay_psi(t_trees, s_trees, x, advice, b.max_depth, big_s)
         if got != want:

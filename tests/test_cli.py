@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cantorlab import bundled_scenario, cli, enumeration
+from cantorlab import bundled_scenario, cli, enumeration, realizers
 from cantorlab.cli import (
     CATALOG,
     EXIT_IO,
@@ -134,6 +134,23 @@ class TestMalformedScenario:
         assert code == EXIT_VALIDATION
         assert "error: validation:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("breaker, message", [
+        (lambda raw: raw.update(parallel_bound=0),
+         "parallel family member 'x1' has deficiency 1 above the declared bound 0"),
+        (lambda raw: raw["streams"][-1].update(random=True),
+         "stream 'ones' declared random but captured by every contentful "
+         "component at stage 512"),
+    ], ids=["parallel_bound", "captured_random"])
+    def test_run_rejects_deficiency_declarations(self, breaker, message, tmp_path,
+                                                 capsys):
+        raw = json.load(open(MAIN))
+        breaker(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = run_cli("run", "--scenario", str(bad), "--select", "thm33")
+        assert code == EXIT_VALIDATION
+        assert f"error: validation: {message}" in capsys.readouterr().err
+
     def test_run_rejects_zero_stride(self, capsys):
         code = run_cli("run", "--scenario", MAIN, "--select", "thm33",
                        "--stride", "0")
@@ -173,7 +190,7 @@ def _full_grid_sweep(tests, budgets, stride):
 
 
 def _sweep(tests, budgets, stride):
-    trace = ConstructionTrace(name="sweep")
+    trace = ConstructionTrace()
     checks = _budget_sweep(trace, tests, budgets, stride)
     ok = {w["claim"][len("budget."):]: w["status"] == "pass"
           for w in trace.witnesses}
@@ -246,7 +263,7 @@ class TestVerify:
     def test_failed_obligation_shows_its_data(self, tmp_path, capsys,
                                               monkeypatch):
         def failing(sc, u, o):
-            trace = ConstructionTrace(name="failing")
+            trace = ConstructionTrace()
             trace.witness("failing.bound", False, got=Dyadic(3, 2), want=[1, 2])
             trace.witness("failing.ok", True, note="fine")
             return trace
@@ -427,6 +444,25 @@ def test_one_derivation_per_command(selector, tmp_path, monkeypatch, capsys):
         assert calls["universal_sum"] == 1, argv[0]
         assert calls["descending_chain"] <= 1, argv[0]
         assert calls["even_shift"] <= 1, argv[0]
+
+
+def test_one_tail_union_per_lay_to_lay_run(tmp_path, monkeypatch):
+    """``run --select lay_to_lay`` builds the tail-union test it watches
+    once, not once per random stream."""
+    calls = []
+    fn = enumeration.shift_union
+
+    def counted(v):
+        calls.append(v)
+        return fn(v)
+
+    for mod in (enumeration, cli, realizers):  # every binding
+        if getattr(mod, "shift_union", None) is fn:
+            monkeypatch.setattr(mod, "shift_union", counted)
+    assert len(load_scenario(MAIN).random_streams) > 1
+    assert run_cli("run", "--scenario", MAIN, "--select", "lay_to_lay",
+                   "--trace", str(tmp_path / "t.jsonl")) == 0
+    assert len(calls) == 1
 
 
 def test_produced_tests_share_the_derived_tests():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorlab.deficiency import (
     CoTree,
@@ -54,39 +56,28 @@ class TestMembership:
 class TestRd:
     def test_all_components_empty(self):
         t = MLTest([Enumeration([]), Enumeration([])])
-        r = rd_at_stage(Stream("x", "", "0"), t, 0)
-        assert r.value == 0 and r.determined
+        assert rd_at_stage(Stream("x", "", "0"), t, 0) == 0
 
     def test_simple_escape(self):
         t = MLTest([Enumeration([(0, "0")])])
-        assert rd_at_stage(Stream("x", "1", "1"), t, 5).value == 0
+        assert rd_at_stage(Stream("x", "1", "1"), t, 5) == 0
 
     def test_monotone_in_stage(self, surrogate, main_scenario):
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
             prev = -1
             for s in range(0, 40):
-                v = rd_at_stage(x, surrogate, s).value
+                v = rd_at_stage(x, surrogate, s)
                 assert v >= prev
                 prev = v
 
     def test_capture_overflow_flagged(self):
+        # captured by every component: one past the top index
         t = MLTest([Enumeration([(0, "")])], check=False)
-        r = rd_at_stage(Stream("x", "", "0"), t, 0)
-        assert r.value == 1 and not r.determined
-
-    def test_cylinder_argument(self, surrogate):
-        # for finite strings the component must cover the whole cylinder
-        t = MLTest([Enumeration([(0, "01")])])
-        assert rd_at_stage("01", t, 0).value == 1  # covered: escape at top
-        assert rd_at_stage("0", t, 0).value == 0   # half outside
-
-    def test_stage_relative_on_prefixes(self, surrogate, main_scenario):
-        big_s = main_scenario.budgets.max_stage
-        x = main_scenario.stream("x2")
-        d_stream = rd_at_stage(x, surrogate, big_s).value
-        d_prefix = rd_at_stage(x.prefix(40), surrogate, big_s).value
-        assert d_prefix <= d_stream
+        assert rd_at_stage(Stream("x", "", "0"), t, 0) == t.max_index + 1 == 1
+        t = MLTest([Enumeration([(0, "")]), Enumeration([(3, "0")])], check=False)
+        assert rd_at_stage(Stream("x", "", "0"), t, 2) == 1
+        assert rd_at_stage(Stream("x", "", "0"), t, 3) == 2
 
     def test_nested_membership_monotone(self, chain, main_scenario):
         big_s = main_scenario.budgets.max_stage
@@ -127,3 +118,37 @@ class TestCoTree:
         tree = main_scenario.tree("inA0")
         assert tree.carries(main_scenario.stream("x1"), 0)
         assert not tree.carries(main_scenario.stream("alt"), 0)
+
+
+# ---------------------------------------------------------------------------
+# the invariant the realizers' descents rely on
+# ---------------------------------------------------------------------------
+
+short_bits = st.text(alphabet="01", max_size=4)
+schedules = st.lists(st.tuples(st.integers(0, 6), short_bits), max_size=4)
+
+
+def _naive_rd(x: Stream, t: MLTest, s: int) -> int:
+    """Least index none of whose cylinders scheduled by stage ``s`` prefixes
+    ``x``, scanned straight off the schedules."""
+    for i, comp in enumerate(t.components):
+        if not any(x.starts_with(c) for stage, c in comp.schedule if stage <= s):
+            return i
+    return t.max_index + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(comps=st.lists(schedules, min_size=1, max_size=5), pad=short_bits,
+       period=short_bits.filter(bool), s=st.integers(0, 7), ds=st.integers(0, 7))
+def test_rd_at_stage_is_a_monotone_descent(comps, pad, period, s, ds):
+    """Over any (non-nested, unbudgeted) test: every index below the stage-s
+    deficiency is still a member at every later stage s2, the deficiency
+    never falls as the stage grows, and it equals a naive scan."""
+    t = MLTest([Enumeration(c) for c in comps], check=False)
+    x = Stream("x", pad, period)
+    s2 = s + ds
+    d = rd_at_stage(x, t, s)
+    assert all(member_at_stage(x, t, i, s2) for i in range(d))
+    assert d <= rd_at_stage(x, t, s2)
+    assert d == _naive_rd(x, t, s)
+    assert rd_at_stage(x, t, s2) == _naive_rd(x, t, s2)

@@ -241,12 +241,12 @@ class TestStratify:
         pairs = 0
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
-            d = rd_at_stage(x, surrogate, big_s).value
+            d = rd_at_stage(x, surrogate, big_s)
             if d < 1:
                 continue
             for layer in range(0, min(d + 2, b.max_layers + 1)):
                 shifted = prepend("1" * layer + "0", x)
-                got = rd_at_stage(shifted, st, big_s).value
+                got = rd_at_stage(shifted, st, big_s)
                 assert got == d - 1, (name, layer)
                 pairs += 1
         assert pairs >= 15

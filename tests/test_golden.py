@@ -75,7 +75,7 @@ def test_trace_dict_keys_are_strings(scenario_name, selector):
 @pytest.mark.parametrize("scenario_name", ["main", "deep"])
 def test_budget_checks_match_golden(scenario_name):
     sc = _scenario(scenario_name)
-    trace = ConstructionTrace(name="verify.budgets")
+    trace = ConstructionTrace()
     checks = _budget_sweep(trace, sc.derived, sc.budgets, 1)
     assert checks == GOLDEN[scenario_name]["budget_checks"]
     assert trace.failed_claims() == []

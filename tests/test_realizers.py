@@ -65,7 +65,7 @@ class TestLayToLay:
     def test_untriggered_output_is_source(self, chain, surrogate, budgets,
                                           main_scenario):
         x = main_scenario.stream("alt")  # escapes everything from stage 0
-        run = lay_to_lay(chain, surrogate, x, budgets)
+        run = lay_to_lay(shift_union(chain), surrogate, x, budgets)
         assert not run.pads
         assert run.output.pad == x.pad and run.output.period == x.period
         assert run.data["final_index"] == 0
@@ -73,7 +73,7 @@ class TestLayToLay:
     def test_output_shape(self, chain, surrogate, budgets, main_scenario):
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
-            run = lay_to_lay(chain, surrogate, x, budgets)
+            run = lay_to_lay(shift_union(chain), surrogate, x, budgets)
             base = run.pads[-1]["end"] if run.pads else 0
             tail = run.committed[base:]
             assert x.prefix(len(tail)) == tail
@@ -83,9 +83,9 @@ class TestLayToLay:
         big_s = budgets.max_stage
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
-            run = lay_to_lay(chain, surrogate, x, budgets)
+            run = lay_to_lay(shift_union(chain), surrogate, x, budgets)
             assert lay_to_lay_contract(run, chain, surrogate, x, budgets)
-            out_rd = rd_at_stage(run.output, surrogate, big_s).value
+            out_rd = rd_at_stage(run.output, surrogate, big_s)
             for i in range(out_rd, chain.max_index + 1):
                 assert not member_at_stage(x, chain, i, big_s)
 
@@ -95,13 +95,13 @@ class TestLayToLay:
         big_s = budgets.max_stage
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
-            run = lay_to_lay(chain, surrogate, x, budgets)
-            assert run.data["final_index"] == rd_at_stage(x, vp, big_s).value
+            run = lay_to_lay(vp, surrogate, x, budgets)
+            assert run.data["final_index"] == rd_at_stage(x, vp, big_s)
 
     def test_pads_valid_against_final_views(self, chain, surrogate, budgets,
                                             main_scenario):
         x = main_scenario.stream("x3")
-        run = lay_to_lay(chain, surrogate, x, budgets)
+        run = lay_to_lay(shift_union(chain), surrogate, x, budgets)
         assert verify_pads(run, surrogate, budgets.max_stage)
 
 
@@ -144,7 +144,7 @@ class TestRdFromLay:
             x = main_scenario.stream(name)
             run = rd_from_lay_run(chain, surrogate, x, budgets)
             assert run.data["decoded"] == run.data["expected"] \
-                == rd_at_stage(x, chain, big_s).value
+                == rd_at_stage(x, chain, big_s)
 
 
 class TestProductMerge:
@@ -157,8 +157,8 @@ class TestProductMerge:
         x = main_scenario.stream("x2")
         run = product_merge(chain, x, x, budgets)
         big_s = budgets.max_stage
-        assert rd_at_stage(run.output, chain, big_s).value >= \
-            rd_at_stage(x, chain, big_s).value
+        assert rd_at_stage(run.output, chain, big_s) >= \
+            rd_at_stage(x, chain, big_s)
 
     def test_dominates_all_pairs(self, chain, budgets, main_scenario):
         big_s = budgets.max_stage
@@ -167,9 +167,9 @@ class TestProductMerge:
             for ny in names:
                 x, y = main_scenario.stream(nx), main_scenario.stream(ny)
                 run = product_merge(chain, x, y, budgets)
-                got = rd_at_stage(run.output, chain, big_s).value
-                want = max(rd_at_stage(x, chain, big_s).value,
-                           rd_at_stage(y, chain, big_s).value)
+                got = rd_at_stage(run.output, chain, big_s)
+                want = max(rd_at_stage(x, chain, big_s),
+                           rd_at_stage(y, chain, big_s))
                 assert got >= want, (nx, ny)
 
 
@@ -178,14 +178,14 @@ class TestParallelMerge:
         x = main_scenario.stream("x1")
         run = parallel_merge(surrogate, [x], budgets)
         big_s = budgets.max_stage
-        assert rd_at_stage(run.output, surrogate, big_s).value >= \
-            rd_at_stage(x, surrogate, big_s).value
+        assert rd_at_stage(run.output, surrogate, big_s) >= \
+            rd_at_stage(x, surrogate, big_s)
 
     def test_declared_family_dominated(self, surrogate, budgets, main_scenario):
         xs = [main_scenario.stream(n) for n in main_scenario.parallel_family]
         run = parallel_merge(surrogate, xs, budgets)
         big_s = budgets.max_stage
-        got = rd_at_stage(run.output, surrogate, big_s).value
+        got = rd_at_stage(run.output, surrogate, big_s)
         assert got >= main_scenario.parallel_bound
         assert run.trace.all_passed()
 
@@ -196,8 +196,8 @@ class TestComposeStar:
         run = compose_star(chain, identity_reduction(), identity_reduction(),
                            x, budgets)
         big_s = budgets.max_stage
-        assert rd_at_stage(run.output, chain, big_s).value >= \
-            rd_at_stage(x, chain, big_s).value
+        assert rd_at_stage(run.output, chain, big_s) >= \
+            rd_at_stage(x, chain, big_s)
 
     def test_watermarks(self, chain, surrogate, budgets, main_scenario):
         inner_f = InnerReduction(
@@ -206,8 +206,8 @@ class TestComposeStar:
         x = main_scenario.stream("x3")
         run = compose_star(chain, inner_f, identity_reduction(), x, budgets)
         big_s = budgets.max_stage
-        assert run.data["d_y"] == rd_at_stage(run.data["y"], chain, big_s).value
-        assert run.data["d_z"] >= rd_at_stage(run.data["z"], chain, big_s).value
+        assert run.data["d_y"] == rd_at_stage(run.data["y"], chain, big_s)
+        assert run.data["d_z"] >= rd_at_stage(run.data["z"], chain, big_s)
         # the companion watermark only moves after the first settles or when
         # it is already ahead: no dz event precedes a dy event at the same level
         dy_events = [s for kind, s, _ in run.data["events"] if kind == "dy"]
@@ -224,10 +224,10 @@ class TestComposeStar:
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
             run = compose_star(chain, inner_f, inner_g, x, budgets)
-            n = rd_at_stage(run.data["y"], chain, big_s).value
-            m = rd_at_stage(run.output, chain, big_s).value
+            n = rd_at_stage(run.data["y"], chain, big_s)
+            m = rd_at_stage(run.output, chain, big_s)
             decoded = compose_star_psi(inner_f, inner_g, x, n, m)
-            assert decoded == rd_at_stage(x, surrogate, big_s).value
+            assert decoded == rd_at_stage(x, surrogate, big_s)
 
 
 class TestLayToCn:
@@ -241,7 +241,7 @@ class TestLayToCn:
             x = main_scenario.stream(name)
             run = lay_to_cn(surrogate, x, budgets)
             assert run.survivor_unique
-            expected = rd_at_stage(x, surrogate, big_s).value
+            expected = rd_at_stage(x, surrogate, big_s)
             assert lay_to_cn_psi(run.survivor, surrogate) == expected
             assert run.final_index == expected
 
@@ -275,8 +275,7 @@ class TestCnTimesMlr:
         x = main_scenario.stream("x2")
         run = cn_times_mlr_to_lay(surrogate, f, x, budgets)
         big_s = budgets.max_stage
-        report = rd_at_stage(run.output, surrogate, big_s)
-        for s in range(report.value, big_s + 1, 7):
+        for s in range(rd_at_stage(run.output, surrogate, big_s), big_s + 1, 7):
             n, _ = cn_times_mlr_psi(f, x, s)
             assert n == 5
 
@@ -310,7 +309,7 @@ class TestDelta02:
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
             run = delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets)
-            advice = rd_at_stage(run.output, chain, big_s).value
+            advice = rd_at_stage(run.output, chain, big_s)
             want = 1 if any(t.carries(x, big_s) for t in t_trees) else 0
             for k in range(advice, advice + 4):
                 got = delta02_to_lay_psi(t_trees, s_trees, x, k,
@@ -338,7 +337,7 @@ class TestDelta02:
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
             run = delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets)
-            advice = rd_at_stage(run.output, chain, big_s).value
+            advice = rd_at_stage(run.output, chain, big_s)
             got = delta02_to_lay_psi(t_trees, s_trees, x, advice, depth, big_s)
             want = 1 if open_set.covers(x.prefix(depth)) else 0
             assert got == want, name
@@ -379,7 +378,7 @@ class TestMonotonicityAndShape:
     def test_histories_monotone(self, chain, surrogate, budgets, main_scenario):
         runs = []
         x = main_scenario.stream("x2")
-        runs.append(lay_to_lay(chain, surrogate, x, budgets))
+        runs.append(lay_to_lay(shift_union(chain), surrogate, x, budgets))
         runs.append(rd_from_lay_phi(surrogate, surrogate, x, budgets))
         runs.append(product_merge(chain, x, main_scenario.stream("x1"), budgets))
         for run in runs:
@@ -418,6 +417,7 @@ def _clocked_calls(sc, budgets, grace):
     and the trace that run contributes."""
     u = universal_sum(sc)
     chain = descending_chain(u)
+    watched = shift_union(chain)
     inner_f = InnerReduction(
         phi=lambda s: rd_from_lay_phi(u, u, s, budgets, grace).output,
         psi=lambda s, m: rd_from_lay_psi(u, s, m, budgets))
@@ -436,7 +436,7 @@ def _clocked_calls(sc, budgets, grace):
         x = sc.stream(name)
         y = sc.stream(names[(k + 1) % len(names)])
         yield "lay_to_lay", name, lambda x=x: plain(
-            lay_to_lay(chain, u, x, budgets, grace))
+            lay_to_lay(watched, u, x, budgets, grace))
         yield "rd_from_lay", name, lambda x=x: plain(
             rd_from_lay_phi(u, u, x, budgets, grace))
         yield "product_merge", name, lambda x=x, y=y: plain(
@@ -523,7 +523,7 @@ def test_closed_form_fill_matches_every_stage(pad, period, last, first, grace,
                                               pads, quiet, progress):
     source = Stream("s", pad, period)
     budgets = Budgets(max_index=1, max_stage=last, max_depth=8, max_layers=0)
-    em = Emitter(source, ConstructionTrace(name="fill"), budgets, grace)
+    em = Emitter(source, ConstructionTrace(), budgets, grace)
 
     def step(s):
         if s in pads:
@@ -547,7 +547,7 @@ def test_closed_form_fill_matches_every_stage(pad, period, last, first, grace,
        cursor=st.integers(0, 12), target=st.lists(bit_strings, max_size=4).map(Clopen))
 def test_covered_by_reads_committed_output(pad, period, base, cursor, target):
     budgets = Budgets(max_index=1, max_stage=8, max_depth=8, max_layers=0)
-    em = Emitter(Stream("s", pad, period), ConstructionTrace(name="cover"), budgets, 0)
+    em = Emitter(Stream("s", pad, period), ConstructionTrace(), budgets, 0)
     em.base, em.cursor = base, cursor
     assert em._covered_by(target) == target.covers(em.committed)
 
@@ -561,7 +561,7 @@ def test_monotone_ok_is_the_pairwise_scan(runs):
     """Checking segment boundaries decides what the pairwise scan of the
     expanded stage lengths decides."""
     budgets = Budgets(max_index=1, max_stage=8, max_depth=8, max_layers=0)
-    em = Emitter(Stream("s", "", "01"), ConstructionTrace(name="mono"), budgets, 0)
+    em = Emitter(Stream("s", "", "01"), ConstructionTrace(), budgets, 0)
     first = 0
     for width, n, delay in runs:
         em.segments.append((first, first + width, n, first + delay))
@@ -572,7 +572,7 @@ def test_monotone_ok_is_the_pairwise_scan(runs):
 
 def test_monotone_ok_sees_a_drop_between_segments():
     budgets = Budgets(max_index=1, max_stage=8, max_depth=8, max_layers=0)
-    em = Emitter(Stream("s", "", "01"), ConstructionTrace(name="drop"), budgets, 0)
+    em = Emitter(Stream("s", "", "01"), ConstructionTrace(), budgets, 0)
     em.segments = [(0, 3, 2, 1), (3, 5, 3, 9)]  # lengths 2, 3, 4, then 3, 3
     assert not em.monotone_ok()
     em.segments[1] = (3, 5, 4, 9)  # lengths 2, 3, 4, then 4, 4
@@ -631,7 +631,7 @@ def test_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
 def _cn_times_mlr_every_stage(u, f_values, x, budgets, grace):
     """The per-stage loop ``cn_times_mlr_to_lay`` ran before it was clocked:
     every stage 0..S-1 writes its event and checks the pad target."""
-    trace = ConstructionTrace(name="cn_times_mlr")
+    trace = ConstructionTrace()
     em = Emitter(x, trace, budgets, grace)
     top = effective_top(u)
     settled = len(f_values)
@@ -728,7 +728,7 @@ def _parallel_merge_every_stage(u, xs, budgets, grace):
     """The dovetail ``parallel_merge`` ran before it was clocked: every stage
     0..S reads its triple and pads when the output is not yet inside the
     triple's intersection."""
-    trace = ConstructionTrace(name="parallel_merge")
+    trace = ConstructionTrace()
     em = Emitter(xs[0], trace, budgets, grace)
     top = effective_top(u)
     for s in range(budgets.max_stage + 1):

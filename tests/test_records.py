@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from cantorlab.core import Frozen
-from cantorlab.deficiency import DeficiencyReport, Stream
+from cantorlab.deficiency import Stream
 from cantorlab.enumeration import Budgets
 from cantorlab.realizers import InnerReduction, identity_reduction
 
@@ -36,8 +36,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 FROZEN = [
     (Stream("x", "01", "1"), Stream(name="x", pad="01", period="1"),
      Stream("x", "01", "10")),
-    (DeficiencyReport(2, True), DeficiencyReport(value=2, determined=True),
-     DeficiencyReport(2, False)),
+    (Budgets(2, 8, 8, 4), Budgets(max_index=2, max_stage=8, max_depth=8, max_layers=4),
+     Budgets(2, 8, 8, 5)),
     (Budgets(1, 8, 8, 4), Budgets(max_index=1, max_stage=8, max_depth=8, max_layers=4),
      Budgets(1, 9, 8, 4)),
 ]
@@ -59,9 +59,9 @@ def test_frozen_records(a, same, other):
 
 
 def test_records_compare_by_type():
-    assert DeficiencyReport(1, True) != (1, True)
-    assert len({DeficiencyReport(1, True), DeficiencyReport(1, True),
-                DeficiencyReport(1, False)}) == 2
+    assert Budgets(1, 8, 8, 4) != (1, 8, 8, 4)
+    assert len({Budgets(1, 8, 8, 4), Budgets(1, 8, 8, 4),
+                Budgets(1, 8, 8, 5)}) == 2
 
 
 def test_stream_validates_at_construction():
