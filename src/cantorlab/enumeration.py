@@ -57,6 +57,18 @@ class Enumeration:
         self._views: list[Clopen] | None = None
         self._measures: list[Dyadic] | None = None
 
+    @classmethod
+    def _of_views(cls, stages: list[int], views: list[Clopen]) -> "Enumeration":
+        """The enumeration whose view becomes ``views[k]`` at ``stages[k]``
+        (increasing stages, growing nonempty views): it schedules each
+        view's canonical cylinders, already length-lex, at its stage."""
+        e = cls.__new__(cls)
+        e.schedule = tuple((s, c) for s, v in zip(stages, views)
+                           for c in v.cylinders)
+        e._stages, e._views = stages, views
+        e._measures = [v.measure() for v in views]
+        return e
+
     def _ensure(self) -> None:
         if self._stages is not None:
             return
@@ -561,20 +573,20 @@ def universal_sum(sc: Scenario) -> MLTest:
 
 
 def descending_chain(u: MLTest) -> MLTest:
-    """The stagewise intersections V_n of components 0..n; nested by design."""
+    """The stagewise intersections V_n of components 0..n; nested by design.
+    V_n is built from the meet views at the change stages of 0..n."""
     comps: list[Enumeration] = []
+    changes: set[int] = set()
     for n in range(u.max_index + 1):
-        changes: set[int] = set()
-        for i in range(n + 1):
-            changes.update(u.component(i).change_stages())
-        sched: list[tuple[int, str]] = []
-        prev: Clopen | None = None
+        changes.update(u.component(n).change_stages())
+        stages: list[int] = []
+        views: list[Clopen] = []
         for s in sorted(changes):
             view = u.meet_view(n, s)
-            if view != prev:
-                sched.extend((s, c) for c in view.cylinders)
-                prev = view
-        comps.append(Enumeration(sched))
+            if view and (not views or view != views[-1]):
+                stages.append(s)
+                views.append(view)
+        comps.append(Enumeration._of_views(stages, views))
     return MLTest(comps, nested=True)
 
 

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +23,10 @@ from cantorlab.cli import (
 from cantorlab.constructions import ConstructionTrace
 from cantorlab.core import Dyadic
 from cantorlab.enumeration import Budgets, Enumeration, MLTest, load_scenario
+from cantorlab.realizers import cn_times_mlr_psi
 
 MAIN = str(bundled_scenario("main"))
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -179,13 +185,14 @@ class TestMalformedScenario:
 def _full_grid_sweep(tests, budgets, stride):
     """Reference: compare the measure at every grid point."""
     ok, checks = {}, 0
+    grid = range(0, budgets.max_stage + 1, stride)
     for name, t in sorted(tests.items()):
         ok[name] = True
         for i in range(t.max_index + 1):
-            for s in range(0, budgets.max_stage + 1, stride):
-                checks += 1
-                if t.component(i).measure_at(s) > Dyadic.exp2(-i):
-                    ok[name] = False
+            checks += len(grid)
+            measure_at, bound = t.component(i).measure_at, Dyadic.exp2(-i)
+            if any(measure_at(s) > bound for s in grid):
+                ok[name] = False
     return ok, checks
 
 
@@ -218,13 +225,33 @@ class TestBudgetSweep:
 
         tests = {"off_grid": over_at(3), "on_grid": over_at(14),
                  "after_grid": over_at(16), "at_zero": over_at(0),
-                 "two_steps": over_at(2, first=1)}
+                 "two_steps": over_at(2, first=1),
+                 "after_three": over_at(4, first=0)}
         got = _sweep(tests, budgets, stride)
         assert got == _full_grid_sweep(tests, budgets, stride)
         want_fail = {1: set(tests),
-                     7: {"off_grid", "on_grid", "at_zero", "two_steps"},
+                     7: {"off_grid", "on_grid", "at_zero", "two_steps",
+                         "after_three"},
                      21: {"at_zero"}}[stride]
         assert {n for n, ok in got[0].items() if not ok} == want_fail
+
+
+    @pytest.fixture(scope="class")
+    def produced(self, main_scenario, deep_scenario):
+        return {sc: cli.produced_tests(sc) for sc in (main_scenario, deep_scenario)}
+
+    @pytest.mark.parametrize("stride", [1, 7, 64, "S"])
+    @pytest.mark.parametrize("name", ["main", "deep"])
+    def test_matches_full_grid_on_produced_tests(self, request, produced, name,
+                                                 stride):
+        # thm41_w is built with check=False: the sweep is its budget check
+        sc = request.getfixturevalue(f"{name}_scenario")
+        stride = sc.budgets.max_stage if stride == "S" else stride
+        tests = produced[sc]
+        assert "thm41_w" in tests
+        got = _sweep(tests, sc.budgets, stride)
+        assert got == _full_grid_sweep(tests, sc.budgets, stride)
+        assert all(got[0].values())
 
 
 class TestVerify:
@@ -496,3 +523,94 @@ class TestDeterminism:
         assert run_cli("run", "--scenario", scenario, "--select", selector,
                        "--trace", str(trace), "--stride", "64") == 0
         assert run_cli("verify", "--trace", str(trace), "--quiet") == 0
+
+
+def test_cn_times_mlr_decodes_at_the_advice(main_scenario, monkeypatch):
+    """The decode reads the advice, so an advice below the stage at which
+    the instance settles fails the witness."""
+    x = main_scenario.stream(main_scenario.random_streams[0])
+    skip5 = [1, 3, 2, 5, 4]
+    assert cn_times_mlr_psi(skip5, x, 3)[0] == 3
+    assert cn_times_mlr_psi(skip5, x, 512)[0] == 5
+    monkeypatch.setattr(cli, "rd_at_stage", lambda *args: 3)
+    trace = cli.execute(main_scenario, "cn_times_mlr")
+    failed = {w["claim"]: w["data"] for w in trace.witnesses
+              if w["status"] == "fail"}
+    names = main_scenario.random_streams[:2]
+    assert failed == {f"cn_times_mlr.decodes.{n}.skip5": {"decoded": 3, "want": 5}
+                      for n in names}
+    assert all(trace.outputs["runs"][f"{n}.omega"]["verdict"] == "pass"
+               for n in names)
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Calls of ``build_parser`` from a process with no parser yet."""
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_parser", None)
+        return calls
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counted(self, *a, **k):\n"
+                "    built.append(1)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "import cantorlab.cli as cli\n"
+                "print(len(built), cli._parser)")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", "None"]
+
+    def test_built_once_across_calls(self, builds, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("list-constructions") == 0
+        assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
+                       "--trace", str(trace)) == 0
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == 0
+        assert run_cli("list-constructions") == 0
+        assert len(builds) == 1
+
+    def test_no_option_leaks_between_calls(self, builds, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "lemma31",
+                       "--grace", "5", "--stride", "3", "--trace", str(a)) == 0
+        assert run_cli("run", "--scenario", MAIN, "--select", "lemma31",
+                       "--trace", str(b)) == 0
+        first, second = (p.read_text().splitlines()[0] for p in (a, b))
+        assert '"grace":5' in first and '"stride":3' in first
+        assert '"grace":null' in second and '"stride":1' in second
+        assert len(builds) == 1
+
+    def test_argparse_error_then_valid_call(self, builds, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--scenario", MAIN)  # no --select
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--select" in capsys.readouterr().err
+        assert run_cli("run", "--scenario", MAIN, "--select", "lemma31",
+                       "--trace", str(tmp_path / "t.jsonl")) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--help"], "list-constructions"),
+        (["run", "--help"], "--sigma-stages"),
+    ])
+    def test_help_reaches_captured_stdout(self, builds, argv, text, capsys):
+        assert run_cli("list-constructions") == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 0
+        assert text in capsys.readouterr().out
+        assert len(builds) == 1

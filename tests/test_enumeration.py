@@ -1,3 +1,6 @@
+import copy
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +8,7 @@ from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError, SearchExh
 from cantorlab.enumeration import (
     Enumeration,
     MLTest,
+    descending_chain,
     effective_top,
     even_shift,
     index_shift,
@@ -127,6 +131,57 @@ class TestDescendingChain:
             for s in (0, 2, 6, 40):
                 want = intersect_all(surrogate.stage_view(i, s) for i in range(n + 1))
                 assert chain.stage_view(n, s) == want
+
+
+def _assert_chain_as_rebuilt(u, chain, big_s):
+    """Each chain component against ``Enumeration`` rebuilt from its
+    strings, and its schedule against the meets' cylinders at every change
+    stage of components 0..n where the meet grew."""
+    from cantorlab.core import intersect_all
+    changes: set[int] = set()
+    for n, comp in enumerate(chain.components):
+        changes.update(u.component(n).change_stages())
+        want, prev = [], Clopen()
+        for s in sorted(changes):
+            meet = intersect_all(u.stage_view(i, s) for i in range(n + 1))
+            if meet != prev:
+                want.extend((s, c) for c in meet.cylinders)
+                prev = meet
+        rebuilt = Enumeration(comp.schedule)
+        assert comp.schedule == rebuilt.schedule == Enumeration(want).schedule
+        assert comp.change_stages() == rebuilt.change_stages()
+        for s in (*rebuilt.change_stages(), big_s):
+            assert comp.stage_view(s) == rebuilt.stage_view(s)
+            assert comp.measure_at(s) == rebuilt.measure_at(s)
+    assert chain.check_nested_stagewise()
+
+
+class TestChainFromViews:
+    @pytest.mark.parametrize("name", ["main", "deep"])
+    def test_scenario_chain(self, request, name):
+        sc = request.getfixturevalue(f"{name}_scenario")
+        _assert_chain_as_rebuilt(sc.universal, sc.chain, sc.budgets.max_stage)
+
+    def test_conftest_chain(self, surrogate, chain, main_scenario):
+        _assert_chain_as_rebuilt(surrogate, chain, main_scenario.budgets.max_stage)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shifted_worlds(self, main_scenario, seed):
+        r = random.Random(seed)
+        raw = copy.deepcopy(main_scenario.raw)
+        for entries in raw["tests"]:
+            for entry in entries:
+                entry["stage"] = max(0, entry["stage"] + r.randint(-2, 6))
+        sc = load_scenario(raw)
+        _assert_chain_as_rebuilt(sc.universal, sc.chain, sc.budgets.max_stage)
+
+    def test_meet_empty_before_it_grows(self):
+        # V_1 is empty at stages 0 and 2 and first holds "01" at stage 5
+        u = MLTest([Enumeration([(0, "0")]),
+                    Enumeration([(2, "1"), (5, "01")])], check=False)
+        chain = descending_chain(u)
+        assert chain.component(1).schedule == ((5, "01"),)
+        _assert_chain_as_rebuilt(u, chain, 8)
 
 
 class TestMeetView:
