@@ -19,6 +19,7 @@ from .core import (
     Dyadic,
     ScenarioError,
     SearchExhaustedError,
+    json_int,
 )
 from .constructions import (
     ConstructionTrace,
@@ -57,7 +58,6 @@ from .realizers import (
     product_merge,
     rd_from_lay_phi,
     rd_from_lay_psi,
-    rd_from_lay_run,
     semidecidable_to_rd_star,
     verify_pads,
 )
@@ -101,14 +101,15 @@ def produced_tests(sc: Scenario,
     output, in a new dict: ``sc.derived`` stays as verify sweeps it."""
     tests = dict(sc.derived)
     u, budgets = sc.universal, sc.budgets
-    res31 = build_lemma31(u, budgets, sigma_stages)
-    tests["lemma31_v"] = res31.v
-    tests["surgered"] = replace_component(u, 0, res31.w0)
-    res33 = build_thm33(u, sc.partial_functions, budgets)
-    tests["thm33_w"], tests["thm33_v"] = res33.w, res33.v
+    out31 = build_lemma31(u, budgets, sigma_stages).outputs
+    tests["lemma31_v"] = out31["v"]
+    tests["surgered"] = replace_component(u, 0, out31["w0"])
+    out33 = build_thm33(u, sc.partial_functions, budgets).outputs
+    tests["thm33_w"], tests["thm33_v"] = out33["w"], out33["v"]
     tests["thm41_w"] = build_thm41(tests["chain"], sc.functionals, budgets,
-                                   sc.inert_functionals).w
-    tests["thm410_u"] = build_thm410(index_shift(u, 2), sc.halting, budgets).u
+                                   sc.inert_functionals).outputs["w"]
+    tests["thm410_u"] = build_thm410(index_shift(u, 2), sc.halting,
+                                     budgets).outputs["u"]
     return tests
 
 
@@ -128,21 +129,21 @@ Cases = Iterator[tuple[str, ConstructionTrace, tuple]]
 
 
 def _thm32(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
-    res = build_lemma31(u, sc.budgets, o.sigma_stages)
-    trace = res.trace
-    surgery = replace_component(u, 0, res.w0)
+    trace = build_lemma31(u, sc.budgets, o.sigma_stages)
+    v = trace.outputs["v"]
+    surgery = replace_component(u, 0, trace.outputs["w0"])
     trace.outputs["surgered"] = surgery
     final = max(sc.budgets.max_stage, surgery.final_stage())
     comp0 = surgery.stage_view(0, final)
-    for i in range(res.v.max_index + 1):
+    for i in range(v.max_index + 1):
         trace.witness(f"thm32.non_containment.{i}",
-                      not res.v.stage_view(i, final).is_subset_of(comp0))
+                      not v.stage_view(i, final).is_subset_of(comp0))
     return trace
 
 
 def _thm410(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
     streams = [sc.stream(n) for n in sc.random_streams]
-    return build_thm410(index_shift(u, 2), sc.halting, sc.budgets, streams).trace
+    return build_thm410(index_shift(u, 2), sc.halting, sc.budgets, streams)
 
 
 def _combinators(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
@@ -171,11 +172,17 @@ def _lay_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 def _rd_from_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    big_s = sc.budgets.max_stage
     for name in sc.random_streams:
-        run = rd_from_lay_run(u, u, sc.stream(name), sc.budgets, o.grace)
-        d = run.data
-        yield name, run.trace, (run.committed, d["advice"], d["decoded"],
-                                d["decoded"] == d["expected"])
+        x = sc.stream(name)
+        run = rd_from_lay_phi(u, u, x, sc.budgets, o.grace)
+        advice = rd_at_stage(run.output, u, big_s)
+        decoded = rd_from_lay_psi(u, x, advice, sc.budgets)
+        expected = rd_at_stage(x, u, big_s)
+        run.trace.witness("rd_from_lay.exact", decoded == expected,
+                          advice=advice, decoded=decoded, expected=expected)
+        run.trace.witness("rd_from_lay.pads_valid", verify_pads(run, u, big_s))
+        yield name, run.trace, (run.committed, advice, decoded, decoded == expected)
 
 
 def _product_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
@@ -218,8 +225,8 @@ def _compose_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     inner_g = identity_reduction()
     for name in sc.random_streams:
         x = sc.stream(name)
-        run = compose_star(chain, inner_f, inner_g, x, budgets, o.grace)
-        n = rd_at_stage(run.data["y"], chain, big_s)
+        run, y, z = compose_star(chain, inner_f, inner_g, x, budgets, o.grace)
+        n = rd_at_stage(y, chain, big_s)
         m = rd_at_stage(run.output, chain, big_s)
         decoded = compose_star_psi(inner_f, inner_g, x, n, m)
         expected = rd_at_stage(x, u, big_s)
@@ -227,7 +234,7 @@ def _compose_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
                           decoded=decoded, expected=expected)
         run.trace.witness(
             "compose_star.dominates",
-            m >= rd_at_stage(run.data["z"], chain, big_s))
+            m >= rd_at_stage(z, chain, big_s))
         yield name, run.trace, (run.committed, [n, m], decoded, decoded == expected)
 
 
@@ -306,21 +313,21 @@ class CatalogEntry(NamedTuple):
 CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("lemma31", "3.1", "construction",
                  "marker family no single open cover contains",
-                 lambda sc, u, o: build_lemma31(u, sc.budgets, o.sigma_stages).trace),
+                 lambda sc, u, o: build_lemma31(u, sc.budgets, o.sigma_stages)),
     CatalogEntry("thm32", "3.2", "construction",
                  "component surgery: swap the carved cover into index 0", _thm32),
     CatalogEntry("thm33", "3.3", "construction",
                  "divergence witnesses against partial-function tables",
-                 lambda sc, u, o: build_thm33(u, sc.partial_functions, sc.budgets).trace),
+                 lambda sc, u, o: build_thm33(u, sc.partial_functions, sc.budgets)),
     CatalogEntry("thm41", "4.1", "construction",
                  "diagonal in/out set defeating every advice table",
                  lambda sc, u, o: build_thm41(sc.chain, sc.functionals,
-                                              sc.budgets, sc.inert_functionals).trace),
+                                              sc.budgets, sc.inert_functionals)),
     CatalogEntry("thm410", "4.10", "construction",
                  "halting-sensitive rebuild over the unary-prefixed test", _thm410),
     CatalogEntry("lemma63", "6.3", "construction",
                  "right-shift cone enumeration along a shrinking tree",
-                 lambda sc, u, o: build_lemma63(sc.tree("positive"), sc.budgets).trace),
+                 lambda sc, u, o: build_lemma63(sc.tree("positive"), sc.budgets)),
     CatalogEntry("combinators", "1.1/5.2", "construction",
                  "derived tests (sum, chain, shifts, stratification) with budget sweep",
                  _combinators),
@@ -416,10 +423,6 @@ def parse_header(line: str) -> dict:
     return rec["payload"]
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _apply_budget_overrides(sc: Scenario, budgets_json: dict) -> Scenario:
     new = Budgets.from_json(budgets_json)
     if new == sc.budgets:
@@ -440,9 +443,9 @@ def produce(sc: Scenario, budgets_json: dict, selector: object, grace: object,
         raise ScenarioError(f"unknown selector {selector!r}; "
                             "see list-constructions")
     for name, value in (("grace", grace), ("sigma_stages", sigma_stages)):
-        if value is not None and not _is_int(value):
-            raise ScenarioError(f"{name} must be an integer, got {value!r}")
-    if not _is_int(stride) or stride < 1:
+        if value is not None:
+            json_int(value, name)
+    if json_int(stride, "stride") < 1:
         raise ScenarioError(f"stride must be a positive integer, got {stride!r}")
     sc = _apply_budget_overrides(sc, budgets_json)
     validate_scenario(sc)
@@ -458,7 +461,7 @@ def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list[str]]:
     one of another trace format, raises ScenarioError."""
     try:
         fmt = header["format"]
-        if not (_is_int(fmt) and fmt == TRACE_FORMAT):
+        if type(fmt) is not int or fmt != TRACE_FORMAT:
             raise ScenarioError(f"trace format {fmt!r} is not {TRACE_FORMAT}")
         selector, budgets_json = header["selector"], header["budgets"]
         sc = load_scenario(header["scenario"])

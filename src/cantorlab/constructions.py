@@ -2,8 +2,9 @@
 
 Each builder replays one staged construction deterministically, records every
 decision as an event, and afterwards evaluates its finite-stage obligations
-(the claims a verifier re-checks).  Rebuilding from the same inputs must
-reproduce the trace byte for byte.
+(the claims a verifier re-checks).  It returns the trace, whose ``outputs``
+hold what it built.  Rebuilding from the same inputs must reproduce the trace
+byte for byte.
 
 ``thm33`` and ``thm41`` run on the realizers' event clock
 (``enumeration._run_clock``): they step only the stages at which a watched
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     BudgetError,
@@ -144,14 +145,8 @@ class ConstructionTrace:
 # non-containment cover: a single open set no small component fits inside
 # ---------------------------------------------------------------------------
 
-class Lemma31Result(NamedTuple):
-    w0: Enumeration
-    v: MLTest
-    sigmas: tuple[str, ...]
-    trace: ConstructionTrace
-
-
-def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None) -> Lemma31Result:
+def build_lemma31(u: MLTest, budgets: Budgets,
+                  sigma_stages: int | None = None) -> ConstructionTrace:
     """Carve marker cylinders out of component 2 and re-admit only their
     intersection with a much smaller component.
 
@@ -229,19 +224,12 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None) 
         trace.witness(f"lemma31.non_containment.{i}",
                       not Clopen([sig]).is_subset_of(w_final), marker=sig)
     trace.sort_events()
-    return Lemma31Result(w0=w0, v=v, sigmas=tuple(sigmas), trace=trace)
+    return trace
 
 
 # ---------------------------------------------------------------------------
 # divergence-witness test pair
 # ---------------------------------------------------------------------------
-
-class Thm33Result(NamedTuple):
-    w: MLTest
-    v: MLTest
-    trace: ConstructionTrace
-    least_divergence: dict[int, int]
-
 
 def least_divergence_point(table: Mapping[int, tuple[int, int]]) -> int:
     n = 0
@@ -251,7 +239,7 @@ def least_divergence_point(table: Mapping[int, tuple[int, int]]) -> int:
 
 
 def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
-                budgets: Budgets) -> Thm33Result:
+                budgets: Budgets) -> ConstructionTrace:
     """Track each table's convergence front; on every convergence, plant a
     fresh witness cylinder into the small components and jump the watched
     component index above the witness length.
@@ -354,20 +342,12 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
                     f"thm33.witness_bound.{e}.{j}",
                     not v.stage_view(j, final).is_subset_of(w_final))
     trace.sort_events()
-    return Thm33Result(w=w, v=v, trace=trace, least_divergence=least_div)
+    return trace
 
 
 # ---------------------------------------------------------------------------
 # diagonal set against advice tables
 # ---------------------------------------------------------------------------
-
-class Thm41Result(NamedTuple):
-    w: MLTest
-    in_set: Clopen
-    out_set: Clopen
-    trace: ConstructionTrace
-    triggers: dict[int, dict]
-
 
 def _half_coverage_stage(table: Mapping[tuple[str, int], int], advice: int) -> int | None:
     """Least depth t whose exactly-length-t table strings of vote < 2 cover
@@ -382,7 +362,7 @@ def _half_coverage_stage(table: Mapping[tuple[str, int], int], advice: int) -> i
 
 
 def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], int]],
-                budgets: Budgets, inert: frozenset[int] = frozenset()) -> Thm41Result:
+                budgets: Budgets, inert: frozenset[int] = frozenset()) -> ConstructionTrace:
     """Diagonalize against every advice table: once a table votes on half the
     space at some depth, pick a small undecided cylinder and sort it into the
     set opposite to its vote, bumping the watched component above its length.
@@ -505,22 +485,15 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
                       not sig.is_subset_of(w_final)
                       and sig.intersect(w_final).measure() < sig.measure())
     trace.sort_events()
-    return Thm41Result(w=w, in_set=in_set, out_set=out_set, trace=trace,
-                       triggers=triggered)
+    return trace
 
 
 # ---------------------------------------------------------------------------
 # halting-sensitive rebuild over the unary-prefixed test
 # ---------------------------------------------------------------------------
 
-class Thm410Result(NamedTuple):
-    u: MLTest
-    vstr: MLTest
-    trace: ConstructionTrace
-
-
 def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
-                 streams: Sequence[Stream] = ()) -> Thm410Result:
+                 streams: Sequence[Stream] = ()) -> ConstructionTrace:
     """Rebuild the unary-prefixed test so that, after a declared halt of
     index e, each component additionally enumerates the [1^e 0] part of the
     previous component from the halt stage on."""
@@ -581,18 +554,12 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
             trace.witness(f"thm410.halting_shift.{e}.{x.name}", got > d - 1,
                           rd_input=d, rd_output=got)
     trace.sort_events()
-    return Thm410Result(u=u, vstr=vstr, trace=trace)
+    return trace
 
 
 # ---------------------------------------------------------------------------
 # right-shift cone enumeration along a shrinking tree
 # ---------------------------------------------------------------------------
-
-class Lemma63Result(NamedTuple):
-    cones: tuple[tuple[int, str], ...]
-    n0: int
-    trace: ConstructionTrace
-
 
 def _init_line(s: int, n: int, sigma: str) -> str:
     """``jline`` of an ``init`` event: its ints and binary strings encode as
@@ -606,7 +573,8 @@ def _replace_line(s: int, n: int, old: str, new: str, reason: str) -> str:
             f'"old":"{old}","reason":"{reason}"}},"stage":{s}}}')
 
 
-def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemma63Result:
+def build_lemma63(tree: CoTree, budgets: Budgets,
+                  n0: int | None = None) -> ConstructionTrace:
     """Enumerate, per length, one tracked cylinder meeting the tree, shifting
     it one step right whenever it dies in the tree or is swallowed by a
     shorter enumerated cone."""
@@ -689,7 +657,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets, n0: int | None = None) -> Lemm
 
 
 def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
-                    cones: list[tuple[int, str]], n0: int) -> Lemma63Result:
+                    cones: list[tuple[int, str]], n0: int) -> ConstructionTrace:
     big_s = budgets.max_stage
     dead_changes = tree.change_stages()
     cone_stages = [st for st, _ in cones]
@@ -741,4 +709,4 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     trace.witness("lemma63.n0_bound",
                   Dyadic.exp2(-n0) <= tree.path_measure(big_s).half().half())
     trace.sort_events()
-    return Lemma63Result(cones=tuple(cones), n0=n0, trace=trace)
+    return trace

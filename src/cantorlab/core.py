@@ -46,6 +46,14 @@ class ScenarioError(CantorError):
     """A scenario file failed validation."""
 
 
+def json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer, an ``int`` but not a ``bool``;
+    otherwise ScenarioError naming ``name``."""
+    if type(value) is int:
+        return value
+    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
 class Frozen:
     """Base of the immutable value records: a subclass lists its fields in
     ``__slots__`` and its ``__init__`` sets them once, in that order, with

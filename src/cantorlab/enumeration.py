@@ -28,6 +28,7 @@ from .core import (
     SearchExhaustedError,
     check_bits,
     intersect_all,  # noqa: F401  unused; perfbench/test_perfbench.py patches it here
+    json_int,
     str_order_key,
 )
 from .deficiency import CoTree, Stream, rd_at_stage
@@ -281,20 +282,24 @@ class Budgets(Frozen):
             raise ScenarioError(f"budget K={self.max_depth} outside 1..{HARD_MAX_DEPTH}")
         if not 0 <= self.max_layers <= self.max_depth:
             raise ScenarioError(f"budget L={self.max_layers} outside 0..K")
+        if self.max_index > self.max_depth - 2:
+            raise ScenarioError(
+                f"budget I={self.max_index} above K-2={self.max_depth - 2}: the "
+                f"stratification head 1^(I+2) must fit the depth")
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Budgets":
         try:
-            depth = int(obj["K"])
+            depth = json_int(obj["K"], "budget K")
             return cls(
-                max_index=int(obj["I"]),
-                max_stage=int(obj["S"]),
+                max_index=json_int(obj["I"], "budget I"),
+                max_stage=json_int(obj["S"], "budget S"),
                 max_depth=depth,
-                max_layers=int(obj.get("L", depth // 2)),
+                max_layers=json_int(obj.get("L", depth // 2), "budget L"),
             )
         except KeyError as exc:
             raise ScenarioError(f"budgets missing field {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, AttributeError) as exc:
             raise ScenarioError(f"malformed budgets: {exc}") from exc
 
     def to_json(self) -> dict:
@@ -368,12 +373,8 @@ class Scenario:
             raise ScenarioError(f"unknown tree {name!r}") from None
 
 
-def _parse_schedule(entries: Iterable[Mapping], *, with_component: bool) -> list[tuple[int, int, str]]:
-    out = []
-    for e in entries:
-        comp = int(e["component"]) if with_component else 0
-        out.append((comp, int(e["stage"]), check_bits(e["cylinder"])))
-    return out
+def _parse_schedule(entries: Iterable[Mapping]) -> list[tuple[int, str]]:
+    return [(json_int(e["stage"], "stage"), check_bits(e["cylinder"])) for e in entries]
 
 
 def load_scenario(source: str | Path | Mapping) -> Scenario:
@@ -404,7 +405,8 @@ def _parse_scenario(raw: dict) -> Scenario:
 
     tests: list[MLTest] = []
     for ti, test_entries in enumerate(raw.get("tests", [])):
-        triples = _parse_schedule(test_entries, with_component=True)
+        triples = [(json_int(e["component"], "component"), json_int(e["stage"], "stage"),
+                    check_bits(e["cylinder"])) for e in test_entries]
         beyond = [comp for comp, _, _ in triples if comp > big_i]
         if beyond:
             raise ScenarioError(
@@ -415,15 +417,19 @@ def _parse_scenario(raw: dict) -> Scenario:
 
     partial: dict[int, dict[int, tuple[int, int]]] = {}
     for key, entries in sorted(raw.get("partial_functions", {}).items(), key=lambda kv: int(kv[0])):
-        table = {int(e["arg"]): (int(e["stage"]), int(e["value"])) for e in entries}
+        table = {json_int(e["arg"], "arg"): (json_int(e["stage"], "stage"),
+                                             json_int(e["value"], "value"))
+                 for e in entries}
         partial[int(key)] = table
 
     functionals: dict[int, dict[tuple[str, int], int]] = {}
     for key, entries in sorted(raw.get("functionals", {}).items(), key=lambda kv: int(kv[0])):
-        table = {(check_bits(e["prefix"]), int(e["advice"])): int(e["value"]) for e in entries}
+        table = {(check_bits(e["prefix"]), json_int(e["advice"], "advice")):
+                 json_int(e["value"], "value") for e in entries}
         functionals[int(key)] = table
 
-    halting = {int(e["e"]): int(e["stage"]) for e in raw.get("halting", [])}
+    halting = {json_int(e["e"], "e"): json_int(e["stage"], "stage")
+               for e in raw.get("halting", [])}
 
     streams: dict[str, Stream] = {}
     randoms: list[str] = []
@@ -435,14 +441,11 @@ def _parse_scenario(raw: dict) -> Scenario:
 
     opens: dict[str, tuple[Enumeration, ...]] = {}
     for name, family in sorted(raw.get("opens", {}).items()):
-        opens[name] = tuple(
-            Enumeration([(int(e["stage"]), check_bits(e["cylinder"])) for e in entries])
-            for entries in family)
+        opens[name] = tuple(Enumeration(_parse_schedule(entries)) for entries in family)
 
     trees: dict[str, Enumeration] = {}
     for name, entries in sorted(raw.get("trees", {}).items()):
-        trees[name] = Enumeration(
-            [(int(e["stage"]), check_bits(e["cylinder"])) for e in entries])
+        trees[name] = Enumeration(_parse_schedule(entries))
 
     return Scenario(
         budgets=budgets,
@@ -452,11 +455,12 @@ def _parse_scenario(raw: dict) -> Scenario:
         halting=halting,
         streams=streams,
         random_streams=tuple(randoms),
-        inert_functionals=frozenset(int(e) for e in raw.get("inert_functionals", [])),
+        inert_functionals=frozenset(json_int(e, "inert functional")
+                                    for e in raw.get("inert_functionals", [])),
         opens=opens,
         trees=trees,
         parallel_family=tuple(raw.get("parallel_family", [])),
-        parallel_bound=int(raw.get("parallel_bound", 0)),
+        parallel_bound=json_int(raw.get("parallel_bound", 0), "parallel_bound"),
         raw=raw,
     )
 

@@ -132,28 +132,29 @@ def _pad_into(em: Emitter, stage: int, target: Clopen, demanded: list[int],
 
 
 class RealizerRun:
-    """One transducer execution plus its decoded contract data."""
+    """One transducer execution: its output stream, committed prefix, pads,
+    trace, and the emission ``segments`` of its ``Emitter``."""
 
-    __slots__ = ("output", "committed", "pads", "trace", "data")
+    __slots__ = ("output", "committed", "pads", "trace", "segments")
 
     def __init__(self, output: Stream, committed: str, pads: list[dict],
-                 trace: ConstructionTrace, data: dict | None = None) -> None:
+                 trace: ConstructionTrace,
+                 segments: list[tuple[int, int, int, int]]) -> None:
         self.output = output
         self.committed = committed
         self.pads = pads
         self.trace = trace
-        self.data = {} if data is None else data
+        self.segments = segments
 
 
-def _finish(name: str, em: Emitter, trace: ConstructionTrace, **data) -> RealizerRun:
+def _finish(name: str, em: Emitter, trace: ConstructionTrace) -> RealizerRun:
     trace.sort_events()
     committed = em.committed
     trace.witness(f"{name}.monotone", em.monotone_ok())
     trace.witness(f"{name}.shape", em.shape_ok(),
                   base=em.base, tail_len=len(committed) - len(em.base))
     return RealizerRun(output=prepend(em.base, em.source), committed=committed,
-                       pads=em.pads, trace=trace,
-                       data={"segments": em.segments, **data})
+                       pads=em.pads, trace=trace, segments=em.segments)
 
 
 def verify_pads(run: RealizerRun, u: MLTest, final_stage: int) -> bool:
@@ -199,7 +200,7 @@ def lay_to_lay(vp: MLTest, u: MLTest, x: Stream, budgets: Budgets,
         return j != start
 
     _run_clock(em, vp.change_stages(), 0, budgets.max_stage, step)
-    return _finish("lay_to_lay", em, trace, final_index=j)
+    return _finish("lay_to_lay", em, trace)
 
 
 def lay_to_lay_contract(run: RealizerRun, v: MLTest, u: MLTest, x: Stream,
@@ -239,27 +240,13 @@ def rd_from_lay_phi(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
         return j != start
 
     _run_clock(em, v.change_stages(), 0, budgets.max_stage, step)
-    return _finish("rd_from_lay", em, trace, final_index=j)
+    return _finish("rd_from_lay", em, trace)
 
 
 def rd_from_lay_psi(v: MLTest, x: Stream, k: int, budgets: Budgets) -> int:
     """Decoder: the deficiency of ``x`` against ``v`` at stage ``k``, clamped
     to the budget (views are frozen beyond it)."""
     return rd_at_stage(x, v, min(k, budgets.max_stage))
-
-
-def rd_from_lay_run(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
-                    grace: int | None = None) -> RealizerRun:
-    run = rd_from_lay_phi(v, u, x, budgets, grace)
-    s = budgets.max_stage
-    advice = rd_at_stage(run.output, u, s)
-    decoded = rd_from_lay_psi(v, x, advice, budgets)
-    expected = rd_at_stage(x, v, s)
-    run.data.update({"advice": advice, "decoded": decoded, "expected": expected})
-    run.trace.witness("rd_from_lay.exact", decoded == expected,
-                      advice=advice, decoded=decoded, expected=expected)
-    run.trace.witness("rd_from_lay.pads_valid", verify_pads(run, u, s))
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +280,7 @@ def product_merge(u: MLTest, x: Stream, y: Stream, budgets: Budgets,
         return (dx, dy) != start
 
     _run_clock(em, u.change_stages(), 0, budgets.max_stage, step)
-    return _finish("product_merge", em, trace, level=level)
+    return _finish("product_merge", em, trace)
 
 
 def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
@@ -351,10 +338,12 @@ def identity_reduction() -> InnerReduction:
 
 
 def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
-                 x: Stream, budgets: Budgets,
-                 grace: int | None = None) -> RealizerRun:
+                 x: Stream, budgets: Budgets, grace: int | None = None
+                 ) -> tuple[RealizerRun, Stream, Stream]:
     """Run the inner pre-processor, then grow a companion stream whose
     deficiency dominates the second call's, tracking both watermarks.
+    Returns the run, the first call's input ``y`` and the second's final
+    input ``z``.
 
     Requires a nested reference test; the decoder is
     (n, m) -> post_f(post_g(input, n), m).
@@ -368,7 +357,6 @@ def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
     z = inner_f.phi(inner_g.psi(x, d_y))
     if not isinstance(z, Stream):
         raise ScenarioError("inner post-processor must produce a stream input")
-    events: list[tuple[str, int, int]] = []
 
     def step(s: int) -> bool:
         nonlocal d_y, d_z, z
@@ -376,7 +364,6 @@ def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
             d_y += 1
             z = inner_f.phi(inner_g.psi(x, d_y))
             trace.add(s, "raise_dy", d_y=d_y)
-            events.append(("dy", s, d_y))
             em.note_progress(s)
             return True
         if d_z <= u.max_index and member_at_stage(z, u, d_z, s):
@@ -384,15 +371,11 @@ def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
             _pad_into(em, s, u.stage_view(d_z, s), [d_z],
                       f"compose_star: no pad into component {d_z} at stage {s}")
             d_z += 1
-            events.append(("dz", s, d_z))
             return True
         return False
 
     _run_clock(em, u.change_stages(), 0, budgets.max_stage, step)
-    run = _finish("compose_star", em, trace, d_y=d_y, d_z=d_z, events=events)
-    run.data["y"] = y
-    run.data["z"] = z
-    return run
+    return _finish("compose_star", em, trace), y, z
 
 
 def compose_star_psi(inner_f: InnerReduction, inner_g: InnerReduction,
@@ -420,8 +403,6 @@ class ChoiceRun(NamedTuple):
 
     enumerated: tuple[int, ...]
     survivor: int | None
-    survivor_unique: bool
-    final_index: int
     trace: ConstructionTrace
 
     def instance_values(self) -> list[int]:
@@ -475,11 +456,10 @@ def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets) -> ChoiceRun:
 
     _run_clock(None, u.change_stages(), 0, budgets.max_stage, step)
     survivors = [n for n in range(counter) if n not in enumerated_set]
-    unique = len(survivors) == 1
-    survivor = survivors[0] if survivors else None
-    trace.witness("lay_to_cn.survivor_unique", unique, survivors=survivors[:5])
-    return ChoiceRun(enumerated=tuple(enumerated), survivor=survivor,
-                     survivor_unique=unique, final_index=idx, trace=trace)
+    trace.witness("lay_to_cn.survivor_unique", len(survivors) == 1,
+                  survivors=survivors[:5])
+    return ChoiceRun(enumerated=tuple(enumerated),
+                     survivor=survivors[0] if survivors else None, trace=trace)
 
 
 def lay_to_cn_psi(n: int, u: MLTest) -> int:
@@ -526,10 +506,8 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
     last = budgets.max_stage - 1
     # the pad target moves only at these stages; last + 1 ends the final run
     watched = sorted(set(range(top + 1)).union(u.change_stages(), [last + 1]))
-    fired = 0
 
     def step(s: int) -> bool:
-        nonlocal fired
         now, nxt = values[min(s, settled)], values[min(s + 1, settled)]
         if now != nxt:
             trace.add(s, "changed", value=nxt)
@@ -539,19 +517,17 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
         target = u.meet_view(bound, s)
         padded = not em._covered_by(target)
         if padded or s < settled:
-            fired += 1
             trace.add(s, "stable", value=now)
             if padded:
                 _pad_into(em, s, target, list(range(bound + 1)),
                           f"cn_times_mlr: no pad into 0..{bound} at stage {s}")
             return True
         stop = watched[bisect_right(watched, s)]
-        fired += stop - s
         trace.add_run(s, stop, "stable", value=now)
         return False
 
     _run_clock(em, watched, 0, last, step)
-    return _finish("cn_times_mlr", em, trace, fired=fired)
+    return _finish("cn_times_mlr", em, trace)
 
 
 def cn_times_mlr_psi(f_values: Sequence[int], x: Stream, s: int) -> tuple[int, Stream]:
@@ -593,7 +569,7 @@ def delta02_to_lay_phi(u: MLTest, t_trees: Sequence[CoTree],
 
     changes = sorted({c for tr in (*t_trees, *s_trees) for c in tr.change_stages()})
     _run_clock(em, changes, 1, budgets.max_stage, step)
-    return _finish("delta02_to_lay", em, trace, final_index=j)
+    return _finish("delta02_to_lay", em, trace)
 
 
 def delta02_to_lay_psi(t_trees: Sequence[CoTree], s_trees: Sequence[CoTree],
@@ -619,7 +595,6 @@ def delta02_to_lay_psi(t_trees: Sequence[CoTree], s_trees: Sequence[CoTree],
 
 class SemiDecidableRun(NamedTuple):
     g_advice: int
-    level: int
     f_run: RealizerRun
     f_advice: int
     verdict: int
@@ -672,6 +647,5 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
                   level=level, advice=f_advice)
     trace.extend(g_run.trace)
     trace.extend(f_trace)
-    return SemiDecidableRun(g_advice=g_advice, level=level,
-                            f_run=f_run, f_advice=f_advice, verdict=verdict,
-                            expected=expected, trace=trace)
+    return SemiDecidableRun(g_advice=g_advice, f_run=f_run, f_advice=f_advice,
+                            verdict=verdict, expected=expected, trace=trace)

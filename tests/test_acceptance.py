@@ -89,14 +89,14 @@ def test_criterion_measure_budgets(main_scenario, deep_scenario):
 def test_criterion_lemma31(surrogate, main_scenario):
     crit = Criterion("lemma31-finite-stage-non-containment", 10.0)
     big_s = main_scenario.budgets.max_stage
-    res = build_lemma31(surrogate, main_scenario.budgets)
-    if not res.sigmas:
+    out = build_lemma31(surrogate, main_scenario.budgets).outputs
+    if not out["sigmas"]:
         crit.fail("no markers emitted")
-    w_final = res.w0.stage_view(big_s)
-    for i, sig in enumerate(res.sigmas):
+    w_final = out["w0"].stage_view(big_s)
+    for i, sig in enumerate(out["sigmas"]):
         v_i = Clopen([sig])
         for s in range(big_s + 1):
-            if v_i.is_subset_of(res.w0.stage_view(s)):
+            if v_i.is_subset_of(out["w0"].stage_view(s)):
                 crit.fail(f"marker {i} contained at stage {s}")
         inside = v_i.intersect(w_final).measure()
         bound = surrogate.stage_view(len(sig) + 1, big_s).measure()
@@ -108,13 +108,13 @@ def test_criterion_lemma31(surrogate, main_scenario):
 def test_criterion_thm33(surrogate, main_scenario):
     crit = Criterion("thm33-witness-bound", 10.0)
     big_s = main_scenario.budgets.max_stage
-    res = build_thm33(surrogate, main_scenario.partial_functions,
-                      main_scenario.budgets)
+    out = build_thm33(surrogate, main_scenario.partial_functions,
+                      main_scenario.budgets).outputs
     checked = 0
-    for e, n in res.least_divergence.items():
-        v_views = [res.v.stage_view(j, big_s) for j in range(n)]
+    for e, n in out["least_divergence"].items():
+        v_views = [out["v"].stage_view(j, big_s) for j in range(n)]
         for s in range(big_s + 1):
-            w_view = res.w.stage_view(e, s)
+            w_view = out["w"].stage_view(int(e), s)
             for j in range(n):
                 if v_views[j].is_subset_of(w_view):
                     crit.fail(f"table {e}: component {j} swallowed at stage {s}")
@@ -127,21 +127,21 @@ def test_criterion_thm33(surrogate, main_scenario):
 def test_criterion_thm41(chain, main_scenario):
     crit = Criterion("thm41-diagonal", 10.0)
     big_s = main_scenario.budgets.max_stage
-    res = build_thm41(chain, main_scenario.functionals, main_scenario.budgets,
-                      main_scenario.inert_functionals)
-    if not res.triggers:
+    out = build_thm41(chain, main_scenario.functionals, main_scenario.budgets,
+                      main_scenario.inert_functionals).outputs
+    if not out["triggers"]:
         crit.fail("no advice table triggered")
-    for i, info in res.triggers.items():
+    for i, info in out["triggers"].items():
         marker = Clopen([info["sigma"]])
-        placed_in = marker.is_subset_of(res.in_set)
+        placed_in = marker.is_subset_of(out["in"])
         if info["vote"] == 0 and not placed_in:
             crit.fail(f"table {i}: vote 0 but marker not placed inside")
-        if info["vote"] == 1 and marker.intersect(res.in_set):
+        if info["vote"] == 1 and marker.intersect(out["in"]):
             crit.fail(f"table {i}: vote 1 but marker meets the set")
-        if marker.is_subset_of(res.w.stage_view(i, big_s)):
+        if marker.is_subset_of(out["w"].stage_view(int(i), big_s)):
             crit.fail(f"table {i}: marker swallowed by the watched component")
     events = sorted((info["stage"], info["vote"], info["sigma"])
-                    for info in res.triggers.values())
+                    for info in out["triggers"].values())
     bound = Dyadic(1, 4)
     for s in range(big_s + 1):
         ins = Clopen([sig for st, v, sig in events if st <= s and v == 0])
@@ -201,7 +201,8 @@ def test_criterion_realizer_lay_to_cn(surrogate, main_scenario):
     for name in main_scenario.random_streams:
         x = main_scenario.stream(name)
         run = lay_to_cn(surrogate, x, b)
-        if not run.survivor_unique:
+        if [w["status"] for w in run.trace.witnesses
+                if w["claim"] == "lay_to_cn.survivor_unique"] != ["pass"]:
             crit.fail(f"{name}: survivor not unique")
         expected = rd_at_stage(x, surrogate, b.max_stage)
         if lay_to_cn_psi(run.survivor, surrogate) != expected:
@@ -262,15 +263,15 @@ def test_criterion_lemma63(main_scenario):
     b = main_scenario.budgets
     big_s = b.max_stage
     tree = main_scenario.tree("positive")
-    res = build_lemma63(tree, b)
-    a_enum = Enumeration(res.cones)
+    cones = build_lemma63(tree, b).outputs["cones"]
+    a_enum = Enumeration(cones)
     for s in range(big_s + 1):
         live = tree.live_clopen(s)
         inter = a_enum.stage_view(s).intersect(live)
         if inter.measure() > tree.path_measure(s).half():
             crit.fail(f"half-measure bound violated at stage {s}")
     live_final = tree.live_clopen(big_s)
-    ordered = [c for _, c in res.cones]
+    ordered = [c for _, c in cones]
     for m in range(21):
         first = Clopen(ordered[:m])
         witness = None

@@ -70,6 +70,18 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: validation: budget I=5000 outside 0..64\n")
 
+    def test_index_budget_past_depth_rejected(self, tmp_path, capsys):
+        # stratify's head 1^(I+2) must fit the depth, so I <= K-2; the run
+        # stops before it writes a trace
+        trace = tmp_path / "t.jsonl"
+        code = run_cli("run", "--scenario", MAIN, "--select", "lay_to_lay",
+                       "--max-index", "63", "--trace", str(trace), "--verify")
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: validation: budget I=63 above K-2=62: the stratification "
+            "head 1^(I+2) must fit the depth\n")
+        assert not trace.exists()
+
     def test_unknown_selector(self, capsys):
         code = run_cli("run", "--scenario", MAIN, "--select", "nope")
         assert code == EXIT_VALIDATION
@@ -127,10 +139,32 @@ def _tests_as_mapping(raw):
     raw["tests"] = {"a": 1}
 
 
+def _fractional_budget(raw):
+    raw["budgets"]["S"] = 512.7
+
+
+def _string_budget(raw):
+    raw["budgets"]["S"] = "512"
+
+
+def _fractional_stage(raw):
+    raw["tests"][0][0]["stage"] = 1.9
+
+
+def _bool_halting_stage(raw):
+    raw["halting"][0]["stage"] = True
+
+
+def _index_past_depth(raw):
+    raw["budgets"]["I"] = raw["budgets"]["K"] - 1
+
+
 class TestMalformedScenario:
     @pytest.mark.parametrize("breaker", [_break_period, _drop_stage,
                                          _string_budgets, _negative_stage,
-                                         _tests_as_mapping])
+                                         _tests_as_mapping, _fractional_budget,
+                                         _string_budget, _fractional_stage,
+                                         _bool_halting_stage, _index_past_depth])
     def test_run_exits_validation(self, breaker, tmp_path, capsys):
         raw = json.load(open(MAIN))
         breaker(raw)
@@ -168,7 +202,14 @@ class TestMalformedScenario:
         lambda p: p.pop("budgets"),
         lambda p: p.update(stride="x"),
         lambda p: p.update(grace="x"),
-    ], ids=["scenario_stage", "budgets", "stride", "grace"])
+        lambda p: p["scenario"]["tests"][0][0].update(stage=1.9),
+        lambda p: p["budgets"].update(S="512"),
+        lambda p: p["budgets"].update(I=p["budgets"]["K"] - 1),
+        lambda p: p.update(stride=True),
+        lambda p: p.update(sigma_stages=2.5),
+    ], ids=["scenario_stage", "budgets", "stride", "grace", "fractional_stage",
+            "string_budget", "index_past_depth", "bool_stride",
+            "fractional_sigma_stages"])
     def test_verify_exits_validation(self, breaker, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
@@ -420,13 +461,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("selector", sorted(SELECTORS))
     def test_round_trip_under_overrides(self, selector, tmp_path, capsys):
+        # I = K-2 = 62 is the largest index budget stratify's head fits
         trace = tmp_path / "t.jsonl"
         assert run_cli("run", "--scenario", MAIN, "--select", selector,
-                       "--stages", "300", "--sigma-stages", "5",
+                       "--stages", "300", "--max-index", "62", "--sigma-stages", "5",
                        "--stride", "7", "--trace", str(trace)) == 0
         header = json.loads(trace.read_text().splitlines()[0])["payload"]
-        assert (header["budgets"]["S"], header["sigma_stages"],
-                header["stride"]) == (300, 5, 7)
+        assert (header["budgets"]["S"], header["budgets"]["I"], header["sigma_stages"],
+                header["stride"]) == (300, 62, 5, 7)
         capsys.readouterr()
         assert run_cli("verify", "--trace", str(trace), "--quiet") == 0
         report = json.loads(capsys.readouterr().out.splitlines()[0])

@@ -29,9 +29,6 @@ from cantorlab.cli import EXIT_SEARCH, EXIT_VALIDATION, execute, main
 from cantorlab.constructions import (
     _ENCODER,
     ConstructionTrace,
-    Lemma63Result,
-    Thm33Result,
-    Thm41Result,
     _encode,
     _finish_lemma63,
     _half_coverage_stage,
@@ -56,76 +53,91 @@ from cantorlab.enumeration import (
     index_shift,
     load_scenario,
     replace_component,
+    stratify,
     universal_sum,
 )
 from conftest import decoded_events
 
 
 @pytest.fixture(scope="module")
-def lemma31_result(surrogate, main_scenario):
+def lemma31_trace(surrogate, main_scenario):
     return build_lemma31(surrogate, main_scenario.budgets, sigma_stages=10)
 
 
 @pytest.fixture(scope="module")
-def thm33_result(surrogate, main_scenario):
+def thm33_trace(surrogate, main_scenario):
     return build_thm33(surrogate, main_scenario.partial_functions,
                        main_scenario.budgets)
 
 
 @pytest.fixture(scope="module")
-def thm41_result(chain, main_scenario):
+def thm41_trace(chain, main_scenario):
     return build_thm41(chain, main_scenario.functionals, main_scenario.budgets,
                        main_scenario.inert_functionals)
 
 
 @pytest.fixture(scope="module")
-def thm410_result(surrogate, main_scenario):
+def thm410_trace(surrogate, main_scenario):
     v = index_shift(surrogate, 2)
     streams = [main_scenario.stream(n) for n in main_scenario.random_streams]
     return build_thm410(v, main_scenario.halting, main_scenario.budgets, streams)
 
 
 @pytest.fixture(scope="module")
-def lemma63_result(main_scenario):
+def thm410_vstr(surrogate, main_scenario):
+    """The stratified input ``build_thm410`` rebuilds."""
+    return stratify(index_shift(surrogate, 2), main_scenario.budgets)
+
+
+@pytest.fixture(scope="module")
+def lemma63_trace(main_scenario):
     return build_lemma63(main_scenario.tree("positive"), main_scenario.budgets)
 
 
+def _triggers(thm41_trace):
+    """The thm41 trigger records by table index."""
+    return {int(e): info for e, info in thm41_trace.outputs["triggers"].items()}
+
+
 class TestLemma31:
-    def test_marker_lengths(self, lemma31_result):
-        for s, sig in enumerate(lemma31_result.sigmas):
+    def test_marker_lengths(self, lemma31_trace):
+        for s, sig in enumerate(lemma31_trace.outputs["sigmas"]):
             assert len(sig) >= s + 2
 
-    def test_marker_measures(self, lemma31_result):
-        for i in range(lemma31_result.v.max_index + 1):
-            m = lemma31_result.v.component(i).final_measure()
+    def test_marker_measures(self, lemma31_trace):
+        v = lemma31_trace.outputs["v"]
+        for i in range(v.max_index + 1):
+            m = v.component(i).final_measure()
             assert m <= Dyadic.exp2(-(i + 2))
 
-    def test_non_containment_all_stages(self, lemma31_result, main_scenario):
+    def test_non_containment_all_stages(self, lemma31_trace, main_scenario):
         big_s = main_scenario.budgets.max_stage
-        for i, sig in enumerate(lemma31_result.sigmas):
+        w0 = lemma31_trace.outputs["w0"]
+        for i, sig in enumerate(lemma31_trace.outputs["sigmas"]):
             marker = Clopen([sig])
-            for s in lemma31_result.w0.change_stages() + (big_s,):
-                assert not marker.is_subset_of(lemma31_result.w0.stage_view(s))
+            for s in w0.change_stages() + (big_s,):
+                assert not marker.is_subset_of(w0.stage_view(s))
 
-    def test_strict_intersection_bound(self, lemma31_result, surrogate, main_scenario):
+    def test_strict_intersection_bound(self, lemma31_trace, surrogate, main_scenario):
         big_s = main_scenario.budgets.max_stage
-        w_final = lemma31_result.w0.stage_view(big_s)
-        for sig in lemma31_result.sigmas:
+        w_final = lemma31_trace.outputs["w0"].stage_view(big_s)
+        for sig in lemma31_trace.outputs["sigmas"]:
             inside = Clopen([sig]).intersect(w_final).measure()
             bound = surrogate.stage_view(len(sig) + 1, big_s).measure()
             assert inside <= bound < Dyadic.exp2(-len(sig))
 
-    def test_witnesses_pass(self, lemma31_result):
-        assert lemma31_result.trace.all_passed()
+    def test_witnesses_pass(self, lemma31_trace):
+        assert lemma31_trace.all_passed()
 
     def test_deterministic_replay(self, surrogate, main_scenario):
         a = build_lemma31(surrogate, main_scenario.budgets, sigma_stages=10)
         b = build_lemma31(surrogate, main_scenario.budgets, sigma_stages=10)
-        assert a.trace.lines() == b.trace.lines()
+        assert a.lines() == b.lines()
 
-    def test_surgery_keeps_budget(self, lemma31_result, surrogate):
-        surgered = replace_component(surrogate, 0, lemma31_result.w0)
-        assert surgered.component(0) == lemma31_result.w0
+    def test_surgery_keeps_budget(self, lemma31_trace, surrogate):
+        w0 = lemma31_trace.outputs["w0"]
+        surgered = replace_component(surrogate, 0, w0)
+        assert surgered.component(0) == w0
 
 
 class TestThm33:
@@ -135,60 +147,64 @@ class TestThm33:
         assert least_divergence_point(tables[1]) == 2
         assert least_divergence_point(tables[2]) == 0
 
-    def test_budgets(self, thm33_result):
-        for e in range(thm33_result.w.max_index + 1):
-            assert thm33_result.w.component(e).final_measure() <= Dyadic.exp2(-e)
+    def test_budgets(self, thm33_trace):
+        w = thm33_trace.outputs["w"]
+        for e in range(w.max_index + 1):
+            assert w.component(e).final_measure() <= Dyadic.exp2(-e)
 
-    def test_witness_bound_all_stages(self, thm33_result, main_scenario):
+    def test_witness_bound_all_stages(self, thm33_trace, main_scenario):
         big_s = main_scenario.budgets.max_stage
-        for e, n in thm33_result.least_divergence.items():
-            v_final = [thm33_result.v.stage_view(j, big_s) for j in range(max(n, 0))]
+        w, v = thm33_trace.outputs["w"], thm33_trace.outputs["v"]
+        for e, n in thm33_trace.outputs["least_divergence"].items():
+            v_final = [v.stage_view(j, big_s) for j in range(max(n, 0))]
             for s in range(0, big_s + 1, 16):
-                w_view = thm33_result.w.stage_view(e, s)
+                w_view = w.stage_view(int(e), s)
                 for j in range(n):
                     assert not v_final[j].is_subset_of(w_view)
 
-    def test_e_state_monotone(self, thm33_result):
+    def test_e_state_monotone(self, thm33_trace):
         seen: dict[int, int] = {}
-        for ev in decoded_events(thm33_result.trace):
+        for ev in decoded_events(thm33_trace):
             if ev["action"] == "converge":
                 e = ev["payload"]["e"]
                 idx = ev["payload"]["e_index"]
                 assert idx >= seen.get(e, 0)
                 seen[e] = idx
 
-    def test_witnesses_pass(self, thm33_result):
-        assert thm33_result.trace.all_passed()
+    def test_witnesses_pass(self, thm33_trace):
+        assert thm33_trace.all_passed()
 
-    def test_total_table_lag(self, thm33_result, surrogate, main_scenario):
+    def test_total_table_lag(self, thm33_trace, surrogate, main_scenario):
         # table 0 converges on every probed argument before stalling at 4;
         # during those episodes component 0 swallows the stage view above it
-        for ev in decoded_events(thm33_result.trace):
+        for ev in decoded_events(thm33_trace):
             if ev["action"] == "converge" and ev["payload"]["e"] == 0:
                 s = ev["stage"]
                 assert surrogate.stage_view(1, s).is_subset_of(
-                    thm33_result.w.stage_view(0, s + 1))
+                    thm33_trace.outputs["w"].stage_view(0, s + 1))
 
 
 class TestThm41:
-    def test_triggers(self, thm41_result):
-        assert set(thm41_result.triggers) == {0, 1}
-        assert thm41_result.triggers[0]["vote"] == 0
-        assert thm41_result.triggers[1]["vote"] == 1
+    def test_triggers(self, thm41_trace):
+        triggers = _triggers(thm41_trace)
+        assert set(triggers) == {0, 1}
+        assert triggers[0]["vote"] == 0
+        assert triggers[1]["vote"] == 1
 
-    def test_vote_contradiction(self, thm41_result):
-        for i, info in thm41_result.triggers.items():
+    def test_vote_contradiction(self, thm41_trace):
+        in_set = thm41_trace.outputs["in"]
+        for i, info in _triggers(thm41_trace).items():
             marker = Clopen([info["sigma"]])
             if info["vote"] == 0:
-                assert marker.is_subset_of(thm41_result.in_set)
+                assert marker.is_subset_of(in_set)
             else:
-                assert marker.intersect(thm41_result.in_set) == Clopen()
+                assert marker.intersect(in_set) == Clopen()
 
-    def test_in_out_disjoint_every_stage(self, thm41_result, main_scenario):
+    def test_in_out_disjoint_every_stage(self, thm41_trace, main_scenario):
         big_s = main_scenario.budgets.max_stage
         events = sorted(
             (info["stage"], info["vote"], info["sigma"])
-            for info in thm41_result.triggers.values())
+            for info in _triggers(thm41_trace).values())
         bound = Dyadic(1, 4)
         for s in range(big_s + 1):
             ins = Clopen([sig for st, v, sig in events if st <= s and v == 0])
@@ -196,33 +212,34 @@ class TestThm41:
             assert ins.intersect(outs) == Clopen()
             assert ins.measure() <= bound and outs.measure() <= bound
 
-    def test_witness_escapes_reference(self, thm41_result, main_scenario):
+    def test_witness_escapes_reference(self, thm41_trace, main_scenario):
         big_s = main_scenario.budgets.max_stage
-        for i, info in thm41_result.triggers.items():
+        for i, info in _triggers(thm41_trace).items():
             marker = Clopen([info["sigma"]])
-            w_view = thm41_result.w.stage_view(i, big_s)
+            w_view = thm41_trace.outputs["w"].stage_view(i, big_s)
             assert not marker.is_subset_of(w_view)
             assert marker.intersect(w_view).measure() < marker.measure()
 
-    def test_sigma_measure_bound(self, thm41_result):
-        for info in thm41_result.triggers.values():
+    def test_sigma_measure_bound(self, thm41_trace):
+        for info in _triggers(thm41_trace).values():
             assert Dyadic.exp2(-len(info["sigma"])) <= Dyadic.exp2(-(info["stage"] + 5))
 
-    def test_at_most_one_placement_per_stage(self, thm41_result):
-        stages = [info["stage"] for info in thm41_result.triggers.values()]
+    def test_at_most_one_placement_per_stage(self, thm41_trace):
+        stages = [info["stage"] for info in _triggers(thm41_trace).values()]
         assert len(stages) == len(set(stages))
 
-    def test_initial_watch_and_stagewise_containment(self, thm41_result, chain,
+    def test_initial_watch_and_stagewise_containment(self, thm41_trace, chain,
                                                      main_scenario):
-        for ev in decoded_events(thm41_result.trace):
+        for ev in decoded_events(thm41_trace):
             if ev["action"] == "trigger":
                 # the first bump starts from i+4
                 assert ev["payload"]["e_index"] >= ev["payload"]["e"] + 5
         big_s = main_scenario.budgets.max_stage
-        stages = sorted(set(thm41_result.w.change_stages()) | {0, big_s})
-        for i in range(thm41_result.w.max_index + 1):
+        w = thm41_trace.outputs["w"]
+        stages = sorted(set(w.change_stages()) | {0, big_s})
+        for i in range(w.max_index + 1):
             for s in stages:
-                assert thm41_result.w.stage_view(i, s).is_subset_of(
+                assert w.stage_view(i, s).is_subset_of(
                     chain.stage_view(i + 4, s))
 
     def test_requires_nested(self, surrogate, main_scenario):
@@ -235,21 +252,21 @@ class TestThm41:
             build_thm41(chain, main_scenario.functionals,
                         main_scenario.budgets, frozenset())
 
-    def test_witnesses_pass(self, thm41_result):
-        assert thm41_result.trace.all_passed()
+    def test_witnesses_pass(self, thm41_trace):
+        assert thm41_trace.all_passed()
 
-    def test_tables_disagree_with_built_set(self, thm41_result, main_scenario,
+    def test_tables_disagree_with_built_set(self, thm41_trace, main_scenario,
                                             chain):
         # replaying the trace: at each witness cylinder, the table's bit and
         # the built set's membership bit differ
         from cantorlab.deficiency import eval_table
-        for i, info in thm41_result.triggers.items():
+        for i, info in _triggers(thm41_trace).items():
             sigma = info["sigma"]
             x = Stream(f"w{i}", sigma, "01")
             table = main_scenario.functionals[i]
             voted = eval_table(table, x, i, len(sigma))
             assert voted == info["vote"]
-            member = thm41_result.in_set.covers(sigma)
+            member = thm41_trace.outputs["in"].covers(sigma)
             assert member == (voted == 0)
 
 
@@ -259,16 +276,16 @@ class TestThm410:
         with pytest.raises(BudgetError):
             build_thm410(fat, main_scenario.halting, main_scenario.budgets)
 
-    def test_budget_sum(self, thm410_result):
-        u, vstr = thm410_result.u, thm410_result.vstr
+    def test_budget_sum(self, thm410_trace, thm410_vstr):
+        u, vstr = thm410_trace.outputs["u"], thm410_vstr
         for i in range(vstr.max_index):
             lhs = u.component(i + 1).final_measure()
             rhs = (vstr.component(i + 1).final_measure()
                    + vstr.component(i).final_measure())
             assert lhs <= rhs <= Dyadic.exp2(-(i + 1)) + Dyadic.exp2(-(i + 1))
 
-    def test_nonhalting_cone_unchanged(self, thm410_result, main_scenario):
-        u, vstr = thm410_result.u, thm410_result.vstr
+    def test_nonhalting_cone_unchanged(self, thm410_trace, thm410_vstr, main_scenario):
+        u, vstr = thm410_trace.outputs["u"], thm410_vstr
         big_s = main_scenario.budgets.max_stage
         for e in (0, 2):  # not in the halting table
             cone = Clopen(["1" * e + "0"])
@@ -277,7 +294,7 @@ class TestThm410:
                     assert u.stage_view(i, s).intersect(cone) == \
                         vstr.stage_view(i, s).intersect(cone)
 
-    def test_halting_shift(self, thm410_result, main_scenario, surrogate):
+    def test_halting_shift(self, thm410_trace, main_scenario, surrogate):
         big_s = main_scenario.budgets.max_stage
         v = index_shift(surrogate, 2)
         checked = 0
@@ -288,11 +305,11 @@ class TestThm410:
                 if d < 2:
                     continue
                 shifted = prepend("1" * e + "0", x)
-                assert rd_at_stage(shifted, thm410_result.u, big_s) > d - 1
+                assert rd_at_stage(shifted, thm410_trace.outputs["u"], big_s) > d - 1
                 checked += 1
         assert checked >= 2
 
-    def test_nonhalting_shift_is_exact(self, thm410_result, main_scenario,
+    def test_nonhalting_shift_is_exact(self, thm410_trace, main_scenario,
                                        surrogate):
         big_s = main_scenario.budgets.max_stage
         v = index_shift(surrogate, 2)
@@ -304,17 +321,17 @@ class TestThm410:
                 if not (2 <= d and e <= d + 1):
                     continue
                 shifted = prepend("1" * e + "0", x)
-                assert rd_at_stage(shifted, thm410_result.u, big_s) == d - 1
+                assert rd_at_stage(shifted, thm410_trace.outputs["u"], big_s) == d - 1
                 checked += 1
         assert checked >= 2
 
-    def test_witnesses_pass(self, thm410_result):
-        assert thm410_result.trace.all_passed()
+    def test_witnesses_pass(self, thm410_trace):
+        assert thm410_trace.all_passed()
 
 
 class TestLemma63:
-    def test_n0(self, lemma63_result):
-        assert lemma63_result.n0 == 3
+    def test_n0(self, lemma63_trace):
+        assert lemma63_trace.outputs["n0"] == 3
 
     @pytest.mark.parametrize("scenario_name, count, digest", [
         ("main", 337,
@@ -324,23 +341,23 @@ class TestLemma63:
     ], ids=["main", "deep"])
     def test_cones_pinned(self, request, scenario_name, count, digest):
         sc = request.getfixturevalue(f"{scenario_name}_scenario")
-        cones = build_lemma63(sc.tree("positive"), sc.budgets).cones
-        data = json.dumps([list(c) for c in cones], separators=(",", ":"))
+        cones = build_lemma63(sc.tree("positive"), sc.budgets).outputs["cones"]
+        data = json.dumps(cones, separators=(",", ":"))
         assert len(cones) == count
         assert hashlib.sha256(data.encode()).hexdigest() == digest
 
-    def test_half_measure_every_stage(self, lemma63_result, main_scenario):
+    def test_half_measure_every_stage(self, lemma63_trace, main_scenario):
         tree = main_scenario.tree("positive")
         big_s = main_scenario.budgets.max_stage
-        a_enum = Enumeration(lemma63_result.cones)
+        a_enum = Enumeration(lemma63_trace.outputs["cones"])
         for s in range(0, big_s + 1, 8):
             live = tree.live_clopen(s)
             inter = a_enum.stage_view(s).intersect(live)
             assert inter.measure() <= tree.path_measure(s).half()
 
-    def test_replacements_follow_rules(self, lemma63_result, main_scenario):
+    def test_replacements_follow_rules(self, lemma63_trace, main_scenario):
         tree = main_scenario.tree("positive")
-        by_action = [e for e in decoded_events(lemma63_result.trace)
+        by_action = [e for e in decoded_events(lemma63_trace)
                      if e["action"] == "replace"]
         assert by_action, "the staged deaths should force replacements"
         for ev in by_action:
@@ -353,19 +370,19 @@ class TestLemma63:
         from cantorlab.enumeration import Budgets
         full = CoTree(Enumeration([]), 64)
         b = Budgets(max_index=12, max_stage=64, max_depth=64, max_layers=8)
-        res = build_lemma63(full, b, n0=2)
-        assert not [e for e in decoded_events(res.trace) if e["action"] == "replace"]
-        inits = [e["payload"]["sigma"] for e in decoded_events(res.trace)
+        trace = build_lemma63(full, b, n0=2)
+        assert not [e for e in decoded_events(trace) if e["action"] == "replace"]
+        inits = [e["payload"]["sigma"] for e in decoded_events(trace)
                  if e["action"] == "init"]
         assert inits[0] == "00"
         assert inits[1] == "010"
         assert inits[2] == "0110"
 
-    def test_noncover_for_every_prefix(self, lemma63_result, main_scenario):
+    def test_noncover_for_every_prefix(self, lemma63_trace, main_scenario):
         tree = main_scenario.tree("positive")
         big_s = main_scenario.budgets.max_stage
         live = tree.live_clopen(big_s)
-        ordered = [c for _, c in lemma63_result.cones]
+        ordered = [c for _, c in lemma63_trace.outputs["cones"]]
         assert len(ordered) > 21
         for m in range(21):
             first = Clopen(ordered[:m])
@@ -374,20 +391,20 @@ class TestLemma63:
                 and not Clopen([later]).intersect(live).is_subset_of(first)
                 for later in ordered[m:])
 
-    def test_witnesses_pass(self, lemma63_result):
-        assert lemma63_result.trace.all_passed()
+    def test_witnesses_pass(self, lemma63_trace):
+        assert lemma63_trace.all_passed()
 
 
 class TestTraceShape:
-    def test_events_sorted_by_stage(self, lemma31_result, thm33_result,
-                                    thm41_result, thm410_result, lemma63_result):
-        for res in (lemma31_result, thm33_result, thm41_result, thm410_result,
-                    lemma63_result):
-            stages = [e["stage"] for e in decoded_events(res.trace)]
+    def test_events_sorted_by_stage(self, lemma31_trace, thm33_trace,
+                                    thm41_trace, thm410_trace, lemma63_trace):
+        for trace in (lemma31_trace, thm33_trace, thm41_trace, thm410_trace,
+                      lemma63_trace):
+            stages = [e["stage"] for e in decoded_events(trace)]
             assert stages == sorted(stages)
 
-    def test_witness_record_shape(self, thm41_result):
-        for w in thm41_result.trace.witnesses:
+    def test_witness_record_shape(self, thm41_trace):
+        for w in thm41_trace.witnesses:
             assert set(w) == {"claim", "status", "data"}
             assert w["status"] in ("pass", "fail")
 
@@ -522,14 +539,14 @@ class TestDeterminism:
     def test_traces_reproduce(self, surrogate, chain, main_scenario):
         b = main_scenario.budgets
         pairs = [
-            build_thm33(surrogate, main_scenario.partial_functions, b).trace,
-            build_thm33(surrogate, main_scenario.partial_functions, b).trace,
+            build_thm33(surrogate, main_scenario.partial_functions, b),
+            build_thm33(surrogate, main_scenario.partial_functions, b),
         ]
         assert pairs[0].lines() == pairs[1].lines()
         t1 = build_thm41(chain, main_scenario.functionals, b,
-                         main_scenario.inert_functionals).trace
+                         main_scenario.inert_functionals)
         t2 = build_thm41(chain, main_scenario.functionals, b,
-                         main_scenario.inert_functionals).trace
+                         main_scenario.inert_functionals)
         assert t1.lines() == t2.lines()
 
 
@@ -538,7 +555,7 @@ class TestDeterminism:
 # ---------------------------------------------------------------------------
 
 def _thm33_every_stage(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
-                       budgets: Budgets) -> Thm33Result:
+                       budgets: Budgets) -> ConstructionTrace:
     """The per-stage loop ``build_thm33`` ran before it was clocked:
     every stage 0..S-1 reads the watched views of every table."""
     big_s, depth = budgets.max_stage, budgets.max_depth
@@ -629,7 +646,7 @@ def _thm33_every_stage(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, i
                     f"thm33.witness_bound.{e}.{j}",
                     not v.stage_view(j, final).is_subset_of(w_final))
     trace.sort_events()
-    return Thm33Result(w=w, v=v, trace=trace, least_divergence=least_div)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +654,8 @@ def _thm33_every_stage(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, i
 
 
 def _thm41_every_stage(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], int]],
-                       budgets: Budgets, inert: frozenset[int] = frozenset()) -> Thm41Result:
+                       budgets: Budgets, inert: frozenset[int] = frozenset()
+                       ) -> ConstructionTrace:
     """The per-stage loop ``build_thm41`` ran before it was clocked:
     every stage 0..S visits its row ``i`` at column ``t``."""
     if not y.nested:
@@ -747,19 +765,18 @@ def _thm41_every_stage(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, i
                       not sig.is_subset_of(w_final)
                       and sig.intersect(w_final).measure() < sig.measure())
     trace.sort_events()
-    return Thm41Result(w=w, in_set=in_set, out_set=out_set, trace=trace,
-                       triggers=triggered)
+    return trace
 
 
 
-def _half_measure_every_stage(res, tree, budgets):
+def _half_measure_every_stage(cones, tree, budgets):
     """The half-measure loop ``_finish_lemma63`` ran before it walked the
     cones once: every stage intersects the whole view of the cones."""
     trace = ConstructionTrace()
     big_s = budgets.max_stage
     dead_changes = tree.change_stages()
-    stages = sorted({s for s, _ in res.cones} | set(dead_changes) | {0, big_s})
-    a_enum = Enumeration(res.cones)
+    stages = sorted({s for s, _ in cones} | set(dead_changes) | {0, big_s})
+    a_enum = Enumeration(cones)
     per_interval: dict[int, tuple[Clopen, Dyadic]] = {}
     for s in stages:
         t = min(s, big_s)
@@ -775,7 +792,7 @@ def _half_measure_every_stage(res, tree, budgets):
 
 
 def _lemma63_every_stage(tree: CoTree, budgets: Budgets,
-                         n0: int | None = None) -> Lemma63Result:
+                         n0: int | None = None) -> ConstructionTrace:
     """The dovetail ``build_lemma63`` ran before it walked the diagonals:
     every stage 0..S is unpaired, the tree is read at each visit, and the
     covered test slices every prefix."""
@@ -834,14 +851,12 @@ def _lemma63_every_stage(tree: CoTree, budgets: Budgets,
 
 
 def _outcome(build, *args):
-    """What a build leaves: its trace lines and encoded result, or the
+    """What a build leaves: its trace lines, which hold its outputs, or the
     text of the error it raised."""
     try:
-        res = build(*args)
+        return build(*args).lines()
     except CantorError as exc:
         return type(exc).__name__, str(exc)
-    return res.trace.lines(), jline(
-        {k: v for k, v in res._asdict().items() if k != "trace"})
 
 
 def _with_stages(sc, stages):
@@ -954,16 +969,17 @@ class TestClockedAgainstEveryStage:
     def _check_lemma63(tree, budgets):
         assert (_outcome(build_lemma63, tree, budgets)
                 == _outcome(_lemma63_every_stage, tree, budgets))
-        res = build_lemma63(tree, budgets)
-        clocked = [jline(w) for w in res.trace.witnesses
+        trace = build_lemma63(tree, budgets)
+        cones = trace.outputs["cones"]
+        clocked = [jline(w) for w in trace.witnesses
                    if w["claim"].startswith("lemma63.half_measure.")]
-        assert clocked == [jline(w) for w in _half_measure_every_stage(res, tree, budgets)]
+        assert clocked == [jline(w) for w in _half_measure_every_stage(cones, tree, budgets)]
         # each init is the leftmost string the earlier cones leave uncovered
-        for k, (s, sigma) in enumerate(res.cones):
+        for k, (s, sigma) in enumerate(cones):
             if unpair(s)[1] == 0:
                 assert sigma == leftmost_uncovered(
-                    len(sigma), Clopen([c for _, c in res.cones[:k]]))
-        return res
+                    len(sigma), Clopen([c for _, c in cones[:k]]))
+        return cones
 
     @pytest.mark.parametrize("name, stages", BASE_WORLDS)
     def test_lemma63_bundles(self, request, name, stages):
@@ -984,8 +1000,8 @@ class TestClockedAgainstEveryStage:
                 stage = r.choice(inits) if r.random() < 0.5 else r.randint(1, budgets.max_stage)
                 dead.append((stage, "".join(r.choice("01") for _ in range(r.randint(3, 6)))))
             tree = CoTree(Enumeration(dead), budgets.max_depth)
-            res = self._check_lemma63(tree, budgets)
-            cone_stages = {s for s, _ in res.cones}
+            cones = self._check_lemma63(tree, budgets)
+            cone_stages = {s for s, _ in cones}
             for d in tree.change_stages():
                 if d in cone_stages:
                     kinds.add("at")

@@ -40,7 +40,6 @@ from cantorlab.realizers import (
     product_merge,
     rd_from_lay_phi,
     rd_from_lay_psi,
-    rd_from_lay_run,
     semidecidable_to_rd_star,
     stable_value,
     verify_pads,
@@ -48,12 +47,17 @@ from cantorlab.realizers import (
 from conftest import decoded_events
 
 
-def _stage_lengths(data):
-    """The committed length after each accounted stage, expanded from the
+def _stage_lengths(segments):
+    """The committed length after each accounted stage, expanded from a
     run's emission segments."""
     return [n + max(0, t + 1 - first_emit)
-            for first, stop, n, first_emit in data["segments"]
+            for first, stop, n, first_emit in segments
             for t in range(first, stop)]
+
+
+def _events(trace, action):
+    """The payloads of a trace's ``action`` events, in order."""
+    return [e["payload"] for e in decoded_events(trace) if e["action"] == action]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +72,7 @@ class TestLayToLay:
         run = lay_to_lay(shift_union(chain), surrogate, x, budgets)
         assert not run.pads
         assert run.output.pad == x.pad and run.output.period == x.period
-        assert run.data["final_index"] == 0
+        assert not _events(run.trace, "trigger")
 
     def test_output_shape(self, chain, surrogate, budgets, main_scenario):
         for name in main_scenario.random_streams:
@@ -96,7 +100,8 @@ class TestLayToLay:
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
             run = lay_to_lay(vp, surrogate, x, budgets)
-            assert run.data["final_index"] == rd_at_stage(x, vp, big_s)
+            triggered = [p["index"] for p in _events(run.trace, "trigger")]
+            assert triggered == list(range(rd_at_stage(x, vp, big_s)))
 
     def test_pads_valid_against_final_views(self, chain, surrogate, budgets,
                                             main_scenario):
@@ -108,9 +113,10 @@ class TestLayToLay:
 class TestRdFromLay:
     def test_zero_deficiency_identity(self, surrogate, budgets, main_scenario):
         x = main_scenario.stream("alt")
-        run = rd_from_lay_run(surrogate, surrogate, x, budgets)
+        run = rd_from_lay_phi(surrogate, surrogate, x, budgets)
         assert not run.pads
-        assert run.data["decoded"] == 0
+        advice = rd_at_stage(run.output, surrogate, budgets.max_stage)
+        assert rd_from_lay_psi(surrogate, x, advice, budgets) == 0
         for k in range(0, budgets.max_stage, 50):
             assert rd_from_lay_psi(surrogate, x, k, budgets) == 0
 
@@ -119,9 +125,9 @@ class TestRdFromLay:
         big_s = budgets.max_stage
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
-            run = rd_from_lay_run(surrogate, surrogate, x, budgets)
-            expected = run.data["expected"]
-            threshold = run.data["advice"]
+            run = rd_from_lay_phi(surrogate, surrogate, x, budgets)
+            expected = rd_at_stage(x, surrogate, big_s)
+            threshold = rd_at_stage(run.output, surrogate, big_s)
             for k in range(threshold, big_s + 1):
                 assert rd_from_lay_psi(surrogate, x, k, budgets) == expected
 
@@ -134,16 +140,18 @@ class TestRdFromLay:
 
     def test_witnesses(self, surrogate, budgets, main_scenario):
         x = main_scenario.stream("x2")
-        run = rd_from_lay_run(surrogate, surrogate, x, budgets)
+        run = rd_from_lay_phi(surrogate, surrogate, x, budgets)
         assert run.trace.all_passed()
+        assert verify_pads(run, surrogate, budgets.max_stage)
 
     def test_distinct_test_pair(self, chain, surrogate, budgets, main_scenario):
         # recover the bound against the chain while padding into the flat test
         big_s = budgets.max_stage
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
-            run = rd_from_lay_run(chain, surrogate, x, budgets)
-            assert run.data["decoded"] == run.data["expected"] \
+            run = rd_from_lay_phi(chain, surrogate, x, budgets)
+            advice = rd_at_stage(run.output, surrogate, big_s)
+            assert rd_from_lay_psi(chain, x, advice, budgets) \
                 == rd_at_stage(x, chain, big_s)
 
 
@@ -193,8 +201,8 @@ class TestParallelMerge:
 class TestComposeStar:
     def test_identity_identity(self, chain, budgets, main_scenario):
         x = main_scenario.stream("x2")
-        run = compose_star(chain, identity_reduction(), identity_reduction(),
-                           x, budgets)
+        run, _, _ = compose_star(chain, identity_reduction(), identity_reduction(),
+                                 x, budgets)
         big_s = budgets.max_stage
         assert rd_at_stage(run.output, chain, big_s) >= \
             rd_at_stage(x, chain, big_s)
@@ -204,14 +212,18 @@ class TestComposeStar:
             phi=lambda s: rd_from_lay_phi(surrogate, surrogate, s, budgets).output,
             psi=lambda s, m: rd_from_lay_psi(surrogate, s, m, budgets))
         x = main_scenario.stream("x3")
-        run = compose_star(chain, inner_f, identity_reduction(), x, budgets)
+        run, y, z = compose_star(chain, inner_f, identity_reduction(), x, budgets)
         big_s = budgets.max_stage
-        assert run.data["d_y"] == rd_at_stage(run.data["y"], chain, big_s)
-        assert run.data["d_z"] >= rd_at_stage(run.data["z"], chain, big_s)
+        d_y = [p["d_y"] for p in _events(run.trace, "raise_dy")]
+        d_z = [p["d_z"] for p in _events(run.trace, "raise_dz")]
+        assert d_y == list(range(1, rd_at_stage(y, chain, big_s) + 1))
+        assert d_z == list(range(1, len(d_z) + 1))
+        assert len(d_z) >= rd_at_stage(z, chain, big_s)
         # the companion watermark only moves after the first settles or when
         # it is already ahead: no dz event precedes a dy event at the same level
-        dy_events = [s for kind, s, _ in run.data["events"] if kind == "dy"]
-        dz_events = [s for kind, s, _ in run.data["events"] if kind == "dz"]
+        events = decoded_events(run.trace)
+        dy_events = [e["stage"] for e in events if e["action"] == "raise_dy"]
+        dz_events = [e["stage"] for e in events if e["action"] == "raise_dz"]
         if dy_events and dz_events:
             assert max(dz_events) >= max(dy_events) or not dz_events
 
@@ -223,8 +235,8 @@ class TestComposeStar:
         big_s = budgets.max_stage
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
-            run = compose_star(chain, inner_f, inner_g, x, budgets)
-            n = rd_at_stage(run.data["y"], chain, big_s)
+            run, y, _ = compose_star(chain, inner_f, inner_g, x, budgets)
+            n = rd_at_stage(y, chain, big_s)
             m = rd_at_stage(run.output, chain, big_s)
             decoded = compose_star_psi(inner_f, inner_g, x, n, m)
             assert decoded == rd_at_stage(x, surrogate, big_s)
@@ -240,10 +252,12 @@ class TestLayToCn:
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
             run = lay_to_cn(surrogate, x, budgets)
-            assert run.survivor_unique
+            assert [w["status"] for w in run.trace.witnesses
+                    if w["claim"] == "lay_to_cn.survivor_unique"] == ["pass"]
             expected = rd_at_stage(x, surrogate, big_s)
             assert lay_to_cn_psi(run.survivor, surrogate) == expected
-            assert run.final_index == expected
+            retargets = [p["index"] for p in _events(run.trace, "retarget")]
+            assert retargets == list(range(1, expected + 1))
 
     def test_instance_values_code_complement(self, surrogate, budgets,
                                              main_scenario):
@@ -299,7 +313,7 @@ class TestDelta02:
         t_trees, s_trees = trees
         x = main_scenario.stream("x1")  # a path through the first in-side tree
         run = delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets)
-        assert run.data["final_index"] == 0
+        assert not _events(run.trace, "trigger")
         assert len(run.pads) == 1  # only the initial block
 
     def test_psi_matches_membership_oracle(self, chain, budgets, main_scenario,
@@ -351,8 +365,9 @@ class TestSemiDecidable:
                                        surrogate, x, budgets)
         assert run.verdict == 0 == run.expected
         assert not run.f_run.pads  # output is the source unchanged
+        [g_side] = _events(run.trace, "g_side")
         for m in (0, 3, 100, budgets.max_stage):
-            view = main_scenario.opens["layerA"][run.level].stage_view(m)
+            view = main_scenario.opens["layerA"][g_side["level"]].stage_view(m)
             assert not any(x.starts_with(c) for c in view.cylinders)
 
     def test_in_stream_certified(self, surrogate, budgets, main_scenario):
@@ -382,7 +397,7 @@ class TestMonotonicityAndShape:
         runs.append(rd_from_lay_phi(surrogate, surrogate, x, budgets))
         runs.append(product_merge(chain, x, main_scenario.stream("x1"), budgets))
         for run in runs:
-            hist = _stage_lengths(run.data)
+            hist = _stage_lengths(run.segments)
             assert all(a <= b for a, b in zip(hist, hist[1:]))
             assert run.trace.all_passed()
 
@@ -442,7 +457,7 @@ def _clocked_calls(sc, budgets, grace):
         yield "product_merge", name, lambda x=x, y=y: plain(
             product_merge(chain, x, y, budgets, grace))
         yield "compose_star", name, lambda x=x: plain(
-            compose_star(chain, inner_f, identity_reduction(), x, budgets, grace))
+            compose_star(chain, inner_f, identity_reduction(), x, budgets, grace)[0])
         yield "delta02_to_lay", name, lambda x=x: plain(
             delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets, grace))
         yield "semidecidable_star", name, lambda x=x: semidecidable(x)
@@ -458,7 +473,7 @@ def _clocked_digests(sc) -> dict[str, str]:
         for realizer, stream, call in _clocked_calls(sc, budgets, grace):
             try:
                 run, trace = call()
-                record = [_stage_lengths(run.data), run.committed, run.pads,
+                record = [_stage_lengths(run.segments), run.committed, run.pads,
                           trace.lines()]
             except (ScenarioError, SearchExhaustedError) as exc:
                 record = f"{type(exc).__name__}: {exc}"
@@ -539,7 +554,7 @@ def test_closed_form_fill_matches_every_stage(pad, period, last, first, grace,
         source, grace, first, last, pads, progress)
     assert em.committed == committed
     assert em.cursor == cursor
-    assert _stage_lengths({"segments": em.segments}) == history
+    assert _stage_lengths(em.segments) == history
     assert em.committed == em.base + source.prefix(em.cursor)
 
 
@@ -566,7 +581,7 @@ def test_monotone_ok_is_the_pairwise_scan(runs):
     for width, n, delay in runs:
         em.segments.append((first, first + width, n, first + delay))
         first += width
-    lengths = _stage_lengths({"segments": em.segments})
+    lengths = _stage_lengths(em.segments)
     assert em.monotone_ok() == all(a <= b for a, b in zip(lengths, lengths[1:]))
 
 
@@ -609,7 +624,7 @@ def test_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
             calls.update(member=0, alive=0)
             try:
                 run, _ = call()
-                seen.append(len(run.data["segments"]))
+                seen.append(len(run.segments))
             except SearchExhaustedError as exc:
                 seen.append(str(exc))
             seen.append((realizer, stream, dict(calls)))
@@ -619,7 +634,7 @@ def test_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
         calls.update(member=0, alive=0)
         xs = [main_scenario.stream(n) for n in main_scenario.parallel_family]
         run = parallel_merge(u, xs, budgets)
-        seen.append(("parallel_merge", dict(calls), len(run.data["segments"])))
+        seen.append(("parallel_merge", dict(calls), len(run.segments)))
         counts[stages] = seen
     assert counts[b.max_stage] == counts[HARD_MAX_STAGE]
 
@@ -636,11 +651,9 @@ def _cn_times_mlr_every_stage(u, f_values, x, budgets, grace):
     top = effective_top(u)
     settled = len(f_values)
     values = [stable_value(f_values, s) for s in range(settled + 1)]
-    fired = 0
     for s in range(budgets.max_stage):
         now, nxt = values[min(s, settled)], values[min(s + 1, settled)]
         if now == nxt:
-            fired += 1
             trace.add(s, "stable", value=now)
             bound = min(s, top)
             target = u.meet_view(bound, s)
@@ -651,19 +664,18 @@ def _cn_times_mlr_every_stage(u, f_values, x, budgets, grace):
             trace.add(s, "changed", value=nxt)
             em.note_progress(s)
         em.record(s)
-    return _finish("cn_times_mlr", em, trace, fired=fired)
+    return _finish("cn_times_mlr", em, trace)
 
 
 def _run_record(realizer, *args):
-    """What a run leaves: (stage lengths, fired count if it keeps one,
-    committed, pads, trace lines), or the error text of a search that ran
-    out."""
+    """What a run leaves: (stage lengths, committed, pads, trace lines), or
+    the error text of a search that ran out."""
     try:
         run = realizer(*args)
     except SearchExhaustedError as exc:
         return str(exc)
-    return (_stage_lengths(run.data), run.data.get("fired"), run.committed,
-            run.pads, run.trace.lines())
+    return (_stage_lengths(run.segments), run.committed, run.pads,
+            run.trace.lines())
 
 
 # the last value list changes its stable value at stage 18, past every
@@ -714,7 +726,7 @@ def test_cn_times_mlr_lookups_do_not_grow_with_stage_budget(main_scenario,
                     calls[0] = 0
                     record = _run_record(cn_times_mlr_to_lay, u, f_values,
                                         main_scenario.stream(name), budgets, grace)
-                    pads = record if isinstance(record, str) else len(record[3])
+                    pads = record if isinstance(record, str) else len(record[2])
                     seen.append((grace, len(f_values), name, calls[0], pads))
         counts[stages] = seen
     assert counts[b.max_stage] == counts[2 ** 14]
