@@ -464,10 +464,12 @@ def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list[str]]:
         if type(fmt) is not int or fmt != TRACE_FORMAT:
             raise ScenarioError(f"trace format {fmt!r} is not {TRACE_FORMAT}")
         selector, budgets_json = header["selector"], header["budgets"]
-        sc = load_scenario(header["scenario"])
+        raw = header["scenario"]
     except KeyError as exc:
         raise ScenarioError(f"trace header missing field {exc}") from None
-    return produce(sc, budgets_json, selector, header.get("grace"),
+    if not isinstance(raw, dict):  # a path would be read from disk
+        raise ScenarioError("trace header scenario must be a JSON object")
+    return produce(load_scenario(raw), budgets_json, selector, header.get("grace"),
                    header.get("sigma_stages"), header.get("stride", 1))
 
 
@@ -535,7 +537,7 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_IO
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         sc, trace, lines = regenerate(header)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .core import (
@@ -81,29 +80,25 @@ def _event_head(action: str, payload: dict) -> str:
 
 
 class ConstructionTrace:
-    """Ordered events as ``(stage, line)`` pairs, each line encoded once,
-    named outputs, and pass/fail witness obligations."""
+    """Events as their encoded lines, added in stage order, named outputs,
+    and pass/fail witness obligations."""
 
     __slots__ = ("events", "outputs", "witnesses")
 
     def __init__(self) -> None:
-        self.events: list[tuple[int, str]] = []
+        self.events: list[str] = []
         self.outputs: dict[str, object] = {}
         self.witnesses: list[dict] = []
 
     def add(self, stage: int, action: str, /, **payload) -> None:
         """One event; ``stage`` and ``action`` are positional, so any name,
         ``action`` too, can be a payload key."""
-        self.events.append((stage, f"{_event_head(action, payload)}{stage}}}"))
+        self.events.append(f"{_event_head(action, payload)}{stage}}}")
 
     def add_run(self, first: int, stop: int, action: str, /, **payload) -> None:
         """The same event at each stage ``first..stop-1``, encoded once."""
         head = _event_head(action, payload)
-        self.events.extend((s, f"{head}{s}}}") for s in range(first, stop))
-
-    def sort_events(self) -> None:
-        """Stable stage order; same-stage events keep their emission order."""
-        self.events.sort(key=itemgetter(0))
+        self.events.extend(f"{head}{s}}}" for s in range(first, stop))
 
     def witness(self, claim: str, ok: bool, **data) -> None:
         self.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
@@ -128,7 +123,7 @@ class ConstructionTrace:
         lines are stored encoded; a data object shared by consecutive
         witnesses is encoded once.  A claim is written as the encoder writes
         a string, and a status, ``pass`` or ``fail``, as itself."""
-        out = [line for _, line in self.events]
+        out = self.events.copy()
         out.append(_encode({"stage": -1, "action": "outputs", "payload": self.outputs}))
         data = encoded = None
         claim = json.encoder.encode_basestring_ascii
@@ -162,21 +157,24 @@ def build_lemma31(u: MLTest, budgets: Budgets,
     n_sigma = min(sigma_stages if sigma_stages is not None else 16, big_s, depth - 2)
     trace = ConstructionTrace()
 
+    # The marker phase adds one event at each stage 0..k; markers.events[k]
+    # goes into the trace before the w0_view event of stage k.
+    markers = ConstructionTrace()
     sigmas: list[str] = []
     for s in range(n_sigma):
         covered = u.stage_view(2, s).union(Clopen(sigmas))
         try:
             sigma = first_free_string(s + 2, depth, covered)
         except SearchExhaustedError:
-            trace.add(s, "sigma_search_exhausted")
+            markers.add(s, "sigma_search_exhausted")
             break
         if len(sigma) + 1 > u.max_index:
-            trace.add(s, "sigma_emission_stopped",
-                      reason="marker length outgrew the index budget",
-                      length=len(sigma))
+            markers.add(s, "sigma_emission_stopped",
+                        reason="marker length outgrew the index budget",
+                        length=len(sigma))
             break
         sigmas.append(sigma)
-        trace.add(s, "sigma", value=sigma, length=len(sigma))
+        markers.add(s, "sigma", value=sigma, length=len(sigma))
 
     relevant: set[int] = {0}
     relevant.update(range(len(sigmas)))
@@ -188,7 +186,10 @@ def build_lemma31(u: MLTest, budgets: Budgets,
     marker_cones = [Clopen([sig]) for sig in sigmas]
     w_sched: list[tuple[int, str]] = []
     prev: Clopen | None = None
+    k = 0  # the next marker event
     for s in sorted(relevant):
+        trace.events += markers.events[k:s + 1]
+        k = s + 1
         emitted = [sig for t, sig in enumerate(sigmas) if t <= s]
         outside = u.stage_view(2, s).difference(Clopen(emitted), depth)
         view = outside
@@ -200,6 +201,7 @@ def build_lemma31(u: MLTest, budgets: Budgets,
             w_sched.extend((s, c) for c in view.cylinders)
             trace.add(s, "w0_view", cylinders=view, measure=view.measure())
             prev = view
+    trace.events += markers.events[k:]
     w0 = Enumeration(w_sched)
 
     v = MLTest([Enumeration([(i, sig)]) for i, sig in enumerate(sigmas)])
@@ -223,7 +225,6 @@ def build_lemma31(u: MLTest, budgets: Budgets,
         # certifies every earlier one.
         trace.witness(f"lemma31.non_containment.{i}",
                       not Clopen([sig]).is_subset_of(w_final), marker=sig)
-    trace.sort_events()
     return trace
 
 
@@ -341,7 +342,6 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
                 trace.witness(
                     f"thm33.witness_bound.{e}.{j}",
                     not v.stage_view(j, final).is_subset_of(w_final))
-    trace.sort_events()
     return trace
 
 
@@ -391,8 +391,8 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
         trace.add(-1, "half_coverage", e=e, t=t)
 
     e_state = {i: i + 4 for i in range(max_i + 1)}
-    in_list: list[tuple[int, str]] = []
-    out_list: list[tuple[int, str]] = []
+    in_set = out_set = Clopen()
+    in_out: list[tuple[int, bool]] = []  # (trigger stage, in/out sets sound)
     w_sched: dict[int, list[tuple[int, str]]] = {i: [] for i in range(max_i + 1)}
     w_current: dict[int, Clopen] = {i: Clopen() for i in range(max_i + 1)}
     triggered: dict[int, dict] = {}
@@ -401,13 +401,11 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
         return y.stage_view(e, t) if e <= y.max_index else Clopen()
 
     def step(s: int) -> bool:
+        nonlocal in_set, out_set
         i, t = unpair(s)
-        if i > max_i:
-            return False
         tbl = functionals.get(i)
         if tbl is not None and t_half.get(i) == t and i not in triggered:
-            blocked = w_current[i].union(Clopen([c for _, c in in_list]))
-            blocked = blocked.union(Clopen([c for _, c in out_list]))
+            blocked = w_current[i].union(in_set).union(out_set)
             candidates = sorted((p for (p, a), v in tbl.items()
                                  if a == i and v < 2 and len(p) >= s + 5),
                                 key=str_order_key)
@@ -422,9 +420,9 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
                     f"at stage {s} (budget misconfiguration)")
             vote = tbl[(sigma, i)]
             if vote == 0:
-                in_list.append((s, sigma))
+                in_set = in_set.union(Clopen([sigma]))
             else:
-                out_list.append((s, sigma))
+                out_set = out_set.union(Clopen([sigma]))
             e_state[i] = max(e_state[i], len(sigma)) + 1
             triggered[i] = {"stage": s, "t": t, "sigma": sigma, "vote": vote,
                             "e_index": e_state[i]}
@@ -433,19 +431,20 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
             trace.witness(f"thm41.sigma_measure.{i}",
                           Dyadic.exp2(-len(sigma)) <= Dyadic.exp2(-(s + 5)),
                           sigma=sigma, stage=s)
-            in_c, out_c = Clopen([c for _, c in in_list]), Clopen([c for _, c in out_list])
-            trace.witness(f"thm41.in_out_stage.{s}",
-                          in_c.intersect(out_c) == Clopen()
-                          and in_c.measure() <= Dyadic(1, 4)
-                          and out_c.measure() <= Dyadic(1, 4))
+            sound = (in_set.intersect(out_set) == Clopen()
+                     and in_set.measure() <= Dyadic(1, 4)
+                     and out_set.measure() <= Dyadic(1, 4))
+            trace.witness(f"thm41.in_out_stage.{s}", sound)
+            in_out.append((s, sound))
         view = y_view(e_state[i], t)
         if view and not view.is_subset_of(w_current[i]):
             w_sched[i].extend((s, c) for c in view.cylinders)
             w_current[i] = w_current[i].union(view)
         return False
 
-    # Row i moves only at t = 0, a change stage of y, or its trigger t_half[i]:
-    # in between its view repeats, and a repeated view is inside w_current[i].
+    # Row i <= max_i moves only at t = 0, a change stage of y, or its trigger
+    # t_half[i]: in between its view repeats, and a repeated view is inside
+    # w_current[i].  No step acts, so only these visits are stepped.
     row_moves = {0, *y.change_stages()}
     visits = {pair(i, t) for i in range(max_i + 1)
               for t in row_moves | ({t_half.get(i)} - {None})}
@@ -455,20 +454,14 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
     for i in range(max_i + 1):
         if w.component(i).final_measure() > Dyadic.exp2(-(i + 4)):
             raise BudgetError(f"component {i} exceeded its 2^-{i + 4} bound")
-    in_set = Clopen([c for _, c in in_list])
-    out_set = Clopen([c for _, c in out_list])
     trace.outputs = {"w": w, "in": in_set, "out": out_set,
                      "triggers": {str(k): v for k, v in sorted(triggered.items())}}
 
     final = big_s
-    stages = sorted({s for s, _ in in_list + out_list})
-    for s in stages:
-        in_c = Clopen([c for st, c in in_list if st <= s])
-        out_c = Clopen([c for st, c in out_list if st <= s])
-        trace.witness(f"thm41.in_out_cumulative.{s}",
-                      in_c.intersect(out_c) == Clopen()
-                      and in_c.measure() <= Dyadic(1, 4)
-                      and out_c.measure() <= Dyadic(1, 4))
+    # A stage triggers at most one table, so the sets a trigger saw are the
+    # cumulative sets at its stage.
+    for s, sound in in_out:
+        trace.witness(f"thm41.in_out_cumulative.{s}", sound)
     for i in range(max_i + 1):
         y_ref = y.stage_view(i + 4, final)
         trace.witness(f"thm41.w_inside_reference.{i}",
@@ -484,7 +477,6 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
         trace.witness(f"thm41.witness_escape.{i}",
                       not sig.is_subset_of(w_final)
                       and sig.intersect(w_final).measure() < sig.measure())
-    trace.sort_events()
     return trace
 
 
@@ -520,7 +512,7 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
                     sched.append((max(h, st), kept))
         comps.append(Enumeration(sched))
     u = MLTest(comps)
-    for e, h in sorted(halting.items()):
+    for h, e in sorted((h, e) for e, h in halting.items()):
         trace.add(h, "halt", e=e)
     trace.outputs = {"u": u, "vstr_skipped": skipped,
                      "halting": {str(e): h for e, h in sorted(halting.items())}}
@@ -553,7 +545,6 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
             got = rd_at_stage(prepend("1" * e + "0", x), u, final)
             trace.witness(f"thm410.halting_shift.{e}.{x.name}", got > d - 1,
                           rd_input=d, rd_output=got)
-    trace.sort_events()
     return trace
 
 
@@ -573,19 +564,17 @@ def _replace_line(s: int, n: int, old: str, new: str, reason: str) -> str:
             f'"old":"{old}","reason":"{reason}"}},"stage":{s}}}')
 
 
-def build_lemma63(tree: CoTree, budgets: Budgets,
-                  n0: int | None = None) -> ConstructionTrace:
+def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     """Enumerate, per length, one tracked cylinder meeting the tree, shifting
     it one step right whenever it dies in the tree or is swallowed by a
     shorter enumerated cone."""
     big_s, depth = budgets.max_stage, budgets.max_depth
     final_measure = tree.path_measure(big_s)
     quarter = final_measure.half().half()
-    if n0 is None:
-        n0 = 0
-        while n0 < depth and not (Dyadic.exp2(-n0) <= quarter):
-            n0 += 1
-    if n0 >= depth or not (Dyadic.exp2(-n0) <= quarter):
+    n0 = 0
+    while n0 < depth and not (Dyadic.exp2(-n0) <= quarter):
+        n0 += 1
+    if n0 >= depth:
         raise BudgetError(
             f"tree too thin: need 4 * 2^-n0 <= {final_measure} with n0 < K")
     trace = ConstructionTrace()
@@ -619,7 +608,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets,
                 v = int(sigma, 2)
                 lows.append(v)
                 highs.append(v)
-                events.append((s, _init_line(s, n, sigma)))
+                events.append(_init_line(s, n, sigma))
                 continue
             if n > tree.depth:  # raises, as for a node deeper than the tree
                 tree.alive(sigmas[i], s)
@@ -645,7 +634,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets,
             old, new = sigmas[i], format(v, f"0{n}b")
             cones.append((s, new))
             sigmas[i], highs[i] = new, v
-            events.append((s, _replace_line(s, n, old, new, reason)))
+            events.append(_replace_line(s, n, old, new, reason))
         w += 1
         first += w
 
@@ -708,5 +697,4 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
         trace.witness(f"lemma63.noncover.{m}", found)
     trace.witness("lemma63.n0_bound",
                   Dyadic.exp2(-n0) <= tree.path_measure(big_s).half().half())
-    trace.sort_events()
     return trace

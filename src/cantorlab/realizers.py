@@ -148,7 +148,6 @@ class RealizerRun:
 
 
 def _finish(name: str, em: Emitter, trace: ConstructionTrace) -> RealizerRun:
-    trace.sort_events()
     committed = em.committed
     trace.witness(f"{name}.monotone", em.monotone_ok())
     trace.witness(f"{name}.shape", em.shape_ok(),

@@ -31,8 +31,8 @@ def leaf_mask(strings, depth: int = DEPTH) -> int:
 
 
 def decoded_events(trace) -> list[dict]:
-    """A trace's events as records: each is held as a (stage, line) pair."""
-    return [json.loads(line) for _, line in trace.events]
+    """A trace's events as records: each is held as its encoded line."""
+    return [json.loads(line) for line in trace.events]
 
 
 @pytest.fixture(scope="session")

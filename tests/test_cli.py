@@ -207,9 +207,14 @@ class TestMalformedScenario:
         lambda p: p["budgets"].update(I=p["budgets"]["K"] - 1),
         lambda p: p.update(stride=True),
         lambda p: p.update(sigma_stages=2.5),
+        # a scenario named by path is never opened, even one that exists
+        lambda p: p.update(scenario="nonexistent.json"),
+        lambda p: p.update(scenario=str(Path(MAIN).parent)),
+        lambda p: p.update(scenario=MAIN),
     ], ids=["scenario_stage", "budgets", "stride", "grace", "fractional_stage",
             "string_budget", "index_past_depth", "bool_stride",
-            "fractional_sigma_stages"])
+            "fractional_sigma_stages", "scenario_missing_path",
+            "scenario_directory", "scenario_path"])
     def test_verify_exits_validation(self, breaker, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
@@ -420,7 +425,8 @@ class TestVerify:
         if data is not None:
             trace.write_bytes(data)
         assert run_cli("verify", "--trace", str(trace), "--quiet") == code
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(
+            "error: validation:" if code == EXIT_VALIDATION else "error:")
 
     @pytest.mark.parametrize("fmt, message", [
         (2, "trace format 2 is not 1"),

@@ -10,7 +10,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, strategies as st
 
-from cantorlab import bundled_scenario
+from cantorlab import bundled_scenario, cli, realizers
 from cantorlab.core import (
     BudgetError,
     CantorError,
@@ -25,7 +25,7 @@ from cantorlab.core import (
     str_order_key,
     unpair,
 )
-from cantorlab.cli import EXIT_SEARCH, EXIT_VALIDATION, execute, main
+from cantorlab.cli import EXIT_SEARCH, EXIT_VALIDATION, SELECTORS, execute, main
 from cantorlab.constructions import (
     _ENCODER,
     ConstructionTrace,
@@ -370,7 +370,7 @@ class TestLemma63:
         from cantorlab.enumeration import Budgets
         full = CoTree(Enumeration([]), 64)
         b = Budgets(max_index=12, max_stage=64, max_depth=64, max_layers=8)
-        trace = build_lemma63(full, b, n0=2)
+        trace = build_lemma63(full, b)
         assert not [e for e in decoded_events(trace) if e["action"] == "replace"]
         inits = [e["payload"]["sigma"] for e in decoded_events(trace)
                  if e["action"] == "init"]
@@ -445,7 +445,7 @@ class TestEventLines:
         trace = ConstructionTrace()
         trace.add(stage, action, **payload)
         trace.add_run(stage, stage + 1, action, **payload)
-        assert trace.events == [(stage, want), (stage, want)]
+        assert trace.events == [want, want]
 
     @given(value=st.one_of(payload_values, st.dictionaries(
         st.text(max_size=6), payload_values, max_size=4)))
@@ -621,9 +621,9 @@ def _thm33_every_stage(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, i
                for i in range(u.max_index + 1)]
     v = MLTest(v_comps)
     least_div = {e: least_divergence_point(tables[e]) for e in indices}
-    trace.outputs = {"w": w, "v": v, "n_final": dict(sorted(n_state.items())),
-                     "e_final": dict(sorted(e_state.items())),
-                     "least_divergence": dict(sorted(least_div.items()))}
+    trace.outputs = {"w": w, "v": v, "n_final": {str(e): n_state[e] for e in indices},
+                     "e_final": {str(e): e_state[e] for e in indices},
+                     "least_divergence": {str(e): least_div[e] for e in indices}}
 
     final = big_s
     for e in indices:
@@ -645,7 +645,6 @@ def _thm33_every_stage(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, i
                 trace.witness(
                     f"thm33.witness_bound.{e}.{j}",
                     not v.stage_view(j, final).is_subset_of(w_final))
-    trace.sort_events()
     return trace
 
 
@@ -764,7 +763,6 @@ def _thm41_every_stage(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, i
         trace.witness(f"thm41.witness_escape.{i}",
                       not sig.is_subset_of(w_final)
                       and sig.intersect(w_final).measure() < sig.measure())
-    trace.sort_events()
     return trace
 
 
@@ -791,18 +789,16 @@ def _half_measure_every_stage(cones, tree, budgets):
     return trace.witnesses
 
 
-def _lemma63_every_stage(tree: CoTree, budgets: Budgets,
-                         n0: int | None = None) -> ConstructionTrace:
+def _lemma63_every_stage(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     """The dovetail ``build_lemma63`` ran before it walked the diagonals:
     every stage 0..S is unpaired, the tree is read at each visit, and the
     covered test slices every prefix."""
     big_s, depth = budgets.max_stage, budgets.max_depth
     final_measure = tree.path_measure(big_s)
     quarter = final_measure.half().half()
-    if n0 is None:
-        n0 = 0
-        while n0 < depth and not (Dyadic.exp2(-n0) <= quarter):
-            n0 += 1
+    n0 = 0
+    while n0 < depth and not (Dyadic.exp2(-n0) <= quarter):
+        n0 += 1
     if n0 >= depth or not (Dyadic.exp2(-n0) <= quarter):
         raise BudgetError(
             f"tree too thin: need 4 * 2^-n0 <= {final_measure} with n0 < K")
@@ -936,6 +932,19 @@ def _thm41_world(sc, seed):
     return sc, functionals, inert
 
 
+def _dead_tree_world(sc, seed):
+    """A seeded lemma63 world: a tree whose dead cylinders land on init
+    stages or anywhere, and its budgets."""
+    r = random.Random(seed)
+    budgets = _with_stages(sc, r.choice((7, 64, 512))).budgets
+    inits = [pair(i, 0) for i in range(12) if pair(i, 0) <= budgets.max_stage]
+    dead = [(0, "11")]
+    for _ in range(r.randint(1, 4)):
+        stage = r.choice(inits) if r.random() < 0.5 else r.randint(1, budgets.max_stage)
+        dead.append((stage, "".join(r.choice("01") for _ in range(r.randint(3, 6)))))
+    return CoTree(Enumeration(dead), budgets.max_depth), budgets
+
+
 class TestClockedAgainstEveryStage:
     """The clocked constructions leave the same trace lines and outputs, or
     raise the same error, as the per-stage loops they replaced."""
@@ -951,6 +960,15 @@ class TestClockedAgainstEveryStage:
         sc, tables = _thm33_world(main_scenario, seed)
         args = (universal_sum(sc), tables, sc.budgets)
         assert _outcome(build_thm33, *args) == _outcome(_thm33_every_stage, *args)
+
+    def test_thm33_table_indexed_ten(self, main_scenario):
+        """Table keys are written as strings, so "10" sorts before "2" in
+        both loops' outputs."""
+        tables = {**main_scenario.partial_functions, 10: {}}
+        args = (universal_sum(main_scenario), tables, main_scenario.budgets)
+        lines = _outcome(build_thm33, *args)
+        assert isinstance(lines, list)
+        assert lines == _outcome(_thm33_every_stage, *args)
 
     @pytest.mark.parametrize("name, stages", BASE_WORLDS)
     def test_thm41_bundles(self, request, name, stages):
@@ -992,14 +1010,7 @@ class TestClockedAgainstEveryStage:
         two cone stages must occur."""
         kinds = set()
         for seed in range(16):
-            r = random.Random(seed)
-            budgets = _with_stages(main_scenario, r.choice((7, 64, 512))).budgets
-            inits = [pair(i, 0) for i in range(12) if pair(i, 0) <= budgets.max_stage]
-            dead = [(0, "11")]
-            for _ in range(r.randint(1, 4)):
-                stage = r.choice(inits) if r.random() < 0.5 else r.randint(1, budgets.max_stage)
-                dead.append((stage, "".join(r.choice("01") for _ in range(r.randint(3, 6)))))
-            tree = CoTree(Enumeration(dead), budgets.max_depth)
+            tree, budgets = _dead_tree_world(main_scenario, seed)
             cones = self._check_lemma63(tree, budgets)
             cone_stages = {s for s, _ in cones}
             for d in tree.change_stages():
@@ -1012,8 +1023,8 @@ class TestClockedAgainstEveryStage:
     def test_lemma63_full_tree(self):
         tree = CoTree(Enumeration([]), 64)
         budgets = Budgets(max_index=12, max_stage=64, max_depth=64, max_layers=8)
-        assert (_outcome(build_lemma63, tree, budgets, 2)
-                == _outcome(_lemma63_every_stage, tree, budgets, 2))
+        assert (_outcome(build_lemma63, tree, budgets)
+                == _outcome(_lemma63_every_stage, tree, budgets))
 
     @pytest.mark.parametrize("depth", [10, 11, 13, 25])
     def test_lemma63_shallow_tree(self, main_scenario, depth):
@@ -1035,6 +1046,81 @@ class TestClockedAgainstEveryStage:
         got = _outcome(build_lemma63, tree, budgets)
         assert got[0] == "SearchExhaustedError"
         assert got == _outcome(_lemma63_every_stage, tree, budgets)
+
+
+def _stages_ascend(trace) -> bool:
+    stages = [json.loads(line)["stage"] for line in trace.events]
+    return stages == sorted(stages)
+
+
+def _built(build, *args):
+    """The trace ``build`` returns, or None if it raises."""
+    try:
+        return build(*args)
+    except CantorError:
+        return None
+
+
+class TestEventStageOrder:
+    """Nothing sorts a trace's events, so every builder adds them in stage
+    order: each trace that a construction builder, ``realizers._finish`` or
+    ``lay_to_cn`` returns has non-decreasing event stages."""
+
+    @pytest.mark.parametrize("name", ["main", "deep"])
+    def test_bundles(self, request, monkeypatch, name):
+        traces = []
+
+        def record(module, fn_name, trace_of=lambda result: result):
+            fn = getattr(module, fn_name)
+
+            def recorded(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                traces.append((fn_name, trace_of(result)))
+                return result
+            monkeypatch.setattr(module, fn_name, recorded)
+
+        builders = ("build_lemma31", "build_thm33", "build_thm41", "build_thm410",
+                    "build_lemma63")
+        for fn_name in builders:
+            record(cli, fn_name)
+        record(realizers, "_finish", lambda run: run.trace)
+        record(cli, "lay_to_cn", lambda run: run.trace)
+        sc = request.getfixturevalue(f"{name}_scenario")
+        for selector in SELECTORS:
+            execute(sc, selector)
+        assert {n for n, _ in traces} == {*builders, "_finish", "lay_to_cn"}
+        assert [n for n, trace in traces if not _stages_ascend(trace)] == []
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_thm33_thm41(self, main_scenario, seed):
+        sc, tables = _thm33_world(main_scenario, seed)
+        thm33 = _built(build_thm33, universal_sum(sc), tables, sc.budgets)
+        sc, functionals, inert = _thm41_world(main_scenario, seed)
+        thm41 = _built(build_thm41, descending_chain(universal_sum(sc)), functionals,
+                       sc.budgets, inert)
+        assert all(_stages_ascend(t) for t in (thm33, thm41) if t is not None)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_seeded_lemma63(self, main_scenario, seed):
+        assert _stages_ascend(build_lemma63(*_dead_tree_world(main_scenario, seed)))
+
+    def test_thm410_halts_falling_with_e(self, surrogate, main_scenario):
+        halting = {1: 12, 3: 6, 4: 0}
+        trace = build_thm410(index_shift(surrogate, 2), halting, main_scenario.budgets)
+        assert [e["payload"]["e"] for e in decoded_events(trace)] == [4, 3, 1]
+        assert _stages_ascend(trace)
+
+    def test_lemma31_stops_before_a_later_view(self, main_scenario):
+        """At I=5 the marker phase stops at stage 3; the next view is at 6."""
+        raw = copy.deepcopy(main_scenario.raw)
+        raw["budgets"]["I"] = 5
+        raw["tests"] = [[e for e in t if e["component"] <= 5] for t in raw["tests"]]
+        sc = load_scenario(raw)
+        trace = build_lemma31(universal_sum(sc), sc.budgets)
+        actions = [(e["stage"], e["action"]) for e in decoded_events(trace)]
+        assert (3, "sigma_emission_stopped") in actions
+        assert actions[-1][1] == "w0_view"
+        assert _stages_ascend(trace)
 
 
 class _DeadBetween:
