@@ -442,9 +442,9 @@ def produce(sc: Scenario, budgets_json: dict, selector: object, grace: object,
     if not isinstance(selector, str) or selector not in SELECTORS:
         raise ScenarioError(f"unknown selector {selector!r}; "
                             "see list-constructions")
-    for name, value in (("grace", grace), ("sigma_stages", sigma_stages)):
-        if value is not None:
-            json_int(value, name)
+    for name, value, least in (("grace", grace, 0), ("sigma_stages", sigma_stages, 1)):
+        if value is not None and json_int(value, name) < least:
+            raise ScenarioError(f"{name} must be at least {least}, got {value!r}")
     if json_int(stride, "stride") < 1:
         raise ScenarioError(f"stride must be a positive integer, got {stride!r}")
     sc = _apply_budget_overrides(sc, budgets_json)

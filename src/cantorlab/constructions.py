@@ -115,9 +115,6 @@ class ConstructionTrace:
     def failed_claims(self) -> list[str]:
         return [w["claim"] for w in self.witnesses if w["status"] != "pass"]
 
-    def all_passed(self) -> bool:
-        return not self.failed_claims()
-
     def lines(self) -> list[str]:
         """One JSON line per event, the outputs, one per witness.  Event
         lines are stored encoded; a data object shared by consecutive
@@ -312,7 +309,7 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
     # A watch moves only at a change stage of u, at a table entry's stage, or
     # right after a convergence; an unconverged table repeats its last view.
     entry_stages = {st for tbl in tables.values() for st, _ in tbl.values()}
-    _run_clock(None, sorted({0, *u.change_stages(), *entry_stages}), 0, big_s - 1, step)
+    _run_clock(sorted({0, *u.change_stages(), *entry_stages}), 0, big_s - 1, step)
     w = MLTest([Enumeration(w_sched.get(e, [])) for e in range(top + 1)])
     v_comps = [Enumeration([(s, c) for s, j, c in v_sched if j == i])
                for i in range(u.max_index + 1)]
@@ -448,7 +445,7 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
     row_moves = {0, *y.change_stages()}
     visits = {pair(i, t) for i in range(max_i + 1)
               for t in row_moves | ({t_half.get(i)} - {None})}
-    _run_clock(None, sorted(v for v in visits if v <= big_s), 0, big_s, step)
+    _run_clock(sorted(v for v in visits if v <= big_s), 0, big_s, step)
 
     w = MLTest([Enumeration(w_sched[i]) for i in range(max_i + 1)], check=False)
     for i in range(max_i + 1):

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     BudgetError,
@@ -32,9 +32,6 @@ from .core import (
     str_order_key,
 )
 from .deficiency import CoTree, Stream, rd_at_stage
-
-if TYPE_CHECKING:
-    from .realizers import Emitter
 
 
 class Enumeration:
@@ -225,8 +222,9 @@ def effective_top(t: MLTest) -> int:
     return 0
 
 
-def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
-               last: int, step: Callable[[int], bool]) -> None:
+def _run_clock(changes: Sequence[int], first: int, last: int,
+               step: Callable[[int], bool],
+               record: Callable[[int], None] | None = None) -> None:
     """Step the stages ``first..last`` at which a watch can fire.
 
     ``step(s)`` checks the watches of a realizer or a construction at stage
@@ -236,13 +234,12 @@ def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
     move only when the loop acts.  A stage that is not ``first``, not a
     change stage and not right after a stage that acted would therefore
     repeat the previous step's outcome, which was to do nothing: it is not
-    stepped, and ``em`` fills in its emission in closed form.  A step may
-    also return False after acting when no watch can fire again before the
-    next change stage.  ``em`` is None for a loop with no output stream
-    (``lay_to_cn`` and the constructions).
+    stepped.  A step may also return False after acting when no watch can
+    fire again before the next change stage.  After each step, ``record(t)``
+    gets the last stage ``t`` before the next stepped one, so a loop with an
+    output stream can fill in the emission of the skipped stages in closed
+    form.
     """
-    if em is not None:
-        em.next = first
     s = first
     while s <= last:
         if step(s):
@@ -250,8 +247,8 @@ def _run_clock(em: Emitter | None, changes: Sequence[int], first: int,
         else:
             k = bisect_right(changes, s)
             nxt = min(changes[k], last + 1) if k < len(changes) else last + 1
-        if em is not None:
-            em.record(nxt - 1)  # the next watches may read the committed output
+        if record is not None:
+            record(nxt - 1)  # the next watches may read the committed output
         s = nxt
 
 

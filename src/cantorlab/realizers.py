@@ -13,14 +13,19 @@ resolve over pad-only prefixes in the front of the run while the back of the
 run keeps the output growing, so productivity still scales with the stage
 budget.
 
-Every realizer drives its stages through ``_run_clock``, which steps only
-the stages at which a watch can fire: the change stages of the views it
-watches, and the stage right after each stage at which it acted.  The
-emission of the stages in between follows in closed form, one segment per
-stepped stage, so the cost grows with the number of view changes, not with
-the stage budget.  ``parallel_merge`` steps only its firing stages.
-``cn_times_mlr_to_lay`` writes the trace events of a skipped stretch as one
-run.
+A realizer with an output stream is one ``Emitter``: it owns the run's
+trace, committed output, pads and emission segments, and the CLI reads them
+off it.  ``Emitter.pad_into`` is the one pad search; when no pad exists it
+raises ``SearchExhaustedError`` naming the realizer, the demanded
+components, the stage and the committed length.  ``Emitter.run`` drives the
+realizer's watches through ``_run_clock``, which steps only the stages at
+which a watch can fire: the change stages of the views it watches, and the
+stage right after each stage at which it acted.  The emission of the stages
+in between follows in closed form, one segment per stepped stage, so the
+cost grows with the number of view changes, not with the stage budget.
+``run`` then writes the ``monotone`` and ``shape`` witnesses.
+``parallel_merge`` steps only its firing stages.  ``cn_times_mlr_to_lay``
+writes the trace events of a skipped stretch as one run.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ def default_grace(budgets: Budgets) -> int:
 
 
 class Emitter:
-    """Committed-output bookkeeping for one monotone transducer run.
+    """One monotone transducer run, named ``name``: its trace, committed
+    output, pads and emission ``segments``.
 
     ``committed == base + source.prefix(cursor)`` always holds.  Stages are
     accounted for in order, from the run's first stage up to, not including,
@@ -57,10 +63,11 @@ class Emitter:
     stage ``t`` is ``n + max(0, t + 1 - first_emit)``.
     """
 
-    def __init__(self, source: Stream, trace: ConstructionTrace,
-                 budgets: Budgets, grace: int | None) -> None:
+    def __init__(self, name: str, source: Stream, budgets: Budgets,
+                 grace: int | None) -> None:
+        self.name = name
         self.source = source
-        self.trace = trace
+        self.trace = ConstructionTrace()
         self.grace = default_grace(budgets) if grace is None else grace
         self.depth = budgets.max_depth
         self.cursor = 0
@@ -75,6 +82,11 @@ class Emitter:
         """The committed output, built on each read: emission only moves
         ``cursor``, so committing a bit is O(1)."""
         return self.base + self.source.prefix(self.cursor)
+
+    @property
+    def output(self) -> Stream:
+        """The output stream: the last restart point, then the source."""
+        return prepend(self.base, self.source)
 
     def _covered_by(self, target: Clopen) -> bool:
         """``target.covers(self.committed)``, building only the first
@@ -110,6 +122,32 @@ class Emitter:
                        committed=len(self.base))
         self.trace.add(stage, "restart")
 
+    def pad_into(self, stage: int, target: Clopen, demanded: list[int]) -> None:
+        """Pad with the first extension of the committed output into
+        ``target``, the meet of the ``demanded`` components, or raise
+        SearchExhaustedError."""
+        committed = self.committed
+        tau = first_extension_into(committed, target, self.depth)
+        if tau is None:
+            raise SearchExhaustedError(
+                f"{self.name}: no pad into components {demanded} at stage "
+                f"{stage} after {len(committed)} committed bits")
+        self.pad(stage, tau, demanded)
+
+    def run(self, changes: Sequence[int], first: int, last: int,
+            step: Callable[[int], bool]) -> Emitter:
+        """Step the stages ``first..last`` on the event clock, then finish."""
+        self.next = first
+        _run_clock(changes, first, last, step, self.record)
+        return self.finish()
+
+    def finish(self) -> Emitter:
+        """Write the ``monotone`` and ``shape`` witnesses of the run."""
+        self.trace.witness(f"{self.name}.monotone", self.monotone_ok())
+        self.trace.witness(f"{self.name}.shape", self.shape_ok(),
+                           base=self.base, tail_len=self.cursor)
+        return self
+
     def shape_ok(self) -> bool:
         tail = self.committed[len(self.base):]
         return self.source.prefix(len(tail)) == tail
@@ -121,45 +159,11 @@ class Emitter:
                    for (_, stop, n, e), (first, _, m, f) in zip(segs, segs[1:]))
 
 
-def _pad_into(em: Emitter, stage: int, target: Clopen, demanded: list[int],
-              message: str) -> None:
-    """Pad with the first extension of the committed output into ``target``,
-    or raise SearchExhaustedError with ``message``."""
-    tau = first_extension_into(em.committed, target, em.depth)
-    if tau is None:
-        raise SearchExhaustedError(message)
-    em.pad(stage, tau, demanded)
-
-
-class RealizerRun:
-    """One transducer execution: its output stream, committed prefix, pads,
-    trace, and the emission ``segments`` of its ``Emitter``."""
-
-    __slots__ = ("output", "committed", "pads", "trace", "segments")
-
-    def __init__(self, output: Stream, committed: str, pads: list[dict],
-                 trace: ConstructionTrace,
-                 segments: list[tuple[int, int, int, int]]) -> None:
-        self.output = output
-        self.committed = committed
-        self.pads = pads
-        self.trace = trace
-        self.segments = segments
-
-
-def _finish(name: str, em: Emitter, trace: ConstructionTrace) -> RealizerRun:
-    committed = em.committed
-    trace.witness(f"{name}.monotone", em.monotone_ok())
-    trace.witness(f"{name}.shape", em.shape_ok(),
-                  base=em.base, tail_len=len(committed) - len(em.base))
-    return RealizerRun(output=prepend(em.base, em.source), committed=committed,
-                       pads=em.pads, trace=trace, segments=em.segments)
-
-
-def verify_pads(run: RealizerRun, u: MLTest, final_stage: int) -> bool:
+def verify_pads(run: Emitter, u: MLTest, final_stage: int) -> bool:
     """Re-check every committed pad block against the final stage views."""
+    committed = run.committed
     for p in run.pads:
-        prefix = run.committed[:p["end"]]
+        prefix = committed[:p["end"]]
         for i in p["demanded"]:
             if i > u.max_index or not u.stage_view(i, final_stage).covers(prefix):
                 return False
@@ -171,7 +175,7 @@ def verify_pads(run: RealizerRun, u: MLTest, final_stage: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def lay_to_lay(vp: MLTest, u: MLTest, x: Stream, budgets: Budgets,
-               grace: int | None = None) -> RealizerRun:
+               grace: int | None = None) -> Emitter:
     """Re-pad ``x`` so any deficiency bound read off against ``u`` is a valid
     bound for ``x`` against the test ``v`` whose tail-union
     ``vp = shift_union(v)`` is given.
@@ -182,8 +186,7 @@ def lay_to_lay(vp: MLTest, u: MLTest, x: Stream, budgets: Budgets,
     stage's new triggers are the indices from the old watermark up to
     ``rd_at_stage``.
     """
-    trace = ConstructionTrace()
-    em = Emitter(x, trace, budgets, grace)
+    em = Emitter("lay_to_lay", x, budgets, grace)
     top = effective_top(u)
     j = 0
 
@@ -191,18 +194,15 @@ def lay_to_lay(vp: MLTest, u: MLTest, x: Stream, budgets: Budgets,
         nonlocal j
         start, j = j, rd_at_stage(x, vp, s)
         for k in range(start, j):
-            trace.add(s, "trigger", index=k)
+            em.trace.add(s, "trigger", index=k)
             n = min(k + 1, top)
-            _pad_into(em, s, u.meet_view(n, s), list(range(n + 1)),
-                      f"lay_to_lay: no pad into components 0..{n} at stage {s} "
-                      f"below {em.committed!r}")
+            em.pad_into(s, u.meet_view(n, s), list(range(n + 1)))
         return j != start
 
-    _run_clock(em, vp.change_stages(), 0, budgets.max_stage, step)
-    return _finish("lay_to_lay", em, trace)
+    return em.run(vp.change_stages(), 0, budgets.max_stage, step)
 
 
-def lay_to_lay_contract(run: RealizerRun, v: MLTest, u: MLTest, x: Stream,
+def lay_to_lay_contract(run: Emitter, v: MLTest, u: MLTest, x: Stream,
                         budgets: Budgets) -> bool:
     """Soundness of the transferred bound: every index at or above the output's
     deficiency against ``u`` misses ``x`` in ``v``."""
@@ -217,13 +217,12 @@ def lay_to_lay_contract(run: RealizerRun, v: MLTest, u: MLTest, x: Stream,
 # ---------------------------------------------------------------------------
 
 def rd_from_lay_phi(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
-                    grace: int | None = None) -> RealizerRun:
+                    grace: int | None = None) -> Emitter:
     """Pre-processor: on entering component j of ``v`` at stage s, pad into
     the intersection of ``u``'s components up to s (so the bound read off the
     output dominates every witness stage).  The triggers of stage s are the
     indices from the old watermark up to ``rd_at_stage(x, v, s)``."""
-    trace = ConstructionTrace()
-    em = Emitter(x, trace, budgets, grace)
+    em = Emitter("rd_from_lay", x, budgets, grace)
     top = effective_top(u)
     j = 0
 
@@ -231,15 +230,12 @@ def rd_from_lay_phi(v: MLTest, u: MLTest, x: Stream, budgets: Budgets,
         nonlocal j
         start, j = j, rd_at_stage(x, v, s)
         for k in range(start, j):
-            trace.add(s, "trigger", index=k, stage_found=s)
+            em.trace.add(s, "trigger", index=k, stage_found=s)
             n = min(s, top)
-            _pad_into(em, s, u.meet_view(n, s), list(range(n + 1)),
-                      f"rd_from_lay: no pad into components 0..{n} at stage {s} "
-                      f"below {em.committed!r}")
+            em.pad_into(s, u.meet_view(n, s), list(range(n + 1)))
         return j != start
 
-    _run_clock(em, v.change_stages(), 0, budgets.max_stage, step)
-    return _finish("rd_from_lay", em, trace)
+    return em.run(v.change_stages(), 0, budgets.max_stage, step)
 
 
 def rd_from_lay_psi(v: MLTest, x: Stream, k: int, budgets: Budgets) -> int:
@@ -253,13 +249,12 @@ def rd_from_lay_psi(v: MLTest, x: Stream, k: int, budgets: Budgets) -> int:
 # ---------------------------------------------------------------------------
 
 def product_merge(u: MLTest, x: Stream, y: Stream, budgets: Budgets,
-                  grace: int | None = None) -> RealizerRun:
+                  grace: int | None = None) -> Emitter:
     """Merge two inputs into one stream whose deficiency dominates both;
     the decoder duplicates the bound.  Requires a nested reference test."""
     if not u.nested:
         raise ScenarioError("product merge needs a nested test")
-    trace = ConstructionTrace()
-    em = Emitter(x, trace, budgets, grace)
+    em = Emitter("product_merge", x, budgets, grace)
     top = effective_top(u)
     level = 0
     dx = dy = 0
@@ -270,20 +265,17 @@ def product_merge(u: MLTest, x: Stream, y: Stream, budgets: Budgets,
         dx, dy = rd_at_stage(x, u, s), rd_at_stage(y, u, s)
         seen = max(dx, dy)
         if seen > level:
-            trace.add(s, "trigger", level=seen)
+            em.trace.add(s, "trigger", level=seen)
             n = min(seen - 1, top)
-            _pad_into(em, s, u.meet_view(n, s), list(range(n + 1)),
-                      f"product_merge: no pad into components 0..{n} at stage {s} "
-                      f"below {em.committed!r}")
+            em.pad_into(s, u.meet_view(n, s), list(range(n + 1)))
             level = seen
         return (dx, dy) != start
 
-    _run_clock(em, u.change_stages(), 0, budgets.max_stage, step)
-    return _finish("product_merge", em, trace)
+    return em.run(u.change_stages(), 0, budgets.max_stage, step)
 
 
 def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
-                   grace: int | None = None) -> RealizerRun:
+                   grace: int | None = None) -> Emitter:
     """Dovetail over (input, component, stage) triples; whenever some input
     is seen inside a component whose intersection the output has not yet
     entered, pad into that intersection.  Decoder: constant sequence.
@@ -295,8 +287,7 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
     """
     if not xs:
         raise ScenarioError("parallel merge needs at least one stream")
-    trace = ConstructionTrace()
-    em = Emitter(xs[0], trace, budgets, grace)
+    em = Emitter("parallel_merge", xs[0], budgets, grace)
     top = effective_top(u)
     firing = set()
     for i, x in enumerate(xs):
@@ -312,13 +303,11 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
             i, n, t = unpair3(s)
             target = u.meet_view(n, s)
             if not em._covered_by(target):
-                trace.add(s, "trigger", input=i, index=n, seen_at=t)
-                _pad_into(em, s, target, list(range(n + 1)),
-                          f"parallel_merge: no pad into 0..{n} at stage {s}")
+                em.trace.add(s, "trigger", input=i, index=n, seen_at=t)
+                em.pad_into(s, target, list(range(n + 1)))
         return False  # no watch can fire before the next firing stage
 
-    _run_clock(em, sorted(firing), 0, budgets.max_stage, step)
-    return _finish("parallel_merge", em, trace)
+    return em.run(sorted(firing), 0, budgets.max_stage, step)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +327,7 @@ def identity_reduction() -> InnerReduction:
 
 def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
                  x: Stream, budgets: Budgets, grace: int | None = None
-                 ) -> tuple[RealizerRun, Stream, Stream]:
+                 ) -> tuple[Emitter, Stream, Stream]:
     """Run the inner pre-processor, then grow a companion stream whose
     deficiency dominates the second call's, tracking both watermarks.
     Returns the run, the first call's input ``y`` and the second's final
@@ -349,9 +338,8 @@ def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
     """
     if not u.nested:
         raise ScenarioError("composition needs a nested test")
-    trace = ConstructionTrace()
     y = inner_g.phi(x)
-    em = Emitter(y, trace, budgets, grace)
+    em = Emitter("compose_star", y, budgets, grace)
     d_y = d_z = 0
     z = inner_f.phi(inner_g.psi(x, d_y))
     if not isinstance(z, Stream):
@@ -362,19 +350,17 @@ def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
         if d_y <= u.max_index and member_at_stage(y, u, d_y, s):
             d_y += 1
             z = inner_f.phi(inner_g.psi(x, d_y))
-            trace.add(s, "raise_dy", d_y=d_y)
+            em.trace.add(s, "raise_dy", d_y=d_y)
             em.note_progress(s)
             return True
         if d_z <= u.max_index and member_at_stage(z, u, d_z, s):
-            trace.add(s, "raise_dz", d_z=d_z + 1)
-            _pad_into(em, s, u.stage_view(d_z, s), [d_z],
-                      f"compose_star: no pad into component {d_z} at stage {s}")
+            em.trace.add(s, "raise_dz", d_z=d_z + 1)
+            em.pad_into(s, u.stage_view(d_z, s), [d_z])
             d_z += 1
             return True
         return False
 
-    _run_clock(em, u.change_stages(), 0, budgets.max_stage, step)
-    return _finish("compose_star", em, trace), y, z
+    return em.run(u.change_stages(), 0, budgets.max_stage, step), y, z
 
 
 def compose_star_psi(inner_f: InnerReduction, inner_g: InnerReduction,
@@ -453,7 +439,7 @@ def lay_to_cn(u: MLTest, x: Stream, budgets: Budgets) -> ChoiceRun:
             acted = True
         return acted
 
-    _run_clock(None, u.change_stages(), 0, budgets.max_stage, step)
+    _run_clock(u.change_stages(), 0, budgets.max_stage, step)
     survivors = [n for n in range(counter) if n not in enumerated_set]
     trace.witness("lay_to_cn.survivor_unique", len(survivors) == 1,
                   survivors=survivors[:5])
@@ -485,7 +471,7 @@ def stable_value(f_values: Sequence[int], s: int) -> int:
 
 
 def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
-                        budgets: Budgets, grace: int | None = None) -> RealizerRun:
+                        budgets: Budgets, grace: int | None = None) -> Emitter:
     """Tagged choice to deficiency bound: at every stage where the excluded
     value is stable, make sure the output sits inside the components up to
     that stage (padding only when it does not already).
@@ -494,8 +480,7 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
     leaves the output inside it, so emission cannot make a pad fire in
     between: once the value has settled, a step that did not pad writes the
     ``stable`` events up to the next watched stage as one run."""
-    trace = ConstructionTrace()
-    em = Emitter(x, trace, budgets, grace)
+    em = Emitter("cn_times_mlr", x, budgets, grace)
     top = effective_top(u)
     # stable_value reads only the first s+1 values, so it is constant from
     # s = len(f_values) - 1 on
@@ -509,24 +494,22 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
     def step(s: int) -> bool:
         now, nxt = values[min(s, settled)], values[min(s + 1, settled)]
         if now != nxt:
-            trace.add(s, "changed", value=nxt)
+            em.trace.add(s, "changed", value=nxt)
             em.note_progress(s)
             return True
         bound = min(s, top)
         target = u.meet_view(bound, s)
         padded = not em._covered_by(target)
         if padded or s < settled:
-            trace.add(s, "stable", value=now)
+            em.trace.add(s, "stable", value=now)
             if padded:
-                _pad_into(em, s, target, list(range(bound + 1)),
-                          f"cn_times_mlr: no pad into 0..{bound} at stage {s}")
+                em.pad_into(s, target, list(range(bound + 1)))
             return True
         stop = watched[bisect_right(watched, s)]
-        trace.add_run(s, stop, "stable", value=now)
+        em.trace.add_run(s, stop, "stable", value=now)
         return False
 
-    _run_clock(em, watched, 0, last, step)
-    return _finish("cn_times_mlr", em, trace)
+    return em.run(watched, 0, last, step)
 
 
 def cn_times_mlr_psi(f_values: Sequence[int], x: Stream, s: int) -> tuple[int, Stream]:
@@ -539,16 +522,15 @@ def cn_times_mlr_psi(f_values: Sequence[int], x: Stream, s: int) -> tuple[int, S
 
 def delta02_to_lay_phi(u: MLTest, t_trees: Sequence[CoTree],
                        s_trees: Sequence[CoTree], x: Stream, budgets: Budgets,
-                       grace: int | None = None) -> RealizerRun:
+                       grace: int | None = None) -> Emitter:
     """Initial pad into component 0, then raise the pad level every time the
     stream's prefixes escape both trees at the current index."""
     if not u.nested:
         raise ScenarioError("tree membership realizer needs a nested test")
     if len(t_trees) != len(s_trees):
         raise ScenarioError("tree families must have equal length")
-    trace = ConstructionTrace()
-    em = Emitter(x, trace, budgets, grace)
-    _pad_into(em, 0, u.stage_view(0, 0), [0], "no initial pad inside component 0")
+    em = Emitter("delta02_to_lay", x, budgets, grace)
+    em.pad_into(0, u.stage_view(0, 0), [0])
     j = 0
     top = effective_top(u)
 
@@ -559,16 +541,14 @@ def delta02_to_lay_phi(u: MLTest, t_trees: Sequence[CoTree],
         for n in range(budgets.max_depth + 1):
             node = x.prefix(n)
             if not t_trees[j].alive(node, s) and not s_trees[j].alive(node, s):
-                trace.add(s, "trigger", index=j, escape_at=n)
-                _pad_into(em, s, u.stage_view(j + 1, s), [j + 1],
-                          f"delta02: no pad into component {j + 1} at stage {s}")
+                em.trace.add(s, "trigger", index=j, escape_at=n)
+                em.pad_into(s, u.stage_view(j + 1, s), [j + 1])
                 j += 1
                 return True
         return False
 
     changes = sorted({c for tr in (*t_trees, *s_trees) for c in tr.change_stages()})
-    _run_clock(em, changes, 1, budgets.max_stage, step)
-    return _finish("delta02_to_lay", em, trace)
+    return em.run(changes, 1, budgets.max_stage, step)
 
 
 def delta02_to_lay_psi(t_trees: Sequence[CoTree], s_trees: Sequence[CoTree],
@@ -594,7 +574,7 @@ def delta02_to_lay_psi(t_trees: Sequence[CoTree], s_trees: Sequence[CoTree],
 
 class SemiDecidableRun(NamedTuple):
     g_advice: int
-    f_run: RealizerRun
+    f_run: Emitter
     f_advice: int
     verdict: int
     expected: int
@@ -617,8 +597,7 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
     if level >= len(us):
         raise ScenarioError(f"no open set registered for level {level}")
 
-    f_trace = ConstructionTrace()
-    em = Emitter(x, f_trace, budgets, grace)
+    em = Emitter("semidecidable_star.f", x, budgets, grace)
     target_enum = us[level]
     done = False
     top = effective_top(w)
@@ -627,16 +606,14 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
         nonlocal done
         if done or not _inside(x, target_enum.stage_view(s)):
             return False
-        f_trace.add(s, "trigger", stage_found=s)
+        em.trace.add(s, "trigger", stage_found=s)
         bound = min(s - 1, top)
         target = w.meet_view(bound, s) if bound >= 0 else Clopen([""])
-        _pad_into(em, s, target, list(range(bound + 1)),
-                  f"semidecidable: no pad into 0..{bound} at stage {s}")
+        em.pad_into(s, target, list(range(bound + 1)))
         done = True
         return True
 
-    _run_clock(em, target_enum.change_stages(), 0, big_s, step)
-    f_run = _finish("semidecidable_star.f", em, f_trace)
+    f_run = em.run(target_enum.change_stages(), 0, big_s, step)
 
     f_advice = rd_at_stage(f_run.output, w, big_s)
     verdict = 1 if _inside(x, target_enum.stage_view(min(f_advice, big_s))) else 0
@@ -645,6 +622,6 @@ def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLT
     trace.witness("semidecidable_star.characteristic", verdict == expected,
                   level=level, advice=f_advice)
     trace.extend(g_run.trace)
-    trace.extend(f_trace)
+    trace.extend(f_run.trace)
     return SemiDecidableRun(g_advice=g_advice, f_run=f_run, f_advice=f_advice,
                             verdict=verdict, expected=expected, trace=trace)

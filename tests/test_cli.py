@@ -111,6 +111,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "intersection of components 0.." in err
 
+    def test_exhausted_pad_search_line(self, capsys):
+        """The exit-3 line names the realizer, the stage and the demanded
+        components, and its length does not grow with the committed output."""
+        code = run_cli("run", "--scenario", MAIN, "--select", "product_merge",
+                       "--grace", "0")
+        assert code == EXIT_SEARCH
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: search exhausted: product_merge: ")
+        assert "stage 4" in err and "components [0, 1]" in err
+        assert "11100" not in err  # the committed bits
+
     def test_every_selector_runs_clean(self, tmp_path):
         for entry in CATALOG:
             trace = tmp_path / f"{entry.name}.jsonl"
@@ -191,11 +203,18 @@ class TestMalformedScenario:
         assert code == EXIT_VALIDATION
         assert f"error: validation: {message}" in capsys.readouterr().err
 
-    def test_run_rejects_zero_stride(self, capsys):
+    @pytest.mark.parametrize("option, value, name", [
+        ("--stride", "0", "stride"),
+        ("--grace", "-1", "grace"),
+        ("--sigma-stages", "0", "sigma_stages"),
+    ], ids=["stride", "grace", "sigma_stages"])
+    def test_run_rejects_zero_stride(self, option, value, name, capsys):
         code = run_cli("run", "--scenario", MAIN, "--select", "thm33",
-                       "--stride", "0")
+                       option, value)
         assert code == EXIT_VALIDATION
-        assert "error: validation:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert f"{name} must" in err and f"got {value}" in err
 
     @pytest.mark.parametrize("breaker", [
         lambda p: p["scenario"]["tests"][0][0].pop("stage"),
@@ -211,10 +230,13 @@ class TestMalformedScenario:
         lambda p: p.update(scenario="nonexistent.json"),
         lambda p: p.update(scenario=str(Path(MAIN).parent)),
         lambda p: p.update(scenario=MAIN),
+        lambda p: p.update(grace=-1),
+        lambda p: p.update(sigma_stages=0),
     ], ids=["scenario_stage", "budgets", "stride", "grace", "fractional_stage",
             "string_budget", "index_past_depth", "bool_stride",
             "fractional_sigma_stages", "scenario_missing_path",
-            "scenario_directory", "scenario_path"])
+            "scenario_directory", "scenario_path", "negative_grace",
+            "zero_sigma_stages"])
     def test_verify_exits_validation(self, breaker, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         assert run_cli("run", "--scenario", MAIN, "--select", "thm33",

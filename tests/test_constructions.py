@@ -127,7 +127,7 @@ class TestLemma31:
             assert inside <= bound < Dyadic.exp2(-len(sig))
 
     def test_witnesses_pass(self, lemma31_trace):
-        assert lemma31_trace.all_passed()
+        assert lemma31_trace.failed_claims() == []
 
     def test_deterministic_replay(self, surrogate, main_scenario):
         a = build_lemma31(surrogate, main_scenario.budgets, sigma_stages=10)
@@ -172,7 +172,7 @@ class TestThm33:
                 seen[e] = idx
 
     def test_witnesses_pass(self, thm33_trace):
-        assert thm33_trace.all_passed()
+        assert thm33_trace.failed_claims() == []
 
     def test_total_table_lag(self, thm33_trace, surrogate, main_scenario):
         # table 0 converges on every probed argument before stalling at 4;
@@ -253,7 +253,7 @@ class TestThm41:
                         main_scenario.budgets, frozenset())
 
     def test_witnesses_pass(self, thm41_trace):
-        assert thm41_trace.all_passed()
+        assert thm41_trace.failed_claims() == []
 
     def test_tables_disagree_with_built_set(self, thm41_trace, main_scenario,
                                             chain):
@@ -326,7 +326,7 @@ class TestThm410:
         assert checked >= 2
 
     def test_witnesses_pass(self, thm410_trace):
-        assert thm410_trace.all_passed()
+        assert thm410_trace.failed_claims() == []
 
 
 class TestLemma63:
@@ -392,7 +392,7 @@ class TestLemma63:
                 for later in ordered[m:])
 
     def test_witnesses_pass(self, lemma63_trace):
-        assert lemma63_trace.all_passed()
+        assert lemma63_trace.failed_claims() == []
 
 
 class TestTraceShape:
@@ -1063,8 +1063,8 @@ def _built(build, *args):
 
 class TestEventStageOrder:
     """Nothing sorts a trace's events, so every builder adds them in stage
-    order: each trace that a construction builder, ``realizers._finish`` or
-    ``lay_to_cn`` returns has non-decreasing event stages."""
+    order: each trace that a construction builder, ``realizers.Emitter.run``
+    or ``lay_to_cn`` returns has non-decreasing event stages."""
 
     @pytest.mark.parametrize("name", ["main", "deep"])
     def test_bundles(self, request, monkeypatch, name):
@@ -1083,12 +1083,12 @@ class TestEventStageOrder:
                     "build_lemma63")
         for fn_name in builders:
             record(cli, fn_name)
-        record(realizers, "_finish", lambda run: run.trace)
+        record(realizers.Emitter, "run", lambda run: run.trace)
         record(cli, "lay_to_cn", lambda run: run.trace)
         sc = request.getfixturevalue(f"{name}_scenario")
         for selector in SELECTORS:
             execute(sc, selector)
-        assert {n for n, _ in traces} == {*builders, "_finish", "lay_to_cn"}
+        assert {n for n, _ in traces} == {*builders, "run", "lay_to_cn"}
         assert [n for n, trace in traces if not _stages_ascend(trace)] == []
 
     @pytest.mark.parametrize("seed", range(24))

@@ -26,7 +26,6 @@ ALLOWED = {
     "sigma_plus": "the tests' every-stage lemma63 reference steps right with it",
     "eval_table": "the oracle the thm41 tests check table votes against",
     "intersect_all": "the meet_view oracle; perfbench's tracer test patches it",
-    "ConstructionTrace.all_passed": "the tests check whole traces with it",
     "Stream.bit": "the reference emitter of the realizer tests reads streams by bit",
     "Stream.starts_with": "the naive membership oracle of the tests",
 }
