@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .core import (
-    BudgetError,
     CantorError,
     Dyadic,
     ScenarioError,
@@ -42,14 +41,11 @@ from .enumeration import (
     validate_scenario,
 )
 from .realizers import (
-    InnerReduction,
     cn_times_mlr_psi,
     cn_times_mlr_to_lay,
     compose_star,
-    compose_star_psi,
     delta02_to_lay_phi,
     delta02_to_lay_psi,
-    identity_reduction,
     lay_to_cn,
     lay_to_cn_psi,
     lay_to_lay,
@@ -217,18 +213,18 @@ def _parallel_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 def _compose_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    """Two calls of ``rd_from_lay``: the second's input ``z`` is the first's
+    output on ``x``, built once per stream, and ``rd_from_lay_psi`` decodes
+    the composite output's deficiency against the chain."""
     budgets, big_s = sc.budgets, sc.budgets.max_stage
     chain = sc.chain
-    inner_f = InnerReduction(
-        phi=lambda s: rd_from_lay_phi(u, u, s, budgets, o.grace).output,
-        psi=lambda s, m: rd_from_lay_psi(u, s, m, budgets))
-    inner_g = identity_reduction()
     for name in sc.random_streams:
         x = sc.stream(name)
-        run, y, z = compose_star(chain, inner_f, inner_g, x, budgets, o.grace)
-        n = rd_at_stage(y, chain, big_s)
+        z = rd_from_lay_phi(u, u, x, budgets, o.grace).output
+        run = compose_star(chain, x, z, budgets, o.grace)
+        n = rd_at_stage(x, chain, big_s)
         m = rd_at_stage(run.output, chain, big_s)
-        decoded = compose_star_psi(inner_f, inner_g, x, n, m)
+        decoded = rd_from_lay_psi(u, x, m, budgets)
         expected = rd_at_stage(x, u, big_s)
         run.trace.witness("compose_star.end_to_end", decoded == expected,
                           decoded=decoded, expected=expected)
@@ -293,7 +289,7 @@ def _semidecidable_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     if "layerA" not in sc.opens:
         raise ScenarioError("semidecidable needs the 'layerA' open family")
     for name in sc.random_streams:
-        run = semidecidable_to_rd_star(u, sc.opens["layerA"], u, sc.stream(name),
+        run = semidecidable_to_rd_star(u, sc.opens["layerA"], sc.stream(name),
                                        sc.budgets, o.grace)
         yield name, run.trace, (run.f_run.committed, [run.g_advice, run.f_advice],
                                 run.verdict, run.verdict == run.expected)
@@ -390,6 +386,8 @@ def execute(sc: Scenario, selector: str, *, grace: int | None = None,
 def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
                 grace: int | None, sigma_stages: int | None,
                 stride: int) -> list[str]:
+    """The header line, then the trace's lines; a scenario nested too deeply
+    for the encoder raises ScenarioError."""
     header = {"stage": -1, "action": "header", "payload": {
         "format": TRACE_FORMAT,
         "selector": selector,
@@ -399,7 +397,12 @@ def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
         "stride": stride,
         "scenario": sc.raw,
     }}
-    return [jline(header)] + trace.lines()
+    try:
+        head = jline(header)
+    except RecursionError:
+        raise ScenarioError("scenario nests too deeply to encode in the "
+                            "trace header") from None
+    return [head] + trace.lines()
 
 
 def _text_blocks(lines: list[str]) -> Iterator[str]:
@@ -414,12 +417,16 @@ def write_trace(path: str | Path, lines: list[str]) -> None:
         fh.writelines(_text_blocks(lines))
 
 
-def parse_header(line: str) -> dict:
-    """The header payload of a trace's first line."""
-    rec = json.loads(line)
-    if (not isinstance(rec, dict) or rec.get("action") != "header"
-            or not isinstance(rec.get("payload"), dict)):
-        raise ScenarioError("trace file has no header record")
+def read_header(path: str | Path) -> dict:
+    """The header payload of the trace at ``path``, after reading the whole
+    file: a byte that is not UTF-8 anywhere is unreadable input."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rec = json.loads(fh.readline())
+        if (not isinstance(rec, dict) or rec.get("action") != "header"
+                or not isinstance(rec.get("payload"), dict)):
+            raise ScenarioError("trace file has no header record")
+        while fh.read(1 << 16):
+            pass
     return rec["payload"]
 
 
@@ -477,40 +484,56 @@ def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list[str]]:
 # commands
 # ---------------------------------------------------------------------------
 
+# The one map from a failure to its exit code: per command step, rows of
+# (exception classes, exit code, message), the first match winning.  An
+# exception no row names propagates.  A decode that nests too deeply raises
+# RecursionError, and so reads as unreadable input.
+_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError)
+_INVALID = (CantorError, ValueError)
+FAILURES = {
+    "read scenario": ((_UNREADABLE, EXIT_IO, "cannot read scenario"),
+                      (CantorError, EXIT_VALIDATION, "validation")),
+    "run": ((SearchExhaustedError, EXIT_SEARCH, "search exhausted"),
+            (_INVALID, EXIT_VALIDATION, "validation")),
+    "write trace": ((OSError, EXIT_IO, "cannot write trace"),),
+    "read trace": ((_UNREADABLE, EXIT_IO, "cannot read trace"),
+                   (CantorError, EXIT_VALIDATION, "validation")),
+    "replay": ((SearchExhaustedError, EXIT_SEARCH, "search exhausted during replay"),
+               (_INVALID, EXIT_VALIDATION, "validation: replay")),
+    "command": ((CantorError, EXIT_VALIDATION, "validation"),),
+}
+
+
+class CommandFailed(Exception):
+    """The ``(exit code, message)`` of a failed command step."""
+
+
+def _step(step: str, fn: Callable, *args):
+    """``fn(*args)``, raising a failure that a row of ``FAILURES[step]``
+    names as CommandFailed."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        for classes, code, message in FAILURES[step]:
+            if isinstance(exc, classes):
+                raise CommandFailed(code, f"{message}: {exc}") from None
+        raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     if args.verify and not args.trace:
-        print("error: validation: --verify needs --trace", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        sc = load_scenario(args.scenario)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ScenarioError, BudgetError) as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ScenarioError("--verify needs --trace")
+    sc = _step("read scenario", load_scenario, args.scenario)
     overrides = sc.budgets.to_json()
     for key, value in (("S", args.stages), ("K", args.depth), ("I", args.max_index)):
         if value is not None:
             overrides[key] = value
-    try:
-        sc, trace, lines = produce(sc, overrides, args.select, args.grace,
-                                   args.sigma_stages, args.stride)
-    except SearchExhaustedError as exc:
-        print(f"error: search exhausted: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
-    except (ScenarioError, BudgetError, ValueError) as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        if args.trace:
-            write_trace(args.trace, lines)
-        else:
-            print("\n".join(lines))
-    except OSError as exc:
-        print(f"error: cannot write trace: {exc}", file=sys.stderr)
-        return EXIT_IO
+    sc, trace, lines = _step("run", produce, sc, overrides, args.select,
+                             args.grace, args.sigma_stages, args.stride)
+    if args.trace:
+        _step("write trace", write_trace, args.trace, lines)
+    else:
+        _step("write trace", print, "\n".join(lines))
 
     failed = [w for w in trace.witnesses if w["status"] != "pass"]
     for w in failed:  # the claim, then its data as one JSON line
@@ -527,34 +550,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_file(path: str | Path, *, quiet: bool) -> int:
-    try:  # newline="" keeps "\r\n" and "\r", so the compare below sees them
-        with open(path, encoding="utf-8", newline="") as fh:
-            header = parse_header(fh.readline())
-            while fh.read(1 << 16):  # a byte that is not UTF-8 anywhere is unreadable input
-                pass
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ScenarioError as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        sc, trace, lines = regenerate(header)
-    except SearchExhaustedError as exc:
-        print(f"error: search exhausted during replay: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
-    except (ScenarioError, BudgetError, ValueError) as exc:
-        print(f"error: validation: replay: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+def _same_text(path: str | Path, lines: list[str]) -> bool:
+    """Whether the file at ``path`` holds exactly the text of ``lines``;
+    newline="" keeps "\r\n" and "\r", so the compare sees them."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return all(fh.read(len(b)) == b for b in _text_blocks(lines)) and not fh.read(1)
 
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            deterministic = (all(fh.read(len(b)) == b for b in _text_blocks(lines))
-                             and not fh.read(1))
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return EXIT_IO
+
+def _verify_file(path: str | Path, *, quiet: bool) -> int:
+    header = _step("read trace", read_header, path)
+    sc, trace, lines = _step("replay", regenerate, header)
+    deterministic = _step("read trace", _same_text, path, lines)
     failed = trace.failed_claims()
 
     stride = header.get("stride", 1)
@@ -641,10 +647,11 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
-    except CantorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _step("command", args.func, args)
+    except CommandFailed as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -56,7 +56,8 @@ class Emitter:
     """One monotone transducer run, named ``name``: its trace, committed
     output, pads and emission ``segments``.
 
-    ``committed == base + source.prefix(cursor)`` always holds.  Stages are
+    ``committed`` is ``base + source.prefix(cursor)`` by definition, so
+    ``shape_ok`` checks the shape against the pads and segments.  Stages are
     accounted for in order, from the run's first stage up to, not including,
     ``next``, as ``segments``: a segment ``(first, stop, n, first_emit)``
     covers stages ``first..stop-1``, and the committed length after its
@@ -149,8 +150,16 @@ class Emitter:
         return self
 
     def shape_ok(self) -> bool:
-        tail = self.committed[len(self.base):]
-        return self.source.prefix(len(tail)) == tail
+        """Pad-then-source, read off the records: the last pad ends at
+        ``len(base)`` (``base`` is empty without pads), each pad's block
+        ends ``base`` up to its ``end``, and the last segment ends
+        ``cursor`` source bits past ``base``."""
+        pads, base = self.pads, self.base
+        if (pads[-1]["end"] if pads else 0) != len(base) or not all(
+                base[:p["end"]].endswith(p["block"]) for p in pads):
+            return False
+        return all(n + max(0, stop - e) == len(base) + self.cursor
+                   for _, stop, n, e in self.segments[-1:])
 
     def monotone_ok(self) -> bool:
         """No segment ends above the next one's start (none falls within)."""
@@ -314,42 +323,26 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
 # two-call composition through a pair of exact bounds
 # ---------------------------------------------------------------------------
 
-class InnerReduction(NamedTuple):
-    """A materialized pre/post-processor pair over the same scenario."""
+def compose_star(u: MLTest, x: Stream, z: Stream, budgets: Budgets,
+                 grace: int | None = None) -> Emitter:
+    """Grow a companion of ``x`` whose deficiency dominates that of ``z``,
+    the second call's input, tracking both watermarks: the first call's
+    input ``x`` raises ``d_y``, and ``z`` entering component ``d_z`` pads
+    into it.
 
-    phi: Callable[[Stream], Stream]
-    psi: Callable[[Stream, int], object]
-
-
-def identity_reduction() -> InnerReduction:
-    return InnerReduction(phi=lambda x: x, psi=lambda x, n: x)
-
-
-def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
-                 x: Stream, budgets: Budgets, grace: int | None = None
-                 ) -> tuple[Emitter, Stream, Stream]:
-    """Run the inner pre-processor, then grow a companion stream whose
-    deficiency dominates the second call's, tracking both watermarks.
-    Returns the run, the first call's input ``y`` and the second's final
-    input ``z``.
-
-    Requires a nested reference test; the decoder is
-    (n, m) -> post_f(post_g(input, n), m).
+    Requires a nested reference test.  The CLI composes two calls of
+    ``rd_from_lay``: ``z`` is ``rd_from_lay_phi``'s output on ``x``, and
+    the decoder is ``rd_from_lay_psi`` at the output's deficiency.
     """
     if not u.nested:
         raise ScenarioError("composition needs a nested test")
-    y = inner_g.phi(x)
-    em = Emitter("compose_star", y, budgets, grace)
+    em = Emitter("compose_star", x, budgets, grace)
     d_y = d_z = 0
-    z = inner_f.phi(inner_g.psi(x, d_y))
-    if not isinstance(z, Stream):
-        raise ScenarioError("inner post-processor must produce a stream input")
 
     def step(s: int) -> bool:
-        nonlocal d_y, d_z, z
-        if d_y <= u.max_index and member_at_stage(y, u, d_y, s):
+        nonlocal d_y, d_z
+        if d_y <= u.max_index and member_at_stage(x, u, d_y, s):
             d_y += 1
-            z = inner_f.phi(inner_g.psi(x, d_y))
             em.trace.add(s, "raise_dy", d_y=d_y)
             em.note_progress(s)
             return True
@@ -360,13 +353,7 @@ def compose_star(u: MLTest, inner_f: InnerReduction, inner_g: InnerReduction,
             return True
         return False
 
-    return em.run(u.change_stages(), 0, budgets.max_stage, step), y, z
-
-
-def compose_star_psi(inner_f: InnerReduction, inner_g: InnerReduction,
-                     x: Stream, n: int, m: int) -> object:
-    mid = inner_g.psi(x, n)
-    return inner_f.psi(mid, m)
+    return em.run(u.change_stages(), 0, budgets.max_stage, step)
 
 
 # ---------------------------------------------------------------------------
@@ -581,17 +568,17 @@ class SemiDecidableRun(NamedTuple):
     trace: ConstructionTrace
 
 
-def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], u_oracle: MLTest,
-                             x: Stream, budgets: Budgets,
-                             grace: int | None = None) -> SemiDecidableRun:
+def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], x: Stream,
+                             budgets: Budgets, grace: int | None = None
+                             ) -> SemiDecidableRun:
     """Compose: first recover the exact bound of ``x`` against ``w``; then
     watch the chosen open set, and on entry pad into every component below
     the discovery stage so the second bound certifies the stage."""
     trace = ConstructionTrace()
     big_s = budgets.max_stage
 
-    g_run = rd_from_lay_phi(w, u_oracle, x, budgets, grace)
-    g_advice = rd_at_stage(g_run.output, u_oracle, big_s)
+    g_run = rd_from_lay_phi(w, w, x, budgets, grace)
+    g_advice = rd_at_stage(g_run.output, w, big_s)
     level = rd_from_lay_psi(w, x, g_advice, budgets)
     trace.add(-1, "g_side", advice=g_advice, level=level)
     if level >= len(us):

@@ -233,7 +233,7 @@ def test_criterion_realizer_semidecidable(surrogate, main_scenario):
     for name in main_scenario.random_streams:
         x = main_scenario.stream(name)
         run = semidecidable_to_rd_star(surrogate, main_scenario.opens["layerA"],
-                                       surrogate, x, b)
+                                       x, b)
         if run.verdict != run.expected:
             crit.fail(f"{name}: verdict {run.verdict} != {run.expected}")
     crit.done()

@@ -21,7 +21,7 @@ from cantorlab.cli import (
     write_trace,
 )
 from cantorlab.constructions import ConstructionTrace
-from cantorlab.core import Dyadic
+from cantorlab.core import Dyadic, ScenarioError
 from cantorlab.enumeration import Budgets, Enumeration, MLTest, load_scenario
 from cantorlab.realizers import cn_times_mlr_psi
 
@@ -560,6 +560,74 @@ def test_one_tail_union_per_lay_to_lay_run(tmp_path, monkeypatch):
     assert run_cli("run", "--scenario", MAIN, "--select", "lay_to_lay",
                    "--trace", str(tmp_path / "t.jsonl")) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bundle", ["main", "deep"])
+def test_one_inner_run_per_compose_star_stream(bundle, tmp_path, monkeypatch):
+    """``run --select compose_star`` runs ``rd_from_lay_phi`` once per random
+    stream, for the second call's input, and never again per watermark."""
+    calls = []
+    fn = cli.rd_from_lay_phi
+
+    def counted(*args):
+        calls.append(args[2].name)
+        return fn(*args)
+
+    monkeypatch.setattr(cli, "rd_from_lay_phi", counted)
+    scenario = str(bundled_scenario(bundle))
+    assert run_cli("run", "--scenario", scenario, "--select", "compose_star",
+                   "--trace", str(tmp_path / "t.jsonl")) == 0
+    assert calls == list(load_scenario(scenario).random_streams)
+
+
+def _frames() -> int:
+    """The number of Python frames on the stack below the caller's."""
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_nesting_sweep_exits_without_traceback(tmp_path, capsys):
+    """Scenarios, their ``extra`` field and trace first lines nested around
+    the recursion limit: a document too deep to decode exits 4, one that
+    decodes but is no scenario or header, or is too deep to encode into a
+    trace header, exits 2, and none raises."""
+    scenario, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
+    head = json.dumps(json.loads(Path(MAIN).read_text(encoding="utf-8")))[:-1]
+    top = sys.getrecursionlimit() - _frames()
+    codes = []
+
+    def command(*argv):
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        if code in (EXIT_VALIDATION, EXIT_IO):
+            assert err.startswith("error: validation:" if code == EXIT_VALIDATION
+                                  else "error: cannot read")
+            assert err.count("\n") == 1
+        codes.append(code)
+        return code
+
+    for depth in [*range(top - 30, top + 10), 100_000]:
+        nested = "[" * depth + "]" * depth
+        for doc in (nested, f'{head},"extra":{nested}}}'):
+            scenario.write_text(doc, encoding="utf-8")
+            if command("run", "--scenario", str(scenario), "--select", "lemma31",
+                       "--trace", str(trace)) == 0:
+                command("verify", "--trace", str(trace), "--quiet")
+        trace.write_text(nested + "\n", encoding="utf-8")
+        command("verify", "--trace", str(trace), "--quiet")
+    assert set(codes) <= {0, EXIT_VALIDATION, EXIT_IO} and EXIT_IO in codes
+
+
+def test_header_too_deep_to_encode_is_invalid():
+    nested: list = []
+    for _ in range(sys.getrecursionlimit()):
+        nested = [nested]
+    sc = load_scenario({**load_scenario(MAIN).raw, "extra": nested})
+    with pytest.raises(ScenarioError, match="scenario nests too deeply to encode"):
+        cli.trace_lines(sc, "lemma31", ConstructionTrace(), grace=None,
+                        sigma_stages=None, stride=1)
 
 
 def test_produced_tests_share_the_derived_tests():

@@ -19,15 +19,12 @@ from cantorlab.enumeration import (
 )
 from cantorlab.realizers import (
     Emitter,
-    InnerReduction,
     cn_times_mlr_psi,
     cn_times_mlr_to_lay,
     compose_star,
-    compose_star_psi,
     default_grace,
     delta02_to_lay_phi,
     delta02_to_lay_psi,
-    identity_reduction,
     lay_to_cn,
     lay_to_cn_psi,
     lay_to_lay,
@@ -197,22 +194,20 @@ class TestParallelMerge:
 class TestComposeStar:
     def test_identity_identity(self, chain, budgets, main_scenario):
         x = main_scenario.stream("x2")
-        run, _, _ = compose_star(chain, identity_reduction(), identity_reduction(),
-                                 x, budgets)
+        # with the identity as the inner reduction, the second input is x
+        run = compose_star(chain, x, x, budgets)
         big_s = budgets.max_stage
         assert rd_at_stage(run.output, chain, big_s) >= \
             rd_at_stage(x, chain, big_s)
 
     def test_watermarks(self, chain, surrogate, budgets, main_scenario):
-        inner_f = InnerReduction(
-            phi=lambda s: rd_from_lay_phi(surrogate, surrogate, s, budgets).output,
-            psi=lambda s, m: rd_from_lay_psi(surrogate, s, m, budgets))
         x = main_scenario.stream("x3")
-        run, y, z = compose_star(chain, inner_f, identity_reduction(), x, budgets)
+        z = rd_from_lay_phi(surrogate, surrogate, x, budgets).output
+        run = compose_star(chain, x, z, budgets)
         big_s = budgets.max_stage
         d_y = [p["d_y"] for p in _events(run.trace, "raise_dy")]
         d_z = [p["d_z"] for p in _events(run.trace, "raise_dz")]
-        assert d_y == list(range(1, rd_at_stage(y, chain, big_s) + 1))
+        assert d_y == list(range(1, rd_at_stage(x, chain, big_s) + 1))
         assert d_z == list(range(1, len(d_z) + 1))
         assert len(d_z) >= rd_at_stage(z, chain, big_s)
         # the companion watermark only moves after the first settles or when
@@ -224,17 +219,13 @@ class TestComposeStar:
             assert max(dz_events) >= max(dy_events) or not dz_events
 
     def test_end_to_end_decoding(self, chain, surrogate, budgets, main_scenario):
-        inner_f = InnerReduction(
-            phi=lambda s: rd_from_lay_phi(surrogate, surrogate, s, budgets).output,
-            psi=lambda s, m: rd_from_lay_psi(surrogate, s, m, budgets))
-        inner_g = identity_reduction()
         big_s = budgets.max_stage
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
-            run, y, _ = compose_star(chain, inner_f, inner_g, x, budgets)
-            n = rd_at_stage(y, chain, big_s)
+            z = rd_from_lay_phi(surrogate, surrogate, x, budgets).output
+            run = compose_star(chain, x, z, budgets)
             m = rd_at_stage(run.output, chain, big_s)
-            decoded = compose_star_psi(inner_f, inner_g, x, n, m)
+            decoded = rd_from_lay_psi(surrogate, x, m, budgets)
             assert decoded == rd_at_stage(x, surrogate, big_s)
 
 
@@ -358,7 +349,7 @@ class TestSemiDecidable:
                                           main_scenario):
         x = main_scenario.stream("x4")  # outside the target set
         run = semidecidable_to_rd_star(surrogate, main_scenario.opens["layerA"],
-                                       surrogate, x, budgets)
+                                       x, budgets)
         assert run.verdict == 0 == run.expected
         assert not run.f_run.pads  # output is the source unchanged
         [g_side] = _events(run.trace, "g_side")
@@ -369,7 +360,7 @@ class TestSemiDecidable:
     def test_in_stream_certified(self, surrogate, budgets, main_scenario):
         x = main_scenario.stream("x3")
         run = semidecidable_to_rd_star(surrogate, main_scenario.opens["layerA"],
-                                       surrogate, x, budgets)
+                                       x, budgets)
         assert run.verdict == 1 == run.expected
         assert run.f_run.pads
         # the advice certifies the discovery stage
@@ -381,7 +372,7 @@ class TestSemiDecidable:
             x = main_scenario.stream(name)
             run = semidecidable_to_rd_star(surrogate,
                                            main_scenario.opens["layerA"],
-                                           surrogate, x, budgets)
+                                           x, budgets)
             assert run.verdict == run.expected
 
 
@@ -396,6 +387,23 @@ class TestMonotonicityAndShape:
             hist = _stage_lengths(run.segments)
             assert all(a <= b for a, b in zip(hist, hist[1:]))
             assert run.trace.failed_claims() == []
+
+    def test_shape_witness_fails_on_tampered_records(self, surrogate, budgets,
+                                                     main_scenario):
+        run = rd_from_lay_phi(surrogate, surrogate, main_scenario.stream("x3"),
+                              budgets)
+        base, first, last = run.base, run.pads[0], run.pads[-1]
+        assert run.shape_ok() and last["block"]
+        flipped = base[:-1] + "10"[int(base[-1])]  # inside the last block
+        for tampered in (flipped, base + "0"):
+            run.base = tampered
+            assert not run.shape_ok()
+        run.base = base
+        for pad, move in ((last, 1), (last, -1), (first, -len(first["block"]))):
+            pad["end"] += move
+            assert not run.shape_ok()
+            pad["end"] -= move
+        assert run.shape_ok()
 
     def test_grace_default_tracks_budget(self, budgets):
         assert default_grace(budgets) == (3 * budgets.max_stage) // 4
@@ -429,19 +437,20 @@ def _clocked_calls(sc, budgets, grace):
     u = universal_sum(sc)
     chain = descending_chain(u)
     watched = shift_union(chain)
-    inner_f = InnerReduction(
-        phi=lambda s: rd_from_lay_phi(u, u, s, budgets, grace).output,
-        psi=lambda s, m: rd_from_lay_psi(u, s, m, budgets))
     t_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("inA")]
     s_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("outA")]
     names = list(sc.streams)
 
     def semidecidable(x):
-        res = semidecidable_to_rd_star(u, sc.opens["layerA"], u, x, budgets, grace)
+        res = semidecidable_to_rd_star(u, sc.opens["layerA"], x, budgets, grace)
         return res.f_run, res.trace
 
     def plain(run):
         return run, run.trace
+
+    def composed(x):
+        z = rd_from_lay_phi(u, u, x, budgets, grace).output
+        return plain(compose_star(chain, x, z, budgets, grace))
 
     for k, name in enumerate(names):
         x = sc.stream(name)
@@ -452,8 +461,7 @@ def _clocked_calls(sc, budgets, grace):
             rd_from_lay_phi(u, u, x, budgets, grace))
         yield "product_merge", name, lambda x=x, y=y: plain(
             product_merge(chain, x, y, budgets, grace))
-        yield "compose_star", name, lambda x=x: plain(
-            compose_star(chain, inner_f, identity_reduction(), x, budgets, grace)[0])
+        yield "compose_star", name, lambda x=x: composed(x)
         yield "delta02_to_lay", name, lambda x=x: plain(
             delta02_to_lay_phi(chain, t_trees, s_trees, x, budgets, grace))
         yield "semidecidable_star", name, lambda x=x: semidecidable(x)

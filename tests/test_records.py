@@ -1,8 +1,7 @@
 """The package's records and what ``import cantorlab.cli`` loads.
 
-The value records are ``core.Frozen`` subclasses (or, for
-``InnerReduction``, a ``NamedTuple``): immutable, hashable and equal field
-by field.  No module of the package imports ``dataclasses``, whose import
+The value records are ``core.Frozen`` subclasses: immutable, hashable and
+equal field by field.  No module of the package imports ``dataclasses``, whose import
 alone loads ``inspect``, ``ast`` and ``dis`` into every command's start-up.
 """
 
@@ -18,7 +17,6 @@ import pytest
 from cantorlab.core import Frozen
 from cantorlab.deficiency import Stream
 from cantorlab.enumeration import Budgets
-from cantorlab.realizers import InnerReduction, identity_reduction
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -69,10 +67,3 @@ def test_stream_validates_at_construction():
         Stream("x", "01", "")
     with pytest.raises(ValueError, match="binary"):
         Stream("x", "0a", "1")
-
-
-def test_inner_reduction_is_immutable_and_hashable():
-    r = identity_reduction()
-    with pytest.raises(AttributeError):
-        r.phi = r.psi
-    assert hash(r) == hash(InnerReduction(r.phi, r.psi))
