@@ -386,8 +386,7 @@ def execute(sc: Scenario, selector: str, *, grace: int | None = None,
 def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
                 grace: int | None, sigma_stages: int | None,
                 stride: int) -> list[str]:
-    """The header line, then the trace's lines; a scenario nested too deeply
-    for the encoder raises ScenarioError."""
+    """The header line, then the trace's lines."""
     header = {"stage": -1, "action": "header", "payload": {
         "format": TRACE_FORMAT,
         "selector": selector,
@@ -397,12 +396,7 @@ def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
         "stride": stride,
         "scenario": sc.raw,
     }}
-    try:
-        head = jline(header)
-    except RecursionError:
-        raise ScenarioError("scenario nests too deeply to encode in the "
-                            "trace header") from None
-    return [head] + trace.lines()
+    return [jline(header)] + trace.lines()
 
 
 def _text_blocks(lines: list[str]) -> Iterator[str]:

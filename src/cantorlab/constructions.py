@@ -14,15 +14,19 @@ the stages ``pair(i, t) <= S`` whose length ``n0 + i`` is within the depth;
 it adds a cone at most of them (5,468 of 6,851 on the bundled deep
 scenario), so its loop stays O(visits).  A visit costs a few integer
 operations: each length's cones form one lex interval, so the covered test
-compares integer bounds, the tree is asked about liveness only when a visit
-is not covered, and the event lines come from fixed-shape templates.  Its
-half-measure witnesses are checked in one pass over its cones.
+compares integer bounds, and the shorter length that covered a length last
+is asked first (it answers 5,333 of deep's 5,405 covered visits with one
+comparison); the tree is asked about liveness only when a visit is not
+covered (1,384 visits on deep), and the event lines come from fixed-shape
+templates.  Its half-measure witnesses are checked in one pass over its
+cones, which looks up a cone in the running intersection only when the build
+could not show that the cone lies inside an earlier one (114 of deep's 5,468
+cones).
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from typing import Mapping, Sequence
 
 from .core import (
@@ -117,11 +121,27 @@ class ConstructionTrace:
 
     def lines(self) -> list[str]:
         """One JSON line per event, the outputs, one per witness.  Event
-        lines are stored encoded; a data object shared by consecutive
+        lines are stored encoded.  The outputs record is written from the
+        encodings of its values in sorted key order, and a value that
+        several keys share is encoded once; outputs with a key that is not
+        a string are encoded whole.  A data object shared by consecutive
         witnesses is encoded once.  A claim is written as the encoder writes
         a string, and a status, ``pass`` or ``fail``, as itself."""
         out = self.events.copy()
-        out.append(_encode({"stage": -1, "action": "outputs", "payload": self.outputs}))
+        outputs = self.outputs
+        if all(type(k) is str for k in outputs):
+            memo: dict[int, str] = {}  # by the identity of a value
+            items = []
+            for k in sorted(outputs):
+                v = outputs[k]
+                encoded = memo.get(id(v))
+                if encoded is None:
+                    encoded = memo[id(v)] = _encode(v)
+                items.append(f"{_encode(k)}:{encoded}")
+            out.append(f'{{"action":"outputs","payload":{{{",".join(items)}}},'
+                       '"stage":-1}')
+        else:
+            out.append(_encode({"stage": -1, "action": "outputs", "payload": outputs}))
         data = encoded = None
         claim = json.encoder.encode_basestring_ascii
         for w in self.witnesses:
@@ -577,49 +597,47 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     trace = ConstructionTrace()
     trace.add(-1, "n0", value=n0, tree_measure=final_measure)
 
-    cones: list[tuple[int, str]] = []
+    # One [stage, cone] pair per stage, in stage order: the list is the
+    # schedule that ``Enumeration(cones)`` would be written as for ``a``.
+    cones: list[list] = []
+    inside: list[bool] = []  # cones[k] lies inside an earlier, shorter cone
     events = trace.events
     cover, counted = Clopen(), 0  # the union of cones[:counted]
     # The cones of length n0 + i are the lex interval [lows[i], highs[i]]:
     # each starts at its init and moves one step right at a time.  sigmas[i]
-    # is the string of highs[i], the tracked cone.
+    # is the string of highs[i], the tracked cone, and last[i] the shorter
+    # length whose interval last held a prefix of it, or -1.
+    top = depth - n0
     sigmas: list[str] = []
     lows: list[int] = []
     highs: list[int] = []
+    last = [-1] * (top + 1)
+    specs = [f"0{n0 + i}b" for i in range(top + 1)]
 
     # Stage s = pair(i, t) visits length n0 + i; diagonal w holds the stages
     # w(w+1)/2 + i for i <= w, in stage order, and lengths past the depth
     # are never visited.
-    top, w, first = depth - n0, 0, 0
+    w, first = 0, 0
     while first <= big_s:
-        for i in range(min(w, top, big_s - first) + 1):
+        for i in range(min(w - 1, top, big_s - first) + 1):
             s, n = first + i, n0 + i
-            if i == w:  # t == 0: the first visit of this length
-                cover = cover.union(Clopen([c for _, c in cones[counted:]]))
-                counted = len(cones)
-                sigma = leftmost_uncovered(n, cover)
-                if sigma is None:
-                    raise SearchExhaustedError(f"no uncovered string of length {n}")
-                cones.append((s, sigma))
-                sigmas.append(sigma)
-                v = int(sigma, 2)
-                lows.append(v)
-                highs.append(v)
-                events.append(_init_line(s, n, sigma))
-                continue
             if n > tree.depth:  # raises, as for a node deeper than the tree
                 tree.alive(sigmas[i], s)
             # No cone is shorter than n0, and the prefix of length n0 + j of
-            # sigma is a cone iff it lies in length n0 + j's interval.
+            # sigma is a cone iff it lies in length n0 + j's interval.  The
+            # length j = last[i] is asked first, about its top only: v and so
+            # its prefix only grow, and that prefix was once at least lows[j].
             v = highs[i]
-            for j in range(i):
-                if lows[j] <= v >> (i - j) <= highs[j]:
-                    reason = "covered"
-                    break
-            else:
-                if tree.alive(sigmas[i], s):
-                    continue
-                reason = "dead"
+            j = last[i]
+            if j < 0 or v >> (i - j) > highs[j]:
+                for j in range(i):
+                    if lows[j] <= v >> (i - j) <= highs[j]:
+                        last[i] = j
+                        break
+                else:
+                    if tree.alive(sigmas[i], s):
+                        continue
+                    j = -1
             # n >= n0 >= 2 (2^-n0 <= 1/4 is enforced above): no tracked string
             # is empty, so its int(sigma, 2) at init cannot raise, and
             # v + 1 == 2**n means sigma was all ones.
@@ -628,22 +646,42 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
                 raise SearchExhaustedError(
                     f"right neighbour exhausted at length {n} "
                     "(tree measure precondition violated)")
-            old, new = sigmas[i], format(v, f"0{n}b")
-            cones.append((s, new))
+            old, new = sigmas[i], format(v, specs[i])
+            cones.append([s, new])
+            # The prefix of the new cone of length n0 + j is in that length's
+            # interval, hence a cone added before it, whenever it is at most
+            # the interval's top.
+            inside.append(j >= 0 and v >> (i - j) <= highs[j])
             sigmas[i], highs[i] = new, v
-            events.append(_replace_line(s, n, old, new, reason))
+            events.append(_replace_line(s, n, old, new,
+                                        "dead" if j < 0 else "covered"))
+        if w <= top and first + w <= big_s:  # t == 0: the first visit of length w
+            s, n = first + w, n0 + w
+            cover = cover.union(Clopen([c for _, c in cones[counted:]]))
+            counted = len(cones)
+            sigma = leftmost_uncovered(n, cover)
+            if sigma is None:
+                raise SearchExhaustedError(f"no uncovered string of length {n}")
+            cones.append([s, sigma])
+            inside.append(False)
+            sigmas.append(sigma)
+            v = int(sigma, 2)
+            lows.append(v)
+            highs.append(v)
+            events.append(_init_line(s, n, sigma))
         w += 1
         first += w
 
-    # One cone per stage, in stage order: the list is the schedule that
-    # ``Enumeration(cones)`` would be written as for ``a``.
-    schedule = [[s, c] for s, c in cones]
-    trace.outputs = {"a": schedule, "cones": schedule, "n0": n0}
-    return _finish_lemma63(tree, budgets, trace, cones, n0)
+    trace.outputs = {"a": cones, "cones": cones, "n0": n0}
+    return _finish_lemma63(tree, budgets, trace, cones, n0, inside)
 
 
 def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
-                    cones: list[tuple[int, str]], n0: int) -> ConstructionTrace:
+                    cones: Sequence[Sequence], n0: int,
+                    inside: Sequence[bool]) -> ConstructionTrace:
+    """Add the witnesses of the ``[stage, cone]`` pairs ``cones``.  A true
+    ``inside[k]`` says that ``cones[k]`` lies inside an earlier cone, whose
+    live piece the running intersection already holds."""
     big_s = budgets.max_stage
     dead_changes = tree.change_stages()
     cone_stages = [st for st, _ in cones]
@@ -652,12 +690,18 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     # meets the live set in a running intersection.  It is rebuilt when the
     # tree's dead view moves, and otherwise grows by the new cones' pieces.  A
     # witness's data is built only when the intersection or the tree moved;
-    # consecutive witnesses share it (nothing mutates it).
+    # consecutive witnesses share it (nothing mutates it).  The stages ascend,
+    # so upto and the count of dead changes up to s only move forward.
     witnesses = trace.witnesses
-    interval, seen = -1, 0
+    n_cones, n_dead = len(cone_stages), len(dead_changes)
+    upto = key = seen = 0
+    interval = -1
     for s in stages:
         t = min(s, big_s)
-        upto, key = bisect_right(cone_stages, s), bisect_right(dead_changes, t)
+        while upto < n_cones and cone_stages[upto] <= s:
+            upto += 1
+        while key < n_dead and dead_changes[key] <= t:
+            key += 1
         if key != interval:
             interval = key
             live, measure = tree.live_clopen(t), tree.path_measure(t)
@@ -666,8 +710,11 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
             data = None
         else:
             grown = inter
-            for _, c in cones[seen:upto]:
-                if not grown.covers(c):  # else its piece is a subset too
+            for k in range(seen, upto):
+                c = cones[k][1]
+                # A cone inside an earlier cone, or inside the intersection,
+                # has a live piece that is a subset too.
+                if not inside[k] and not grown.covers(c):
                     piece = Clopen([c]).intersect(live)
                     if not piece.is_subset_of(grown):
                         grown = grown.union(piece)

@@ -10,10 +10,11 @@ measure ``2**-i`` at every stage, checked exactly.
 
 from __future__ import annotations
 
+import gc
 import json
 from bisect import bisect_right
 from functools import cached_property
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -259,6 +260,12 @@ def _run_clock(changes: Sequence[int], first: int, last: int,
 HARD_MAX_INDEX = 64
 HARD_MAX_STAGE = 10**6
 HARD_MAX_DEPTH = 64
+# A scenario's arrays and objects nest at most this many levels, the
+# scenario object being level 1.  A trace header embeds the scenario two
+# levels down, so the header of every trace ``run`` writes nests at most 102
+# levels, far inside the JSON decoder's recursion budget (the interpreter's
+# recursion limit, 1,000 by default, less the caller's stack).
+MAX_NESTING = 100
 
 
 class Budgets(Frozen):
@@ -387,12 +394,34 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
         raw = source
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario must be a JSON object")
+    raw = dict(raw)
+    _check_nesting(raw)
     try:
-        return _parse_scenario(dict(raw))
+        return _parse_scenario(raw)
     except KeyError as exc:
         raise ScenarioError(f"scenario missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
+
+
+_CONTAINER = {dict, list, tuple}.__contains__
+
+
+def _check_nesting(raw: dict) -> None:
+    """Raise ScenarioError when ``raw`` nests deeper than ``MAX_NESTING``.
+    The walk goes level by level, so it needs no stack.  The containers are
+    the values of type dict, list or tuple, what a decoded document holds;
+    any other value is a leaf.  The referents of a level's containers are
+    their values and items (and a dict's keys when they are not all
+    strings), so no Python loop runs over the values."""
+    level, depth = [raw], 1
+    while level:
+        if depth > MAX_NESTING:
+            raise ScenarioError(f"scenario nests deeper than the cap of "
+                                f"{MAX_NESTING} levels")
+        values = gc.get_referents(*level)
+        level = [*compress(values, map(_CONTAINER, map(type, values)))]
+        depth += 1
 
 
 def _parse_scenario(raw: dict) -> Scenario:

@@ -590,12 +590,14 @@ def _frames() -> int:
 
 def test_nesting_sweep_exits_without_traceback(tmp_path, capsys):
     """Scenarios, their ``extra`` field and trace first lines nested around
-    the recursion limit: a document too deep to decode exits 4, one that
-    decodes but is no scenario or header, or is too deep to encode into a
-    trace header, exits 2, and none raises."""
+    the nesting cap, at 984 levels and around the recursion limit: a
+    document too deep to decode exits 4; a scenario past the cap, or a
+    document that decodes but is no scenario or header, exits 2; every
+    trace that ``run`` writes verifies; and none raises."""
     scenario, trace = tmp_path / "s.json", tmp_path / "t.jsonl"
     head = json.dumps(json.loads(Path(MAIN).read_text(encoding="utf-8")))[:-1]
     top = sys.getrecursionlimit() - _frames()
+    cap = enumeration.MAX_NESTING
     codes = []
 
     def command(*argv):
@@ -606,28 +608,67 @@ def test_nesting_sweep_exits_without_traceback(tmp_path, capsys):
                                   else "error: cannot read")
             assert err.count("\n") == 1
         codes.append(code)
-        return code
+        return code, err
 
-    for depth in [*range(top - 30, top + 10), 100_000]:
+    for depth in [*range(cap - 4, cap + 3), 984, *range(top - 30, top + 10), 100_000]:
         nested = "[" * depth + "]" * depth
         for doc in (nested, f'{head},"extra":{nested}}}'):
             scenario.write_text(doc, encoding="utf-8")
-            if command("run", "--scenario", str(scenario), "--select", "lemma31",
-                       "--trace", str(trace)) == 0:
-                command("verify", "--trace", str(trace), "--quiet")
+            code, err = command("run", "--scenario", str(scenario), "--select",
+                                "lemma31", "--trace", str(trace))
+            if doc is not nested and depth + 1 <= cap:  # the object is level 1
+                assert code == 0
+            if code == 0:
+                assert command("verify", "--trace", str(trace), "--quiet")[0] == 0
+            elif doc is not nested and code == EXIT_VALIDATION:
+                assert f"cap of {cap} levels" in err
         trace.write_text(nested + "\n", encoding="utf-8")
         command("verify", "--trace", str(trace), "--quiet")
     assert set(codes) <= {0, EXIT_VALIDATION, EXIT_IO} and EXIT_IO in codes
 
 
 def test_header_too_deep_to_encode_is_invalid():
-    nested: list = []
-    for _ in range(sys.getrecursionlimit()):
-        nested = [nested]
-    sc = load_scenario({**load_scenario(MAIN).raw, "extra": nested})
-    with pytest.raises(ScenarioError, match="scenario nests too deeply to encode"):
-        cli.trace_lines(sc, "lemma31", ConstructionTrace(), grace=None,
-                        sigma_stages=None, stride=1)
+    """A scenario nested past the cap is rejected when it is loaded, before
+    any trace header embeds it; one at the cap loads, and its header line
+    encodes and decodes."""
+    cap = enumeration.MAX_NESTING
+    raw = load_scenario(MAIN).raw
+
+    def nested(levels: int) -> list:
+        """``levels`` lists, the innermost holding a number, which is no level."""
+        value: list = [0]
+        for _ in range(levels - 1):
+            value = [value]
+        return value
+
+    with pytest.raises(ScenarioError, match=f"cap of {cap} levels"):
+        load_scenario({**raw, "extra": nested(sys.getrecursionlimit())})
+    with pytest.raises(ScenarioError, match=f"cap of {cap} levels"):
+        load_scenario({**raw, "extra": {"k": nested(cap - 1)}})
+    sc = load_scenario({**raw, "extra": nested(cap - 1)})
+    head = cli.trace_lines(sc, "lemma31", ConstructionTrace(), grace=None,
+                           sigma_stages=None, stride=1)[0]
+    assert json.loads(head)["payload"]["scenario"] == sc.raw
+
+
+def test_replay_of_a_header_past_the_nesting_cap_is_invalid(tmp_path, capsys):
+    """A trace header whose scenario decodes but nests past the cap exits 2
+    from verify's replay, naming the cap."""
+    cap = enumeration.MAX_NESTING
+    raw = load_scenario(MAIN).raw
+    trace = tmp_path / "t.jsonl"
+    for extra, code in (("[" * (cap - 1) + "]" * (cap - 1), EXIT_OBLIGATION),
+                        ("[" * cap + "]" * cap, EXIT_VALIDATION)):
+        header = (f'{{"action":"header","payload":{{"budgets":{json.dumps(raw["budgets"])},'
+                  f'"format":1,"grace":null,"scenario":{json.dumps(raw)[:-1]},'
+                  f'"extra":{extra}}},"selector":"lemma31","sigma_stages":null,'
+                  f'"stride":1}},"stage":-1}}')
+        trace.write_text(header + "\n", encoding="utf-8")
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == code
+        err = capsys.readouterr().err
+        if code == EXIT_VALIDATION:
+            assert err == (f"error: validation: replay: scenario nests deeper "
+                           f"than the cap of {cap} levels\n")
 
 
 def test_produced_tests_share_the_derived_tests():

@@ -10,7 +10,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, strategies as st
 
-from cantorlab import bundled_scenario, cli, realizers
+from cantorlab import bundled_scenario, cli, constructions, realizers
 from cantorlab.core import (
     BudgetError,
     CantorError,
@@ -496,6 +496,54 @@ class TestEventLines:
             _ENCODER.encode({"stage": -1, "action": "outputs", "payload": outputs}),
             _ENCODER.encode({"claim": "claim", "status": "fail", "data": data})]
 
+    _SHARED = [[0, "00"], [4, "010"]]
+    _CLOPEN = Clopen(["010", "1"])
+
+    @pytest.mark.parametrize("outputs", [
+        {"a": _SHARED, "cones": _SHARED, "n0": 3},
+        {"u": _CLOPEN, "v": [_CLOPEN, _CLOPEN], "w": _CLOPEN},
+        {"runs": {"x1": {"verdict": "pass", "n": [1, {"k": None}]}, "alt": {}},
+         "e": {"2": {"10": []}}},
+        {"\u00e9": "\u03c3\U0001d11e", "a\u2028": ['\n"\\'], "B": 1, "b": "\x7f"},
+        {"c": _CLOPEN, "d": Dyadic(3, 4), "e": Enumeration([(3, "01"), (0, "1")]),
+         "t": MLTest([Enumeration([(0, "1")])], nested=True, notes={"k": Dyadic(1, 1)})},
+        {},
+        {10: "x", 2: "y"},
+        {True: 1, 0: 2},
+        {1: "x", "b": 2},
+        {(1, 2): 3},
+        {None: 1},
+    ], ids=["shared", "shared_clopen", "nested_dicts", "non_ascii", "library_values",
+            "empty", "int_keys", "bool_int_keys", "mixed_keys", "tuple_key", "none_key"])
+    def test_outputs_line_is_the_record_encoding(self, outputs):
+        """The outputs line, written from per-key encodings, is the
+        encoding of the whole record; outputs the encoder cannot write
+        raise the same error."""
+        def outcome(fn):
+            try:
+                return fn()
+            except TypeError as exc:
+                return type(exc), str(exc)
+
+        trace = ConstructionTrace()
+        trace.outputs = outputs
+        record = {"stage": -1, "action": "outputs", "payload": outputs}
+        assert outcome(lambda: trace.lines()[0]) == outcome(lambda: _encode(record))
+
+    def test_shared_output_value_is_encoded_once(self, monkeypatch):
+        seen = []
+        encode = constructions._encode
+
+        def counted(obj):
+            seen.append(obj)
+            return encode(obj)
+
+        monkeypatch.setattr(constructions, "_encode", counted)
+        trace = ConstructionTrace()
+        trace.outputs = {"a": self._SHARED, "cones": self._SHARED, "n0": 3}
+        trace.lines()
+        assert sum(v is self._SHARED for v in seen) == 1
+
     @given(stage=st.integers(0, 10**6),
            old=st.text(alphabet="01", min_size=1, max_size=64),
            new=st.text(alphabet="01", min_size=1, max_size=64),
@@ -792,7 +840,8 @@ def _half_measure_every_stage(cones, tree, budgets):
 def _lemma63_every_stage(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     """The dovetail ``build_lemma63`` ran before it walked the diagonals:
     every stage 0..S is unpaired, the tree is read at each visit, and the
-    covered test slices every prefix."""
+    covered test slices every prefix.  It marks no cone as lying inside an
+    earlier one, so its half-measure pass asks about every cone."""
     big_s, depth = budgets.max_stage, budgets.max_depth
     final_measure = tree.path_measure(big_s)
     quarter = final_measure.half().half()
@@ -843,7 +892,7 @@ def _lemma63_every_stage(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
 
     a_enum = Enumeration(cones)
     trace.outputs = {"a": a_enum, "cones": [[s, c] for s, c in cones], "n0": n0}
-    return _finish_lemma63(tree, budgets, trace, cones, n0)
+    return _finish_lemma63(tree, budgets, trace, cones, n0, [False] * len(cones))
 
 
 def _outcome(build, *args):
@@ -945,6 +994,42 @@ def _dead_tree_world(sc, seed):
     return CoTree(Enumeration(dead), budgets.max_depth), budgets
 
 
+def _marches(trace) -> list[tuple[int, int, str]]:
+    """``(s1, s2, sigma)`` for each length replaced as covered at two
+    consecutive visits ``s1 < s2`` with a stage between them; ``sigma`` is
+    the cone it moved to at ``s1``."""
+    covered = {}
+    for e in decoded_events(trace):
+        if e["action"] == "replace" and e["payload"]["reason"] == "covered":
+            covered[e["stage"]] = e["payload"]["new"]
+    marches = []
+    for s1, sigma in covered.items():
+        i, t = unpair(s1)
+        s2 = pair(i, t + 1)
+        if s2 in covered and s2 - s1 > 1:
+            marches.append((s1, s2, sigma))
+    return marches
+
+
+def _deep_dead_tree_world(sc, seed):
+    """A seeded lemma63 world at deep's budgets (S = 10,000, K = 64): one to
+    three short tracked cones die at random stages, so longer lengths march
+    through the cones that replace them, and one more dead cone, a marching
+    cone of length 8 or more, lands strictly between two of its length's
+    visits."""
+    r = random.Random(seed)
+    budgets = sc.budgets
+    dead = [(0, "11")]
+    tracked = build_lemma63(CoTree(Enumeration(dead), budgets.max_depth),
+                            budgets).outputs["cones"]
+    for _ in range(r.randint(1, 3)):
+        dead.append((r.randint(1, budgets.max_stage), r.choice(tracked[:6])[1]))
+    base = build_lemma63(CoTree(Enumeration(dead), budgets.max_depth), budgets)
+    s1, s2, sigma = r.choice([m for m in _marches(base) if len(m[2]) >= 8])
+    dead.append((r.randint(s1 + 1, s2 - 1), sigma))
+    return CoTree(Enumeration(dead), budgets.max_depth), budgets
+
+
 class TestClockedAgainstEveryStage:
     """The clocked constructions leave the same trace lines and outputs, or
     raise the same error, as the per-stage loops they replaced."""
@@ -997,7 +1082,7 @@ class TestClockedAgainstEveryStage:
             if unpair(s)[1] == 0:
                 assert sigma == leftmost_uncovered(
                     len(sigma), Clopen([c for _, c in cones[:k]]))
-        return cones
+        return trace
 
     @pytest.mark.parametrize("name, stages", BASE_WORLDS)
     def test_lemma63_bundles(self, request, name, stages):
@@ -1011,7 +1096,7 @@ class TestClockedAgainstEveryStage:
         kinds = set()
         for seed in range(16):
             tree, budgets = _dead_tree_world(main_scenario, seed)
-            cones = self._check_lemma63(tree, budgets)
+            cones = self._check_lemma63(tree, budgets).outputs["cones"]
             cone_stages = {s for s, _ in cones}
             for d in tree.change_stages():
                 if d in cone_stages:
@@ -1019,6 +1104,16 @@ class TestClockedAgainstEveryStage:
                 elif min(cone_stages) < d < max(cone_stages):
                     kinds.add("between")
         assert kinds == {"at", "between"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lemma63_seeded_deep_dead_trees(self, deep_scenario, seed):
+        """At S = 10,000 the tree moves strictly between two visits of a
+        length that is marching through a shorter cone: both visits replace
+        its cone as covered."""
+        tree, budgets = _deep_dead_tree_world(deep_scenario, seed)
+        trace = self._check_lemma63(tree, budgets)
+        assert [(s1, d, s2) for s1, s2, _ in _marches(trace)
+                for d in tree.change_stages() if s1 < d < s2]
 
     def test_lemma63_full_tree(self):
         tree = CoTree(Enumeration([]), 64)
@@ -1219,3 +1314,29 @@ def test_view_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
             execute(sc, selector)
             counts[stages].append(calls[0])
     assert counts[main_scenario.budgets.max_stage] == counts[HARD_MAX_STAGE]
+
+
+def test_half_measure_pass_looks_up_few_cones(deep_scenario, monkeypatch):
+    """The build marks each cone that lies inside an earlier, shorter cone,
+    and the half-measure pass asks its running intersection about the other
+    cones only: on deep, 114 of the 5,468 cones (5,466 lookups when every
+    cone was asked)."""
+    calls, finishing = [0], [False]
+    covers, finish = Clopen.covers, constructions._finish_lemma63
+
+    def counted(self, bits):
+        calls[0] += finishing[0]
+        return covers(self, bits)
+
+    def finish_counted(*args):
+        finishing[0] = True
+        try:
+            return finish(*args)
+        finally:
+            finishing[0] = False
+
+    monkeypatch.setattr(Clopen, "covers", counted)
+    monkeypatch.setattr(constructions, "_finish_lemma63", finish_counted)
+    trace = build_lemma63(deep_scenario.tree("positive"), deep_scenario.budgets)
+    assert len(trace.outputs["cones"]) == 5468
+    assert 0 < calls[0] <= 150
