@@ -236,6 +236,14 @@ def _blocks(d: int, b: Sequence[int]) -> Iterator[tuple[int, int]]:
             lo += 1 << k
 
 
+def _merge_spans(out: list[int], b: Sequence[int]) -> None:
+    """Merge the spans ``b`` into the span boundaries ``out``, in place:
+    each span replaces the boundaries it spans."""
+    for lo, hi in zip(b[::2], b[1::2]):
+        i, j = bisect_left(out, lo), bisect_right(out, hi)
+        out[i:j] = [lo] * (i % 2 == 0) + [hi] * (j % 2 == 0)
+
+
 class Clopen:
     """A finite union of cylinders, held as the pair ``(d, b)``.
 
@@ -254,6 +262,11 @@ class Clopen:
                  _spans: tuple[int, Sequence[int]] | None = None) -> None:
         if _spans is None:
             items = [check_bits(s) for s in strings]
+            if len(items) == 1:  # one cylinder: one leaf at its own depth
+                s = items[0]
+                v = int(s, 2) if s else 0
+                self._d, self._b, self._cyl = len(s), (v, v + 1), (s,)
+                return
             d = max(map(len, items), default=0)
             b: list[int] = []
             for lo, hi in sorted(_leaf_span(s, d) for s in items):
@@ -265,7 +278,7 @@ class Clopen:
             d, b = _spans
         low = reduce(or_, b, 0)  # coarsen while every boundary is even
         k = min((low & -low).bit_length() - 1, d) if low else d
-        self._d, self._b, self._cyl = d - k, tuple([x >> k for x in b]), None
+        self._d, self._b, self._cyl = d - k, tuple([x >> k for x in b] if k else b), None
 
     @property
     def cylinders(self) -> tuple[str, ...]:
@@ -325,19 +338,22 @@ class Clopen:
     # -- algebra -----------------------------------------------------------
 
     def _aligned(self, other: "Clopen") -> tuple[int, Sequence[int], Sequence[int]]:
-        """The common depth and both sets' boundaries at it."""
-        d = max(self._d, other._d)
-        return d, [x << d - self._d for x in self._b], [x << d - other._d for x in other._b]
+        """The common depth and both sets' boundaries at it; the deeper
+        side's, or both at equal depths, are the stored tuples."""
+        d, x, y = max(self._d, other._d), self._b, other._b
+        if self._d < d:
+            x = [v << d - self._d for v in x]
+        if other._d < d:
+            y = [v << d - other._d for v in y]
+        return d, x, y
 
     def union(self, other: "Clopen") -> "Clopen":
-        """Each span of the smaller side replaces the boundaries it spans."""
+        """The spans of the smaller side merged into the larger side."""
         d, x, y = self._aligned(other)
         if len(x) < len(y):
             x, y = y, x
         out = list(x)
-        for lo, hi in zip(y[::2], y[1::2]):
-            i, j = bisect_left(out, lo), bisect_right(out, hi)
-            out[i:j] = [lo] * (i % 2 == 0) + [hi] * (j % 2 == 0)
+        _merge_spans(out, y)
         return Clopen(_spans=(d, out))
 
     def intersect(self, other: "Clopen") -> "Clopen":

@@ -3,8 +3,11 @@ and the scenario world they are instantiated over.
 
 An enumeration is a finite schedule of (stage, cylinder) pairs; its view at a
 stage is the canonical union of everything scheduled so far, so views only
-grow, and they change only at the stages that schedule something.  A test is
-an indexed family of enumerations where component ``i`` must stay within
+grow, and they change only at the stages that schedule something.  The
+views are built together on first read: one walk of the schedule merges each
+cylinder's leaf span, at the depth of the longest cylinder, into one list of
+span boundaries, and each change stage makes one clopen of the list.  A test
+is an indexed family of enumerations where component ``i`` must stay within
 measure ``2**-i`` at every stage, checked exactly.
 """
 
@@ -27,10 +30,11 @@ from .core import (
     Frozen,
     ScenarioError,
     SearchExhaustedError,
+    _leaf_span,
+    _merge_spans,
     check_bits,
     intersect_all,  # noqa: F401  unused; perfbench/test_perfbench.py patches it here
     json_int,
-    str_order_key,
 )
 from .deficiency import CoTree, Stream, rd_at_stage
 
@@ -46,12 +50,13 @@ class Enumeration:
     __slots__ = ("schedule", "_stages", "_views", "_measures")
 
     def __init__(self, schedule: Iterable[tuple[int, str]] = ()) -> None:
-        items = {(int(st), check_bits(c)) for st, c in schedule}
-        for st, _ in items:
-            if st < 0:
-                raise ValueError("schedule stages must be non-negative")
+        items = set()  # (stage, len, cylinder) sorts as stage, then length-lex
+        for st, c in schedule:
+            if type(st) is not int or st < 0:
+                raise ValueError(f"schedule stage must be a non-negative integer, got {st!r}")
+            items.add((st, len(check_bits(c)), c))
         self.schedule: tuple[tuple[int, str], ...] = tuple(
-            sorted(items, key=lambda p: (p[0],) + str_order_key(p[1])))
+            [(st, c) for st, _, c in sorted(items)])
         self._stages: list[int] | None = None
         self._views: list[Clopen] | None = None
         self._measures: list[Dyadic] | None = None
@@ -69,14 +74,17 @@ class Enumeration:
         return e
 
     def _ensure(self) -> None:
-        if self._stages is not None:
-            return
+        """Build the views: merge each stage's leaf spans, at the longest
+        cylinder's depth, into the boundaries so far, and make one clopen
+        of them per change stage."""
+        d = self.max_length()
         stages: list[int] = []
         views: list[Clopen] = []
         measures: list[Dyadic] = []
+        out: list[int] = []
         for s, entries in groupby(self.schedule, key=itemgetter(0)):
-            new = Clopen(c for _, c in entries)
-            view = views[-1].union(new) if views else new
+            _merge_spans(out, [x for _, c in entries for x in _leaf_span(c, d)])
+            view = Clopen(_spans=(d, out))
             stages.append(s)
             views.append(view)
             measures.append(view.measure())
@@ -86,21 +94,25 @@ class Enumeration:
         """Canonical union of all cylinders scheduled at stages <= ``s``."""
         if s < 0:
             raise ValueError("stage must be non-negative")
-        self._ensure()
+        if self._stages is None:
+            self._ensure()
         k = bisect_right(self._stages, s)
         return self._views[k - 1] if k else Clopen()
 
     def measure_at(self, s: int) -> Dyadic:
-        self._ensure()
+        if self._stages is None:
+            self._ensure()
         k = bisect_right(self._stages, s)
         return self._measures[k - 1] if k else Dyadic.zero()
 
     def change_stages(self) -> tuple[int, ...]:
-        self._ensure()
+        if self._stages is None:
+            self._ensure()
         return tuple(self._stages)
 
     def final_measure(self) -> Dyadic:
-        self._ensure()
+        if self._stages is None:
+            self._ensure()
         return self._measures[-1] if self._measures else Dyadic.zero()
 
     def last_stage(self) -> int:
@@ -144,16 +156,13 @@ class MLTest:
         self.components: tuple[Enumeration, ...] = tuple(components)
         if not self.components:
             raise ValueError("a test needs at least one component")
+        self.max_index = len(self.components) - 1
         self.nested = nested
         self.notes: dict[str, object] = dict(notes or {})
         self._changes: tuple[int, ...] | None = None
         self._meets: dict[tuple[int, int], Clopen] = {}
         if check:
             self.ensure_budget()
-
-    @property
-    def max_index(self) -> int:
-        return len(self.components) - 1
 
     def component(self, i: int) -> Enumeration:
         if not 0 <= i <= self.max_index:
@@ -378,7 +387,8 @@ class Scenario:
 
 
 def _parse_schedule(entries: Iterable[Mapping]) -> list[tuple[int, str]]:
-    return [(json_int(e["stage"], "stage"), check_bits(e["cylinder"])) for e in entries]
+    """The (stage, cylinder) pairs; ``Enumeration`` checks the cylinders."""
+    return [(json_int(e["stage"], "stage"), e["cylinder"]) for e in entries]
 
 
 def load_scenario(source: str | Path | Mapping) -> Scenario:
@@ -432,11 +442,11 @@ def _parse_scenario(raw: dict) -> Scenario:
     tests: list[MLTest] = []
     for ti, test_entries in enumerate(raw.get("tests", [])):
         triples = [(json_int(e["component"], "component"), json_int(e["stage"], "stage"),
-                    check_bits(e["cylinder"])) for e in test_entries]
-        beyond = [comp for comp, _, _ in triples if comp > big_i]
-        if beyond:
+                    e["cylinder"]) for e in test_entries]
+        outside = [comp for comp, _, _ in triples if not 0 <= comp <= big_i]
+        if outside:
             raise ScenarioError(
-                f"test {ti} schedules component {max(beyond)} beyond budget I={big_i}")
+                f"test {ti} schedules component {outside[0]} outside 0..I={big_i}")
         comps = [Enumeration([(s, c) for comp, s, c in triples if comp == i])
                  for i in range(big_i + 1)]
         tests.append(MLTest(comps))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorlab.core import (
     BudgetError,
@@ -294,3 +294,70 @@ class TestLongCylinders:
     def test_measure_past_the_dyadic_cap(self):
         with pytest.raises(BudgetError):
             Clopen(["0" * 4097]).measure()
+
+
+# Sets built from strings of length 0..10, against the leaf-bitset oracle at
+# depth 10.  A list repeated twice never holds exactly one string, so
+# ``Clopen(xs + xs)`` always takes the general construction.
+WDEPTH = 10
+wide_strings_st = st.lists(st.text(alphabet="01", max_size=WDEPTH), max_size=6)
+
+
+def _leaf_sets(n: int):
+    """Sets of ``n``-bit leaves: ``n`` deep unless every leaf meets its sibling."""
+    return st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6).map(
+        lambda vs: [format(v, f"0{n}b") for v in vs])
+
+
+equal_depth_st = st.integers(1, WDEPTH).flatmap(
+    lambda n: st.tuples(_leaf_sets(n), _leaf_sets(n)))
+
+
+def _check_algebra(sa, sb) -> None:
+    a, b = Clopen(sa), Clopen(sb)
+    ma, mb = leaf_mask(sa, WDEPTH), leaf_mask(sb, WDEPTH)
+    for x, y, mx, my in ((a, b, ma, mb), (b, a, mb, ma)):
+        assert leaf_mask(x.union(y).cylinders, WDEPTH) == mx | my
+        assert leaf_mask(x.intersect(y).cylinders, WDEPTH) == mx & my
+        assert x.is_subset_of(y) == (mx & ~my == 0)
+        assert x.union(y) == Clopen(sa + sb + sa + sb)
+
+
+class TestFastPathsAgainstOracle:
+    @given(st.text(alphabet="01", max_size=WDEPTH))
+    def test_one_cylinder(self, c):
+        one = Clopen([c])
+        assert one == Clopen([c, c])
+        assert one.cylinders == (c,) == Clopen([c, c]).cylinders
+        assert leaf_mask(one.cylinders, WDEPTH) == leaf_mask([c], WDEPTH)
+        assert one.measure() == Dyadic(1, len(c))
+
+    @pytest.mark.parametrize("c", ["", "0" * 4096, "1" * 4096, "01" * 2048, "1" + "0" * 4095],
+                             ids=["empty", "zeros4096", "ones4096", "alternating4096",
+                                  "one_zeros4096"])
+    def test_one_cylinder_at_the_ends(self, c):
+        one = Clopen([c])
+        assert one == Clopen([c, c]) and hash(one) == hash(Clopen([c, c]))
+        assert one.cylinders == (c,) and one.max_length() == len(c)
+        assert one.measure() == Dyadic(1, len(c))
+        assert one.covers(c) and not (c and one.covers(c[:-1]))
+        # the oracle at depth 10 sees the cylinder's first 10 bits, or all
+        # of the space when it is empty
+        head = Clopen([c[:WDEPTH]])
+        assert one.is_subset_of(head) and one.intersect(head) == one
+        assert leaf_mask(head.cylinders, WDEPTH) == leaf_mask([c[:WDEPTH]], WDEPTH)
+        if not c:
+            assert leaf_mask(one.cylinders, WDEPTH) == (1 << (1 << WDEPTH)) - 1
+
+    @settings(max_examples=200)
+    @given(equal_depth_st)
+    def test_algebra_at_equal_depths(self, pair):
+        sa, sb = pair
+        assume(Clopen(sa).max_length() == Clopen(sb).max_length())
+        _check_algebra(sa, sb)
+
+    @settings(max_examples=200)
+    @given(wide_strings_st, wide_strings_st)
+    def test_algebra_at_unequal_depths(self, sa, sb):
+        assume(Clopen(sa).max_length() != Clopen(sb).max_length())
+        _check_algebra(sa, sb)

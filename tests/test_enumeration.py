@@ -20,11 +20,27 @@ from cantorlab.enumeration import (
     validate_scenario,
 )
 from cantorlab.deficiency import prepend, rd_at_stage
+from conftest import leaf_mask
 
 
 schedule_st = st.lists(
     st.tuples(st.integers(0, 20), st.text(alphabet="01", max_size=6)),
     max_size=10)
+
+ODEPTH = 10
+
+
+@st.composite
+def nested_schedule_st(draw):
+    """Schedules over stages 0..7 of cylinders 0..10 long, with prefixes of
+    drawn entries (a whole-string prefix repeats the cylinder) added at
+    random stages."""
+    sched = draw(st.lists(st.tuples(st.integers(0, 7),
+                                    st.text(alphabet="01", max_size=ODEPTH)), max_size=12))
+    for _ in range(draw(st.integers(0, 4)) if sched else 0):
+        _, c = draw(st.sampled_from(sched))
+        sched.append((draw(st.integers(0, 7)), c[:draw(st.integers(0, len(c)))]))
+    return sched
 
 
 class TestEnumeration:
@@ -41,6 +57,26 @@ class TestEnumeration:
             assert prev.is_subset_of(view)
             assert prev_m <= e.measure_at(s)
             prev, prev_m = view, e.measure_at(s)
+
+    @given(nested_schedule_st())
+    def test_views_against_leaf_oracle(self, schedule):
+        e = Enumeration(schedule)
+        assert list(e.schedule) == sorted(set(schedule), key=lambda p: (p[0], len(p[1]), p[1]))
+        last = max((t for t, _ in schedule), default=0)
+        for s in range(last + 2):
+            so_far = [c for t, c in schedule if t <= s]
+            view = e.stage_view(s)
+            assert view == Clopen(so_far + so_far)  # never one string: the general path
+            assert leaf_mask(view.cylinders, ODEPTH) == leaf_mask(so_far, ODEPTH)
+            assert e.measure_at(s) == view.measure() == Dyadic(
+                bin(leaf_mask(so_far, ODEPTH)).count("1"), ODEPTH)
+            assert [t for t in e.change_stages() if t <= s] == sorted(
+                {t for t, _ in schedule if t <= s})
+
+    @pytest.mark.parametrize("stage", [1.7, 1.0, "2", True, False, None, -1])
+    def test_stage_must_be_a_non_negative_int(self, stage):
+        with pytest.raises(ValueError, match="schedule stage must be a non-negative integer"):
+            Enumeration([(0, "1"), (stage, "0")])
 
     def test_not_yet_enumerated(self):
         e = Enumeration([(3, "010")])
@@ -341,6 +377,32 @@ class TestScenario:
             {"name": "bad", "pad": "", "period": "1", "random": True}]
         with pytest.raises(ScenarioError):
             validate_scenario(load_scenario(raw))
+
+    @pytest.mark.parametrize("where", ["tests", "trees", "opens"])
+    @pytest.mark.parametrize("cylinder, stage", [("012", 0), (5, 0), ("01", True),
+                                                 ("01", 1.5)])
+    def test_bad_schedule_entry(self, main_scenario, where, cylinder, stage):
+        raw = copy.deepcopy(main_scenario.raw)
+        entry = {"component": 1, "stage": stage, "cylinder": cylinder}
+        if where == "tests":
+            raw["tests"][0].append(entry)
+        elif where == "trees":
+            next(iter(raw["trees"].values())).append(entry)
+        else:
+            next(iter(raw["opens"].values()))[0].append(entry)
+        message = "not a binary string" if stage == 0 else "stage must be an integer"
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize("past_top", [False, True])
+    @pytest.mark.parametrize("cylinder", ["01", "012", 5])
+    def test_test_component_outside_budget(self, main_scenario, past_top, cylinder):
+        raw = copy.deepcopy(main_scenario.raw)
+        big_i = main_scenario.budgets.max_index
+        component = big_i + 1 if past_top else -1
+        raw["tests"][0].append({"component": component, "stage": 0, "cylinder": cylinder})
+        with pytest.raises(ScenarioError, match=f"component {component} outside 0..I={big_i}"):
+            load_scenario(raw)
 
     def test_deep_scenario_validates(self, deep_scenario):
         assert deep_scenario.budgets.max_stage == 10_000
