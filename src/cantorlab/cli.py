@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby, islice
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .core import (
     CantorError,
@@ -385,8 +386,8 @@ def execute(sc: Scenario, selector: str, *, grace: int | None = None,
 
 def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
                 grace: int | None, sigma_stages: int | None,
-                stride: int) -> list[str]:
-    """The header line, then the trace's lines."""
+                stride: int) -> list[str | tuple[str, int, int]]:
+    """The header line, then the trace's lines and run entries."""
     header = {"stage": -1, "action": "header", "payload": {
         "format": TRACE_FORMAT,
         "selector": selector,
@@ -399,28 +400,34 @@ def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
     return [jline(header)] + trace.lines()
 
 
-def _text_blocks(lines: list[str]) -> Iterator[str]:
-    """The trace text, each line ended by "\n", in blocks of 1024 lines:
-    writing and comparing a trace never builds its whole text."""
-    for i in range(0, len(lines), 1024):
-        yield "\n".join(lines[i:i + 1024]) + "\n"
+def _text_blocks(lines: Iterable[str | tuple[str, int, int]]) -> Iterator[str]:
+    """The trace text of ``trace_lines``' entries, each line ended by "\n",
+    in blocks of at most 1024 lines: writing and comparing a trace never
+    builds its whole text.  This is the one place a run entry ``(head,
+    first, stop)`` is expanded, a block of stages by one join, since its
+    line at stage ``s`` is ``head + str(s) + "}"``."""
+    for kind, group in groupby(lines, type):
+        if kind is str:
+            while block := list(islice(group, 1024)):
+                yield "\n".join(block) + "\n"
+            continue
+        for head, first, stop in group:
+            sep = "}\n" + head
+            for a in range(first, stop, 1024):
+                yield head + sep.join(map(str, range(a, min(a + 1024, stop)))) + "}\n"
 
 
-def write_trace(path: str | Path, lines: list[str]) -> None:
+def write_trace(path: str | Path, lines: list[str | tuple[str, int, int]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_text_blocks(lines))
 
 
-def read_header(path: str | Path) -> dict:
-    """The header payload of the trace at ``path``, after reading the whole
-    file: a byte that is not UTF-8 anywhere is unreadable input."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rec = json.loads(fh.readline())
-        if (not isinstance(rec, dict) or rec.get("action") != "header"
-                or not isinstance(rec.get("payload"), dict)):
-            raise ScenarioError("trace file has no header record")
-        while fh.read(1 << 16):
-            pass
+def read_header(line: str) -> dict:
+    """The header payload of a trace whose first line is ``line``."""
+    rec = json.loads(line)
+    if (not isinstance(rec, dict) or rec.get("action") != "header"
+            or not isinstance(rec.get("payload"), dict)):
+        raise ScenarioError("trace file has no header record")
     return rec["payload"]
 
 
@@ -435,7 +442,7 @@ def _apply_budget_overrides(sc: Scenario, budgets_json: dict) -> Scenario:
 
 def produce(sc: Scenario, budgets_json: dict, selector: object, grace: object,
             sigma_stages: object, stride: object
-            ) -> tuple[Scenario, ConstructionTrace, list[str]]:
+            ) -> tuple[Scenario, ConstructionTrace, list]:
     """Check the run options, apply the budgets, run the selector and
     serialize its trace.  ``run`` and verify's replay both go through here,
     so a trace and its replay come from the same code; bad options raise
@@ -457,7 +464,7 @@ def produce(sc: Scenario, budgets_json: dict, selector: object, grace: object,
     return sc, trace, lines
 
 
-def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list[str]]:
+def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list]:
     """Re-run the selector a trace header describes; a malformed header, or
     one of another trace format, raises ScenarioError."""
     try:
@@ -527,7 +534,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         _step("write trace", write_trace, args.trace, lines)
     else:
-        _step("write trace", print, "\n".join(lines))
+        _step("write trace", sys.stdout.writelines, _text_blocks(lines))
 
     failed = [w for w in trace.witnesses if w["status"] != "pass"]
     for w in failed:  # the claim, then its data as one JSON line
@@ -539,22 +546,44 @@ def cmd_run(args: argparse.Namespace) -> int:
         code = _verify_file(args.trace, quiet=False)
         if code != EXIT_OK:
             return code
-    print(f"ok: {args.select}: {len(trace.events)} events, "
+    print(f"ok: {args.select}: {trace.event_count()} events, "
           f"{len(trace.witnesses)} obligations passed", file=sys.stderr)
     return EXIT_OK
 
 
-def _same_text(path: str | Path, lines: list[str]) -> bool:
-    """Whether the file at ``path`` holds exactly the text of ``lines``;
-    newline="" keeps "\r\n" and "\r", so the compare sees them."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return all(fh.read(len(b)) == b for b in _text_blocks(lines)) and not fh.read(1)
+def _drain(fh: TextIO) -> bool:
+    """Read ``fh`` to its end, so that a byte that is not UTF-8 anywhere
+    raises; whether any text was left."""
+    left = bool(fh.read(1 << 16))
+    while fh.read(1 << 16):
+        pass
+    return left
+
+
+def _same_text(first: str, fh: TextIO, lines: list) -> bool:
+    """Whether the trace text, its first line ``first`` read and the rest
+    in ``fh``, is exactly the text of ``lines``; the file is read to its
+    end either way.  newline="" keeps "\r\n" and "\r", so the compare
+    sees them."""
+    same = first == lines[0] + "\n" and all(
+        fh.read(len(b)) == b for b in _text_blocks(islice(lines, 1, None)))
+    return not _drain(fh) and same
 
 
 def _verify_file(path: str | Path, *, quiet: bool) -> int:
-    header = _step("read trace", read_header, path)
-    sc, trace, lines = _step("replay", regenerate, header)
-    deterministic = _step("read trace", _same_text, path, lines)
+    """Read the trace at ``path`` once: its header line, then, after the
+    replay, the rest against the regenerated text.  A byte that is not
+    UTF-8 anywhere exits 4 before any other outcome, so a failed header or
+    replay is reported only after the file is read to its end."""
+    with _step("read trace", lambda: open(path, encoding="utf-8", newline="")) as fh:
+        first = _step("read trace", fh.readline)
+        try:
+            header = _step("read trace", read_header, first)
+            sc, trace, lines = _step("replay", regenerate, header)
+        except CommandFailed:
+            _step("read trace", _drain, fh)
+            raise
+        deterministic = _step("read trace", _same_text, first, fh, lines)
     failed = trace.failed_claims()
 
     stride = header.get("stride", 1)

@@ -84,13 +84,15 @@ def _event_head(action: str, payload: dict) -> str:
 
 
 class ConstructionTrace:
-    """Events as their encoded lines, added in stage order, named outputs,
-    and pass/fail witness obligations."""
+    """Events, added in stage order, named outputs, and pass/fail witness
+    obligations.  An event is held as its encoded line, and a run of one
+    event over consecutive stages as one entry ``(head, first, stop)``,
+    whose line at stage ``s`` is ``f"{head}{s}}}"``."""
 
     __slots__ = ("events", "outputs", "witnesses")
 
     def __init__(self) -> None:
-        self.events: list[str] = []
+        self.events: list[str | tuple[str, int, int]] = []
         self.outputs: dict[str, object] = {}
         self.witnesses: list[dict] = []
 
@@ -100,9 +102,13 @@ class ConstructionTrace:
         self.events.append(f"{_event_head(action, payload)}{stage}}}")
 
     def add_run(self, first: int, stop: int, action: str, /, **payload) -> None:
-        """The same event at each stage ``first..stop-1``, encoded once."""
-        head = _event_head(action, payload)
-        self.events.extend(f"{head}{s}}}" for s in range(first, stop))
+        """The same event at each stage ``first..stop-1``, as one entry."""
+        if first < stop:
+            self.events.append((_event_head(action, payload), first, stop))
+
+    def event_count(self) -> int:
+        """The number of events, a run counting as its stages."""
+        return sum(1 if type(e) is str else e[2] - e[1] for e in self.events)
 
     def witness(self, claim: str, ok: bool, **data) -> None:
         self.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
@@ -119,12 +125,14 @@ class ConstructionTrace:
     def failed_claims(self) -> list[str]:
         return [w["claim"] for w in self.witnesses if w["status"] != "pass"]
 
-    def lines(self) -> list[str]:
-        """One JSON line per event, the outputs, one per witness.  Event
-        lines are stored encoded.  The outputs record is written from the
-        encodings of its values in sorted key order, and a value that
-        several keys share is encoded once; outputs with a key that is not
-        a string are encoded whole.  A data object shared by consecutive
+    def lines(self) -> list[str | tuple[str, int, int]]:
+        """The stored event entries, then one JSON line for the outputs and
+        one per witness.  A run stays one entry ``(head, first, stop)``:
+        ``cli._text_blocks`` expands it when the trace is written or
+        compared, so no list of its lines is built.  The outputs record is
+        written from the encodings of its values in sorted key order, and a
+        value that several keys share is encoded once; outputs with a key
+        that is not a string are encoded whole.  A data object shared by consecutive
         witnesses is encoded once.  A claim is written as the encoder writes
         a string, and a status, ``pass`` or ``fail``, as itself."""
         out = self.events.copy()

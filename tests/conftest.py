@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cantorlab import bundled_scenario
+from cantorlab.cli import _text_blocks
 from cantorlab.enumeration import (
     Scenario,
     descending_chain,
@@ -30,9 +31,15 @@ def leaf_mask(strings, depth: int = DEPTH) -> int:
     return mask
 
 
+def written_lines(entries) -> list[str]:
+    """The lines of ``entries`` as a trace file holds them: a run entry of
+    ``ConstructionTrace.lines()`` is one line per stage."""
+    return "".join(_text_blocks(entries)).split("\n")[:-1]
+
+
 def decoded_events(trace) -> list[dict]:
-    """A trace's events as records: each is held as its encoded line."""
-    return [json.loads(line) for line in trace.events]
+    """A trace's events as records, read from their written lines."""
+    return [json.loads(line) for line in written_lines(trace.events)]
 
 
 @pytest.fixture(scope="session")

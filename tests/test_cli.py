@@ -17,6 +17,7 @@ from cantorlab.cli import (
     SELECTORS,
     CatalogEntry,
     _budget_sweep,
+    _text_blocks,
     main,
     write_trace,
 )
@@ -432,6 +433,91 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot read trace")
         assert captured.out == ""
+
+    @pytest.fixture
+    def cn_trace(self, tmp_path, capsys):
+        """A cn_times_mlr trace on main, whose ``stable`` events are runs."""
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "cn_times_mlr",
+                       "--trace", str(trace)) == 0
+        capsys.readouterr()
+        return trace
+
+    def test_not_utf8_inside_a_run(self, cn_trace, capsys):
+        """The compare reads a run's expanded text from the file, and an
+        unreadable byte there exits 4."""
+        sc = load_scenario(MAIN)
+        _, _, lines = cli.produce(sc, sc.budgets.to_json(), "cn_times_mlr", None, None, 1)
+        k, (head, first, stop) = next((k, e) for k, e in enumerate(lines)
+                                      if type(e) is tuple and e[2] - e[1] > 2)
+        before = "".join(_text_blocks(lines[:k] + [(head, first, (first + stop) // 2)]))
+        data = bytearray(cn_trace.read_bytes())
+        assert data.startswith(before.encode()) and data[len(before.encode())] == ord("{")
+        data[len(before.encode()) + 3] = 0xFF
+        cn_trace.write_bytes(data)
+        assert run_cli("verify", "--trace", str(cn_trace), "--quiet") == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read trace")
+        assert captured.out == ""
+
+    def test_not_utf8_after_a_difference(self, cn_trace, capsys):
+        """A line that differs does not end the read: an unreadable byte
+        after it still exits 4, not 1."""
+        data = cn_trace.read_bytes().replace(b'"stable"', b'"stabel"', 1)
+        cn_trace.write_bytes(data[:-2] + b"\xff\n")
+        assert run_cli("verify", "--trace", str(cn_trace), "--quiet") == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read trace")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("header, code", [
+        ({"selector": "product_merge", "grace": 0}, EXIT_SEARCH),
+        ({"stride": 0}, EXIT_VALIDATION),
+        ({"action": "pad"}, EXIT_VALIDATION),
+    ], ids=["replay_exhausts", "replay_invalid", "not_a_header"])
+    def test_not_utf8_outranks_a_failed_replay(self, header, code, cn_trace, capsys):
+        """A header or replay that fails is reported only after the file is
+        read to its end, so an unreadable byte anywhere still exits 4."""
+        first, rest = cn_trace.read_bytes().split(b"\n", 1)
+        rec = json.loads(first)
+        rec.update((k, v) for k, v in header.items() if k == "action")
+        rec["payload"].update((k, v) for k, v in header.items() if k != "action")
+        cn_trace.write_bytes(json.dumps(rec).encode() + b"\n" + rest)
+        assert run_cli("verify", "--trace", str(cn_trace), "--quiet") == code
+        capsys.readouterr()
+        with open(cn_trace, "ab") as fh:
+            fh.write(b"\xff\n")
+        assert run_cli("verify", "--trace", str(cn_trace), "--quiet") == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read trace")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda b: b[:b.rstrip(b"\n").rfind(b"\n") + 1],
+        lambda b: b + b"x",
+        lambda b: json.dumps(json.loads(b[:b.find(b"\n")])).encode() + b[b.find(b"\n"):],
+    ], ids=["last_line_removed", "one_byte_more", "header_respaced"])
+    def test_text_differs(self, rewrite, cn_trace, capsys):
+        cn_trace.write_bytes(rewrite(cn_trace.read_bytes()))
+        assert run_cli("verify", "--trace", str(cn_trace), "--quiet") == EXIT_OBLIGATION
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert report["deterministic"] is False
+
+    def test_stdout_is_the_trace_file(self, tmp_path, capsys):
+        """``run`` without ``--trace`` prints the bytes ``--trace`` writes,
+        and both count each event of a run."""
+        trace = tmp_path / "t.jsonl"
+        argv = ("run", "--scenario", MAIN, "--select", "cn_times_mlr",
+                "--stages", "5000")
+        assert run_cli(*argv, "--trace", str(trace)) == 0
+        err = capsys.readouterr().err
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == trace.read_bytes()
+        assert captured.err == err
+        lines = captured.out.splitlines()
+        witnesses = sum('"claim":' in line for line in lines)
+        assert f": {len(lines) - 2 - witnesses} events, {witnesses} obligations" in err
 
     @pytest.mark.parametrize("data, code", [
         (None, EXIT_IO),

@@ -8,7 +8,7 @@ from bisect import bisect_right
 from typing import Mapping
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cantorlab import bundled_scenario, cli, constructions, realizers
 from cantorlab.core import (
@@ -56,7 +56,7 @@ from cantorlab.enumeration import (
     stratify,
     universal_sum,
 )
-from conftest import decoded_events
+from conftest import decoded_events, written_lines
 
 
 @pytest.fixture(scope="module")
@@ -445,7 +445,7 @@ class TestEventLines:
         trace = ConstructionTrace()
         trace.add(stage, action, **payload)
         trace.add_run(stage, stage + 1, action, **payload)
-        assert trace.events == [want, want]
+        assert written_lines(trace.events) == [want, want]
 
     @given(value=st.one_of(payload_values, st.dictionaries(
         st.text(max_size=6), payload_values, max_size=4)))
@@ -579,8 +579,70 @@ class TestEventLines:
             one.add(s, "stable", value=4)
         run.add_run(3, 9, "stable", value=4)
         run.add_run(9, 9, "stable", value=4)  # an empty run adds nothing
-        assert run.events == one.events
-        assert run.lines() == one.lines()
+        assert len(run.events) == 1
+        assert written_lines(run.events) == one.events
+        assert written_lines(run.lines()) == one.lines()
+
+
+_actions = st.text(alphabet=st.sampled_from('ax_"\\\u00e9'), min_size=1, max_size=8)
+_payloads = st.dictionaries(st.text(alphabet='v"\\\u00e9\U0001d11e', min_size=1, max_size=3),
+                            payload_values, max_size=2)
+_OUTPUTS_LINE = '{"action":"outputs","payload":{},"stage":-1}\n'
+
+
+class TestRunEntries:
+    """A run of one event is one entry until ``cli._text_blocks`` writes it,
+    and its text is one encoded record per stage, whatever lines precede it,
+    across the expander's blocks of 1024 lines or stages."""
+
+    @staticmethod
+    def check(lead, ops, cut, tag):
+        """``lead`` plain events, then ``ops`` of ``(is_run, first, length,
+        action, payload)``: the first ``cut`` added to one trace, the rest to
+        another that is then appended with ``extend(other, tag)``."""
+        outer, inner = ConstructionTrace(), ConstructionTrace()
+        records = []
+        for s in range(lead):
+            outer.add(s, "lead", n=s)
+            records.append({"action": "lead", "payload": {"n": s}, "stage": s})
+        for k, (is_run, first, length, action, payload) in enumerate(ops):
+            trace = outer if k < cut else inner
+            if is_run:
+                trace.add_run(first, first + length, action, **payload)
+                stages = range(first, first + length)
+            else:
+                trace.add(first, action, **payload)
+                stages = [first]
+            records += [{"action": action, "payload": payload, "stage": s} for s in stages]
+        inner.witness("claim", True)
+        outer.extend(inner, tag)
+        want = "".join(_ENCODER.encode(r) + "\n" for r in records)
+        assert "".join(cli._text_blocks(outer.events)) == want
+        assert outer.event_count() == len(records) == want.count("\n")
+        assert len(outer.events) <= lead + len(ops)  # a run is one entry
+        witness = {"claim": "claim" if tag is None else f"claim.{tag}",
+                   "data": {}, "status": "pass"}
+        assert "".join(cli._text_blocks(outer.lines())) == (
+            want + _OUTPUTS_LINE + _ENCODER.encode(witness) + "\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.sampled_from([0, 1, 1023, 1024, 1025]),
+           ops=st.lists(st.tuples(st.booleans(), st.integers(-1, 10**7),
+                                  st.one_of(st.integers(-2, 3), st.integers(1020, 2100)),
+                                  _actions, _payloads), max_size=6),
+           cut=st.integers(0, 6), tag=st.one_of(st.none(), st.text(max_size=3)))
+    def test_text_is_one_record_per_stage(self, lead, ops, cut, tag):
+        self.check(lead, ops, cut, tag)
+
+    @pytest.mark.parametrize("lead", [0, 1023, 1024, 1025])
+    @pytest.mark.parametrize("length", [0, 1, 1023, 1024, 1025, 2049])
+    def test_block_edges(self, lead, length):
+        """Runs right after exactly 1024 lines, empty, of one stage and
+        across the cap of 1024 stages, alone and beside other entries."""
+        run = (True, 10**6 - 3, length, 'q"\u00e9', {"\u03c3": ['"\\']})
+        one = (False, 7, 1, "one", {})
+        self.check(lead, [run], 1, None)
+        self.check(lead, [run, run, one, run], 2, "t")
 
 
 class TestDeterminism:
@@ -1144,7 +1206,7 @@ class TestClockedAgainstEveryStage:
 
 
 def _stages_ascend(trace) -> bool:
-    stages = [json.loads(line)["stage"] for line in trace.events]
+    stages = [e["stage"] for e in decoded_events(trace)]
     return stages == sorted(stages)
 
 

@@ -14,6 +14,7 @@ from cantorlab import bundled_scenario
 from cantorlab.cli import (
     CATALOG,
     _budget_sweep,
+    _text_blocks,
     execute,
     trace_lines,
 )
@@ -42,7 +43,7 @@ def test_trace_matches_golden_digest(scenario_name, selector):
     trace = execute(sc, selector)
     lines = trace_lines(sc, selector, trace, grace=None, sigma_stages=None,
                         stride=1)
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    data = "".join(_text_blocks(lines)).encode("utf-8")
     want = GOLDEN[scenario_name]["traces"][selector]
     assert len(data) == want["bytes"]
     assert hashlib.sha256(data).hexdigest() == want["sha256"]

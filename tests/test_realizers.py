@@ -4,7 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorlab import realizers
+from cantorlab import bundled_scenario, realizers
+from cantorlab.cli import produce
 from cantorlab.core import Clopen, ScenarioError, SearchExhaustedError, unpair3
 from cantorlab.deficiency import CoTree, Stream, member_at_stage, rd_at_stage
 from cantorlab.enumeration import (
@@ -14,6 +15,7 @@ from cantorlab.enumeration import (
     MLTest,
     descending_chain,
     effective_top,
+    load_scenario,
     shift_union,
     universal_sum,
 )
@@ -37,7 +39,7 @@ from cantorlab.realizers import (
     stable_value,
     verify_pads,
 )
-from conftest import decoded_events
+from conftest import decoded_events, written_lines
 
 
 def _stage_lengths(segments):
@@ -681,7 +683,7 @@ def _run_record(realizer, *args):
     except SearchExhaustedError as exc:
         return str(exc)
     return (_stage_lengths(run.segments), run.committed, run.pads,
-            run.trace.lines())
+            written_lines(run.trace.lines()))
 
 
 # the last value list changes its stable value at stage 18, past every
@@ -705,6 +707,21 @@ def test_cn_times_mlr_matches_every_stage_loop(main_scenario, surrogate, chain,
                     (grace, f_values, name)
                 outcomes.add(type(want))
     assert outcomes == {tuple, str}  # both full runs and exhausted searches
+
+
+def test_cn_times_mlr_trace_entries_do_not_grow_with_stage_budget():
+    """Each run of ``stable`` events is held as one entry until it is
+    written, so the trace keeps as many entries at S = 10^5 as at main's own
+    S, while its events grow with S."""
+    raw = json.loads(bundled_scenario("main").read_text(encoding="utf-8"))
+    own, sizes = raw["budgets"]["S"], {}
+    for stages in (own, 10 ** 5):
+        raw["budgets"]["S"] = stages
+        _, trace, lines = produce(load_scenario(raw), raw["budgets"], "cn_times_mlr",
+                                  None, None, 1)
+        sizes[stages] = (len(trace.events), len(lines))
+    assert trace.event_count() >= 4 * 10 ** 5
+    assert sizes[own] == sizes[10 ** 5] and max(sizes[own]) < 200
 
 
 def test_cn_times_mlr_lookups_do_not_grow_with_stage_budget(main_scenario,

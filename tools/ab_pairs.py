@@ -8,9 +8,9 @@ Usage (from the repository root; standard library only):
 
 The committed files of ``--parent`` and ``--change`` (default ``HEAD``) are
 exported with ``git archive`` into two fresh directories under ``--workdir``
-(default: a new temporary directory), so each side runs its own
-``perfbench/run.py`` from its own files and neither holds compiled bytecode
-from an earlier run.  To measure uncommitted work, pass ``--change $(git
+(made if missing; default: a new temporary directory), so each side runs its
+own ``perfbench/run.py`` from its own files and neither holds compiled
+bytecode from an earlier run.  To measure uncommitted work, pass ``--change $(git
 stash create)``, a commit of the working tree that moves no ref.
 
 For each workload of ``BENCHMARK.json``, pair ``i`` runs ``perfbench/run.py
@@ -116,6 +116,8 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
 
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     base = Path(tempfile.mkdtemp(prefix="ab-pairs-", dir=args.workdir))
     sides = {name: base / name for name in shas}
     out: dict = {
