@@ -78,7 +78,8 @@ def _budget_sweep(trace: ConstructionTrace, tests: dict[str, MLTest],
 
     Every grid point counts as a check, but each component's measure is
     read once, at the last grid point: views only grow, so a measure never
-    falls, and its value there is its largest on the grid.
+    falls, and its value there is its largest on the grid.  From the last
+    scheduled stage on, it is the final measure, which builds no view.
     """
     last = budgets.max_stage - budgets.max_stage % stride
     points = last // stride + 1

@@ -4,11 +4,12 @@ and the scenario world they are instantiated over.
 An enumeration is a finite schedule of (stage, cylinder) pairs; its view at a
 stage is the canonical union of everything scheduled so far, so views only
 grow, and they change only at the stages that schedule something.  The
-views are built together on first read: one walk of the schedule merges each
-cylinder's leaf span, at the depth of the longest cylinder, into one list of
-span boundaries, and each change stage makes one clopen of the list.  A test
-is an indexed family of enumerations where component ``i`` must stay within
-measure ``2**-i`` at every stage, checked exactly.
+views are built together when a stage before the last is first read: one
+walk of the schedule merges each cylinder's leaf span, at the depth of the
+longest cylinder, into one list of span boundaries, and each change stage
+makes one clopen of the list; the final measure is one sorted pass over
+those spans.  A test is an indexed family of enumerations where component
+``i`` must stay within measure ``2**-i``, checked exactly on final measures.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Enumeration:
     until the next change stage.
     """
 
-    __slots__ = ("schedule", "_stages", "_views", "_measures")
+    __slots__ = ("schedule", "_stages", "_views", "_measures", "_final")
 
     def __init__(self, schedule: Iterable[tuple[int, str]] = ()) -> None:
         items = set()  # (stage, len, cylinder) sorts as stage, then length-lex
@@ -55,20 +56,27 @@ class Enumeration:
             if type(st) is not int or st < 0:
                 raise ValueError(f"schedule stage must be a non-negative integer, got {st!r}")
             items.add((st, len(check_bits(c)), c))
+        self._set(items)
+
+    @classmethod
+    def _copied(cls, schedule: Iterable[tuple[int, str]]) -> "Enumeration":
+        """The enumeration of pairs taken from checked enumerations, each
+        cylinder kept or re-rooted below a binary string: none is checked again."""
+        e = cls.__new__(cls)
+        e._set({(st, len(c), c) for st, c in schedule})
+        return e
+
+    def _set(self, items: set[tuple[int, int, str]]) -> None:
         self.schedule: tuple[tuple[int, str], ...] = tuple(
             [(st, c) for st, _, c in sorted(items)])
-        self._stages: list[int] | None = None
-        self._views: list[Clopen] | None = None
-        self._measures: list[Dyadic] | None = None
+        self._stages = self._views = self._measures = self._final = None
 
     @classmethod
     def _of_views(cls, stages: list[int], views: list[Clopen]) -> "Enumeration":
         """The enumeration whose view becomes ``views[k]`` at ``stages[k]``
         (increasing stages, growing nonempty views): it schedules each
         view's canonical cylinders, already length-lex, at its stage."""
-        e = cls.__new__(cls)
-        e.schedule = tuple((s, c) for s, v in zip(stages, views)
-                           for c in v.cylinders)
+        e = cls._copied((s, c) for s, v in zip(stages, views) for c in v.cylinders)
         e._stages, e._views = stages, views
         e._measures = [v.measure() for v in views]
         return e
@@ -100,6 +108,8 @@ class Enumeration:
         return self._views[k - 1] if k else Clopen()
 
     def measure_at(self, s: int) -> Dyadic:
+        if s >= self.last_stage():
+            return self.final_measure()
         if self._stages is None:
             self._ensure()
         k = bisect_right(self._stages, s)
@@ -111,9 +121,16 @@ class Enumeration:
         return tuple(self._stages)
 
     def final_measure(self) -> Dyadic:
-        if self._stages is None:
-            self._ensure()
-        return self._measures[-1] if self._measures else Dyadic.zero()
+        """The last view's measure, from one sorted pass over the leaf spans
+        of the cylinders at the deepest one's depth: no view is built."""
+        if self._final is None:
+            d, leaves, reach = self.max_length(), 0, 0
+            for lo, hi in sorted([_leaf_span(c, d) for _, c in self.schedule]):
+                if hi > reach:
+                    leaves += hi - max(lo, reach)
+                    reach = hi
+            self._final = Dyadic(leaves, d)
+        return self._final
 
     def last_stage(self) -> int:
         return self.schedule[-1][0] if self.schedule else 0
@@ -137,8 +154,8 @@ class MLTest:
     """An indexed family of enumerations with exact per-index measure budgets.
 
     Component ``i`` must satisfy measure <= 2**-i at every stage; since views
-    only grow it suffices to check the final view, which the constructor does
-    unless ``check=False``.
+    only grow it suffices to check the final measure, which the constructor
+    does unless ``check=False``.
 
     Every component's view and measure are constant between consecutive
     stages of ``change_stages()`` (the union over components); ``meet_view``
@@ -177,10 +194,7 @@ class MLTest:
 
     def change_stages(self) -> tuple[int, ...]:
         if self._changes is None:
-            out: set[int] = set()
-            for c in self.components:
-                out.update(c.change_stages())
-            self._changes = tuple(sorted(out))
+            self._changes = tuple(sorted({s for c in self.components for s in c.change_stages()}))
         return self._changes
 
     def meet_view(self, n: int, s: int) -> Clopen:
@@ -434,6 +448,24 @@ def _check_nesting(raw: dict) -> None:
         depth += 1
 
 
+def _indexed(table: Mapping, what: str) -> list[tuple[int, object]]:
+    """The items of a table keyed by indices in plain decimal, in index order."""
+    for key in table:
+        if not (type(key) is str and key.isdecimal() and str(int(key)) == key):
+            raise ScenarioError(f"{what} key {key!r} is not a canonical index")
+    return sorted((int(key), value) for key, value in table.items())
+
+
+def _unique(pairs: Iterable[tuple], what: str) -> dict:
+    """The dict of ``pairs``; a key that appears twice raises ScenarioError."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ScenarioError(f"{what} {key!r} appears twice")
+        out[key] = value
+    return out
+
+
 def _parse_scenario(raw: dict) -> Scenario:
     budgets = Budgets.from_json(raw.get("budgets", {}))
     budgets.validate()  # before any test: I sizes every test built below
@@ -451,29 +483,23 @@ def _parse_scenario(raw: dict) -> Scenario:
                  for i in range(big_i + 1)]
         tests.append(MLTest(comps))
 
-    partial: dict[int, dict[int, tuple[int, int]]] = {}
-    for key, entries in sorted(raw.get("partial_functions", {}).items(), key=lambda kv: int(kv[0])):
-        table = {json_int(e["arg"], "arg"): (json_int(e["stage"], "stage"),
-                                             json_int(e["value"], "value"))
-                 for e in entries}
-        partial[int(key)] = table
+    partial = {key: _unique(((json_int(e["arg"], "arg"),
+                              (json_int(e["stage"], "stage"), json_int(e["value"], "value")))
+                             for e in entries), f"partial function {key}: arg")
+               for key, entries in _indexed(raw.get("partial_functions", {}), "partial function")}
 
-    functionals: dict[int, dict[tuple[str, int], int]] = {}
-    for key, entries in sorted(raw.get("functionals", {}).items(), key=lambda kv: int(kv[0])):
-        table = {(check_bits(e["prefix"]), json_int(e["advice"], "advice")):
-                 json_int(e["value"], "value") for e in entries}
-        functionals[int(key)] = table
+    functionals = {key: _unique((((check_bits(e["prefix"]), json_int(e["advice"], "advice")),
+                                  json_int(e["value"], "value")) for e in entries),
+                                f"functional {key}: (prefix, advice)")
+                   for key, entries in _indexed(raw.get("functionals", {}), "functional")}
 
-    halting = {json_int(e["e"], "e"): json_int(e["stage"], "stage")
-               for e in raw.get("halting", [])}
+    halting = _unique(((json_int(e["e"], "e"), json_int(e["stage"], "stage"))
+                       for e in raw.get("halting", [])), "halting entry e")
 
-    streams: dict[str, Stream] = {}
-    randoms: list[str] = []
-    for e in raw.get("streams", []):
-        st = Stream(name=e["name"], pad=e.get("pad", ""), period=e["period"])
-        streams[st.name] = st
-        if e.get("random"):
-            randoms.append(st.name)
+    declared = raw.get("streams", [])
+    streams = _unique(((e["name"], Stream(name=e["name"], pad=e.get("pad", ""),
+                                          period=e["period"])) for e in declared), "stream")
+    randoms = [e["name"] for e in declared if e.get("random")]
 
     opens: dict[str, tuple[Enumeration, ...]] = {}
     for name, family in sorted(raw.get("opens", {}).items()):
@@ -546,18 +572,18 @@ def validate_scenario(sc: Scenario) -> None:
             raise ScenarioError(f"tree {name!r} deeper than K")
 
     surrogate = sc.universal
+    top = effective_top(surrogate)
 
     # Padding reservoir: some cylinder inside every contentful component at
     # stage 0.  Components above the effective top are structurally empty
     # (their source indices fall outside the index budget) and no pad ever
     # targets them.
-    for i in range(effective_top(surrogate) + 1):
+    for i in range(top + 1):
         if not surrogate.meet_view(i, 0):
             raise SearchExhaustedError(
                 f"padding reservoir missing: intersection of components 0..{i} "
                 "is empty at stage 0")
 
-    top = effective_top(surrogate)
     for name in sc.random_streams:
         x = sc.stream(name)
         if rd_at_stage(x, surrogate, b.max_stage) > top:
@@ -608,21 +634,24 @@ def universal_sum(sc: Scenario) -> MLTest:
             else:
                 truncated.append([n, e])
         comps.append(terms[0] if len(terms) == 1 else
-                     Enumeration(p for c in terms for p in c.schedule))
+                     Enumeration._copied(p for c in terms for p in c.schedule))
     return MLTest(comps, notes={"truncated_terms": truncated})
 
 
 def descending_chain(u: MLTest) -> MLTest:
     """The stagewise intersections V_n of components 0..n; nested by design.
-    V_n is built from the meet views at the change stages of 0..n."""
+    V_n = V_{n-1} ∩ U_n is computed only at the stages where V_{n-1} or U_n
+    changes: both views are constant between them."""
     comps: list[Enumeration] = []
-    changes: set[int] = set()
     for n in range(u.max_index + 1):
-        changes.update(u.component(n).change_stages())
+        un, prev = u.component(n), comps[-1] if comps else None
+        at = (un.change_stages() if prev is None  # an empty V_{n-1} leaves V_n empty
+              else sorted({*prev.change_stages(), *un.change_stages()}) if prev.schedule else ())
         stages: list[int] = []
         views: list[Clopen] = []
-        for s in sorted(changes):
-            view = u.meet_view(n, s)
+        for s in at:
+            view = un.stage_view(s)
+            view = view if prev is None else prev.stage_view(s).intersect(view)
             if view and (not views or view != views[-1]):
                 stages.append(s)
                 views.append(view)
@@ -650,7 +679,7 @@ def shift_union(v: MLTest) -> MLTest:
         sched: list[tuple[int, str]] = []
         for j in range(i + 1, v.max_index + 1):
             sched.extend(v.component(j).schedule)
-        comps.append(Enumeration(sched))
+        comps.append(Enumeration._copied(sched))
     return MLTest(comps, notes={"union_truncated_at": v.max_index})
 
 
@@ -677,7 +706,7 @@ def stratify(u: MLTest, budgets: Budgets) -> MLTest:
                     sched.append((s, moved))
                 else:
                     skipped += 1
-        comps.append(Enumeration(sched))
+        comps.append(Enumeration._copied(sched))
     if not comps:
         raise BudgetError("stratification needs a test with at least two components")
     return MLTest(comps, notes={"depth_skipped": skipped})

@@ -350,11 +350,16 @@ class TestVerify:
         trace = tmp_path / "t.jsonl"
         run_cli("run", "--scenario", MAIN, "--select", "thm41",
                 "--trace", str(trace))
-        text = trace.read_text().replace('"00000000"', '"00000001"', 1)
+        header, body = trace.read_text().split("\n", 1)
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(text)
+        bad.write_text(header + "\n" + body.replace('"00000000"', '"00000001"', 1))
         assert run_cli("verify", "--trace", str(bad), "--quiet") == EXIT_OBLIGATION
         assert "determinism" in capsys.readouterr().err
+        # the same edit in the header's scenario repeats an entry of functional 0
+        bad.write_text(header.replace('"00000000"', '"00000001"', 1) + "\n" + body)
+        assert run_cli("verify", "--trace", str(bad), "--quiet") == EXIT_VALIDATION
+        assert "functional 0: (prefix, advice) ('00000001', 0) appears twice" in (
+            capsys.readouterr().err)
 
     def test_failed_obligation_shows_its_data(self, tmp_path, capsys,
                                               monkeypatch):

@@ -4,6 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cantorlab import bundled_scenario
+from cantorlab.cli import _budget_sweep
+from cantorlab.constructions import ConstructionTrace
 from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError, SearchExhaustedError
 from cantorlab.enumeration import (
     Enumeration,
@@ -72,6 +75,33 @@ class TestEnumeration:
                 bin(leaf_mask(so_far, ODEPTH)).count("1"), ODEPTH)
             assert [t for t in e.change_stages() if t <= s] == sorted(
                 {t for t, _ in schedule if t <= s})
+
+    @given(nested_schedule_st(), st.booleans())
+    def test_final_measure_against_leaf_oracle(self, schedule, views_first):
+        e = Enumeration(schedule)
+        if views_first:
+            e.change_stages()
+        final = e.final_measure()
+        assert (e._stages is None) is not views_first  # the span pass builds no view
+        last = max((t for t, _ in schedule), default=0)
+        assert final == e.stage_view(last).measure() == Dyadic(
+            bin(leaf_mask([c for _, c in schedule], ODEPTH)).count("1"), ODEPTH)
+
+    @given(nested_schedule_st(), st.booleans())
+    def test_measure_at_in_both_read_orders(self, schedule, views_first):
+        e = Enumeration(schedule)
+        last = max((t for t, _ in schedule), default=0)
+        stages = range(last + 2)
+        if views_first:
+            e.stage_view(0)
+        else:  # the last stages first, so they are read before any view is built
+            stages = stages[::-1]
+            assert e.measure_at(last + 1) == e.measure_at(last) == e.final_measure()
+            assert e._stages is None
+        for s in stages:
+            so_far = [c for t, c in schedule if t <= s]
+            assert e.measure_at(s) == e.stage_view(s).measure() == Dyadic(
+                bin(leaf_mask(so_far, ODEPTH)).count("1"), ODEPTH)
 
     @pytest.mark.parametrize("stage", [1.7, 1.0, "2", True, False, None, -1])
     def test_stage_must_be_a_non_negative_int(self, stage):
@@ -218,6 +248,52 @@ class TestChainFromViews:
         chain = descending_chain(u)
         assert chain.component(1).schedule == ((5, "01"),)
         _assert_chain_as_rebuilt(u, chain, 8)
+
+
+def _chain_by_meets(u: MLTest) -> MLTest:
+    """The reference construction of ``descending_chain``: V_n keeps the
+    meet views of components 0..n at every change stage of those
+    components where the meet grew."""
+    comps: list[Enumeration] = []
+    changes: set[int] = set()
+    for n in range(u.max_index + 1):
+        changes.update(u.component(n).change_stages())
+        stages: list[int] = []
+        views: list[Clopen] = []
+        for s in sorted(changes):
+            view = u.meet_view(n, s)
+            if view and (not views or view != views[-1]):
+                stages.append(s)
+                views.append(view)
+        comps.append(Enumeration._of_views(stages, views))
+    return MLTest(comps, nested=True, check=False)
+
+
+short_schedule_st = st.lists(
+    st.tuples(st.integers(0, 7), st.text(alphabet="01", max_size=2)), max_size=6)
+
+
+class TestChainAgainstMeets:
+    @given(st.lists(short_schedule_st, min_size=1, max_size=6))
+    def test_same_components_as_the_meets(self, schedules):
+        # component i lies below 0^i, so it keeps its budget 2^-i
+        comps = [[(t, "0" * i + c) for t, c in sched] for i, sched in enumerate(schedules)]
+        want = _chain_by_meets(MLTest([Enumeration(c) for c in comps]))
+        got = descending_chain(MLTest([Enumeration(c) for c in comps]))
+        for w, g in zip(want.components, got.components, strict=True):
+            assert g.schedule == w.schedule
+            assert g.change_stages() == w.change_stages()
+            for s in range(10):
+                assert g.stage_view(s) == w.stage_view(s)
+                assert g.measure_at(s) == w.measure_at(s)
+            assert g.final_measure() == w.final_measure()
+
+    def test_sweep_builds_no_views_of_copied_tests(self):
+        sc = load_scenario(bundled_scenario("main"))
+        validate_scenario(sc)
+        _budget_sweep(ConstructionTrace(), sc.derived, sc.budgets, 1)
+        for name in ("shift_union", "stratify"):
+            assert all(c._stages is None for c in sc.derived[name].components)
 
 
 class TestMeetView:
@@ -402,6 +478,28 @@ class TestScenario:
         component = big_i + 1 if past_top else -1
         raw["tests"][0].append({"component": component, "stage": 0, "cylinder": cylinder})
         with pytest.raises(ScenarioError, match=f"component {component} outside 0..I={big_i}"):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["partial_functions"].update({"00": [{"arg": 0, "stage": 1, "value": 99}]}),
+         "partial function key '00' is not a canonical index"),
+        (lambda r: r["partial_functions"].update({" 1 ": []}), "key ' 1 ' is not"),
+        (lambda r: r["functionals"].update({"+1": []}), "functional key '\\+1' is not"),
+        (lambda r: r["functionals"].update({"-3": []}), "functional key '-3' is not"),
+        (lambda r: r["partial_functions"]["0"].append(dict(r["partial_functions"]["0"][0])),
+         "partial function 0: arg 0 appears twice"),
+        (lambda r: r["functionals"]["1"].append(dict(r["functionals"]["1"][0], value=7)),
+         "functional 1: \\(prefix, advice\\) \\('.*', \\d+\\) appears twice"),
+        (lambda r: r["halting"].append(dict(r["halting"][0], stage=0)),
+         "halting entry e 1 appears twice"),
+        (lambda r: r["streams"].append(next(s for s in r["streams"] if s.get("random"))),
+         "stream '.*' appears twice"),
+    ], ids=["zero_padded", "spaced", "plus_sign", "negative", "partial_arg",
+            "functional_entry", "halting_e", "stream_name"])
+    def test_repeated_or_non_canonical_key(self, main_scenario, edit, message):
+        raw = copy.deepcopy(main_scenario.raw)
+        edit(raw)
+        with pytest.raises(ScenarioError, match=message):
             load_scenario(raw)
 
     def test_deep_scenario_validates(self, deep_scenario):
