@@ -96,18 +96,19 @@ def _budget_sweep(trace: ConstructionTrace, tests: dict[str, MLTest],
 def produced_tests(sc: Scenario,
                    sigma_stages: int | None = None) -> dict[str, MLTest]:
     """The scenario's derived tests plus every test the constructions
-    output, in a new dict: ``sc.derived`` stays as verify sweeps it."""
+    output, in a new dict: ``sc.derived`` stays as verify sweeps it.  Only
+    the outputs are kept, so the builders skip their closing obligations."""
     tests = dict(sc.derived)
     u, budgets = sc.universal, sc.budgets
-    out31 = build_lemma31(u, budgets, sigma_stages).outputs
+    out31 = build_lemma31(u, budgets, sigma_stages, obligations=False).outputs
     tests["lemma31_v"] = out31["v"]
     tests["surgered"] = replace_component(u, 0, out31["w0"])
-    out33 = build_thm33(u, sc.partial_functions, budgets).outputs
+    out33 = build_thm33(u, sc.partial_functions, budgets, obligations=False).outputs
     tests["thm33_w"], tests["thm33_v"] = out33["w"], out33["v"]
     tests["thm41_w"] = build_thm41(tests["chain"], sc.functionals, budgets,
-                                   sc.inert_functionals).outputs["w"]
-    tests["thm410_u"] = build_thm410(index_shift(u, 2), sc.halting,
-                                     budgets).outputs["u"]
+                                   sc.inert_functionals, obligations=False).outputs["w"]
+    tests["thm410_u"] = build_thm410(index_shift(u, 2), sc.halting, budgets,
+                                     obligations=False).outputs["u"]
     return tests
 
 

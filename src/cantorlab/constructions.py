@@ -4,7 +4,9 @@ Each builder replays one staged construction deterministically, records every
 decision as an event, and afterwards evaluates its finite-stage obligations
 (the claims a verifier re-checks).  It returns the trace, whose ``outputs``
 hold what it built.  Rebuilding from the same inputs must reproduce the trace
-byte for byte.
+byte for byte.  A caller that keeps only the outputs (``cli.produced_tests``)
+passes ``obligations=False`` to ``lemma31``, ``thm33``, ``thm41`` and
+``thm410``, which then return before their closing witnesses.
 
 ``thm33`` and ``thm41`` run on the realizers' event clock
 (``enumeration._run_clock``): they step only the stages at which a watched
@@ -17,11 +19,12 @@ operations: each length's cones form one lex interval, so the covered test
 compares integer bounds, and the shorter length that covered a length last
 is asked first (it answers 5,333 of deep's 5,405 covered visits with one
 comparison); the tree is asked about liveness only when a visit is not
-covered (1,384 visits on deep), and the event lines come from fixed-shape
-templates.  Its half-measure witnesses are checked in one pass over its
-cones, which looks up a cone in the running intersection only when the build
-could not show that the cone lies inside an earlier one (114 of deep's 5,468
-cones).
+covered and its cone was not found alive since the tree's dead view last
+moved (92 of deep's 1,384 uncovered visits), and the event lines come from
+fixed-shape templates.  Its half-measure witnesses are checked in one pass
+over its cones, which looks up a cone in the running intersection only when
+the build could not show that the cone lies inside an earlier one (114 of
+deep's 5,468 cones).
 """
 
 from __future__ import annotations
@@ -165,8 +168,8 @@ class ConstructionTrace:
 # non-containment cover: a single open set no small component fits inside
 # ---------------------------------------------------------------------------
 
-def build_lemma31(u: MLTest, budgets: Budgets,
-                  sigma_stages: int | None = None) -> ConstructionTrace:
+def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None,
+                  *, obligations: bool = True) -> ConstructionTrace:
     """Carve marker cylinders out of component 2 and re-admit only their
     intersection with a much smaller component.
 
@@ -175,6 +178,7 @@ def build_lemma31(u: MLTest, budgets: Budgets,
     contains everything component 2 covers outside the markers, plus each
     marker's trace inside the component indexed by its own length + 1.  Each
     marker becomes one component of the emitted counterexample family.
+    Without ``obligations`` it returns once the outputs are set.
     """
     if u.max_index < 2:
         raise BudgetError("construction needs component 2")
@@ -231,6 +235,8 @@ def build_lemma31(u: MLTest, budgets: Budgets,
 
     v = MLTest([Enumeration([(i, sig)]) for i, sig in enumerate(sigmas)])
     trace.outputs = {"w0": w0, "v": v, "sigmas": list(sigmas)}
+    if not obligations:
+        return trace
 
     final = max(big_s, w0.last_stage())
     w_final = w0.stage_view(final)
@@ -265,13 +271,14 @@ def least_divergence_point(table: Mapping[int, tuple[int, int]]) -> int:
 
 
 def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
-                budgets: Budgets) -> ConstructionTrace:
+                budgets: Budgets, *, obligations: bool = True) -> ConstructionTrace:
     """Track each table's convergence front; on every convergence, plant a
     fresh witness cylinder into the small components and jump the watched
     component index above the witness length.
 
     Runs stage-major over all tracked indices on the event clock;
     enumerations land one stage after the action that produced them.
+    Without ``obligations`` it returns once the outputs are set.
     """
     big_s, depth = budgets.max_stage, budgets.max_depth
     indices = sorted(tables.keys())
@@ -346,6 +353,8 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
     trace.outputs = {"w": w, "v": v, "n_final": {str(e): n_state[e] for e in indices},
                      "e_final": {str(e): e_state[e] for e in indices},
                      "least_divergence": {str(e): least_div[e] for e in indices}}
+    if not obligations:
+        return trace
 
     final = big_s
     for e in indices:
@@ -387,13 +396,15 @@ def _half_coverage_stage(table: Mapping[tuple[str, int], int], advice: int) -> i
 
 
 def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], int]],
-                budgets: Budgets, inert: frozenset[int] = frozenset()) -> ConstructionTrace:
+                budgets: Budgets, inert: frozenset[int] = frozenset(),
+                *, obligations: bool = True) -> ConstructionTrace:
     """Diagonalize against every advice table: once a table votes on half the
     space at some depth, pick a small undecided cylinder and sort it into the
     set opposite to its vote, bumping the watched component above its length.
 
     ``y`` must be stagewise nested.  Tables that never reach half coverage
-    must be declared inert.
+    must be declared inert.  Without ``obligations`` it returns once the
+    outputs are set, keeping the witnesses written at trigger stages.
     """
     if not y.nested:
         raise ScenarioError("diagonal construction needs a nested test")
@@ -481,6 +492,8 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
             raise BudgetError(f"component {i} exceeded its 2^-{i + 4} bound")
     trace.outputs = {"w": w, "in": in_set, "out": out_set,
                      "triggers": {str(k): v for k, v in sorted(triggered.items())}}
+    if not obligations:
+        return trace
 
     final = big_s
     # A stage triggers at most one table, so the sets a trigger saw are the
@@ -510,10 +523,12 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
 # ---------------------------------------------------------------------------
 
 def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
-                 streams: Sequence[Stream] = ()) -> ConstructionTrace:
+                 streams: Sequence[Stream] = (), *,
+                 obligations: bool = True) -> ConstructionTrace:
     """Rebuild the unary-prefixed test so that, after a declared halt of
     index e, each component additionally enumerates the [1^e 0] part of the
-    previous component from the halt stage on."""
+    previous component from the halt stage on.  Without ``obligations`` it
+    returns once the outputs are set."""
     for i in range(v.max_index + 1):
         if v.component(i).final_measure() > Dyadic.exp2(-(i + 2)):
             raise BudgetError(
@@ -541,6 +556,8 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
         trace.add(h, "halt", e=e)
     trace.outputs = {"u": u, "vstr_skipped": skipped,
                      "halting": {str(e): h for e, h in sorted(halting.items())}}
+    if not obligations:
+        return trace
 
     final = budgets.max_stage
     for i in range(vstr.max_index):
@@ -614,12 +631,17 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     # The cones of length n0 + i are the lex interval [lows[i], highs[i]]:
     # each starts at its init and moves one step right at a time.  sigmas[i]
     # is the string of highs[i], the tracked cone, and last[i] the shorter
-    # length whose interval last held a prefix of it, or -1.
+    # length whose interval last held a prefix of it, or -1.  alive_in[i] is
+    # the dead interval, the count of dead changes up to the stage, in which
+    # the tracked cone was last found alive, or -1: the tree's dead view is
+    # constant in an interval, so the cone stays alive there.
     top = depth - n0
     sigmas: list[str] = []
     lows: list[int] = []
     highs: list[int] = []
     last = [-1] * (top + 1)
+    alive_in = [-1] * (top + 1)
+    dead_changes, interval = tree.change_stages(), 0
     specs = [f"0{n0 + i}b" for i in range(top + 1)]
 
     # Stage s = pair(i, t) visits length n0 + i; diagonal w holds the stages
@@ -643,7 +665,10 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
                         last[i] = j
                         break
                 else:
-                    if tree.alive(sigmas[i], s):
+                    while interval < len(dead_changes) and dead_changes[interval] <= s:
+                        interval += 1
+                    if alive_in[i] == interval or tree.alive(sigmas[i], s):
+                        alive_in[i] = interval
                         continue
                     j = -1
             # n >= n0 >= 2 (2^-n0 <= 1/4 is enforced above): no tracked string
@@ -660,7 +685,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
             # interval, hence a cone added before it, whenever it is at most
             # the interval's top.
             inside.append(j >= 0 and v >> (i - j) <= highs[j])
-            sigmas[i], highs[i] = new, v
+            sigmas[i], highs[i], alive_in[i] = new, v, -1
             events.append(_replace_line(s, n, old, new,
                                         "dead" if j < 0 else "covered"))
         if w <= top and first + w <= big_s:  # t == 0: the first visit of length w

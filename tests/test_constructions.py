@@ -1402,3 +1402,174 @@ def test_half_measure_pass_looks_up_few_cones(deep_scenario, monkeypatch):
     trace = build_lemma63(deep_scenario.tree("positive"), deep_scenario.budgets)
     assert len(trace.outputs["cones"]) == 5468
     assert 0 < calls[0] <= 150
+
+
+# ---------------------------------------------------------------------------
+# outputs-only builds and lemma63's alive cache
+# ---------------------------------------------------------------------------
+
+IN_STEP_CLAIMS = ("thm41.sigma_measure.", "thm41.in_out_stage.")
+
+
+def _kept(build, *args, **kwargs):
+    """A build's event entries, encoded outputs and witnesses, or the text
+    of the error it raised."""
+    try:
+        trace = build(*args, **kwargs)
+    except CantorError as exc:
+        return type(exc).__name__, str(exc)
+    return trace.events, _encode(trace.outputs), trace.witnesses
+
+
+def _check_outputs_only(build, *args) -> bool:
+    """``obligations=False`` leaves the events and outputs of the full
+    build, or raises its error, and keeps only thm41's in-step witnesses.
+    True when the full build wrote closing witnesses that it skipped."""
+    full = _kept(build, *args)
+    bare = _kept(build, *args, obligations=False)
+    if isinstance(full[0], str):
+        assert bare == full
+        return False
+    assert bare[:2] == full[:2]
+    assert bare[2] == [w for w in full[2] if w["claim"].startswith(IN_STEP_CLAIMS)]
+    return len(bare[2]) < len(full[2])
+
+
+def _thm410_args(sc, halting=None):
+    streams = [sc.stream(n) for n in sc.random_streams]
+    return (index_shift(universal_sum(sc), 2),
+            sc.halting if halting is None else halting, sc.budgets, streams)
+
+
+class TestOutputsOnly:
+    """The four builders whose outputs ``produced_tests`` keeps build them
+    without their closing obligations exactly as the full builds do."""
+
+    @pytest.mark.parametrize("name, stages", BASE_WORLDS)
+    def test_bundles(self, request, name, stages):
+        sc = _base_world(request, name, stages)
+        u = universal_sum(sc)
+        skipped = [
+            _check_outputs_only(build_lemma31, u, sc.budgets),
+            _check_outputs_only(build_lemma31, u, sc.budgets, 3),
+            _check_outputs_only(build_thm33, u, sc.partial_functions, sc.budgets),
+            _check_outputs_only(build_thm41, descending_chain(u), sc.functionals,
+                                sc.budgets, sc.inert_functionals),
+            _check_outputs_only(build_thm410, *_thm410_args(sc)),
+            _check_outputs_only(build_thm410, *_thm410_args(sc, {1: 12, 3: 6, 4: 0})),
+        ]
+        if stages is None:
+            assert all(skipped)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded(self, main_scenario, seed):
+        sc, tables = _thm33_world(main_scenario, seed)
+        _check_outputs_only(build_thm33, universal_sum(sc), tables, sc.budgets)
+        sc, functionals, inert = _thm41_world(main_scenario, seed)
+        _check_outputs_only(build_thm41, descending_chain(universal_sum(sc)),
+                            functionals, sc.budgets, inert)
+
+    def test_lemma31_marker_stop(self, main_scenario):
+        raw = copy.deepcopy(main_scenario.raw)
+        raw["budgets"]["I"] = 5
+        raw["tests"] = [[e for e in t if e["component"] <= 5] for t in raw["tests"]]
+        sc = load_scenario(raw)
+        assert _check_outputs_only(build_lemma31, universal_sum(sc), sc.budgets)
+
+    @pytest.mark.parametrize("name", ["main", "deep"])
+    @pytest.mark.parametrize("sigma_stages", [None, 3])
+    def test_produced_tests_match_the_full_builds(self, request, name, sigma_stages):
+        sc = request.getfixturevalue(f"{name}_scenario")
+        u, budgets = sc.universal, sc.budgets
+        out31 = build_lemma31(u, budgets, sigma_stages).outputs
+        out33 = build_thm33(u, sc.partial_functions, budgets).outputs
+        reference = {
+            **sc.derived,
+            "lemma31_v": out31["v"],
+            "surgered": replace_component(u, 0, out31["w0"]),
+            "thm33_w": out33["w"],
+            "thm33_v": out33["v"],
+            "thm41_w": build_thm41(sc.chain, sc.functionals, budgets,
+                                   sc.inert_functionals).outputs["w"],
+            "thm410_u": build_thm410(index_shift(u, 2), sc.halting,
+                                     budgets).outputs["u"],
+        }
+        produced = cli.produced_tests(sc, sigma_stages)
+        assert sorted(produced) == sorted(reference)
+        assert _encode(produced) == _encode(reference)
+
+    @pytest.mark.parametrize("name", ["main", "deep"])
+    def test_combinators_writes_few_witnesses(self, request, monkeypatch, name):
+        """One ``combinators`` execute computes its 11 budget witnesses,
+        ``combinators.chain_nested`` and thm41's 4 in-step witnesses, and no
+        closing obligation of the four builds (82 witnesses when it did)."""
+        sc = request.getfixturevalue(f"{name}_scenario")
+        calls = [0]
+        witness = ConstructionTrace.witness
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return witness(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConstructionTrace, "witness", counted)
+        trace = execute(sc, "combinators")
+        assert calls[0] <= 16
+        assert all(w["claim"].startswith("budget.") for w in trace.witnesses[:-1])
+        assert trace.witnesses[-1]["claim"] == "combinators.chain_nested"
+
+
+def _alive_calls(monkeypatch) -> list[tuple[str, int, bool]]:
+    """Each ``CoTree.alive(node, s)`` call from now on, with its answer."""
+    calls = []
+    alive = CoTree.alive
+
+    def recorded(self, node, s):
+        ok = alive(self, node, s)
+        calls.append((node, s, ok))
+        return ok
+
+    monkeypatch.setattr(CoTree, "alive", recorded)
+    return calls
+
+
+class TestLemma63AliveCache:
+    """An uncovered visit asks the tree about its cone only when the cone is
+    new or the tree's dead view moved since the cone was last found alive."""
+
+    def test_cached_answer_dropped_at_dead_change(self, main_scenario,
+                                                  deep_scenario, monkeypatch):
+        worlds = ([_dead_tree_world(main_scenario, seed) for seed in range(16)]
+                  + [_deep_dead_tree_world(deep_scenario, seed) for seed in range(3)])
+        calls = _alive_calls(monkeypatch)
+        dropped = []
+        for tree, budgets in worlds:
+            calls.clear()
+            trace = build_lemma63(tree, budgets)
+            changes = tree.change_stages()
+            # a cone found alive in a dead interval is not asked about again there
+            found = set()
+            for node, s, ok in calls:
+                key = (node, bisect_right(changes, s))
+                assert key not in found
+                if ok:
+                    found.add(key)
+            # each length's cone strings only move right, so a cone is
+            # replaced at most once
+            killed = {e["payload"]["old"]: e["stage"] for e in decoded_events(trace)
+                      if e["action"] == "replace" and e["payload"]["reason"] == "dead"}
+            for node, s1, ok in calls:
+                s2 = killed.get(node)
+                if ok and s2 is not None:
+                    assert [d for d in changes if s1 < d <= s2]
+                    assert (node, s2, False) in calls
+                    dropped.append((s1, s2))
+        assert dropped
+
+    @pytest.mark.parametrize("name, bound", [("main", 40), ("deep", 100)])
+    def test_alive_calls_per_build(self, request, monkeypatch, name, bound):
+        """1,384 calls on deep and 177 on main when every uncovered visit
+        asked the tree."""
+        sc = request.getfixturevalue(f"{name}_scenario")
+        calls = _alive_calls(monkeypatch)
+        build_lemma63(sc.tree("positive"), sc.budgets)
+        assert 0 < len(calls) <= bound

@@ -16,7 +16,11 @@ stash create)``, a commit of the working tree that moves no ref.
 For each workload of ``BENCHMARK.json``, pair ``i`` runs ``perfbench/run.py
 --workload W --seed (seed-base + i) --seconds S --trace 0`` once on each side,
 ``S`` being the benchmark's ``run_seconds``, one process at a time; even
-pairs run the parent first and odd pairs the change first.  With
+pairs run the parent first and odd pairs the change first.  Each run record
+keeps the command that ``run.py`` names as the slowest of its first pass
+(``slowest_cmd``, ``"<kind> <selector>"``), and ``slowest_cmd_counts``
+counts those commands per side, so a ``slowest_cmd_s`` reading shows which
+command set it.  With
 ``--trace-seed``, one traced run (``--trace 1``) per side and workload
 follows the pairs, for the per-layer counts and times.
 
@@ -32,6 +36,7 @@ an interrupted session keeps the pairs it finished.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import shutil
@@ -42,6 +47,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SLOWEST = "slowest command of the first pass: "
 
 
 def git(*args: str) -> str:
@@ -62,7 +68,9 @@ def export(sha: str, dest: Path) -> None:
 
 
 def bench(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``side``: its JSON result line."""
+    """One ``perfbench/run.py`` run in ``side``: its JSON result line, with
+    the slowest command it printed (None when it printed none) as
+    ``slowest_cmd``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -70,7 +78,10 @@ def bench(side: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"perfbench in {side} exited {proc.returncode}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["slowest_cmd"] = next(
+        (line[len(SLOWEST):] for line in lines if line.startswith(SLOWEST)), None)
+    return result
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -148,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
                     runs[name].append({"seed": seed, "correct": result["correct"],
                                        "attempted": result["attempted"],
                                        "failed": result["failed"],
+                                       "slowest_cmd": result["slowest_cmd"],
                                        **{k: m["value"] for k, m in result["metrics"].items()}})
                     print(f"{w} seed {seed} {name}: " + ", ".join(
                         f"{k} {runs[name][-1][k]:.6g}" for k in metrics), file=sys.stderr)
@@ -157,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
                                      for k, better in metrics.items()}
                 record["failed_total"] = {n: sum(r["failed"] for r in rs)
                                           for n, rs in runs.items()}
+                record["slowest_cmd_counts"] = {
+                    n: dict(collections.Counter(r["slowest_cmd"] for r in rs).most_common())
+                    for n, rs in runs.items()}
                 if args.out:
                     write()
             if args.trace_seed is not None:
