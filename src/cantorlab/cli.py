@@ -402,12 +402,20 @@ def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
     return [jline(header)] + trace.lines()
 
 
+# The digits of the stages 0..999, and the same zero-padded to 3 digits.
+_DIGITS = [str(i) for i in range(1000)]
+_PADDED = [f"{i:03}" for i in range(1000)]
+
+
 def _text_blocks(lines: Iterable[str | tuple[str, int, int]]) -> Iterator[str]:
     """The trace text of ``trace_lines``' entries, each line ended by "\n",
     in blocks of at most 1024 lines: writing and comparing a trace never
     builds its whole text.  This is the one place a run entry ``(head,
-    first, stop)`` is expanded, a block of stages by one join, since its
-    line at stage ``s`` is ``head + str(s) + "}"``."""
+    first, stop)`` is expanded; its line at stage ``s`` is ``head + str(s) +
+    "}"``.  The stages of a run that share ``k = s // 1000`` form one block,
+    a join over a slice of a digit table: each line is ``head + str(k)`` and
+    then the 3-digit ``s % 1000``, or, for k = 0, ``head`` and the unpadded
+    stage.  Negative stages are written with ``str``, 1000 to a block."""
     for kind, group in groupby(lines, type):
         if kind is str:
             while block := list(islice(group, 1024)):
@@ -415,8 +423,12 @@ def _text_blocks(lines: Iterable[str | tuple[str, int, int]]) -> Iterator[str]:
             continue
         for head, first, stop in group:
             sep = "}\n" + head
-            for a in range(first, stop, 1024):
-                yield head + sep.join(map(str, range(a, min(a + 1024, stop)))) + "}\n"
+            for a in range(first, min(stop, 0), 1000):
+                yield head + sep.join(map(str, range(a, min(a + 1000, stop, 0)))) + "}\n"
+            for k in range(max(first, 0) // 1000, (stop + 999) // 1000):
+                lo, hi = max(first - 1000 * k, 0), min(stop - 1000 * k, 1000)
+                lead, digits = (head + str(k), _PADDED) if k else (head, _DIGITS)
+                yield lead + ("}\n" + lead).join(digits[lo:hi]) + "}\n"
 
 
 def write_trace(path: str | Path, lines: list[str | tuple[str, int, int]]) -> None:

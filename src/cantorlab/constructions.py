@@ -726,10 +726,13 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     # consecutive witnesses share it (nothing mutates it).  The stages ascend,
     # so upto and the count of dead changes up to s only move forward.
     witnesses = trace.witnesses
-    n_cones, n_dead = len(cone_stages), len(dead_changes)
-    upto = key = seen = 0
+    n_cones, n_dead, n_stages = len(cone_stages), len(dead_changes), len(stages)
+    loud = {*dead_changes, big_s}
+    upto = key = seen = i = 0
     interval = -1
-    for s in stages:
+    while i < n_stages:
+        s = stages[i]
+        i += 1
         t = min(s, big_s)
         while upto < n_cones and cone_stages[upto] <= s:
             upto += 1
@@ -760,6 +763,16 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
             data = {"intersection": str(inter_measure), "tree": tree_str}
         witnesses.append({"claim": f"lemma63.half_measure.{s}", "status": status,
                           "data": data})
+        # A stage that is not 0, S or a dead change is the stage of the next
+        # cone.  The stages next after s whose cone lies inside an earlier
+        # cone are quiet: the intersection stays, so their witnesses repeat
+        # this one.
+        j = i
+        while j < n_stages and stages[j] not in loud and inside[upto]:
+            j, upto = j + 1, upto + 1
+        witnesses += [{"claim": f"lemma63.half_measure.{q}", "status": status,
+                       "data": data} for q in stages[i:j]]
+        seen, i = upto, j
 
     live_final = tree.live_clopen(big_s)
     ordered = [c for _, c in cones]

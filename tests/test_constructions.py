@@ -593,7 +593,8 @@ _OUTPUTS_LINE = '{"action":"outputs","payload":{},"stage":-1}\n'
 class TestRunEntries:
     """A run of one event is one entry until ``cli._text_blocks`` writes it,
     and its text is one encoded record per stage, whatever lines precede it,
-    across the expander's blocks of 1024 lines or stages."""
+    across the expander's blocks: at most 1024 lines, or at most the 1000
+    stages of a run that share ``s // 1000``, each block ending its lines."""
 
     @staticmethod
     def check(lead, ops, cut, tag):
@@ -617,13 +618,21 @@ class TestRunEntries:
         inner.witness("claim", True)
         outer.extend(inner, tag)
         want = "".join(_ENCODER.encode(r) + "\n" for r in records)
-        assert "".join(cli._text_blocks(outer.events)) == want
+        assert TestRunEntries.text(outer.events) == want
         assert outer.event_count() == len(records) == want.count("\n")
         assert len(outer.events) <= lead + len(ops)  # a run is one entry
         witness = {"claim": "claim" if tag is None else f"claim.{tag}",
                    "data": {}, "status": "pass"}
-        assert "".join(cli._text_blocks(outer.lines())) == (
+        assert TestRunEntries.text(outer.lines()) == (
             want + _OUTPUTS_LINE + _ENCODER.encode(witness) + "\n")
+
+    @staticmethod
+    def text(entries):
+        """The text of ``entries``, each block checked to end a line and to
+        hold at most 1024 lines."""
+        blocks = list(cli._text_blocks(entries))
+        assert all(b.endswith("\n") and b.count("\n") <= 1024 for b in blocks)
+        return "".join(blocks)
 
     @settings(max_examples=60, deadline=None)
     @given(lead=st.sampled_from([0, 1, 1023, 1024, 1025]),
@@ -643,6 +652,16 @@ class TestRunEntries:
         one = (False, 7, 1, "one", {})
         self.check(lead, [run], 1, None)
         self.check(lead, [run, run, one, run], 2, "t")
+
+    @pytest.mark.parametrize("first", [-1001, -1, 0, 999, 1000, 999_999, 10**6])
+    @pytest.mark.parametrize("length", [1, 999, 1000, 1001, 2001])
+    def test_digit_table_edges(self, first, length):
+        """Runs that start on each side of 0, 1000 and 10^6, the stages at
+        which the digit table's lead changes or grows a digit, and cover
+        one stage, a block, and the thousands after it."""
+        run = (True, first, length, "d", {"k": 1})
+        self.check(0, [run], 1, None)
+        self.check(1023, [run, (False, 7, 1, "one", {}), run], 1, "t")
 
 
 class TestDeterminism:

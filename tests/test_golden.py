@@ -16,6 +16,7 @@ from cantorlab.cli import (
     _budget_sweep,
     _text_blocks,
     execute,
+    produce,
     trace_lines,
 )
 from cantorlab.constructions import ConstructionTrace
@@ -80,3 +81,22 @@ def test_budget_checks_match_golden(scenario_name):
     checks = _budget_sweep(trace, sc.derived, sc.budgets, 1)
     assert checks == GOLDEN[scenario_name]["budget_checks"]
     assert trace.failed_claims() == []
+
+
+def test_cn_times_mlr_trace_at_the_stage_cap():
+    """``cn_times_mlr`` on ``main`` at the documented cap S = 10^6: its run
+    of ``stable`` events crosses every thousand of the stage numbers and
+    reaches the 7-digit stage 10^6.  The text is hashed a block at a time,
+    so it is never held whole and no file is written."""
+    sc = _scenario("main")
+    budgets = dict(sc.budgets.to_json(), S=10**6)
+    _, _, lines = produce(sc, budgets, "cn_times_mlr", None, None, 1)
+    digest, size, count = hashlib.sha256(), 0, 0
+    for block in _text_blocks(lines):
+        data = block.encode("utf-8")
+        digest.update(data)
+        size += len(data)
+        count += data.count(b"\n")
+    assert (size, count) == (228_567_912, 4_000_106)
+    assert digest.hexdigest() == (
+        "bf5e5fbe4dd07e9f2e3c7f261481d58ef9936a3369edba3bcac382092094d185")
