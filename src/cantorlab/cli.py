@@ -388,7 +388,7 @@ def execute(sc: Scenario, selector: str, *, grace: int | None = None,
 
 def trace_lines(sc: Scenario, selector: str, trace: ConstructionTrace, *,
                 grace: int | None, sigma_stages: int | None,
-                stride: int) -> list[str | tuple[str, int, int]]:
+                stride: int) -> list[str | tuple]:
     """The header line, then the trace's lines and run entries."""
     header = {"stage": -1, "action": "header", "payload": {
         "format": TRACE_FORMAT,
@@ -407,21 +407,28 @@ _DIGITS = [str(i) for i in range(1000)]
 _PADDED = [f"{i:03}" for i in range(1000)]
 
 
-def _text_blocks(lines: Iterable[str | tuple[str, int, int]]) -> Iterator[str]:
+def _text_blocks(lines: Iterable[str | tuple]) -> Iterator[str]:
     """The trace text of ``trace_lines``' entries, each line ended by "\n",
     in blocks of at most 1024 lines: writing and comparing a trace never
-    builds its whole text.  This is the one place a run entry ``(head,
-    first, stop)`` is expanded; its line at stage ``s`` is ``head + str(s) +
-    "}"``.  The stages of a run that share ``k = s // 1000`` form one block,
-    a join over a slice of a digit table: each line is ``head + str(k)`` and
-    then the 3-digit ``s % 1000``, or, for k = 0, ``head`` and the unpadded
-    stage.  Negative stages are written with ``str``, 1000 to a block."""
+    builds its whole text.  This is the one place a run entry is expanded:
+    a witness run ``(head, stages, tail)`` is ``head + str(q) + tail`` at
+    each stage ``q``, an event run ``(head, first, stop)`` ``head + str(s) +
+    "}"`` at each stage ``s``.  An event run's stages that share ``k = s //
+    1000`` form one block, a join over a slice of a digit table: each line is
+    ``head + str(k)`` and then the 3-digit ``s % 1000``, or, for k = 0,
+    ``head`` and the unpadded stage.  Negative stages are written with
+    ``str``, 1000 to a block."""
     for kind, group in groupby(lines, type):
         if kind is str:
             while block := list(islice(group, 1024)):
                 yield "\n".join(block) + "\n"
             continue
         for head, first, stop in group:
+            if type(first) is list:  # a witness run; stop is its tail
+                sep = stop + "\n" + head
+                for a in range(0, len(first), 1024):
+                    yield head + sep.join(map(str, first[a:a + 1024])) + stop + "\n"
+                continue
             sep = "}\n" + head
             for a in range(first, min(stop, 0), 1000):
                 yield head + sep.join(map(str, range(a, min(a + 1000, stop, 0)))) + "}\n"
@@ -431,7 +438,7 @@ def _text_blocks(lines: Iterable[str | tuple[str, int, int]]) -> Iterator[str]:
                 yield lead + ("}\n" + lead).join(digits[lo:hi]) + "}\n"
 
 
-def write_trace(path: str | Path, lines: list[str | tuple[str, int, int]]) -> None:
+def write_trace(path: str | Path, lines: list[str | tuple]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_text_blocks(lines))
 
@@ -550,7 +557,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         _step("write trace", sys.stdout.writelines, _text_blocks(lines))
 
-    failed = [w for w in trace.witnesses if w["status"] != "pass"]
+    failed = list(trace.obligations(failed=True))
     for w in failed:  # the claim, then its data as one JSON line
         print(f"FAIL {w['claim']}\n{jline(w['data'])}", file=sys.stderr)
     if failed:
@@ -561,7 +568,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if code != EXIT_OK:
             return code
     print(f"ok: {args.select}: {trace.event_count()} events, "
-          f"{len(trace.witnesses)} obligations passed", file=sys.stderr)
+          f"{trace.witness_count()} obligations passed", file=sys.stderr)
     return EXIT_OK
 
 
@@ -608,7 +615,7 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
     report = {
         "selector": header["selector"],
         "deterministic": deterministic,
-        "obligations": len(trace.witnesses),
+        "obligations": trace.witness_count(),
         "failed": failed,
         "budget_checks": checks,
         "budget_failed": budget_failed,
@@ -616,7 +623,7 @@ def _verify_file(path: str | Path, *, quiet: bool) -> int:
     }
     print(jline(report))
     if not quiet:
-        for w in trace.witnesses:
+        for w in trace.obligations():
             print(f"{w['status'].upper():4} {w['claim']}")
             if w["status"] != "pass":
                 print(jline(w["data"]))

@@ -16,21 +16,23 @@ the stages ``pair(i, t) <= S`` whose length ``n0 + i`` is within the depth;
 it adds a cone at most of them (5,468 of 6,851 on the bundled deep
 scenario), so its loop stays O(visits).  A visit costs a few integer
 operations: each length's cones form one lex interval, so the covered test
-compares integer bounds, and the shorter length that covered a length last
-is asked first (it answers 5,333 of deep's 5,405 covered visits with one
-comparison); the tree is asked about liveness only when a visit is not
-covered and its cone was not found alive since the tree's dead view last
-moved (92 of deep's 1,384 uncovered visits), and the event lines come from
-fixed-shape templates.  Its half-measure witnesses are checked in one pass
-over its cones, which looks up a cone in the running intersection only when
-the build could not show that the cone lies inside an earlier one (114 of
-deep's 5,468 cones).
+compares integer bounds; the shorter length that covered a length last is
+asked first (it answers 5,333 of deep's 5,405 covered visits), and a cone
+found alive at its last visit is compared only with the lengths moved since
+(7,378 comparisons on deep, not 16,568).  The tree is asked about liveness
+only for an uncovered cone not found alive since its dead view last moved
+(92 of 1,384), an init is the first leaf past the intervals' spans, and the
+event lines come from fixed-shape templates.  The half-measure pass builds
+cone clopens from (length, value) spans, looks up a cone only when the build
+could not show it inside an earlier one (114 of 5,468), and keeps each
+stretch of witnesses that share their data as one run (71 on deep, holding
+5,470 witnesses).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     BudgetError,
@@ -39,7 +41,6 @@ from .core import (
     ScenarioError,
     SearchExhaustedError,
     first_free_string,
-    leftmost_uncovered,
     pair,
     str_order_key,
     unpair,
@@ -90,14 +91,16 @@ class ConstructionTrace:
     """Events, added in stage order, named outputs, and pass/fail witness
     obligations.  An event is held as its encoded line, and a run of one
     event over consecutive stages as one entry ``(head, first, stop)``,
-    whose line at stage ``s`` is ``f"{head}{s}}}"``."""
+    whose line at stage ``s`` is ``f"{head}{s}}}"``.  A witness is a dict, and
+    a run of witnesses with one status and data object one entry ``(prefix,
+    stages, status, data)``, claim ``f"{prefix}{q}"`` at stage ``q``."""
 
     __slots__ = ("events", "outputs", "witnesses")
 
     def __init__(self) -> None:
         self.events: list[str | tuple[str, int, int]] = []
         self.outputs: dict[str, object] = {}
-        self.witnesses: list[dict] = []
+        self.witnesses: list[dict | tuple[str, list[int], str, dict]] = []
 
     def add(self, stage: int, action: str, /, **payload) -> None:
         """One event; ``stage`` and ``action`` are positional, so any name,
@@ -117,27 +120,44 @@ class ConstructionTrace:
         self.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
                                "data": data})
 
+    def witness_count(self) -> int:
+        """The number of witnesses, a run counting as its stages."""
+        return sum(1 if type(w) is dict else len(w[1]) for w in self.witnesses)
+
+    def obligations(self, failed: bool = False) -> Iterator[dict]:
+        """Each witness as a dict, a run giving one per stage; with
+        ``failed``, only those whose status is not ``pass``."""
+        for w in self.witnesses:
+            if type(w) is dict:
+                if not failed or w["status"] != "pass":
+                    yield w
+            elif not failed or w[2] != "pass":
+                prefix, stages, status, data = w
+                for q in stages:
+                    yield {"claim": f"{prefix}{q}", "status": status, "data": data}
+
     def extend(self, other: ConstructionTrace, tag: str | None = None) -> None:
         """Append ``other``'s events and witnesses, suffixing each claim with
         ``.tag`` when a tag is given (an empty tag still adds the dot)."""
         self.events.extend(other.events)
         self.witnesses.extend(other.witnesses if tag is None else (
             {"claim": f"{w['claim']}.{tag}", "status": w["status"], "data": w["data"]}
-            for w in other.witnesses))
+            for w in other.obligations()))
 
     def failed_claims(self) -> list[str]:
-        return [w["claim"] for w in self.witnesses if w["status"] != "pass"]
+        return [w["claim"] for w in self.obligations(failed=True)]
 
-    def lines(self) -> list[str | tuple[str, int, int]]:
+    def lines(self) -> list[str | tuple]:
         """The stored event entries, then one JSON line for the outputs and
-        one per witness.  A run stays one entry ``(head, first, stop)``:
-        ``cli._text_blocks`` expands it when the trace is written or
-        compared, so no list of its lines is built.  The outputs record is
+        one per witness.  A run stays one entry, a witness run as ``(head,
+        stages, tail)`` with the line ``f"{head}{q}{tail}"`` at stage ``q``:
+        ``cli._text_blocks`` expands runs when the trace is written or
+        compared, so no list of their lines is built.  The outputs record is
         written from the encodings of its values in sorted key order, and a
         value that several keys share is encoded once; outputs with a key
-        that is not a string are encoded whole.  A data object shared by consecutive
-        witnesses is encoded once.  A claim is written as the encoder writes
-        a string, and a status, ``pass`` or ``fail``, as itself."""
+        that is not a string are encoded whole.  A data object shared by
+        consecutive witnesses is encoded once.  A claim is written as the
+        encoder writes a string, and a status, ``pass`` or ``fail``, as itself."""
         out = self.events.copy()
         outputs = self.outputs
         if all(type(k) is str for k in outputs):
@@ -156,11 +176,17 @@ class ConstructionTrace:
         data = encoded = None
         claim = json.encoder.encode_basestring_ascii
         for w in self.witnesses:
-            if w["data"] is not data:
-                data = w["data"]
+            if type(w) is dict:
+                if w["data"] is not data:
+                    data = w["data"]
+                    encoded = _encode(data)
+                out.append(f'{{"claim":{claim(w["claim"])},"data":{encoded},'
+                           f'"status":"{w["status"]}"}}')
+            else:  # the claim's closing quote moves past the stage
+                prefix, stages, status, data = w
                 encoded = _encode(data)
-            out.append(f'{{"claim":{claim(w["claim"])},"data":{encoded},'
-                       f'"status":"{w["status"]}"}}')
+                out.append((f'{{"claim":{claim(prefix)[:-1]}', stages,
+                            f'","data":{encoded},"status":"{status}"}}'))
         return out
 
 
@@ -627,7 +653,6 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     cones: list[list] = []
     inside: list[bool] = []  # cones[k] lies inside an earlier, shorter cone
     events = trace.events
-    cover, counted = Clopen(), 0  # the union of cones[:counted]
     # The cones of length n0 + i are the lex interval [lows[i], highs[i]]:
     # each starts at its init and moves one step right at a time.  sigmas[i]
     # is the string of highs[i], the tracked cone, and last[i] the shorter
@@ -649,6 +674,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     # are never visited.
     w, first = 0, 0
     while first <= big_s:
+        moved: list[int] = []  # the lengths that moved in this diagonal
         for i in range(min(w - 1, top, big_s - first) + 1):
             s, n = first + i, n0 + i
             if n > tree.depth:  # raises, as for a node deeper than the tree
@@ -657,10 +683,12 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
             # sigma is a cone iff it lies in length n0 + j's interval.  The
             # length j = last[i] is asked first, about its top only: v and so
             # its prefix only grow, and that prefix was once at least lows[j].
+            # A cone found alive was uncovered at its last visit, a diagonal
+            # back, so only the lengths moved since can cover it now.
             v = highs[i]
             j = last[i]
             if j < 0 or v >> (i - j) > highs[j]:
-                for j in range(i):
+                for j in moved if alive_in[i] >= 0 else range(i):
                     if lows[j] <= v >> (i - j) <= highs[j]:
                         last[i] = j
                         break
@@ -686,19 +714,25 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
             # the interval's top.
             inside.append(j >= 0 and v >> (i - j) <= highs[j])
             sigmas[i], highs[i], alive_in[i] = new, v, -1
+            moved.append(i)
             events.append(_replace_line(s, n, old, new,
                                         "dead" if j < 0 else "covered"))
         if w <= top and first + w <= big_s:  # t == 0: the first visit of length w
             s, n = first + w, n0 + w
-            cover = cover.union(Clopen([c for _, c in cones[counted:]]))
-            counted = len(cones)
-            sigma = leftmost_uncovered(n, cover)
-            if sigma is None:
+            # The leftmost string of length n outside the shorter lengths'
+            # intervals, as spans of length-n leaves, is the new cone.
+            v = 0
+            for lo, hi in sorted([(lows[j] << w - j, highs[j] + 1 << w - j)
+                                  for j in range(w)]):
+                if lo > v:
+                    break
+                v = max(v, hi)
+            if v >> n:
                 raise SearchExhaustedError(f"no uncovered string of length {n}")
+            sigma = format(v, specs[w])
             cones.append([s, sigma])
             inside.append(False)
             sigmas.append(sigma)
-            v = int(sigma, 2)
             lows.append(v)
             highs.append(v)
             events.append(_init_line(s, n, sigma))
@@ -707,6 +741,11 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
 
     trace.outputs = {"a": cones, "cones": cones, "n0": n0}
     return _finish_lemma63(tree, budgets, trace, cones, n0, inside)
+
+
+def _cone(bits: str) -> Clopen:
+    """The cylinder of the non-empty ``bits``, from its (length, value) span."""
+    return Clopen(_spans=(len(bits), (v := int(bits, 2), v + 1)))
 
 
 def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
@@ -718,21 +757,25 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     big_s = budgets.max_stage
     dead_changes = tree.change_stages()
     cone_stages = [st for st, _ in cones]
-    stages = sorted({*cone_stages, *dead_changes, 0, big_s})
+    loud = {0, *dead_changes, big_s}
+    stages = cone_stages + [*loud]
+    stages.sort()  # merges the ascending cone stages; a loud one may repeat
     # One pass over the stages: the union of the cones up to s, cones[:upto],
-    # meets the live set in a running intersection.  It is rebuilt when the
-    # tree's dead view moves, and otherwise grows by the new cones' pieces.  A
+    # meets the live set in a running intersection, which grows by the new
+    # cones' pieces and is cut to the live set when the dead view grows.  A
     # witness's data is built only when the intersection or the tree moved;
-    # consecutive witnesses share it (nothing mutates it).  The stages ascend,
-    # so upto and the count of dead changes up to s only move forward.
+    # the witnesses that share it are one run.  The stages ascend, so upto
+    # and the count of dead changes up to s only move forward.
     witnesses = trace.witnesses
     n_cones, n_dead, n_stages = len(cone_stages), len(dead_changes), len(stages)
-    loud = {*dead_changes, big_s}
+    inter, data, run = Clopen(), None, [-1]  # run: the stages of the last run
     upto = key = seen = i = 0
     interval = -1
     while i < n_stages:
         s = stages[i]
         i += 1
+        if s == run[-1]:
+            continue
         t = min(s, big_s)
         while upto < n_cones and cone_stages[upto] <= s:
             upto += 1
@@ -742,49 +785,39 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
             interval = key
             live, measure = tree.live_clopen(t), tree.path_measure(t)
             half, tree_str = measure.half(), str(measure)
-            inter = Clopen([c for _, c in cones[:upto]]).intersect(live)
-            data = None
-        else:
-            grown = inter
-            for k in range(seen, upto):
-                c = cones[k][1]
-                # A cone inside an earlier cone, or inside the intersection,
-                # has a live piece that is a subset too.
-                if not inside[k] and not grown.covers(c):
-                    piece = Clopen([c]).intersect(live)
-                    if not piece.is_subset_of(grown):
-                        grown = grown.union(piece)
-            if grown is not inter:
-                inter, data = grown, None
-        seen = upto
+            inter, data = inter.intersect(live), None
+        grown = inter
+        for k in range(seen, upto):
+            c = cones[k][1]
+            # A cone inside an earlier cone, or inside the intersection, has
+            # a live piece that is a subset too.
+            if not inside[k] and not grown.covers(c):
+                piece = _cone(c).intersect(live)
+                if not piece.is_subset_of(grown):
+                    grown = grown.union(piece)
+        if grown is not inter:
+            inter, data = grown, None
         if data is None:
-            inter_measure = inter.measure()
-            status = "pass" if inter_measure <= half else "fail"
-            data = {"intersection": str(inter_measure), "tree": tree_str}
-        witnesses.append({"claim": f"lemma63.half_measure.{s}", "status": status,
-                          "data": data})
-        # A stage that is not 0, S or a dead change is the stage of the next
-        # cone.  The stages next after s whose cone lies inside an earlier
-        # cone are quiet: the intersection stays, so their witnesses repeat
-        # this one.
+            status = "pass" if inter.measure() <= half else "fail"
+            data = {"intersection": str(inter.measure()), "tree": tree_str}
+            run = []
+            witnesses.append(("lemma63.half_measure.", run, status, data))
+        run.append(s)
+        # A stage that is not loud is the stage of the next cone.  The stages
+        # next after s whose cone lies inside an earlier cone are quiet: the
+        # intersection stays, so their witnesses join this run.
         j = i
         while j < n_stages and stages[j] not in loud and inside[upto]:
             j, upto = j + 1, upto + 1
-        witnesses += [{"claim": f"lemma63.half_measure.{q}", "status": status,
-                       "data": data} for q in stages[i:j]]
+        run += stages[i:j]
         seen, i = upto, j
 
-    live_final = tree.live_clopen(big_s)
-    ordered = [c for _, c in cones]
-    for m in range(min(21, len(ordered))):
-        first = Clopen(ordered[:m])
-        found = False
-        for later in ordered[m:]:
-            part = Clopen([later]).intersect(live_final)
-            if part and not part.is_subset_of(first):
-                found = True
-                break
-        trace.witness(f"lemma63.noncover.{m}", found)
+    live, union = tree.live_clopen(big_s), Clopen()  # the first m cones' union
+    for m in range(min(21, n_cones)):
+        trace.witness(f"lemma63.noncover.{m}", any(
+            (part := _cone(cones[k][1]).intersect(live)) and not part.is_subset_of(union)
+            for k in range(m, n_cones)))
+        union = union.union(_cone(cones[m][1]))
     trace.witness("lemma63.n0_bound",
                   Dyadic.exp2(-n0) <= tree.path_measure(big_s).half().half())
     return trace

@@ -106,16 +106,6 @@ def str_order_key(bits: str) -> tuple[int, str]:
     return (len(bits), bits)
 
 
-def sigma_plus(bits: str) -> str | None:
-    """The string immediately to the right of ``bits`` at the same length, or
-    None when ``bits`` is the rightmost string of its length."""
-    check_bits(bits)
-    if not bits or bits == "1" * len(bits):
-        return None
-    n = int(bits, 2) + 1
-    return format(n, f"0{len(bits)}b")
-
-
 def extensions(prefix: str, length: int) -> Iterator[str]:
     """All length-``length`` extensions of ``prefix`` in lexicographic order."""
     if length >= len(prefix):
@@ -471,14 +461,3 @@ def first_free_string(min_len: int, max_len: int, covered: Clopen,
                         "free-string search exceeded 200000 candidates")
     raise SearchExhaustedError(
         f"no free string of length in [{min_len}, {max_len}] outside {covered!r}")
-
-
-def leftmost_uncovered(length: int, cones: Clopen) -> str | None:
-    """Leftmost length-``length`` string whose cylinder is not inside ``cones``:
-    the one over the first leaf the spans leave out."""
-    d, b = cones.max_length(), cones._b
-    gap = b[1] if b and b[0] == 0 else 0
-    if gap == 1 << d:
-        return None
-    v = gap >> (d - length) if length <= d else gap << (length - d)
-    return format(v, f"0{length}b") if length else ""

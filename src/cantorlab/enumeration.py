@@ -497,6 +497,9 @@ def _parse_scenario(raw: dict) -> Scenario:
                        for e in raw.get("halting", [])), "halting entry e")
 
     declared = raw.get("streams", [])
+    for k, e in enumerate(declared):
+        if type(e["name"]) is not str:
+            raise ScenarioError(f"streams[{k}].name must be a string, got {e['name']!r}")
     streams = _unique(((e["name"], Stream(name=e["name"], pad=e.get("pad", ""),
                                           period=e["period"])) for e in declared), "stream")
     randoms = [e["name"] for e in declared if e.get("random")]

@@ -251,6 +251,39 @@ class TestMalformedScenario:
         assert "error: validation:" in capsys.readouterr().err
 
 
+class TestStreamName:
+    """A stream name that is not a string is rejected when the scenario is
+    read, naming the field, not left to raise in the trace encoder."""
+
+    MESSAGE = "error: validation: {}streams[4].name must be a string, got 1.5\n"
+
+    def test_run_exits_validation(self, tmp_path, capsys):
+        raw = json.load(open(MAIN))
+        raw["streams"][4]["name"] = 1.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = run_cli("run", "--scenario", str(bad), "--select", "lay_to_lay",
+                       "--stages", "64")
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == self.MESSAGE.format("")
+        assert captured.out == ""
+
+    def test_verify_exits_validation(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "lay_to_lay",
+                       "--stages", "64", "--trace", str(trace)) == 0
+        header, *rest = trace.read_text().splitlines()
+        rec = json.loads(header)
+        rec["payload"]["scenario"]["streams"][4]["name"] = 1.5
+        trace.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == self.MESSAGE.format("replay: ")
+        assert captured.out == ""
+
+
 def _full_grid_sweep(tests, budgets, stride):
     """Reference: compare the measure at every grid point."""
     ok, checks = {}, 0

@@ -19,9 +19,7 @@ from cantorlab.core import (
     ScenarioError,
     SearchExhaustedError,
     first_free_string,
-    leftmost_uncovered,
     pair,
-    sigma_plus,
     str_order_key,
     unpair,
 )
@@ -56,7 +54,13 @@ from cantorlab.enumeration import (
     stratify,
     universal_sum,
 )
-from conftest import decoded_events, written_lines
+from conftest import (
+    decoded_events,
+    eval_table,
+    leftmost_uncovered,
+    sigma_plus,
+    written_lines,
+)
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +263,6 @@ class TestThm41:
                                             chain):
         # replaying the trace: at each witness cylinder, the table's bit and
         # the built set's membership bit differ
-        from cantorlab.deficiency import eval_table
         for i, info in _triggers(thm41_trace).items():
             sigma = info["sigma"]
             x = Stream(f"w{i}", sigma, "01")
@@ -393,6 +396,17 @@ class TestLemma63:
 
     def test_witnesses_pass(self, lemma63_trace):
         assert lemma63_trace.failed_claims() == []
+
+    def test_noncover_fails_when_later_cones_lie_inside(self):
+        """``noncover.m`` fails when the live part of every cone from m on
+        lies inside the first m cones: "00" and "01" inside "0"."""
+        from cantorlab.enumeration import Budgets
+        b = Budgets(max_index=12, max_stage=4, max_depth=8, max_layers=8)
+        trace = _finish_lemma63(CoTree(Enumeration([]), 8), b, ConstructionTrace(),
+                                [[0, "0"], [1, "00"], [2, "01"]], 1, [False] * 3)
+        status = {w["claim"]: w["status"] for w in trace.obligations()}
+        assert [status[f"lemma63.noncover.{m}"] for m in range(3)] == [
+            "pass", "fail", "fail"]
 
 
 class TestTraceShape:
@@ -572,6 +586,38 @@ class TestEventLines:
             trace.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
                                     "data": data if ok else dict(data)})
         assert trace.lines()[1:] == [_ENCODER.encode(w) for w in trace.witnesses]
+
+    @settings(max_examples=40)
+    @given(prefixes=st.lists(st.text(alphabet=st.sampled_from('ab."\\éσ\U0001d11e\n'),
+                                     max_size=8), min_size=1, max_size=3),
+           stages=st.lists(st.lists(st.integers(0, 10**5), max_size=5), min_size=3,
+                           max_size=3),
+           oks=st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_witness_runs(self, prefixes, stages, oks):
+        """A witness run ``(prefix, stages, status, data)`` reads, counts,
+        tags and writes as its witnesses, one dict per stage, next to
+        single witnesses; a long run spans several text blocks."""
+        runs, flat = ConstructionTrace(), ConstructionTrace()
+        data = {"intersection": "1/2^3"}
+        groups = [*zip(prefixes, stages, oks), ("long.", range(0, 2100, 2), False)]
+        for prefix, qs, ok in groups:
+            for trace in (runs, flat):
+                trace.witness("single", ok, n=len(qs))
+            status = "pass" if ok else "fail"
+            runs.witnesses.append((prefix, list(qs), status, data))
+            flat.witnesses += [{"claim": f"{prefix}{q}", "status": status, "data": data}
+                               for q in qs]
+        assert list(runs.obligations()) == flat.witnesses
+        assert list(runs.obligations(failed=True)) == [
+            w for w in flat.witnesses if w["status"] != "pass"]
+        assert runs.witness_count() == len(flat.witnesses)
+        assert runs.failed_claims() == flat.failed_claims()
+        assert written_lines(runs.lines()) == flat.lines()
+        for tag in (None, "", "t"):
+            tagged, want = ConstructionTrace(), ConstructionTrace()
+            tagged.extend(runs, tag)
+            want.extend(flat, tag)
+            assert list(tagged.obligations()) == want.witnesses
 
     def test_run_lines_match_single_adds(self):
         one, run = ConstructionTrace(), ConstructionTrace()
@@ -1155,7 +1201,7 @@ class TestClockedAgainstEveryStage:
                 == _outcome(_lemma63_every_stage, tree, budgets))
         trace = build_lemma63(tree, budgets)
         cones = trace.outputs["cones"]
-        clocked = [jline(w) for w in trace.witnesses
+        clocked = [jline(w) for w in trace.obligations()
                    if w["claim"].startswith("lemma63.half_measure.")]
         assert clocked == [jline(w) for w in _half_measure_every_stage(cones, tree, budgets)]
         # each init is the leftmost string the earlier cones leave uncovered
@@ -1421,6 +1467,36 @@ def test_half_measure_pass_looks_up_few_cones(deep_scenario, monkeypatch):
     trace = build_lemma63(deep_scenario.tree("positive"), deep_scenario.budgets)
     assert len(trace.outputs["cones"]) == 5468
     assert 0 < calls[0] <= 150
+
+
+def test_deep_lemma63_witness_runs_and_cone_spans(deep_scenario, monkeypatch,
+                                                 tmp_path, capsys):
+    """On deep, ``lemma63`` holds its 5,470 half-measure witnesses as runs:
+    its trace has at most 100 witness entries (93; 5,492 when each witness
+    was one), and verify still counts 5,492 obligations.  Neither the build
+    nor the half-measure pass builds a clopen from cone strings: an init
+    reads the lengths' integer intervals, and a cone's clopen is built from
+    its (length, value) span."""
+    from_strings, init = [0], Clopen.__init__
+
+    def counted(self, strings=(), *, _spans=None):
+        strings = list(strings)
+        from_strings[0] += _spans is None and bool(strings)
+        init(self, strings, _spans=_spans)
+
+    monkeypatch.setattr(Clopen, "__init__", counted)
+    trace = build_lemma63(deep_scenario.tree("positive"), deep_scenario.budgets)
+    monkeypatch.undo()
+    assert from_strings[0] == 0
+    assert len(trace.witnesses) <= 100
+    assert trace.witness_count() == 5492
+
+    path = tmp_path / "t.jsonl"
+    assert main(["run", "--scenario", str(bundled_scenario("deep")),
+                 "--select", "lemma63", "--trace", str(path)]) == 0
+    assert "5492 obligations passed" in capsys.readouterr().err
+    assert main(["verify", "--trace", str(path), "--quiet"]) == 0
+    assert json.loads(capsys.readouterr().out)["obligations"] == 5492
 
 
 # ---------------------------------------------------------------------------

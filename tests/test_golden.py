@@ -70,7 +70,7 @@ def test_trace_dict_keys_are_strings(scenario_name, selector):
     """The encoder sorts keys that are not strings by value, not as the
     strings it writes them as."""
     trace = execute(_scenario(scenario_name), selector)
-    values = [trace.outputs, *(w["data"] for w in trace.witnesses)]
+    values = [trace.outputs, *(w["data"] for w in trace.obligations())]
     assert [k for k in _dict_keys(values) if not isinstance(k, str)] == []
 
 

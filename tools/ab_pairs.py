@@ -4,7 +4,8 @@
 Usage (from the repository root; standard library only):
 
     python3 tools/ab_pairs.py --parent REF [--change REF] [--pairs 10] \\
-        [--seed-base 300] [--trace-seed N] [--out BENCH.json] [--workdir DIR]
+        [--seed-base 300] [--trace-seed N [--trace-runs 3]] [--out BENCH.json] \\
+        [--workdir DIR]
 
 The committed files of ``--parent`` and ``--change`` (default ``HEAD``) are
 exported with ``git archive`` into two fresh directories under ``--workdir``
@@ -21,8 +22,12 @@ keeps the command that ``run.py`` names as the slowest of its first pass
 (``slowest_cmd``, ``"<kind> <selector>"``), and ``slowest_cmd_counts``
 counts those commands per side, so a ``slowest_cmd_s`` reading shows which
 command set it.  With
-``--trace-seed``, one traced run (``--trace 1``) per side and workload
-follows the pairs, for the per-layer counts and times.
+``--trace-seed T``, traced runs (``--trace 1``) follow the pairs, for the
+per-layer counts and times: ``--trace-runs N`` (default 1) alternating pairs
+of them per workload, pair ``j`` at seed ``T + j`` and ordered like the
+pairs above.  The record keeps each side's median of every metric over its
+N traced runs, and the lowest and highest reading, because a single traced
+run's layer times move by 10-20% between identical runs.
 
 For every end-to-end metric of ``BENCHMARK.json`` the output gives each
 side's median and quartiles (``statistics.quantiles(n=4,
@@ -116,10 +121,14 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", default="HEAD", help="git ref of the change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-base", type=int, default=300)
-    ap.add_argument("--trace-seed", type=int, help="also one traced run per side")
+    ap.add_argument("--trace-seed", type=int, help="also traced runs, from this seed")
+    ap.add_argument("--trace-runs", type=int, default=1,
+                    help="traced runs per side (the median is recorded)")
     ap.add_argument("--out", type=Path, help="JSON output file (default stdout)")
     ap.add_argument("--workdir", type=Path, help="where the two exports go")
     args = ap.parse_args(argv)
+    if args.trace_runs < 1:
+        ap.error("--trace-runs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -175,11 +184,19 @@ def main(argv: list[str] | None = None) -> int:
                 if args.out:
                     write()
             if args.trace_seed is not None:
+                traced: dict[str, list[dict]] = {"parent": [], "change": []}
+                for j in range(args.trace_runs):
+                    for name in (("parent", "change") if j % 2 == 0 else ("change", "parent")):
+                        result = bench(sides[name], w, args.trace_seed + j, seconds, 1)
+                        traced[name].append({k: m["value"]
+                                             for k, m in result["metrics"].items()})
                 record["traced"] = {
-                    "seed": args.trace_seed,
-                    **{name: {k: m["value"] for k, m in
-                              bench(sides[name], w, args.trace_seed, seconds, 1)
-                              ["metrics"].items()} for name in shas}}
+                    "seeds": [args.trace_seed + j for j in range(args.trace_runs)],
+                    **{name: {k: statistics.median(r[k] for r in rs) for k in rs[0]}
+                       for name, rs in traced.items()},
+                    **{f"{name}_range": {k: [min(r[k] for r in rs), max(r[k] for r in rs)]
+                                         for k in rs[0]}
+                       for name, rs in traced.items()}}
         write()
     finally:
         shutil.rmtree(base, ignore_errors=True)
