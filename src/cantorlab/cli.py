@@ -411,13 +411,12 @@ def _text_blocks(lines: Iterable[str | tuple]) -> Iterator[str]:
     """The trace text of ``trace_lines``' entries, each line ended by "\n",
     in blocks of at most 1024 lines: writing and comparing a trace never
     builds its whole text.  This is the one place a run entry is expanded:
-    a witness run ``(head, stages, tail)`` is ``head + str(q) + tail`` at
-    each stage ``q``, an event run ``(head, first, stop)`` ``head + str(s) +
-    "}"`` at each stage ``s``.  An event run's stages that share ``k = s //
-    1000`` form one block, a join over a slice of a digit table: each line is
-    ``head + str(k)`` and then the 3-digit ``s % 1000``, or, for k = 0,
-    ``head`` and the unpadded stage.  Negative stages are written with
-    ``str``, 1000 to a block."""
+    a witness run ``(head, stages, tail)`` to ``head + str(q) + tail`` at
+    each stage ``q``, an event run ``(head, first, stop)`` to ``head +
+    str(s) + "}"``, its stages that share ``k = s // 1000`` as one block, a
+    join over a digit table slice: each line is ``head + str(k)`` and then
+    the 3-digit ``s % 1000``, or, for k = 0, ``head`` and the unpadded
+    stage.  Negative stages are written with ``str``, 1000 to a block."""
     for kind, group in groupby(lines, type):
         if kind is str:
             while block := list(islice(group, 1024)):

@@ -16,17 +16,15 @@ the stages ``pair(i, t) <= S`` whose length ``n0 + i`` is within the depth;
 it adds a cone at most of them (5,468 of 6,851 on the bundled deep
 scenario), so its loop stays O(visits).  A visit costs a few integer
 operations: each length's cones form one lex interval, so the covered test
-compares integer bounds; the shorter length that covered a length last is
-asked first (it answers 5,333 of deep's 5,405 covered visits), and a cone
-found alive at its last visit is compared only with the lengths moved since
-(7,378 comparisons on deep, not 16,568).  The tree is asked about liveness
-only for an uncovered cone not found alive since its dead view last moved
-(92 of 1,384), an init is the first leaf past the intervals' spans, and the
-event lines come from fixed-shape templates.  The half-measure pass builds
-cone clopens from (length, value) spans, looks up a cone only when the build
-could not show it inside an earlier one (114 of 5,468), and keeps each
-stretch of witnesses that share their data as one run (71 on deep, holding
-5,470 witnesses).
+compares integer bounds; the last covering length is asked first (5,333 of
+deep's 5,405 covered visits), and a cone found alive at its last visit is
+compared only with the lengths moved since (7,378 comparisons, not 16,568).
+The tree is asked only about an uncovered cone not found alive since its
+dead view last moved (92 of 1,384), an init is the first leaf past the
+intervals, and event lines come from fixed-shape templates.  The
+half-measure pass looks up a cone only when the build could not show it
+inside an earlier one (114 of 5,468), and each stretch of its witnesses
+that share their data is one run (71 on deep, holding 5,470).
 """
 
 from __future__ import annotations
@@ -90,10 +88,9 @@ def _event_head(action: str, payload: dict) -> str:
 class ConstructionTrace:
     """Events, added in stage order, named outputs, and pass/fail witness
     obligations.  An event is held as its encoded line, and a run of one
-    event over consecutive stages as one entry ``(head, first, stop)``,
-    whose line at stage ``s`` is ``f"{head}{s}}}"``.  A witness is a dict, and
-    a run of witnesses with one status and data object one entry ``(prefix,
-    stages, status, data)``, claim ``f"{prefix}{q}"`` at stage ``q``."""
+    event over consecutive stages as one entry ``(head, first, stop)``, line
+    ``f"{head}{s}}}"`` at stage ``s``; a witness as a dict, and a run of
+    witnesses that share status and data as ``(prefix, stages, status, data)``."""
 
     __slots__ = ("events", "outputs", "witnesses")
 
@@ -125,16 +122,15 @@ class ConstructionTrace:
         return sum(1 if type(w) is dict else len(w[1]) for w in self.witnesses)
 
     def obligations(self, failed: bool = False) -> Iterator[dict]:
-        """Each witness as a dict, a run giving one per stage; with
-        ``failed``, only those whose status is not ``pass``."""
+        """Each witness as a dict, a run one per stage ``q`` with the claim
+        ``f"{prefix}{q}"``; with ``failed``, only those whose status is not ``pass``."""
         for w in self.witnesses:
             if type(w) is dict:
                 if not failed or w["status"] != "pass":
                     yield w
             elif not failed or w[2] != "pass":
-                prefix, stages, status, data = w
-                for q in stages:
-                    yield {"claim": f"{prefix}{q}", "status": status, "data": data}
+                yield from ({"claim": f"{w[0]}{q}", "status": w[2], "data": w[3]}
+                            for q in w[1])
 
     def extend(self, other: ConstructionTrace, tag: str | None = None) -> None:
         """Append ``other``'s events and witnesses, suffixing each claim with
@@ -719,8 +715,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
                                         "dead" if j < 0 else "covered"))
         if w <= top and first + w <= big_s:  # t == 0: the first visit of length w
             s, n = first + w, n0 + w
-            # The leftmost string of length n outside the shorter lengths'
-            # intervals, as spans of length-n leaves, is the new cone.
+            # The new cone: the leftmost length-n leaf past the shorter intervals.
             v = 0
             for lo, hi in sorted([(lows[j] << w - j, highs[j] + 1 << w - j)
                                   for j in range(w)]):
@@ -743,11 +738,6 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     return _finish_lemma63(tree, budgets, trace, cones, n0, inside)
 
 
-def _cone(bits: str) -> Clopen:
-    """The cylinder of the non-empty ``bits``, from its (length, value) span."""
-    return Clopen(_spans=(len(bits), (v := int(bits, 2), v + 1)))
-
-
 def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
                     cones: Sequence[Sequence], n0: int,
                     inside: Sequence[bool]) -> ConstructionTrace:
@@ -758,8 +748,7 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     dead_changes = tree.change_stages()
     cone_stages = [st for st, _ in cones]
     loud = {0, *dead_changes, big_s}
-    stages = cone_stages + [*loud]
-    stages.sort()  # merges the ascending cone stages; a loud one may repeat
+    stages = sorted(cone_stages + [*loud])  # a merge; a loud stage may repeat
     # One pass over the stages: the union of the cones up to s, cones[:upto],
     # meets the live set in a running intersection, which grows by the new
     # cones' pieces and is cut to the live set when the dead view grows.  A
@@ -792,7 +781,7 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
             # A cone inside an earlier cone, or inside the intersection, has
             # a live piece that is a subset too.
             if not inside[k] and not grown.covers(c):
-                piece = _cone(c).intersect(live)
+                piece = Clopen([c]).intersect(live)
                 if not piece.is_subset_of(grown):
                     grown = grown.union(piece)
         if grown is not inter:
@@ -815,9 +804,9 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     live, union = tree.live_clopen(big_s), Clopen()  # the first m cones' union
     for m in range(min(21, n_cones)):
         trace.witness(f"lemma63.noncover.{m}", any(
-            (part := _cone(cones[k][1]).intersect(live)) and not part.is_subset_of(union)
+            (part := Clopen([cones[k][1]]).intersect(live)) and not part.is_subset_of(union)
             for k in range(m, n_cones)))
-        union = union.union(_cone(cones[m][1]))
+        union = union.union(Clopen([cones[m][1]]))
     trace.witness("lemma63.n0_bound",
                   Dyadic.exp2(-n0) <= tree.path_measure(big_s).half().half())
     return trace

@@ -1,4 +1,4 @@
-"""Streams, stage-relative randomness deficiency, and shrinking trees.
+"""Streams, stage-relative randomness deficiency, and advice-table evaluation.
 
 A stream is a total infinite bit sequence realized as a finite pad followed by
 a periodic tail, so every prefix is computable and repeated reads agree.  The
@@ -11,7 +11,7 @@ reads deficiencies through it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .core import Clopen, Dyadic, Frozen, check_bits
 
@@ -110,3 +110,19 @@ class CoTree:
     def carries(self, x: Stream, s: int) -> bool:
         """True iff the depth-``depth`` prefix of ``x`` is still in the tree."""
         return self.alive(x.prefix(self.depth), s)
+
+
+# ---------------------------------------------------------------------------
+# advice tables
+# ---------------------------------------------------------------------------
+
+AdviceTable = Mapping[tuple[str, int], int]
+
+
+def eval_table(phi: AdviceTable, x: Stream, advice: int, max_len: int) -> int | None:
+    """Value of the shortest table entry hit by a prefix of ``x``, else None."""
+    for n in range(max_len + 1):
+        value = phi.get((x.prefix(n), advice))
+        if value is not None:
+            return value
+    return None

@@ -6,7 +6,7 @@ import pytest
 
 from cantorlab import bundled_scenario
 from cantorlab.cli import _text_blocks
-from cantorlab.core import Clopen, check_bits
+from cantorlab.core import Clopen
 from cantorlab.enumeration import (
     Scenario,
     descending_chain,
@@ -30,26 +30,6 @@ def leaf_mask(strings, depth: int = DEPTH) -> int:
         width = 1 << gap
         mask |= ((1 << width) - 1) << lo
     return mask
-
-
-def eval_table(phi, x, advice: int, max_len: int) -> int | None:
-    """Value of the shortest table entry ``(prefix, advice)`` hit by a prefix
-    of the stream ``x``, else None."""
-    for n in range(max_len + 1):
-        value = phi.get((x.prefix(n), advice))
-        if value is not None:
-            return value
-    return None
-
-
-def sigma_plus(bits: str) -> str | None:
-    """The string immediately to the right of ``bits`` at the same length, or
-    None when ``bits`` is the rightmost string of its length."""
-    check_bits(bits)
-    if not bits or bits == "1" * len(bits):
-        return None
-    n = int(bits, 2) + 1
-    return format(n, f"0{len(bits)}b")
 
 
 def leftmost_uncovered(length: int, cones: Clopen) -> str | None:

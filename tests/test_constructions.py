@@ -20,6 +20,7 @@ from cantorlab.core import (
     SearchExhaustedError,
     first_free_string,
     pair,
+    sigma_plus,
     str_order_key,
     unpair,
 )
@@ -54,13 +55,7 @@ from cantorlab.enumeration import (
     stratify,
     universal_sum,
 )
-from conftest import (
-    decoded_events,
-    eval_table,
-    leftmost_uncovered,
-    sigma_plus,
-    written_lines,
-)
+from conftest import decoded_events, leftmost_uncovered, written_lines
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +258,7 @@ class TestThm41:
                                             chain):
         # replaying the trace: at each witness cylinder, the table's bit and
         # the built set's membership bit differ
+        from cantorlab.deficiency import eval_table
         for i, info in _triggers(thm41_trace).items():
             sigma = info["sigma"]
             x = Stream(f"w{i}", sigma, "01")
@@ -1474,14 +1470,14 @@ def test_deep_lemma63_witness_runs_and_cone_spans(deep_scenario, monkeypatch,
     """On deep, ``lemma63`` holds its 5,470 half-measure witnesses as runs:
     its trace has at most 100 witness entries (93; 5,492 when each witness
     was one), and verify still counts 5,492 obligations.  Neither the build
-    nor the half-measure pass builds a clopen from cone strings: an init
-    reads the lengths' integer intervals, and a cone's clopen is built from
-    its (length, value) span."""
+    nor the half-measure pass rebuilds a union of cones from their strings:
+    an init reads the lengths' integer intervals, and the running unions
+    and intersection grow by one cone's clopen at a time."""
     from_strings, init = [0], Clopen.__init__
 
     def counted(self, strings=(), *, _spans=None):
         strings = list(strings)
-        from_strings[0] += _spans is None and bool(strings)
+        from_strings[0] += len(strings) > 1
         init(self, strings, _spans=_spans)
 
     monkeypatch.setattr(Clopen, "__init__", counted)

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from cantorlab.deficiency import (
     CoTree,
     Stream,
+    eval_table,
     member_at_stage,
     prepend,
     rd_at_stage,
 )
 from cantorlab.enumeration import Enumeration, MLTest
-from conftest import eval_table, leaf_mask
+from conftest import leaf_mask
 
 
 def stream_of(bits8: str) -> Stream:

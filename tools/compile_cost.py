@@ -2,13 +2,12 @@
 
 Usage (from the repository root; standard library only):
 
-    python3 tools/compile_cost.py [--src DIR] [--repeat 20]
+    python3 tools/compile_cost.py [--src DIR]
 
 For each ``*.py`` file in ``DIR`` (default: this repository's
 ``src/cantorlab``) it prints the file's lines, its code lines and the best
-of ``--repeat`` timings of ``compile()`` of its source, in ms, then the
-totals.  A code line holds a token that is not a comment and not part of a
-docstring.  Every command that imports the package without cached bytecode
+of 20 timings of ``compile()`` of its source, in ms, then the totals.  A
+code line holds a token that is not a comment and not part of a docstring.  Every command that imports the package without cached bytecode
 pays the compile time, so the two columns are the start-up cost of the
 source's size.  Pass another checkout's package as ``--src`` to compare two
 trees on the same machine.
@@ -24,6 +23,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 20
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -49,9 +49,9 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def compile_ms(source: str, name: str, repeat: int) -> float:
+def compile_ms(source: str, name: str) -> float:
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         compile(source, name, "exec", dont_inherit=True)
         best = min(best, time.perf_counter() - start)
@@ -61,14 +61,13 @@ def compile_ms(source: str, name: str, repeat: int) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src" / "cantorlab")
-    ap.add_argument("--repeat", type=int, default=20)
     args = ap.parse_args()
     print(f"{'module':<16}{'lines':>7}{'code':>7}{'compile_ms':>12}")
     totals = [0, 0, 0.0]
     for path in sorted(args.src.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         row = (source.count("\n"), code_lines(source),
-               compile_ms(source, str(path), args.repeat))
+               compile_ms(source, str(path)))
         totals = [t + v for t, v in zip(totals, row)]
         print(f"{path.stem:<16}{row[0]:>7}{row[1]:>7}{row[2]:>12.2f}")
     print(f"{'total':<16}{totals[0]:>7}{totals[1]:>7}{totals[2]:>12.2f}")
