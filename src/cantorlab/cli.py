@@ -541,15 +541,31 @@ def _step(step: str, fn: Callable, *args):
         raise
 
 
+def _read_scenario(path: str, overrides: dict[str, int]) -> Scenario:
+    """The scenario file at ``path`` with ``overrides`` applied to its
+    budgets before it is parsed, so that its tests are checked against the
+    budgets the run uses.  The file's budgets are kept as they are when no
+    override changes them, and when they do not load on their own: the
+    full load then reports them."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if overrides and isinstance(raw, dict):
+        try:
+            old = load_scenario({"budgets": raw.get("budgets", {})}).budgets.to_json()
+        except ScenarioError:
+            return load_scenario(raw)
+        if {**old, **overrides} != old:
+            raw = {**raw, "budgets": {**old, **overrides}}
+    return load_scenario(raw)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     if args.verify and not args.trace:
         raise ScenarioError("--verify needs --trace")
-    sc = _step("read scenario", load_scenario, args.scenario)
-    overrides = sc.budgets.to_json()
-    for key, value in (("S", args.stages), ("K", args.depth), ("I", args.max_index)):
-        if value is not None:
-            overrides[key] = value
-    sc, trace, lines = _step("run", produce, sc, overrides, args.select,
+    overrides = {key: value for key, value in (
+        ("S", args.stages), ("K", args.depth), ("I", args.max_index)) if value is not None}
+    sc = _step("read scenario", _read_scenario, args.scenario, overrides)
+    sc, trace, lines = _step("run", produce, sc, sc.budgets.to_json(), args.select,
                              args.grace, args.sigma_stages, args.stride)
     if args.trace:
         _step("write trace", write_trace, args.trace, lines)

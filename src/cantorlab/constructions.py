@@ -151,8 +151,7 @@ class ConstructionTrace:
         compared, so no list of their lines is built.  The outputs record is
         written from the encodings of its values in sorted key order, and a
         value that several keys share is encoded once; outputs with a key
-        that is not a string are encoded whole.  A data object shared by
-        consecutive witnesses is encoded once.  A claim is written as the
+        that is not a string are encoded whole.  A claim is written as the
         encoder writes a string, and a status, ``pass`` or ``fail``, as itself."""
         out = self.events.copy()
         outputs = self.outputs
@@ -169,20 +168,15 @@ class ConstructionTrace:
                        '"stage":-1}')
         else:
             out.append(_encode({"stage": -1, "action": "outputs", "payload": outputs}))
-        data = encoded = None
         claim = json.encoder.encode_basestring_ascii
         for w in self.witnesses:
             if type(w) is dict:
-                if w["data"] is not data:
-                    data = w["data"]
-                    encoded = _encode(data)
-                out.append(f'{{"claim":{claim(w["claim"])},"data":{encoded},'
+                out.append(f'{{"claim":{claim(w["claim"])},"data":{_encode(w["data"])},'
                            f'"status":"{w["status"]}"}}')
             else:  # the claim's closing quote moves past the stage
                 prefix, stages, status, data = w
-                encoded = _encode(data)
                 out.append((f'{{"claim":{claim(prefix)[:-1]}', stages,
-                            f'","data":{encoded},"status":"{status}"}}'))
+                            f'","data":{_encode(data)},"status":"{status}"}}'))
         return out
 
 

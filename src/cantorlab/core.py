@@ -106,16 +106,6 @@ def str_order_key(bits: str) -> tuple[int, str]:
     return (len(bits), bits)
 
 
-def sigma_plus(bits: str) -> str | None:
-    """The string immediately to the right of ``bits`` at the same length, or
-    None when ``bits`` is the rightmost string of its length."""
-    check_bits(bits)
-    if not bits or bits == "1" * len(bits):
-        return None
-    n = int(bits, 2) + 1
-    return format(n, f"0{len(bits)}b")
-
-
 def extensions(prefix: str, length: int) -> Iterator[str]:
     """All length-``length`` extensions of ``prefix`` in lexicographic order."""
     if length >= len(prefix):

@@ -48,7 +48,7 @@ class Enumeration:
     until the next change stage.
     """
 
-    __slots__ = ("schedule", "_stages", "_views", "_measures", "_final")
+    __slots__ = ("schedule", "_stages", "_views", "_final")
 
     def __init__(self, schedule: Iterable[tuple[int, str]] = ()) -> None:
         items = set()  # (stage, len, cylinder) sorts as stage, then length-lex
@@ -69,7 +69,7 @@ class Enumeration:
     def _set(self, items: set[tuple[int, int, str]]) -> None:
         self.schedule: tuple[tuple[int, str], ...] = tuple(
             [(st, c) for st, _, c in sorted(items)])
-        self._stages = self._views = self._measures = self._final = None
+        self._stages = self._views = self._final = None
 
     @classmethod
     def _of_views(cls, stages: list[int], views: list[Clopen]) -> "Enumeration":
@@ -78,7 +78,6 @@ class Enumeration:
         view's canonical cylinders, already length-lex, at its stage."""
         e = cls._copied((s, c) for s, v in zip(stages, views) for c in v.cylinders)
         e._stages, e._views = stages, views
-        e._measures = [v.measure() for v in views]
         return e
 
     def _ensure(self) -> None:
@@ -88,15 +87,12 @@ class Enumeration:
         d = self.max_length()
         stages: list[int] = []
         views: list[Clopen] = []
-        measures: list[Dyadic] = []
         out: list[int] = []
         for s, entries in groupby(self.schedule, key=itemgetter(0)):
             _merge_spans(out, [x for _, c in entries for x in _leaf_span(c, d)])
-            view = Clopen(_spans=(d, out))
             stages.append(s)
-            views.append(view)
-            measures.append(view.measure())
-        self._stages, self._views, self._measures = stages, views, measures
+            views.append(Clopen(_spans=(d, out)))
+        self._stages, self._views = stages, views
 
     def stage_view(self, s: int) -> Clopen:
         """Canonical union of all cylinders scheduled at stages <= ``s``."""
@@ -108,12 +104,11 @@ class Enumeration:
         return self._views[k - 1] if k else Clopen()
 
     def measure_at(self, s: int) -> Dyadic:
+        """The view's measure at stage ``s``: zero before stage 0, and the
+        final measure from the last scheduled stage on."""
         if s >= self.last_stage():
             return self.final_measure()
-        if self._stages is None:
-            self._ensure()
-        k = bisect_right(self._stages, s)
-        return self._measures[k - 1] if k else Dyadic.zero()
+        return self.stage_view(s).measure() if s >= 0 else Dyadic.zero()
 
     def change_stages(self) -> tuple[int, ...]:
         if self._stages is None:
@@ -500,6 +495,8 @@ def _parse_scenario(raw: dict) -> Scenario:
     for k, e in enumerate(declared):
         if type(e["name"]) is not str:
             raise ScenarioError(f"streams[{k}].name must be a string, got {e['name']!r}")
+        if type(e.get("random", False)) is not bool:
+            raise ScenarioError(f"streams[{k}].random must be a boolean, got {e['random']!r}")
     streams = _unique(((e["name"], Stream(name=e["name"], pad=e.get("pad", ""),
                                           period=e["period"])) for e in declared), "stream")
     randoms = [e["name"] for e in declared if e.get("random")]
@@ -511,6 +508,10 @@ def _parse_scenario(raw: dict) -> Scenario:
     trees: dict[str, Enumeration] = {}
     for name, entries in sorted(raw.get("trees", {}).items()):
         trees[name] = Enumeration(_parse_schedule(entries))
+
+    family = raw.get("parallel_family", [])
+    if type(family) is not list or any(type(name) is not str for name in family):
+        raise ScenarioError(f"parallel_family must be a list of strings, got {family!r}")
 
     return Scenario(
         budgets=budgets,
@@ -524,7 +525,7 @@ def _parse_scenario(raw: dict) -> Scenario:
                                     for e in raw.get("inert_functionals", [])),
         opens=opens,
         trees=trees,
-        parallel_family=tuple(raw.get("parallel_family", [])),
+        parallel_family=tuple(family),
         parallel_bound=json_int(raw.get("parallel_bound", 0), "parallel_bound"),
         raw=raw,
     )
@@ -716,12 +717,10 @@ def stratify(u: MLTest, budgets: Budgets) -> MLTest:
 
 
 def replace_component(u: MLTest, i: int, w: Enumeration) -> MLTest:
-    """The same test with component ``i`` swapped for ``w`` (budget enforced)."""
+    """The same test with component ``i`` swapped for ``w``; the new test
+    checks its budget."""
     if not 0 <= i <= u.max_index:
         raise BudgetError(f"component index {i} out of range 0..{u.max_index}")
-    if w.final_measure() > Dyadic.exp2(-i):
-        raise BudgetError(
-            f"replacement component has measure {w.final_measure()} > 2^-{i}")
     comps = list(u.components)
     comps[i] = w
     return MLTest(comps, nested=False, notes=dict(u.notes))

@@ -89,14 +89,6 @@ class Emitter:
         """The output stream: the last restart point, then the source."""
         return prepend(self.base, self.source)
 
-    def _covered_by(self, target: Clopen) -> bool:
-        """``target.covers(self.committed)``, building only the first
-        ``target.max_length()`` bits: ``covers`` reads no more."""
-        n, head = target.max_length(), self.base
-        if n > len(head):
-            head += self.source.prefix(min(n - len(head), self.cursor))
-        return target.covers(head)
-
     def record(self, last: int) -> None:
         """Account for stages ``next..last`` as one segment; called once per
         stepped stage, after its watches.  None of the stages acts after the
@@ -311,7 +303,7 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
         if s in firing:
             i, n, t = unpair3(s)
             target = u.meet_view(n, s)
-            if not em._covered_by(target):
+            if not target.covers(em.committed):
                 em.trace.add(s, "trigger", input=i, index=n, seen_at=t)
                 em.pad_into(s, target, list(range(n + 1)))
         return False  # no watch can fire before the next firing stage
@@ -486,7 +478,7 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
             return True
         bound = min(s, top)
         target = u.meet_view(bound, s)
-        padded = not em._covered_by(target)
+        padded = not target.covers(em.committed)
         if padded or s < settled:
             em.trace.add(s, "stable", value=now)
             if padded:

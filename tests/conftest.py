@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from typing import Mapping
 
 import pytest
 
 from cantorlab import bundled_scenario
 from cantorlab.cli import _text_blocks
-from cantorlab.core import Clopen
+from cantorlab.core import Clopen, check_bits
+from cantorlab.deficiency import Stream
 from cantorlab.enumeration import (
     Scenario,
     descending_chain,
@@ -41,6 +43,28 @@ def leftmost_uncovered(length: int, cones: Clopen) -> str | None:
         return None
     v = gap >> (d - length) if length <= d else gap << (length - d)
     return format(v, f"0{length}b") if length else ""
+
+
+def sigma_plus(bits: str) -> str | None:
+    """The string immediately to the right of ``bits`` at the same length, or
+    None when ``bits`` is the rightmost string of its length."""
+    check_bits(bits)
+    if not bits or bits == "1" * len(bits):
+        return None
+    n = int(bits, 2) + 1
+    return format(n, f"0{len(bits)}b")
+
+
+AdviceTable = Mapping[tuple[str, int], int]
+
+
+def eval_table(phi: AdviceTable, x: Stream, advice: int, max_len: int) -> int | None:
+    """Value of the shortest table entry hit by a prefix of ``x``, else None."""
+    for n in range(max_len + 1):
+        value = phi.get((x.prefix(n), advice))
+        if value is not None:
+            return value
+    return None
 
 
 def written_lines(entries) -> list[str]:

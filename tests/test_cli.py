@@ -83,6 +83,24 @@ class TestRun:
             "head 1^(I+2) must fit the depth\n")
         assert not trace.exists()
 
+    def test_max_index_applies_before_tests_are_parsed(self, tmp_path, capsys):
+        """A component past the file's I loads under ``--max-index`` as it
+        does under the same I in the file, and both runs write one trace."""
+        raw = json.load(open(MAIN))
+        raw["tests"][0].append({"component": 13, "stage": 0, "cylinder": "1" * 16})
+        texts = []
+        for in_file, override in ((False, ["--max-index", "13"]), (True, [])):
+            if in_file:
+                raw["budgets"]["I"] = 13
+            path, trace = tmp_path / f"{in_file}.json", tmp_path / f"{in_file}.jsonl"
+            path.write_text(json.dumps(raw))
+            assert run_cli("run", "--scenario", str(path), "--select", "lay_to_lay",
+                           "--stages", "64", *override, "--trace", str(trace),
+                           "--verify") == 0
+            texts.append(trace.read_text())
+        assert texts[0] == texts[1]
+        assert "error" not in capsys.readouterr().err
+
     def test_unknown_selector(self, capsys):
         code = run_cli("run", "--scenario", MAIN, "--select", "nope")
         assert code == EXIT_VALIDATION

@@ -20,7 +20,6 @@ from cantorlab.core import (
     SearchExhaustedError,
     first_free_string,
     pair,
-    sigma_plus,
     str_order_key,
     unpair,
 )
@@ -55,7 +54,13 @@ from cantorlab.enumeration import (
     stratify,
     universal_sum,
 )
-from conftest import decoded_events, leftmost_uncovered, written_lines
+from conftest import (
+    decoded_events,
+    eval_table,
+    leftmost_uncovered,
+    sigma_plus,
+    written_lines,
+)
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +263,6 @@ class TestThm41:
                                             chain):
         # replaying the trace: at each witness cylinder, the table's bit and
         # the built set's membership bit differ
-        from cantorlab.deficiency import eval_table
         for i, info in _triggers(thm41_trace).items():
             sigma = info["sigma"]
             x = Stream(f"w{i}", sigma, "01")

@@ -11,11 +11,10 @@ from cantorlab.core import (
     first_extension_into,
     first_free_string,
     pair,
-    sigma_plus,
     unpair,
     unpair3,
 )
-from conftest import FULL_MASK, leaf_mask, leftmost_uncovered
+from conftest import FULL_MASK, leaf_mask, leftmost_uncovered, sigma_plus
 
 bits_st = st.text(alphabet="01", min_size=0, max_size=8)
 clopen_st = st.lists(bits_st, max_size=6).map(Clopen)

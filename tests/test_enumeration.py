@@ -1,11 +1,12 @@
 import copy
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cantorlab import bundled_scenario
-from cantorlab.cli import _budget_sweep
+from cantorlab.cli import _budget_sweep, main
 from cantorlab.constructions import ConstructionTrace
 from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError, SearchExhaustedError
 from cantorlab.enumeration import (
@@ -129,6 +130,19 @@ class TestEnumeration:
         e = Enumeration([(1, "00"), (7, "01")])
         for s in (0, 1, 6, 7, 9):
             assert e.measure_at(s) == e.stage_view(s).measure()
+        for e in (e, Enumeration()):
+            assert e.measure_at(-1) == e.measure_at(-8) == Dyadic.zero()
+
+    def test_building_views_measures_none(self, monkeypatch):
+        """Views are built for their clopens only: a measure is read when
+        asked for, so building them, for a test or its chain, measures none."""
+        calls = []
+        measure = Clopen.measure
+        monkeypatch.setattr(Clopen, "measure", lambda v: calls.append(v) or measure(v))
+        u = universal_sum(load_scenario(bundled_scenario("main")))
+        assert all(c.change_stages() for c in u.components[:3])
+        chain = descending_chain(u)
+        assert chain.component(2).change_stages() and calls == []
 
 
 class TestMLTest:
@@ -501,6 +515,27 @@ class TestScenario:
         edit(raw)
         with pytest.raises(ScenarioError, match=message):
             load_scenario(raw)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["streams"][5].update(random="no"),
+         "streams[5].random must be a boolean, got 'no'"),
+        (lambda r: r["streams"][0].update(random=1),
+         "streams[0].random must be a boolean, got 1"),
+        (lambda r: r.update(parallel_family="alt"),
+         "parallel_family must be a list of strings, got 'alt'"),
+        (lambda r: r.update(parallel_family=["alt", 1]),
+         "parallel_family must be a list of strings, got ['alt', 1]"),
+    ], ids=["random_string", "random_int", "family_string", "family_member"])
+    def test_typed_declarations(self, main_scenario, edit, message, tmp_path, capsys):
+        """``random`` is a boolean and ``parallel_family`` a list of
+        strings: any other value exits 2 with the field's path, not a
+        verdict on its truthiness or on its characters."""
+        raw = copy.deepcopy(main_scenario.raw)
+        edit(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path), "--select", "lemma31"]) == 2
+        assert capsys.readouterr().err == f"error: validation: {message}\n"
 
     def test_deep_scenario_validates(self, deep_scenario):
         assert deep_scenario.budgets.max_stage == 10_000

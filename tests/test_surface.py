@@ -28,8 +28,6 @@ SRC = TESTS.parent / "src" / "cantorlab"
 ALLOWED = {
     "bundled_scenario": "the path to a bundled scenario, for the tests and users",
     "__version__": "the package version, for users",
-    "sigma_plus": "the tests' every-stage lemma63 reference steps right with it",
-    "eval_table": "the oracle the thm41 tests check table votes against",
     "intersect_all": "the meet_view oracle; perfbench's tracer test patches it",
     "Stream.bit": "the reference emitter of the realizer tests reads streams by bit",
     "Stream.starts_with": "the naive membership oracle of the tests",
