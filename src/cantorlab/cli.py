@@ -549,7 +549,9 @@ def _read_scenario(path: str, overrides: dict[str, int]) -> Scenario:
     full load then reports them."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if overrides and isinstance(raw, dict):
+    if not isinstance(raw, dict):  # load_scenario reads a string as a path
+        raise ScenarioError("scenario must be a JSON object")
+    if overrides:
         try:
             old = load_scenario({"budgets": raw.get("budgets", {})}).budgets.to_json()
         except ScenarioError:

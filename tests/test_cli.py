@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import re
@@ -6,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorlab import bundled_scenario, cli, enumeration, realizers
 from cantorlab.cli import (
@@ -100,6 +104,18 @@ class TestRun:
             texts.append(trace.read_text())
         assert texts[0] == texts[1]
         assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [[], ["--stages", "64"]], ids=["file", "override"])
+    def test_scenario_that_is_a_string_is_not_a_path(self, override, tmp_path, capsys):
+        """A scenario file holding a JSON string is rejected, even when the
+        string names a scenario file."""
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(MAIN))
+        assert run_cli("run", "--scenario", str(path), "--select", "lemma31",
+                       *override) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: validation: scenario must be a JSON object\n"
+        assert captured.out == ""
 
     def test_unknown_selector(self, capsys):
         code = run_cli("run", "--scenario", MAIN, "--select", "nope")
@@ -935,3 +951,100 @@ class TestParserReuse:
         assert exc.value.code == 0
         assert text in capsys.readouterr().out
         assert len(builds) == 1
+
+
+# Values of every type the JSON reader returns, one of another type taking
+# a node's place; ``inf`` is the reader's ``Infinity``.
+SWAPS = [None, True, False, 0, -1, 1.5, 10**30, -10**30, float("inf"), "", "01",
+         "1" * 70, "x", [], [0], [[]], {}, {"a": 1}]
+
+
+def _paths(doc, path=()):
+    """Every path of a JSON document, its root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, (*path, key))
+
+
+@st.composite
+def edited(draw, doc):
+    """A copy of ``doc`` after one to three edits at drawn paths: a value of
+    another type in a node's place, the node deleted, or the node
+    duplicated, next to itself in a list or over a sibling in an object."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        action = draw(st.sampled_from(["swap", "delete", "duplicate"]))
+        old = doc
+        for key in path:
+            old = old[key]
+        swap = copy.deepcopy(draw(st.sampled_from(
+            [v for v in SWAPS if type(v) is not type(old)])))
+        if not path:
+            doc = swap
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "swap":
+            parent[key] = swap
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(old))
+        else:
+            parent[draw(st.sampled_from(sorted(parent)))] = copy.deepcopy(old)
+    return doc
+
+
+def _outcome(argv):
+    """``main(argv)``'s exit code and its stdout and stderr lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, (out.getvalue() + err.getvalue()).splitlines()
+
+
+class TestMalformedInput:
+    """Edits of ``main.json`` at S=64 and of valid trace headers, at drawn
+    JSON paths, never raise out of ``main``: every command exits 0-4, and 1
+    only with a FAIL line."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("malformed")
+        raw = json.load(open(MAIN))
+        raw["budgets"]["S"] = 64
+        scenario = root / "main64.json"
+        scenario.write_text(json.dumps(raw))
+        traces = {}
+        for selector in sorted(SELECTORS):
+            trace = root / "trace.jsonl"
+            code, _ = _outcome(["run", "--scenario", str(scenario), "--select", selector,
+                                "--trace", str(trace)])
+            assert code in (0, 1)
+            header, rest = trace.read_text().split("\n", 1)
+            traces[selector] = (json.loads(header)["payload"], rest)
+        return root, raw, traces
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_exit_is_mapped(self, inputs, data):
+        root, raw, traces = inputs
+        selector = data.draw(st.sampled_from(sorted(SELECTORS)))
+        if data.draw(st.booleans()):
+            path = root / "edited.json"
+            path.write_text(json.dumps(data.draw(edited(raw))))
+            argv = ["run", "--scenario", str(path), "--select", selector,
+                    "--trace", str(root / "edited.jsonl")]
+        else:
+            header, rest = traces[selector]
+            path = root / "edited_header.jsonl"
+            path.write_text(json.dumps({"stage": -1, "action": "header",
+                                        "payload": data.draw(edited(header))}) + "\n" + rest)
+            argv = ["verify", "--trace", str(path)]
+        code, lines = _outcome(argv)
+        assert code in range(5) and code != EXIT_IO  # every file can be read
+        assert code != EXIT_OBLIGATION or any(line.startswith("FAIL ") for line in lines)

@@ -9,11 +9,13 @@ A field of a record (a ``NamedTuple``, or a class that lists its fields in
 ``__slots__``) that no module of the package reads as an attribute is dead
 too, unless ``ALLOWED`` says why: state that only the tests read is kept
 for them, and says so.  A field read is matched by its owning class where
-the reading code names that class: ``self`` in the class's own methods, or
-a name annotated with the class or assigned one of its instances in the
-same function.  So another class's attribute of the same name, read that
-way, does not count; only a read of an object of unknown class is matched
-by the name alone.
+the reading code names that class: ``self`` in the class's own methods, a
+name annotated with the class, or a name assigned one of its instances, a
+call's result annotated with the class or an item of a module-level
+container annotated with it (``_AttributeReads`` lists the forms).  So
+another class's attribute of the same name, read that way, does not
+count; only a read of an object of unknown class is matched by the name
+alone.
 """
 
 from __future__ import annotations
@@ -116,14 +118,95 @@ def _class_of(node: ast.expr | None, classes: set[str]) -> str | None:
     return node.id if isinstance(node, ast.Name) and node.id in classes else None
 
 
+def _item_class(node: ast.expr | None, classes: set[str]) -> str | None:
+    """The package class a container annotation holds: ``C`` of
+    ``tuple[C, ...]`` or ``list[C]``, or of the values of ``dict[K, C]``."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)):
+        return None
+    args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    if node.value.id == "dict":
+        args = args[-1:]
+    elif node.value.id not in ("tuple", "list"):
+        return None
+    items = {_class_of(a, classes) for a in args
+             if not (isinstance(a, ast.Constant) and a.value is Ellipsis)}
+    return items.pop() if len(items) == 1 else None
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of ``scope`` outside the functions and classes it defines."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 class _AttributeReads(ast.NodeVisitor):
     """Each loaded attribute as ``(class, name)``, the class being the one
-    the object read is known to be an instance of, or None."""
+    the object read is known to be an instance of, or None.
 
-    def __init__(self, classes: set[str]) -> None:
-        self.classes, self.reads = classes, set()
+    A name is known to hold an instance of a package class ``C`` when every
+    binding of it in its scope gives it one: a parameter annotated ``C``, an
+    assignment of ``C(...)`` or of a call of a package function annotated
+    ``-> C``, or a loop variable, a ``.get`` or a subscript over a
+    module-level container annotated ``tuple[C, ...]``, ``list[C]`` or
+    ``dict[K, C]``.  A function also sees the names its enclosing function
+    knows, unless it binds them itself."""
+
+    def __init__(self, trees: dict[str, ast.Module]) -> None:
+        self.classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef)}
+        tops = [node for tree in trees.values() for node in tree.body]
+        self.returns = {node.name: c for node in tops if isinstance(node, ast.FunctionDef)
+                        and (c := _class_of(node.returns, self.classes)) is not None}
+        self.items = {node.target.id: c for node in tops
+                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                      and (c := _item_class(node.annotation, self.classes)) is not None}
+        self.reads: set[tuple[str | None, str]] = set()
         self.cls: str | None = None
-        self.known: dict[str, str] = {}  # names of the current function
+        self.known: dict[str, str] = {}  # names of the current scope
+
+    def _item_of(self, node: ast.expr) -> str | None:
+        return self.items.get(node.id) if isinstance(node, ast.Name) else None
+
+    def _value_class(self, node: ast.expr) -> str | None:
+        if isinstance(node, ast.Subscript):
+            return self._item_of(node.value)
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+                return self._item_of(node.func.value)
+            if isinstance(node.func, ast.Name) and node.func.id in self.returns:
+                return self.returns[node.func.id]
+        return _class_of(node, self.classes)
+
+    def _bind(self, scope: ast.AST, known: dict[str, str]) -> None:
+        """Update ``known`` with the names ``scope`` binds: a name bound to
+        one package class everywhere is known, any other bound name is not."""
+        bound: dict[str, set[str | None]] = {}
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.AnnAssign):
+                target, c = node.target, _class_of(node.annotation, self.classes)
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, c = node.targets[0], self._value_class(node.value)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                target, c = node.target, self._item_of(node.iter)
+            else:
+                continue
+            if isinstance(target, ast.Name):
+                bound.setdefault(target.id, set()).add(c)
+        for name, cs in bound.items():
+            if len(cs) == 1 and None not in cs:
+                known[name] = cs.pop()
+            else:
+                known.pop(name, None)
+
+    def visit_Module(self, node: ast.Module) -> None:
+        self.known = {}
+        self._bind(node, self.known)
+        self.generic_visit(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         outer, self.cls = self.cls, node.name
@@ -134,22 +217,15 @@ class _AttributeReads(ast.NodeVisitor):
         outer, cls = self.known, self.cls
         known = dict(outer)  # a nested function sees its enclosing names
         args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        for a in args:
+            known.pop(a.arg, None)
         if cls is not None and args and not any(
                 isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list):
             known[args[0].arg] = cls
         for a in args:
             if (c := _class_of(a.annotation, self.classes)) is not None:
                 known[a.arg] = c
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
-                value = sub.annotation
-            elif (isinstance(sub, ast.Assign) and len(sub.targets) == 1
-                  and isinstance(sub.targets[0], ast.Name)):
-                value = sub.value
-            else:
-                continue
-            if (c := _class_of(value, self.classes)) is not None:
-                known[(sub.target if isinstance(sub, ast.AnnAssign) else sub.targets[0]).id] = c
+        self._bind(node, known)
         self.known, self.cls = known, None
         self.generic_visit(node)
         self.known, self.cls = outer, cls
@@ -165,9 +241,7 @@ class _AttributeReads(ast.NodeVisitor):
 
 def _attribute_reads(trees: dict[str, ast.Module]) -> set[tuple[str | None, str]]:
     """Every attribute loaded in ``trees``, as ``(class, name)``."""
-    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef)}
-    visitor = _AttributeReads(classes)
+    visitor = _AttributeReads(trees)
     for tree in trees.values():
         visitor.visit(tree)
     return visitor.reads
@@ -225,3 +299,38 @@ def test_field_read_by_another_class_of_the_same_name_is_not_a_read():
     assert _field_read("A.kind", reads)
     # a read of an object of unknown class still counts for every class
     assert _field_read("A.size", reads | {(None, "size")})
+
+
+def test_field_read_through_a_container_or_a_call_is_matched_by_class():
+    """A loop variable, a ``.get`` and a subscript over an annotated
+    module-level container hold its record class, as does the result of a
+    function annotated with the class; a name bound to two classes holds
+    neither."""
+    tree = ast.parse(
+        "from typing import NamedTuple\n"
+        "class A(NamedTuple):\n"
+        "    size: int\n"
+        "    kind: str\n"
+        "class B:\n"
+        "    __slots__ = ('size', 'kind', 'rank')\n"
+        "TABLE: tuple[A, ...] = ()\n"
+        "BY_NAME: dict[str, A] = {}\n"
+        "WIDTH = max(len(a.kind) for a in TABLE)\n"
+        "def make() -> B:\n"
+        "    return B()\n"
+        "def f(key):\n"
+        "    entry = BY_NAME.get(key)\n"
+        "    first = BY_NAME[key]\n"
+        "    made = make()\n"
+        "    for a in TABLE:\n"
+        "        a.kind\n"
+        "    return made.size, entry.kind, first.kind\n"
+        "def g(rows):\n"
+        "    x = A(0, '')\n"
+        "    for x in rows:\n"
+        "        x.rank\n")
+    reads = _attribute_reads({"m": tree})
+    assert not _field_read("A.size", reads)
+    assert _field_read("B.size", reads)
+    assert ("A", "kind") in reads and (None, "kind") not in reads
+    assert (None, "rank") in reads
