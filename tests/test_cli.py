@@ -981,7 +981,7 @@ def edited(draw, doc):
             old = old[key]
         swap = copy.deepcopy(draw(st.sampled_from(
             [v for v in SWAPS if type(v) is not type(old)])))
-        if not path:
+        if not path:  # the root can only be swapped
             doc = swap
             continue
         parent = doc
