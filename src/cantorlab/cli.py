@@ -11,12 +11,13 @@ import argparse
 import json
 import sys
 from itertools import groupby, islice
-from pathlib import Path
+from os import PathLike
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .core import (
     CantorError,
     Dyadic,
+    Frozen,
     ScenarioError,
     SearchExhaustedError,
     json_int,
@@ -40,23 +41,6 @@ from .enumeration import (
     replace_component,
     shift_union,
     validate_scenario,
-)
-from .realizers import (
-    cn_times_mlr_psi,
-    cn_times_mlr_to_lay,
-    compose_star,
-    delta02_to_lay_phi,
-    delta02_to_lay_psi,
-    lay_to_cn,
-    lay_to_cn_psi,
-    lay_to_lay,
-    lay_to_lay_contract,
-    parallel_merge,
-    product_merge,
-    rd_from_lay_phi,
-    rd_from_lay_psi,
-    semidecidable_to_rd_star,
-    verify_pads,
 )
 
 EXIT_OK = 0
@@ -113,15 +97,16 @@ def produced_tests(sc: Scenario,
 
 
 # ---------------------------------------------------------------------------
-# selectors: a construction returns its trace; a reduction yields one
-# (tag, run trace, (pre_output, oracle_answer, post_output, verdict)) case
-# per input, and ``execute`` folds the cases into one trace
+# selectors: a construction returns its trace; a reduction imports its
+# realizers when it runs and yields one (tag, run trace, (pre_output,
+# oracle_answer, post_output, verdict)) case per input, folded by ``execute``
 # ---------------------------------------------------------------------------
 
-class RunOptions(NamedTuple):
-    grace: int | None
-    sigma_stages: int | None
-    stride: int
+class RunOptions(Frozen):
+    __slots__ = ("grace", "sigma_stages", "stride")
+
+    def __init__(self, grace: int | None, sigma_stages: int | None, stride: int) -> None:
+        self._set(grace, sigma_stages, stride)
 
 
 Cases = Iterator[tuple[str, ConstructionTrace, tuple]]
@@ -156,6 +141,7 @@ def _combinators(sc: Scenario, u: MLTest, o: RunOptions) -> ConstructionTrace:
 
 
 def _lay_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    from .realizers import lay_to_lay, lay_to_lay_contract, verify_pads
     budgets = sc.budgets
     chain = sc.chain
     watched = shift_union(chain)
@@ -171,6 +157,7 @@ def _lay_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 def _rd_from_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    from .realizers import rd_from_lay_phi, rd_from_lay_psi, verify_pads
     big_s = sc.budgets.max_stage
     for name in sc.random_streams:
         x = sc.stream(name)
@@ -185,6 +172,7 @@ def _rd_from_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 def _product_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    from .realizers import product_merge, verify_pads
     big_s = sc.budgets.max_stage
     chain = sc.chain
     names = list(sc.random_streams)
@@ -203,6 +191,7 @@ def _product_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 def _parallel_merge(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    from .realizers import parallel_merge, verify_pads
     big_s = sc.budgets.max_stage
     family = sc.parallel_family or sc.random_streams[:3]
     xs = [sc.stream(n) for n in family]
@@ -219,6 +208,7 @@ def _compose_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     """Two calls of ``rd_from_lay``: the second's input ``z`` is the first's
     output on ``x``, built once per stream, and ``rd_from_lay_psi`` decodes
     the composite output's deficiency against the chain."""
+    from .realizers import compose_star, rd_from_lay_phi, rd_from_lay_psi
     budgets, big_s = sc.budgets, sc.budgets.max_stage
     chain = sc.chain
     for name in sc.random_streams:
@@ -238,6 +228,7 @@ def _compose_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 def _lay_to_cn(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    from .realizers import lay_to_cn, lay_to_cn_psi
     for name in sc.random_streams:
         x = sc.stream(name)
         run = lay_to_cn(u, x, sc.budgets)
@@ -254,6 +245,7 @@ def _lay_to_cn(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 def _cn_times_mlr(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
     """Decode each instance at the advice: ``decodes`` is owed only when the
     advice reaches the stage, ``len(values) - 1``, at which its value settles."""
+    from .realizers import cn_times_mlr_psi, cn_times_mlr_to_lay
     big_s = sc.budgets.max_stage
     instances = [("omega", []), ("skip5", [1, 3, 2, 5, 4])]
     for name in sc.random_streams[:2]:
@@ -270,6 +262,7 @@ def _cn_times_mlr(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 def _delta02_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    from .realizers import delta02_to_lay_phi, delta02_to_lay_psi
     budgets, big_s = sc.budgets, sc.budgets.max_stage
     chain = sc.chain
     t_trees = [sc.tree(n) for n in sorted(sc.trees) if n.startswith("inA")]
@@ -289,6 +282,7 @@ def _delta02_to_lay(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
 
 
 def _semidecidable_star(sc: Scenario, u: MLTest, o: RunOptions) -> Cases:
+    from .realizers import semidecidable_to_rd_star
     if "layerA" not in sc.opens:
         raise ScenarioError("semidecidable needs the 'layerA' open family")
     for name in sc.random_streams:
@@ -437,7 +431,7 @@ def _text_blocks(lines: Iterable[str | tuple]) -> Iterator[str]:
                 yield lead + ("}\n" + lead).join(digits[lo:hi]) + "}\n"
 
 
-def write_trace(path: str | Path, lines: list[str | tuple]) -> None:
+def write_trace(path: str | PathLike, lines: list[str | tuple]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_text_blocks(lines))
 
@@ -608,7 +602,7 @@ def _same_text(first: str, fh: TextIO, lines: list) -> bool:
     return not _drain(fh) and same
 
 
-def _verify_file(path: str | Path, *, quiet: bool) -> int:
+def _verify_file(path: str | PathLike, *, quiet: bool) -> int:
     """Read the trace at ``path`` once: its header line, then, after the
     replay, the rest against the regenerated text.  A byte that is not
     UTF-8 anywhere exits 4 before any other outcome, so a failed header or

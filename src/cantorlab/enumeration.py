@@ -20,8 +20,8 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import compress, groupby
 from operator import itemgetter
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from os import PathLike
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (
     BudgetError,
@@ -400,13 +400,13 @@ def _parse_schedule(entries: Iterable[Mapping]) -> list[tuple[int, str]]:
     return [(json_int(e["stage"], "stage"), e["cylinder"]) for e in entries]
 
 
-def load_scenario(source: str | Path | Mapping) -> Scenario:
+def load_scenario(source: str | PathLike | Mapping) -> Scenario:
     """Parse a scenario from a JSON file path or an already-loaded mapping.
 
     An unreadable file raises OSError or JSONDecodeError; content with a
     missing field, a wrong type or an invalid value raises ScenarioError.
     """
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     else:
@@ -415,12 +415,13 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
         raise ScenarioError("scenario must be a JSON object")
     raw = dict(raw)
     _check_nesting(raw)
+    fields: list[str] = []  # the fields read so far; a parse error is in the last
     try:
-        return _parse_scenario(raw)
+        return _parse_scenario(raw, fields)
     except KeyError as exc:
-        raise ScenarioError(f"scenario missing field {exc}") from exc
+        raise ScenarioError(f"scenario missing field {exc} in {fields[-1]}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
+        raise ScenarioError(f"malformed scenario: {fields[-1]}: {exc}") from exc
 
 
 _CONTAINER = {dict, list, tuple}.__contains__
@@ -461,13 +462,17 @@ def _unique(pairs: Iterable[tuple], what: str) -> dict:
     return out
 
 
-def _parse_scenario(raw: dict) -> Scenario:
-    budgets = Budgets.from_json(raw.get("budgets", {}))
+def _parse_scenario(raw: dict, fields: list[str]) -> Scenario:
+    def read(key: str, default: Any) -> Any:
+        fields.append(key)
+        return raw.get(key, default)
+
+    budgets = Budgets.from_json(read("budgets", {}))
     budgets.validate()  # before any test: I sizes every test built below
     big_i = budgets.max_index
 
     tests: list[MLTest] = []
-    for ti, test_entries in enumerate(raw.get("tests", [])):
+    for ti, test_entries in enumerate(read("tests", [])):
         triples = [(json_int(e["component"], "component"), json_int(e["stage"], "stage"),
                     e["cylinder"]) for e in test_entries]
         outside = [comp for comp, _, _ in triples if not 0 <= comp <= big_i]
@@ -481,17 +486,17 @@ def _parse_scenario(raw: dict) -> Scenario:
     partial = {key: _unique(((json_int(e["arg"], "arg"),
                               (json_int(e["stage"], "stage"), json_int(e["value"], "value")))
                              for e in entries), f"partial function {key}: arg")
-               for key, entries in _indexed(raw.get("partial_functions", {}), "partial function")}
+               for key, entries in _indexed(read("partial_functions", {}), "partial function")}
 
     functionals = {key: _unique((((check_bits(e["prefix"]), json_int(e["advice"], "advice")),
                                   json_int(e["value"], "value")) for e in entries),
                                 f"functional {key}: (prefix, advice)")
-                   for key, entries in _indexed(raw.get("functionals", {}), "functional")}
+                   for key, entries in _indexed(read("functionals", {}), "functional")}
 
     halting = _unique(((json_int(e["e"], "e"), json_int(e["stage"], "stage"))
-                       for e in raw.get("halting", [])), "halting entry e")
+                       for e in read("halting", [])), "halting entry e")
 
-    declared = raw.get("streams", [])
+    declared = read("streams", [])
     for k, e in enumerate(declared):
         if type(e["name"]) is not str:
             raise ScenarioError(f"streams[{k}].name must be a string, got {e['name']!r}")
@@ -502,14 +507,14 @@ def _parse_scenario(raw: dict) -> Scenario:
     randoms = [e["name"] for e in declared if e.get("random")]
 
     opens: dict[str, tuple[Enumeration, ...]] = {}
-    for name, family in sorted(raw.get("opens", {}).items()):
+    for name, family in sorted(read("opens", {}).items()):
         opens[name] = tuple(Enumeration(_parse_schedule(entries)) for entries in family)
 
     trees: dict[str, Enumeration] = {}
-    for name, entries in sorted(raw.get("trees", {}).items()):
+    for name, entries in sorted(read("trees", {}).items()):
         trees[name] = Enumeration(_parse_schedule(entries))
 
-    family = raw.get("parallel_family", [])
+    family = read("parallel_family", [])
     if type(family) is not list or any(type(name) is not str for name in family):
         raise ScenarioError(f"parallel_family must be a list of strings, got {family!r}")
 
@@ -522,11 +527,11 @@ def _parse_scenario(raw: dict) -> Scenario:
         streams=streams,
         random_streams=tuple(randoms),
         inert_functionals=frozenset(json_int(e, "inert functional")
-                                    for e in raw.get("inert_functionals", [])),
+                                    for e in read("inert_functionals", [])),
         opens=opens,
         trees=trees,
         parallel_family=tuple(family),
-        parallel_bound=json_int(raw.get("parallel_bound", 0), "parallel_bound"),
+        parallel_bound=json_int(read("parallel_bound", 0), "parallel_bound"),
         raw=raw,
     )
 

@@ -31,10 +31,11 @@ writes the trace events of a skipped stretch as one run.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Clopen,
+    Frozen,
     ScenarioError,
     SearchExhaustedError,
     first_extension_into,
@@ -362,12 +363,14 @@ def _primes(count: int) -> list[int]:
     return out
 
 
-class ChoiceRun(NamedTuple):
+class ChoiceRun(Frozen):
     """A number-choice instance produced by watching one stream's descent."""
 
-    enumerated: tuple[int, ...]
-    survivor: int | None
-    trace: ConstructionTrace
+    __slots__ = ("enumerated", "survivor", "trace")
+
+    def __init__(self, enumerated: tuple[int, ...], survivor: int | None,
+                 trace: ConstructionTrace) -> None:
+        self._set(enumerated, survivor, trace)
 
     def instance_values(self) -> list[int]:
         return [n + 1 for n in self.enumerated]
@@ -551,13 +554,12 @@ def delta02_to_lay_psi(t_trees: Sequence[CoTree], s_trees: Sequence[CoTree],
 # layerwise semi-decidable membership through two exact bounds
 # ---------------------------------------------------------------------------
 
-class SemiDecidableRun(NamedTuple):
-    g_advice: int
-    f_run: Emitter
-    f_advice: int
-    verdict: int
-    expected: int
-    trace: ConstructionTrace
+class SemiDecidableRun(Frozen):
+    __slots__ = ("g_advice", "f_run", "f_advice", "verdict", "expected", "trace")
+
+    def __init__(self, g_advice: int, f_run: Emitter, f_advice: int, verdict: int,
+                 expected: int, trace: ConstructionTrace) -> None:
+        self._set(g_advice, f_run, f_advice, verdict, expected, trace)
 
 
 def semidecidable_to_rd_star(w: MLTest, us: Sequence[Enumeration], x: Stream,

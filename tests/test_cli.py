@@ -725,13 +725,13 @@ def test_one_inner_run_per_compose_star_stream(bundle, tmp_path, monkeypatch):
     """``run --select compose_star`` runs ``rd_from_lay_phi`` once per random
     stream, for the second call's input, and never again per watermark."""
     calls = []
-    fn = cli.rd_from_lay_phi
+    fn = realizers.rd_from_lay_phi
 
     def counted(*args):
         calls.append(args[2].name)
         return fn(*args)
 
-    monkeypatch.setattr(cli, "rd_from_lay_phi", counted)
+    monkeypatch.setattr(realizers, "rd_from_lay_phi", counted)
     scenario = str(bundled_scenario(bundle))
     assert run_cli("run", "--scenario", scenario, "--select", "compose_star",
                    "--trace", str(tmp_path / "t.jsonl")) == 0
@@ -1010,7 +1010,8 @@ def _outcome(argv):
 class TestMalformedInput:
     """Edits of ``main.json`` at S=64 and of valid trace headers, at drawn
     JSON paths, never raise out of ``main``: every command exits 0-4, and 1
-    only with a FAIL line."""
+    only with a FAIL line.  A scenario error that Python raises names the
+    top-level field whose parse raised it."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -1048,3 +1049,7 @@ class TestMalformedInput:
         code, lines = _outcome(argv)
         assert code in range(5) and code != EXIT_IO  # every file can be read
         assert code != EXIT_OBLIGATION or any(line.startswith("FAIL ") for line in lines)
+        fields = "|".join(sorted(raw))
+        fieldless = re.compile(rf"malformed scenario: (?!({fields}): )"
+                               rf"|scenario missing field '\w+'(?! in ({fields})$)")
+        assert [line for line in lines if fieldless.search(line)] == []

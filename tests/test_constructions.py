@@ -1306,7 +1306,7 @@ class TestEventStageOrder:
         for fn_name in builders:
             record(cli, fn_name)
         record(realizers.Emitter, "run", lambda run: run.trace)
-        record(cli, "lay_to_cn", lambda run: run.trace)
+        record(realizers, "lay_to_cn", lambda run: run.trace)
         sc = request.getfixturevalue(f"{name}_scenario")
         for selector in SELECTORS:
             execute(sc, selector)
