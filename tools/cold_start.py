@@ -105,6 +105,8 @@ def main(argv: list[str] | None = None) -> int:
     modules, codes = {}, set()
     for name, tree in trees.items():  # one untimed start each, for the census
         _, code, err = child(tree, args, census=True)
+        if CENSUS not in err:
+            raise SystemExit(f"--{name}: the child failed:\n{err}")
         codes.add(code)
         modules[name] = int(err.rsplit(CENSUS, 1)[1].split()[0])
     times: dict[str, list[float]] = {"parent": [], "change": []}
