@@ -36,6 +36,7 @@ from .enumeration import (
     Budgets,
     MLTest,
     Scenario,
+    effective_top,
     index_shift,
     load_scenario,
     replace_component,
@@ -445,54 +446,44 @@ def read_header(line: str) -> dict:
     return rec["payload"]
 
 
-def _apply_budget_overrides(sc: Scenario, budgets_json: dict) -> Scenario:
-    new = Budgets.from_json(budgets_json)
-    if new == sc.budgets:
-        return sc
-    raw = dict(sc.raw)
-    raw["budgets"] = budgets_json
-    return load_scenario(raw)
-
-
-def produce(sc: Scenario, budgets_json: dict, selector: object, grace: object,
-            sigma_stages: object, stride: object
-            ) -> tuple[Scenario, ConstructionTrace, list]:
-    """Check the run options, apply the budgets, run the selector and
-    serialize its trace.  ``run`` and verify's replay both go through here,
-    so a trace and its replay come from the same code; bad options raise
-    ScenarioError."""
+def produce(sc: Scenario, selector: object, grace: object, sigma_stages: object,
+            stride: object) -> tuple[ConstructionTrace, list]:
+    """Check the run options (ScenarioError), run the selector and serialize
+    its trace: ``run`` and verify's replay both go through here, so a trace
+    and its replay come from the same code."""
     if not isinstance(selector, str) or selector not in SELECTORS:
         raise ScenarioError(f"unknown selector {selector!r}; "
                             "see list-constructions")
     for name, value, least in (("grace", grace, 0), ("sigma_stages", sigma_stages, 1)):
-        if value is not None and json_int(value, name) < least:
-            raise ScenarioError(f"{name} must be at least {least}, got {value!r}")
-    if json_int(stride, "stride") < 1:
-        raise ScenarioError(f"stride must be a positive integer, got {stride!r}")
-    sc = _apply_budget_overrides(sc, budgets_json)
+        if value is not None:
+            json_int(value, name, least)
+    json_int(stride, "stride", 1)
     validate_scenario(sc)
     trace = execute(sc, selector, grace=grace, sigma_stages=sigma_stages,
                     stride=stride)
     lines = trace_lines(sc, selector, trace, grace=grace,
                         sigma_stages=sigma_stages, stride=stride)
-    return sc, trace, lines
+    return trace, lines
 
 
 def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list]:
-    """Re-run the selector a trace header describes; a malformed header, or
-    one of another trace format, raises ScenarioError."""
+    """Re-run the selector a trace header describes, with its budgets; a
+    malformed header, or one of another trace format, raises ScenarioError."""
     try:
         fmt = header["format"]
         if type(fmt) is not int or fmt != TRACE_FORMAT:
             raise ScenarioError(f"trace format {fmt!r} is not {TRACE_FORMAT}")
-        selector, budgets_json = header["selector"], header["budgets"]
-        raw = header["scenario"]
+        selector, budgets, raw = header["selector"], header["budgets"], header["scenario"]
     except KeyError as exc:
         raise ScenarioError(f"trace header missing field {exc}") from None
     if not isinstance(raw, dict):  # a path would be read from disk
         raise ScenarioError("trace header scenario must be a JSON object")
-    return produce(load_scenario(raw), budgets_json, selector, header.get("grace"),
-                   header.get("sigma_stages"), header.get("stride", 1))
+    sc = load_scenario(raw, Budgets.from_json(budgets).to_json())
+    own = Budgets.from_json(raw.get("budgets", {})).max_index  # the I of the file run read
+    if any(effective_top(t) > own for t in sc.tests):
+        raise ScenarioError(f"tests schedule a component above the scenario's own I={own}")
+    return (sc, *produce(sc, selector, header.get("grace"), header.get("sigma_stages"),
+                         header.get("stride", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,34 +526,14 @@ def _step(step: str, fn: Callable, *args):
         raise
 
 
-def _read_scenario(path: str, overrides: dict[str, int]) -> Scenario:
-    """The scenario file at ``path`` with ``overrides`` applied to its
-    budgets before it is parsed, so that its tests are checked against the
-    budgets the run uses.  The file's budgets are kept as they are when no
-    override changes them, and when they do not load on their own: the
-    full load then reports them."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):  # load_scenario reads a string as a path
-        raise ScenarioError("scenario must be a JSON object")
-    if overrides:
-        try:
-            old = load_scenario({"budgets": raw.get("budgets", {})}).budgets.to_json()
-        except ScenarioError:
-            return load_scenario(raw)
-        if {**old, **overrides} != old:
-            raw = {**raw, "budgets": {**old, **overrides}}
-    return load_scenario(raw)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.verify and not args.trace:
         raise ScenarioError("--verify needs --trace")
     overrides = {key: value for key, value in (
         ("S", args.stages), ("K", args.depth), ("I", args.max_index)) if value is not None}
-    sc = _step("read scenario", _read_scenario, args.scenario, overrides)
-    sc, trace, lines = _step("run", produce, sc, sc.budgets.to_json(), args.select,
-                             args.grace, args.sigma_stages, args.stride)
+    sc = _step("read scenario", load_scenario, args.scenario, overrides)
+    trace, lines = _step("run", produce, sc, args.select, args.grace,
+                         args.sigma_stages, args.stride)
     if args.trace:
         _step("write trace", write_trace, args.trace, lines)
     else:

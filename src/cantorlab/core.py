@@ -46,12 +46,24 @@ class ScenarioError(CantorError):
     """A scenario file failed validation."""
 
 
-def json_int(value: object, name: str) -> int:
-    """``value`` if it is a JSON integer, an ``int`` but not a ``bool``;
-    otherwise ScenarioError naming ``name``."""
-    if type(value) is int:
+def json_int(value: object, name: str, least: int | None = None,
+             most: int | None = None) -> int:
+    """``value`` if it is a JSON integer (not a ``bool``) in ``least..most``,
+    a bound that is None unchecked; otherwise ScenarioError naming ``name``."""
+    if type(value) is int and (least is None or least <= value) and (
+            most is None or value <= most):
         return value
-    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    bounds = "" if least is None else f" >= {least}" if most is None else f" in {least}..{most}"
+    raise ScenarioError(f"{name} must be an integer{bounds}, got {value!r}")
+
+
+def json_bits(value: object, name: str, most: int | None = None) -> str:
+    """``value`` if it is a string over {'0','1'} of at most ``most``
+    characters (None: any length); otherwise ScenarioError naming ``name``."""
+    if type(value) is str and not value.strip("01") and (most is None or len(value) <= most):
+        return value
+    cap = "" if most is None else f" of at most {most} bits"
+    raise ScenarioError(f"{name} must be a binary string{cap}, got {value!r}")
 
 
 class Frozen:

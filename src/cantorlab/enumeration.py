@@ -17,7 +17,7 @@ from __future__ import annotations
 import gc
 import json
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, groupby
 from operator import itemgetter
 from os import PathLike
@@ -35,6 +35,7 @@ from .core import (
     _merge_spans,
     check_bits,
     intersect_all,  # noqa: F401  unused; perfbench/test_perfbench.py patches it here
+    json_bits,
     json_int,
 )
 from .deficiency import CoTree, Stream, rd_at_stage
@@ -310,19 +311,16 @@ class Budgets(Frozen):
                 f"stratification head 1^(I+2) must fit the depth")
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "Budgets":
+    def from_json(cls, obj: object) -> "Budgets":
+        """``{"I", "S", "K", "L"}``, ``L`` defaulting to ``K // 2``, unvalidated."""
         try:
-            depth = json_int(obj["K"], "budget K")
-            return cls(
-                max_index=json_int(obj["I"], "budget I"),
-                max_stage=json_int(obj["S"], "budget S"),
-                max_depth=depth,
-                max_layers=json_int(obj.get("L", depth // 2), "budget L"),
-            )
+            depth = json_int(_typed(obj, dict)["K"], ".K")
+            return cls(json_int(obj["I"], ".I"), json_int(obj["S"], ".S"), depth,
+                       json_int(obj.get("L", depth // 2), ".L"))
         except KeyError as exc:
-            raise ScenarioError(f"budgets missing field {exc}") from exc
-        except (TypeError, AttributeError) as exc:
-            raise ScenarioError(f"malformed budgets: {exc}") from exc
+            raise ScenarioError(f"budgets.{exc.args[0]} is missing") from None
+        except ScenarioError as exc:
+            raise ScenarioError(f"budgets{exc}") from None
 
     def to_json(self) -> dict:
         return {"I": self.max_index, "S": self.max_stage,
@@ -395,17 +393,13 @@ class Scenario:
             raise ScenarioError(f"unknown tree {name!r}") from None
 
 
-def _parse_schedule(entries: Iterable[Mapping]) -> list[tuple[int, str]]:
-    """The (stage, cylinder) pairs; ``Enumeration`` checks the cylinders."""
-    return [(json_int(e["stage"], "stage"), e["cylinder"]) for e in entries]
-
-
-def load_scenario(source: str | PathLike | Mapping) -> Scenario:
-    """Parse a scenario from a JSON file path or an already-loaded mapping.
-
-    An unreadable file raises OSError or JSONDecodeError; content with a
-    missing field, a wrong type or an invalid value raises ScenarioError.
-    """
+def load_scenario(source: str | PathLike | Mapping,
+                  overrides: Mapping[str, int] | None = None) -> Scenario:
+    """Read a scenario from a JSON file path or an already-loaded mapping:
+    check its budgets, merge ``overrides`` (``{"S": 64}``) into them and
+    read every other field against the result.  An unreadable file raises
+    OSError or JSONDecodeError; a value that is missing, of the wrong JSON
+    type or out of range raises ScenarioError naming its JSON path first."""
     if isinstance(source, (str, PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -415,13 +409,13 @@ def load_scenario(source: str | PathLike | Mapping) -> Scenario:
         raise ScenarioError("scenario must be a JSON object")
     raw = dict(raw)
     _check_nesting(raw)
-    fields: list[str] = []  # the fields read so far; a parse error is in the last
-    try:
-        return _parse_scenario(raw, fields)
-    except KeyError as exc:
-        raise ScenarioError(f"scenario missing field {exc} in {fields[-1]}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ScenarioError(f"malformed scenario: {fields[-1]}: {exc}") from exc
+    budgets = Budgets.from_json(raw.get("budgets", {}))
+    budgets.validate()  # before any test: I sizes every test read below
+    if overrides and {**budgets.to_json(), **overrides} != budgets.to_json():
+        raw["budgets"] = {**budgets.to_json(), **overrides}
+        budgets = Budgets.from_json(raw["budgets"])
+        budgets.validate()
+    return _read_scenario(raw, budgets)
 
 
 _CONTAINER = {dict, list, tuple}.__contains__
@@ -444,142 +438,140 @@ def _check_nesting(raw: dict) -> None:
         depth += 1
 
 
-def _indexed(table: Mapping, what: str) -> list[tuple[int, object]]:
-    """The items of a table keyed by indices in plain decimal, in index order."""
-    for key in table:
-        if not (type(key) is str and key.isdecimal() and str(int(key)) == key):
-            raise ScenarioError(f"{what} key {key!r} is not a canonical index")
-    return sorted((int(key), value) for key, value in table.items())
+# The typed reader.  A reader of a JSON value raises ScenarioError whose
+# message begins with the fault's path below the value (empty, ".key" or
+# "[k]"); the enclosing reader prefixes its own key, on failure only.
 
+def _read_scenario(raw: dict, budgets: Budgets) -> Scenario:
+    big_i, big_s, big_k = budgets.max_index, budgets.max_stage, budgets.max_depth
 
-def _unique(pairs: Iterable[tuple], what: str) -> dict:
-    """The dict of ``pairs``; a key that appears twice raises ScenarioError."""
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise ScenarioError(f"{what} {key!r} appears twice")
-        out[key] = value
-    return out
+    def entry(e: dict, cap: int | None = None) -> tuple[int, str]:  # no cap: opens, trees
+        return json_int(e["stage"], ".stage", 0, cap), json_bits(e["cylinder"], ".cylinder", big_k)
 
+    def schedule(entries: object) -> Enumeration:
+        return Enumeration._copied(_each(entries, entry, True))
 
-def _parse_scenario(raw: dict, fields: list[str]) -> Scenario:
-    def read(key: str, default: Any) -> Any:
-        fields.append(key)
-        return raw.get(key, default)
+    def test(entries: object) -> MLTest:
+        schedules: list[list[tuple[int, str]]] = [[] for _ in range(big_i + 1)]
+        for comp, pair in _each(entries, lambda e: (
+                json_int(e["component"], ".component", 0, big_i), entry(e, big_s)), True):
+            schedules[comp].append(pair)
+        try:
+            return MLTest([Enumeration._copied(s) for s in schedules])
+        except BudgetError as exc:
+            raise ScenarioError(f" {exc}") from None
 
-    budgets = Budgets.from_json(read("budgets", {}))
-    budgets.validate()  # before any test: I sizes every test built below
-    big_i = budgets.max_index
+    def partial_entry(e: dict) -> tuple[int, tuple[int, int]]:
+        return json_int(e["arg"], ".arg"), (json_int(e["stage"], ".stage", 0, big_s),
+                                           json_int(e["value"], ".value"))
 
-    tests: list[MLTest] = []
-    for ti, test_entries in enumerate(read("tests", [])):
-        triples = [(json_int(e["component"], "component"), json_int(e["stage"], "stage"),
-                    e["cylinder"]) for e in test_entries]
-        outside = [comp for comp, _, _ in triples if not 0 <= comp <= big_i]
-        if outside:
-            raise ScenarioError(
-                f"test {ti} schedules component {outside[0]} outside 0..I={big_i}")
-        comps = [Enumeration([(s, c) for comp, s, c in triples if comp == i])
-                 for i in range(big_i + 1)]
-        tests.append(MLTest(comps))
+    def functional_entry(e: dict) -> tuple[tuple[str, int], int]:
+        return ((json_bits(e["prefix"], ".prefix", big_k), json_int(e["advice"], ".advice")),
+                json_int(e["value"], ".value"))
 
-    partial = {key: _unique(((json_int(e["arg"], "arg"),
-                              (json_int(e["stage"], "stage"), json_int(e["value"], "value")))
-                             for e in entries), f"partial function {key}: arg")
-               for key, entries in _indexed(read("partial_functions", {}), "partial function")}
+    def functional_index(value: object) -> int:
+        if json_int(value, "") not in functionals:
+            raise ScenarioError(f" must be the index of a functional, got {value!r}")
+        return value
 
-    functionals = {key: _unique((((check_bits(e["prefix"]), json_int(e["advice"], "advice")),
-                                  json_int(e["value"], "value")) for e in entries),
-                                f"functional {key}: (prefix, advice)")
-                   for key, entries in _indexed(read("functionals", {}), "functional")}
-
-    halting = _unique(((json_int(e["e"], "e"), json_int(e["stage"], "stage"))
-                       for e in read("halting", [])), "halting entry e")
-
-    declared = read("streams", [])
-    for k, e in enumerate(declared):
-        if type(e["name"]) is not str:
-            raise ScenarioError(f"streams[{k}].name must be a string, got {e['name']!r}")
-        if type(e.get("random", False)) is not bool:
-            raise ScenarioError(f"streams[{k}].random must be a boolean, got {e['random']!r}")
-    streams = _unique(((e["name"], Stream(name=e["name"], pad=e.get("pad", ""),
-                                          period=e["period"])) for e in declared), "stream")
-    randoms = [e["name"] for e in declared if e.get("random")]
-
-    opens: dict[str, tuple[Enumeration, ...]] = {}
-    for name, family in sorted(read("opens", {}).items()):
-        opens[name] = tuple(Enumeration(_parse_schedule(entries)) for entries in family)
-
-    trees: dict[str, Enumeration] = {}
-    for name, entries in sorted(read("trees", {}).items()):
-        trees[name] = Enumeration(_parse_schedule(entries))
-
-    family = read("parallel_family", [])
-    if type(family) is not list or any(type(name) is not str for name in family):
-        raise ScenarioError(f"parallel_family must be a list of strings, got {family!r}")
-
+    tests = _field(raw, "tests", [], _each, test)
+    if not tests:
+        raise ScenarioError("tests must be a non-empty list, got []")
+    functionals = _field(raw, "functionals", {}, _each_key, True, _unique, " (prefix, advice)",
+                         functional_entry)
+    streams = _field(raw, "streams", [], _unique, ".name", _stream)
     return Scenario(
         budgets=budgets,
         tests=tuple(tests),
-        partial_functions=partial,
+        partial_functions=_field(raw, "partial_functions", {}, _each_key, True, _unique, ".arg",
+                                 partial_entry),
         functionals=functionals,
-        halting=halting,
-        streams=streams,
-        random_streams=tuple(randoms),
-        inert_functionals=frozenset(json_int(e, "inert functional")
-                                    for e in read("inert_functionals", [])),
-        opens=opens,
-        trees=trees,
-        parallel_family=tuple(family),
-        parallel_bound=json_int(read("parallel_bound", 0), "parallel_bound"),
+        halting=_field(raw, "halting", [], _unique, ".e", lambda e: (
+            json_int(e["e"], ".e"), json_int(e["stage"], ".stage", 0, big_s))),
+        streams={name: x for name, (x, _) in streams.items()},
+        random_streams=tuple(name for name, (_, random) in streams.items() if random),
+        inert_functionals=frozenset(_field(raw, "inert_functionals", [], _each,
+                                           functional_index)),
+        opens={name: tuple(family) for name, family in _field(
+            raw, "opens", {}, _each_key, False, _each, schedule).items()},
+        trees=_field(raw, "trees", {}, _each_key, False, schedule),
+        parallel_family=tuple(_field(raw, "parallel_family", [], _each,
+                                     partial(_typed, kind=str))),
+        parallel_bound=_field(raw, "parallel_bound", 0, json_int, ""),
         raw=raw,
     )
 
 
+def _field(raw: dict, key: str, default: object, read: Callable, *args: object) -> Any:
+    """``read(raw[key], *args)``, ``default`` standing in for a missing key."""
+    try:
+        return read(raw.get(key, default), *args)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{key}{exc}") from None
+
+
+def _each(values: object, read: Callable, records: bool = False) -> list:
+    """``read(value)`` of each value of a JSON list, of objects if ``records``."""
+    out = []
+    for k, value in enumerate(_typed(values, list)):
+        try:
+            if records and type(value) is not dict:
+                raise ScenarioError(f" must be an object, got {value!r}")
+            out.append(read(value))
+        except KeyError as exc:
+            raise ScenarioError(f"[{k}].{exc.args[0]} is missing") from None
+        except ScenarioError as exc:
+            raise ScenarioError(f"[{k}]{exc}") from None
+    return out
+
+
+def _each_key(table: object, indexed: bool, read: Callable, *args: object) -> dict:
+    """``{key: read(value, *args)}`` of a JSON object, in key order; the keys
+    of an ``indexed`` table are indices in plain decimal, read as ints."""
+    out = {}
+    for key, value in sorted(_typed(table, dict).items()):
+        if indexed and not (key.isdecimal() and str(int(key)) == key):
+            raise ScenarioError(f" keys must be indices in plain decimal, got {key!r}")
+        try:
+            out[int(key) if indexed else key] = read(value, *args)
+        except ScenarioError as exc:
+            raise ScenarioError(f".{key}{exc}") from None
+    return dict(sorted(out.items())) if indexed else out
+
+
+def _unique(values: object, what: str, read: Callable) -> dict:
+    """The dict of the (key, value) pairs ``read`` makes of a list's objects."""
+    out: dict = {}
+    for k, (key, value) in enumerate(_each(values, read, True)):
+        if key in out:
+            raise ScenarioError(f"[{k}]{what} {key!r} appears twice")
+        out[key] = value
+    return out
+
+
+def _typed(value: object, kind: type, name: str = "") -> Any:
+    """``value`` if its type is ``kind``; otherwise ScenarioError naming ``name``."""
+    if type(value) is kind:
+        return value
+    noun = {list: "a list", dict: "an object", str: "a string", bool: "a boolean"}[kind]
+    raise ScenarioError(f"{name} must be {noun}, got {value!r}")
+
+
+def _stream(e: dict) -> tuple[str, tuple[Stream, bool]]:
+    """A stream declaration's name, then its stream and ``random`` flag."""
+    period = json_bits(e["period"], ".period")
+    if not period:
+        raise ScenarioError(".period must be a non-empty binary string, got ''")
+    return _typed(e["name"], str, ".name"), (Stream(e["name"], json_bits(
+        e.get("pad", ""), ".pad"), period), _typed(e.get("random", False), bool, ".random"))
+
+
 def validate_scenario(sc: Scenario) -> None:
-    """Check budgets, schedules, stream declarations, and the padding reservoir.
-
-    Raises ScenarioError on structural violations and SearchExhaustedError if
-    the padding reservoir (a cylinder inside every universal component's
-    stage-0 view) is missing.
-    """
+    """Check what the universal test decides: SearchExhaustedError if the
+    padding reservoir, a cylinder inside every contentful component's
+    stage-0 view, is missing; ScenarioError for a captured random stream or
+    a parallel family member that is no random stream within the bound."""
     b = sc.budgets
-    b.validate()
-    if not sc.tests:
-        raise ScenarioError("scenario registers no tests")
-    for ti, t in enumerate(sc.tests):
-        for i, comp in enumerate(t.components):
-            for s, c in comp.schedule:
-                if s > b.max_stage:
-                    raise ScenarioError(
-                        f"test {ti} component {i}: stage {s} exceeds S={b.max_stage}")
-                if len(c) > b.max_depth:
-                    raise ScenarioError(
-                        f"test {ti} component {i}: cylinder {c!r} deeper than K={b.max_depth}")
-        t.ensure_budget()
-    for e, table in sc.partial_functions.items():
-        for arg, (stage, _value) in table.items():
-            if stage > b.max_stage:
-                raise ScenarioError(
-                    f"partial function {e} arg {arg}: stage {stage} exceeds S")
-    for e, table in sc.functionals.items():
-        for (prefix, _advice) in table:
-            if len(prefix) > b.max_depth:
-                raise ScenarioError(f"functional {e}: prefix {prefix!r} deeper than K")
-    for e, stage in sc.halting.items():
-        if stage > b.max_stage:
-            raise ScenarioError(f"halting entry {e}: stage {stage} exceeds S")
-    unknown_inert = sc.inert_functionals - set(sc.functionals)
-    if unknown_inert:
-        raise ScenarioError(f"inert declaration for unknown functionals {sorted(unknown_inert)}")
-    for name, fam in sc.opens.items():
-        for enum in fam:
-            if enum.max_length() > b.max_depth:
-                raise ScenarioError(f"open family {name!r} deeper than K")
-    for name, enum in sc.trees.items():
-        if enum.max_length() > b.max_depth:
-            raise ScenarioError(f"tree {name!r} deeper than K")
-
     surrogate = sc.universal
     top = effective_top(surrogate)
 

@@ -318,6 +318,88 @@ class TestStreamName:
         assert captured.out == ""
 
 
+class TestFieldPaths:
+    """Each call site of the scenario reader rejects a value of the wrong
+    JSON type, a missing key or a value out of range with exit 2 and a
+    message that begins with the value's JSON path, from ``run`` and from
+    ``verify``'s replay of a trace whose header holds the same edit."""
+
+    ROWS = [
+        (lambda r: r["budgets"].update(S="512"), "budgets.S must be an integer, got '512'"),
+        (lambda r: r["tests"][0][3].pop("stage"), "tests[0][3].stage is missing"),
+        (lambda r: r["partial_functions"]["1"][2].update(value="x"),
+         "partial_functions.1[2].value must be an integer, got 'x'"),
+        (lambda r: r["functionals"]["2"][0].update(prefix="0" * 65),
+         f"functionals.2[0].prefix must be a binary string of at most 64 bits, "
+         f"got '{'0' * 65}'"),
+        (lambda r: r["halting"][1].pop("e"), "halting[1].e is missing"),
+        (lambda r: r["streams"][2].update(name=None),
+         "streams[2].name must be a string, got None"),
+        (lambda r: r["streams"][1].update(pad="0120"),
+         "streams[1].pad must be a binary string, got '0120'"),
+        (lambda r: r["streams"][3].update(period=""),
+         "streams[3].period must be a non-empty binary string, got ''"),
+        (lambda r: r["streams"][0].update(random="yes"),
+         "streams[0].random must be a boolean, got 'yes'"),
+        (lambda r: r["opens"]["layerA"][2][1].update(stage=-1),
+         "opens.layerA[2][1].stage must be an integer >= 0, got -1"),
+        (lambda r: r["trees"]["positive"].__setitem__(1, "11"),
+         "trees.positive[1] must be an object, got '11'"),
+        (lambda r: r["parallel_family"].__setitem__(2, None),
+         "parallel_family[2] must be a string, got None"),
+        (lambda r: r["inert_functionals"].append(9),
+         "inert_functionals[2] must be the index of a functional, got 9"),
+        (lambda r: r.update(parallel_bound="2"), "parallel_bound must be an integer, got '2'"),
+    ]
+    IDS = ["budgets", "tests", "partial_functions", "functionals", "halting",
+           "streams_name", "streams_pad", "streams_period", "streams_random", "opens",
+           "trees", "parallel_family", "inert_functionals", "parallel_bound"]
+
+    @pytest.fixture(scope="class")
+    def header(self, tmp_path_factory):
+        trace = tmp_path_factory.mktemp("paths") / "t.jsonl"
+        assert _outcome(["run", "--scenario", MAIN, "--select", "lemma31",
+                         "--trace", str(trace)])[0] == 0
+        return trace.read_text().split("\n", 1)
+
+    @pytest.mark.parametrize("edit, message", ROWS, ids=IDS)
+    def test_run(self, edit, message, tmp_path):
+        raw = json.load(open(MAIN))
+        edit(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert _outcome(["run", "--scenario", str(path), "--select", "lemma31"]) == (
+            EXIT_VALIDATION, [f"error: validation: {message}"])
+
+    @pytest.mark.parametrize("edit, message", ROWS, ids=IDS)
+    def test_verify(self, edit, message, header, tmp_path):
+        first, rest = header
+        rec = json.loads(first)
+        edit(rec["payload"]["scenario"])
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps(rec) + "\n" + rest)
+        assert _outcome(["verify", "--trace", str(trace)]) == (
+            EXIT_VALIDATION, [f"error: validation: replay: {message}"])
+
+    @pytest.mark.parametrize("selector, edit, message", [
+        ("thm410", lambda r: r["halting"][0].update(stage=-5),
+         "halting[0].stage must be an integer in 0..512, got -5"),
+        ("thm33", lambda r: r["partial_functions"]["0"][0].update(stage=-2),
+         "partial_functions.0[0].stage must be an integer in 0..512, got -2"),
+    ], ids=["halting", "partial_functions"])
+    def test_negative_stage(self, selector, edit, message, tmp_path):
+        """A table's stage is at least 0, as a schedule's is: the run stops
+        before it writes a trace."""
+        raw = json.load(open(MAIN))
+        edit(raw)
+        path, trace = tmp_path / "bad.json", tmp_path / "t.jsonl"
+        path.write_text(json.dumps(raw))
+        assert _outcome(["run", "--scenario", str(path), "--select", selector,
+                         "--trace", str(trace), "--verify"]) == (
+            EXIT_VALIDATION, [f"error: validation: {message}"])
+        assert not trace.exists()
+
+
 def _full_grid_sweep(tests, budgets, stride):
     """Reference: compare the measure at every grid point."""
     ok, checks = {}, 0
@@ -425,8 +507,8 @@ class TestVerify:
         # the same edit in the header's scenario repeats an entry of functional 0
         bad.write_text(header.replace('"00000000"', '"00000001"', 1) + "\n" + body)
         assert run_cli("verify", "--trace", str(bad), "--quiet") == EXIT_VALIDATION
-        assert "functional 0: (prefix, advice) ('00000001', 0) appears twice" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err == ("error: validation: replay: functionals.0[5] "
+                                           "(prefix, advice) ('00000001', 0) appears twice\n")
 
     def test_failed_obligation_shows_its_data(self, tmp_path, capsys,
                                               monkeypatch):
@@ -518,8 +600,7 @@ class TestVerify:
     def test_not_utf8_inside_a_run(self, cn_trace, capsys):
         """The compare reads a run's expanded text from the file, and an
         unreadable byte there exits 4."""
-        sc = load_scenario(MAIN)
-        _, _, lines = cli.produce(sc, sc.budgets.to_json(), "cn_times_mlr", None, None, 1)
+        _, lines = cli.produce(load_scenario(MAIN), "cn_times_mlr", None, None, 1)
         k, (head, first, stop) = next((k, e) for k, e in enumerate(lines)
                                       if type(e) is tuple and e[2] - e[1] > 2)
         before = "".join(_text_blocks(lines[:k] + [(head, first, (first + stop) // 2)]))
@@ -644,6 +725,23 @@ class TestVerify:
         assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             "error: validation: replay: budget I=5000 outside 0..64\n")
+
+    def test_header_scenario_keeps_its_own_index_budget(self, tmp_path, capsys):
+        """The header's budgets apply to its scenario as run's overrides do,
+        but its tests must fit the scenario's own I, which every header run
+        writes satisfies: a component above it exits 2, not a replay that
+        differs."""
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "lemma31",
+                       "--trace", str(trace)) == 0
+        header, *rest = trace.read_text().splitlines()
+        rec = json.loads(header)
+        rec["payload"]["scenario"]["budgets"]["I"] = 8
+        trace.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("error: validation: replay: tests schedule a "
+                                           "component above the scenario's own I=8\n")
 
     @pytest.mark.parametrize("selector", sorted(SELECTORS))
     def test_round_trip_under_overrides(self, selector, tmp_path, capsys):
@@ -1007,11 +1105,24 @@ def _outcome(argv):
     return code, (out.getvalue() + err.getvalue()).splitlines()
 
 
+def _names_missing_key(doc, path):
+    """Whether ``path`` (``tests[0][3].stage``) leads, from ``doc``, to an
+    object without the path's last key."""
+    *keys, last = [int(k) if k.isdecimal() and "[" in m else k for m in
+                   re.findall(r"\[\d+\]|[^.[\]]+", path) for k in [m.strip("[]")]]
+    for key in keys:
+        if not isinstance(doc, (dict, list)) or (
+                key not in doc if isinstance(doc, dict) else not 0 <= key < len(doc)):
+            return False
+        doc = doc[key]
+    return isinstance(doc, dict) and last not in doc
+
+
 class TestMalformedInput:
     """Edits of ``main.json`` at S=64 and of valid trace headers, at drawn
     JSON paths, never raise out of ``main``: every command exits 0-4, and 1
-    only with a FAIL line.  A scenario error that Python raises names the
-    top-level field whose parse raised it."""
+    only with a FAIL line.  No message is a bare ``malformed scenario:``,
+    and a missing key is named by its full JSON path."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -1049,7 +1160,9 @@ class TestMalformedInput:
         code, lines = _outcome(argv)
         assert code in range(5) and code != EXIT_IO  # every file can be read
         assert code != EXIT_OBLIGATION or any(line.startswith("FAIL ") for line in lines)
-        fields = "|".join(sorted(raw))
-        fieldless = re.compile(rf"malformed scenario: (?!({fields}): )"
-                               rf"|scenario missing field '\w+'(?! in ({fields})$)")
-        assert [line for line in lines if fieldless.search(line)] == []
+        assert [line for line in lines if "malformed scenario:" in line] == []
+        doc = json.loads(path.read_text().split("\n", 1)[0])
+        roots = [""] if argv[0] == "run" else ["payload.", "payload.scenario."]
+        for line in lines:
+            if missing := re.fullmatch(r"error: validation: (?:replay: )?(\S+) is missing", line):
+                assert any(_names_missing_key(doc, root + missing[1]) for root in roots), line

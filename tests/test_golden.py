@@ -88,9 +88,8 @@ def test_cn_times_mlr_trace_at_the_stage_cap():
     of ``stable`` events crosses every thousand of the stage numbers and
     reaches the 7-digit stage 10^6.  The text is hashed a block at a time,
     so it is never held whole and no file is written."""
-    sc = _scenario("main")
-    budgets = dict(sc.budgets.to_json(), S=10**6)
-    _, _, lines = produce(sc, budgets, "cn_times_mlr", None, None, 1)
+    sc = load_scenario(bundled_scenario("main"), {"S": 10**6})
+    _, lines = produce(sc, "cn_times_mlr", None, None, 1)
     digest, size, count = hashlib.sha256(), 0, 0
     for block in _text_blocks(lines):
         data = block.encode("utf-8")

@@ -711,9 +711,8 @@ def test_cn_times_mlr_trace_entries_do_not_grow_with_stage_budget():
     raw = json.loads(bundled_scenario("main").read_text(encoding="utf-8"))
     own, sizes = raw["budgets"]["S"], {}
     for stages in (own, 10 ** 5):
-        raw["budgets"]["S"] = stages
-        _, trace, lines = produce(load_scenario(raw), raw["budgets"], "cn_times_mlr",
-                                  None, None, 1)
+        trace, lines = produce(load_scenario(raw, {"S": stages}), "cn_times_mlr",
+                               None, None, 1)
         sizes[stages] = (len(trace.events), len(lines))
     assert trace.event_count() >= 4 * 10 ** 5
     assert sizes[own] == sizes[10 ** 5] and max(sizes[own]) < 200
