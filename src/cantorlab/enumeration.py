@@ -61,8 +61,8 @@ class Enumeration:
 
     @classmethod
     def _copied(cls, schedule: Iterable[tuple[int, str]]) -> "Enumeration":
-        """The enumeration of pairs taken from checked enumerations, each
-        cylinder kept or re-rooted below a binary string: none is checked again."""
+        """The enumeration of checked pairs, read by the scenario reader or taken
+        from checked enumerations and kept or re-rooted: none is checked again."""
         e = cls.__new__(cls)
         e._set({(st, len(c), c) for st, c in schedule})
         return e

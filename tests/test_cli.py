@@ -1108,14 +1108,14 @@ def _outcome(argv):
 def _names_missing_key(doc, path):
     """Whether ``path`` (``tests[0][3].stage``) leads, from ``doc``, to an
     object without the path's last key."""
-    *keys, last = [int(k) if k.isdecimal() and "[" in m else k for m in
-                   re.findall(r"\[\d+\]|[^.[\]]+", path) for k in [m.strip("[]")]]
+    *keys, last = [int(m[1:-1]) if m[0] == "[" else m
+                   for m in re.findall(r"\[\d+\]|[^.[\]]+", path)]
     for key in keys:
-        if not isinstance(doc, (dict, list)) or (
-                key not in doc if isinstance(doc, dict) else not 0 <= key < len(doc)):
+        if not (type(doc) is dict and key in doc
+                or type(doc) is list and type(key) is int and key < len(doc)):
             return False
         doc = doc[key]
-    return isinstance(doc, dict) and last not in doc
+    return type(doc) is dict and last not in doc
 
 
 class TestMalformedInput:
