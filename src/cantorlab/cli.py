@@ -479,7 +479,7 @@ def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list]:
     if not isinstance(raw, dict):  # a path would be read from disk
         raise ScenarioError("trace header scenario must be a JSON object")
     sc = load_scenario(raw, Budgets.from_json(budgets).to_json())
-    own = Budgets.from_json(raw.get("budgets", {})).max_index  # the I of the file run read
+    own = Budgets.from_json(raw["budgets"]).max_index  # the I of the file run read
     if any(effective_top(t) > own for t in sc.tests):
         raise ScenarioError(f"tests schedule a component above the scenario's own I={own}")
     return (sc, *produce(sc, selector, header.get("grace"), header.get("sigma_stages"),

@@ -409,7 +409,9 @@ def load_scenario(source: str | PathLike | Mapping,
         raise ScenarioError("scenario must be a JSON object")
     raw = dict(raw)
     _check_nesting(raw)
-    budgets = Budgets.from_json(raw.get("budgets", {}))
+    if "budgets" not in raw:
+        raise ScenarioError("budgets is missing")
+    budgets = Budgets.from_json(raw["budgets"])
     budgets.validate()  # before any test: I sizes every test read below
     if overrides and {**budgets.to_json(), **overrides} != budgets.to_json():
         raw["budgets"] = {**budgets.to_json(), **overrides}
@@ -526,8 +528,7 @@ def _each(values: object, read: Callable, records: bool = False) -> list:
 
 
 def _each_key(table: object, indexed: bool, read: Callable, *args: object) -> dict:
-    """``{key: read(value, *args)}`` of a JSON object, in key order; the keys
-    of an ``indexed`` table are indices in plain decimal, read as ints."""
+    """``{key: read(value, *args)}`` of a JSON object by key; ``indexed``: decimal int keys."""
     out = {}
     for key, value in sorted(_typed(table, dict).items()):
         if indexed and not (key.isdecimal() and str(int(key)) == key):
@@ -559,11 +560,10 @@ def _typed(value: object, kind: type, name: str = "") -> Any:
 
 def _stream(e: dict) -> tuple[str, tuple[Stream, bool]]:
     """A stream declaration's name, then its stream and ``random`` flag."""
-    period = json_bits(e["period"], ".period")
-    if not period:
+    if not json_bits(e["period"], ".period"):
         raise ScenarioError(".period must be a non-empty binary string, got ''")
     return _typed(e["name"], str, ".name"), (Stream(e["name"], json_bits(
-        e.get("pad", ""), ".pad"), period), _typed(e.get("random", False), bool, ".random"))
+        e.get("pad", ""), ".pad"), e["period"]), _typed(e.get("random", False), bool, ".random"))
 
 
 def validate_scenario(sc: Scenario) -> None:
