@@ -17,11 +17,11 @@ columns are the start-up cost of the source's size.  Pass another
 checkout's package as ``--src`` to compare two trees on the same machine.
 
 Garbage collection is off while it times, as in ``timeit``.  Resolution,
-measured on a 2-core x86-64 machine with Python 3.11: six runs over one
-tree gave per-module bests within 0.03 ms of each other and totals within
-0.08 ms, and a byte-identical module read within 0.02 ms in two trees; so
-a change below about 0.03 ms per module or 0.1 ms in total is not
-resolved.
+measured on a 2-core x86-64 machine with Python 3.11: in two batches of
+six runs over one tree, per-module bests stayed within 0.06 ms of each
+other and totals within 0.21 ms (0.08 ms in the quieter batch), and a
+byte-identical module read within 0.04 ms in two trees; so a change below
+about 0.05 ms per module or 0.2 ms in total is not resolved.
 """
 
 from __future__ import annotations
