@@ -411,7 +411,7 @@ def _text_blocks(lines: Iterable[str | tuple]) -> Iterator[str]:
     str(s) + "}"``, its stages that share ``k = s // 1000`` as one block, a
     join over a digit table slice: each line is ``head + str(k)`` and then
     the 3-digit ``s % 1000``, or, for k = 0, ``head`` and the unpadded
-    stage.  Negative stages are written with ``str``, 1000 to a block."""
+    stage; ``add_run`` keeps every stage at least 0."""
     for kind, group in groupby(lines, type):
         if kind is str:
             while block := list(islice(group, 1024)):
@@ -423,10 +423,7 @@ def _text_blocks(lines: Iterable[str | tuple]) -> Iterator[str]:
                 for a in range(0, len(first), 1024):
                     yield head + sep.join(map(str, first[a:a + 1024])) + stop + "\n"
                 continue
-            sep = "}\n" + head
-            for a in range(first, min(stop, 0), 1000):
-                yield head + sep.join(map(str, range(a, min(a + 1000, stop, 0)))) + "}\n"
-            for k in range(max(first, 0) // 1000, (stop + 999) // 1000):
+            for k in range(first // 1000, (stop + 999) // 1000):
                 lo, hi = max(first - 1000 * k, 0), min(stop - 1000 * k, 1000)
                 lead, digits = (head + str(k), _PADDED) if k else (head, _DIGITS)
                 yield lead + ("}\n" + lead).join(digits[lo:hi]) + "}\n"
@@ -478,8 +475,12 @@ def regenerate(header: dict) -> tuple[Scenario, ConstructionTrace, list]:
         raise ScenarioError(f"trace header missing field {exc}") from None
     if not isinstance(raw, dict):  # a path would be read from disk
         raise ScenarioError("trace header scenario must be a JSON object")
-    sc = load_scenario(raw, Budgets.from_json(budgets).to_json())
-    own = Budgets.from_json(raw["budgets"]).max_index  # the I of the file run read
+    try:
+        overrides = Budgets.from_json(budgets).to_json()
+    except ScenarioError as exc:
+        raise ScenarioError(f"trace header {exc}") from None
+    sc = load_scenario(raw, overrides)
+    own = raw["budgets"]["I"]  # the I of the file run read, checked by load_scenario
     if any(effective_top(t) > own for t in sc.tests):
         raise ScenarioError(f"tests schedule a component above the scenario's own I={own}")
     return (sc, *produce(sc, selector, header.get("grace"), header.get("sigma_stages"),
@@ -611,10 +612,7 @@ def _verify_file(path: str | PathLike, *, quiet: bool) -> int:
                 print(jline(w["data"]))
     if not deterministic:
         print("FAIL determinism: regenerated trace differs", file=sys.stderr)
-        return EXIT_OBLIGATION
-    if failed or budget_failed:
-        return EXIT_OBLIGATION
-    return EXIT_OK
+    return EXIT_OBLIGATION if not deterministic or failed or budget_failed else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

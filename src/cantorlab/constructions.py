@@ -105,7 +105,9 @@ class ConstructionTrace:
         self.events.append(f"{_event_head(action, payload)}{stage}}}")
 
     def add_run(self, first: int, stop: int, action: str, /, **payload) -> None:
-        """The same event at each stage ``first..stop-1``, as one entry."""
+        """The same event at each stage ``first..stop-1`` (``first >= 0``), as one entry."""
+        if first < 0:
+            raise ValueError(f"run starts at negative stage {first}")
         if first < stop:
             self.events.append((_event_head(action, payload), first, stop))
 
@@ -150,32 +152,25 @@ class ConstructionTrace:
         ``cli._text_blocks`` expands runs when the trace is written or
         compared, so no list of their lines is built.  The outputs record is
         written from the encodings of its values in sorted key order, and a
-        value that several keys share is encoded once; outputs with a key
-        that is not a string are encoded whole.  A claim is written as the
-        encoder writes a string, and a status, ``pass`` or ``fail``, as itself."""
+        value that several keys share is encoded once; a key is written as
+        the encoder writes a string, so one that is not a string raises
+        TypeError."""
         out = self.events.copy()
-        outputs = self.outputs
-        if all(type(k) is str for k in outputs):
-            memo: dict[int, str] = {}  # by the identity of a value
-            items = []
-            for k in sorted(outputs):
-                v = outputs[k]
-                encoded = memo.get(id(v))
-                if encoded is None:
-                    encoded = memo[id(v)] = _encode(v)
-                items.append(f"{_encode(k)}:{encoded}")
-            out.append(f'{{"action":"outputs","payload":{{{",".join(items)}}},'
-                       '"stage":-1}')
-        else:
-            out.append(_encode({"stage": -1, "action": "outputs", "payload": outputs}))
-        claim = json.encoder.encode_basestring_ascii
+        string = json.encoder.encode_basestring_ascii
+        memo: dict[int, str] = {}  # by the identity of a value
+        items = []
+        for k, v in sorted(self.outputs.items()):
+            encoded = memo.get(id(v))
+            if encoded is None:
+                encoded = memo[id(v)] = _encode(v)
+            items.append(f"{string(k)}:{encoded}")
+        out.append(f'{{"action":"outputs","payload":{{{",".join(items)}}},"stage":-1}}')
         for w in self.witnesses:
-            if type(w) is dict:
-                out.append(f'{{"claim":{claim(w["claim"])},"data":{_encode(w["data"])},'
-                           f'"status":"{w["status"]}"}}')
+            if type(w) is dict:  # sort_keys writes claim, data, status
+                out.append(_encode(w))
             else:  # the claim's closing quote moves past the stage
                 prefix, stages, status, data = w
-                out.append((f'{{"claim":{claim(prefix)[:-1]}', stages,
+                out.append((f'{{"claim":{string(prefix)[:-1]}', stages,
                             f'","data":{_encode(data)},"status":"{status}"}}'))
         return out
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import product
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -116,13 +115,6 @@ def check_bits(bits: str) -> str:
 def str_order_key(bits: str) -> tuple[int, str]:
     """Sort key for the length-lexicographic order: shorter first, 0 before 1."""
     return (len(bits), bits)
-
-
-def extensions(prefix: str, length: int) -> Iterator[str]:
-    """All length-``length`` extensions of ``prefix`` in lexicographic order."""
-    if length >= len(prefix):
-        for tail in product("01", repeat=length - len(prefix)):
-            yield prefix + "".join(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +448,16 @@ def first_free_string(min_len: int, max_len: int, covered: Clopen,
                       pred: Callable[[str], bool] | None = None) -> str:
     """First string in length-lex order whose cylinder avoids ``covered``.
 
-    Searches lengths ``min_len..max_len``; an optional ``pred`` filters
-    candidates (evaluated in order, at most 200,000 of them).
+    Searches lengths ``min_len..max_len`` over the free set's leaf spans; an
+    optional ``pred`` filters candidates (evaluated in order, at most 200,000).
     """
     free = covered.complement(max_len)
     scanned = 0
     for d in range(min_len, max_len + 1):
-        cones = sorted(c for c in free.cylinders if len(c) <= d)
-        for cone in cones:
-            for sigma in extensions(cone, d):
+        g = free._d - d  # the length-d strings inside span [lo, hi)
+        for lo, hi in zip(free._b[::2], free._b[1::2]):
+            for v in range(-(-lo >> g), hi >> g) if g > 0 else range(lo << -g, hi << -g):
+                sigma = format(v, f"0{d}b") if d else ""
                 if pred is None or pred(sigma):
                     return sigma
                 scanned += 1

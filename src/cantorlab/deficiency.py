@@ -31,19 +31,11 @@ class Stream(Frozen):
             raise ValueError(f"stream {name!r} needs a non-empty period")
         self._set(name, pad, period)
 
-    def bit(self, k: int) -> str:
-        if k < len(self.pad):
-            return self.pad[k]
-        return self.period[(k - len(self.pad)) % len(self.period)]
-
     def prefix(self, k: int) -> str:
         if k <= len(self.pad):
             return self.pad[:k]
         reps = (k - len(self.pad)) // len(self.period) + 1
         return (self.pad + self.period * reps)[:k]
-
-    def starts_with(self, bits: str) -> bool:
-        return self.prefix(len(bits)) == bits
 
 
 def prepend(bits: str, stream: Stream) -> Stream:

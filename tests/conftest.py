@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from itertools import product
+from typing import Callable, Iterator, Mapping
 
 import pytest
 
 from cantorlab import bundled_scenario
 from cantorlab.cli import _text_blocks
-from cantorlab.core import Clopen, check_bits
+from cantorlab.core import Clopen, SearchExhaustedError, check_bits
 from cantorlab.deficiency import Stream
 from cantorlab.enumeration import (
     Scenario,
@@ -32,6 +33,46 @@ def leaf_mask(strings, depth: int = DEPTH) -> int:
         width = 1 << gap
         mask |= ((1 << width) - 1) << lo
     return mask
+
+
+def extensions(prefix: str, length: int) -> Iterator[str]:
+    """All length-``length`` extensions of ``prefix`` in lexicographic order."""
+    if length >= len(prefix):
+        for tail in product("01", repeat=length - len(prefix)):
+            yield prefix + "".join(tail)
+
+
+def brute_free_string(min_len: int, max_len: int, covered: Clopen,
+                      pred: Callable[[str], bool] | None = None) -> str:
+    """The oracle of ``core.first_free_string``: every string of each length
+    ``min_len..max_len`` in lexicographic order, the first whose cylinder
+    avoids ``covered`` and that ``pred`` accepts, with the same depth check,
+    candidate cap and errors."""
+    covered.complement(max_len)  # DepthExceededError for a deeper cylinder
+    scanned = 0
+    for d in range(min_len, max_len + 1):
+        for sigma in extensions("", d):
+            if covered.meets(sigma):
+                continue
+            if pred is None or pred(sigma):
+                return sigma
+            scanned += 1
+            if scanned > 200_000:
+                raise SearchExhaustedError("free-string search exceeded 200000 candidates")
+    raise SearchExhaustedError(
+        f"no free string of length in [{min_len}, {max_len}] outside {covered!r}")
+
+
+def stream_bit(x: Stream, k: int) -> str:
+    """Bit ``k`` of the stream ``x``, read off its pad and period."""
+    if k < len(x.pad):
+        return x.pad[k]
+    return x.period[(k - len(x.pad)) % len(x.period)]
+
+
+def starts_with(x: Stream, bits: str) -> bool:
+    """Whether ``bits`` prefixes the stream ``x``: the naive membership oracle."""
+    return all(stream_bit(x, k) == b for k, b in enumerate(bits))
 
 
 def leftmost_uncovered(length: int, cones: Clopen) -> str | None:

@@ -726,6 +726,28 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "error: validation: replay: budget I=5000 outside 0..64\n")
 
+    @pytest.mark.parametrize("where, message", [
+        (("budgets",), "trace header budgets.K is missing"),
+        (("scenario", "budgets"), "budgets.K is missing"),
+    ], ids=["header_budgets", "scenario_budgets"])
+    def test_missing_budget_names_its_record(self, where, message, tmp_path, capsys):
+        """A key missing from the header's own budgets is named as the
+        header's; one missing from its scenario's budgets by the scenario's
+        path, as ``run`` names it."""
+        trace = tmp_path / "t.jsonl"
+        assert run_cli("run", "--scenario", MAIN, "--select", "thm33",
+                       "--trace", str(trace)) == 0
+        header, *rest = trace.read_text().splitlines()
+        rec = json.loads(header)
+        budgets = rec["payload"]
+        for key in where:
+            budgets = budgets[key]
+        del budgets["K"]
+        trace.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: validation: replay: {message}\n"
+
     def test_header_scenario_keeps_its_own_index_budget(self, tmp_path, capsys):
         """The header's budgets apply to its scenario as run's overrides do,
         but its tests must fit the scenario's own I, which every header run
@@ -1164,5 +1186,7 @@ class TestMalformedInput:
         doc = json.loads(path.read_text().split("\n", 1)[0])
         roots = [""] if argv[0] == "run" else ["payload.", "payload.scenario."]
         for line in lines:
-            if missing := re.fullmatch(r"error: validation: (?:replay: )?(\S+) is missing", line):
-                assert any(_names_missing_key(doc, root + missing[1]) for root in roots), line
+            if missing := re.fullmatch(
+                    r"error: validation: (?:replay: )?(trace header )?(\S+) is missing", line):
+                named = ["payload."] if missing[1] else roots
+                assert any(_names_missing_key(doc, root + missing[2]) for root in named), line

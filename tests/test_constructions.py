@@ -455,9 +455,15 @@ class TestEventLines:
            payload=st.dictionaries(st.text(min_size=1, max_size=6), payload_values,
                                    max_size=4))
     def test_line_is_the_record_encoding(self, stage, action, payload):
+        """``add`` writes any stage; a run starts at a stage, at least 0."""
         want = _ENCODER.encode({"action": action, "payload": payload, "stage": stage})
         trace = ConstructionTrace()
         trace.add(stage, action, **payload)
+        if stage < 0:
+            with pytest.raises(ValueError, match="negative stage"):
+                trace.add_run(stage, stage + 1, action, **payload)
+            assert written_lines(trace.events) == [want]
+            return
         trace.add_run(stage, stage + 1, action, **payload)
         assert written_lines(trace.events) == [want, want]
 
@@ -531,18 +537,17 @@ class TestEventLines:
             "empty", "int_keys", "bool_int_keys", "mixed_keys", "tuple_key", "none_key"])
     def test_outputs_line_is_the_record_encoding(self, outputs):
         """The outputs line, written from per-key encodings, is the
-        encoding of the whole record; outputs the encoder cannot write
-        raise the same error."""
-        def outcome(fn):
-            try:
-                return fn()
-            except TypeError as exc:
-                return type(exc), str(exc)
-
+        encoding of the whole record; outputs with a key that is not a
+        string raise TypeError, where the encoder would write some such
+        keys as strings."""
         trace = ConstructionTrace()
         trace.outputs = outputs
-        record = {"stage": -1, "action": "outputs", "payload": outputs}
-        assert outcome(lambda: trace.lines()[0]) == outcome(lambda: _encode(record))
+        if all(type(k) is str for k in outputs):
+            record = {"stage": -1, "action": "outputs", "payload": outputs}
+            assert trace.lines()[0] == _encode(record)
+        else:
+            with pytest.raises(TypeError):
+                trace.lines()
 
     def test_shared_output_value_is_encoded_once(self, monkeypatch):
         seen = []
@@ -682,7 +687,7 @@ class TestRunEntries:
 
     @settings(max_examples=60, deadline=None)
     @given(lead=st.sampled_from([0, 1, 1023, 1024, 1025]),
-           ops=st.lists(st.tuples(st.booleans(), st.integers(-1, 10**7),
+           ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**7),
                                   st.one_of(st.integers(-2, 3), st.integers(1020, 2100)),
                                   _actions, _payloads), max_size=6),
            cut=st.integers(0, 6), tag=st.one_of(st.none(), st.text(max_size=3)))
@@ -702,10 +707,15 @@ class TestRunEntries:
     @pytest.mark.parametrize("first", [-1001, -1, 0, 999, 1000, 999_999, 10**6])
     @pytest.mark.parametrize("length", [1, 999, 1000, 1001, 2001])
     def test_digit_table_edges(self, first, length):
-        """Runs that start on each side of 0, 1000 and 10^6, the stages at
-        which the digit table's lead changes or grows a digit, and cover
-        one stage, a block, and the thousands after it."""
+        """Runs that start at 0 and on each side of 1000 and 10^6, the
+        stages at which the digit table's lead changes or grows a digit, and
+        cover one stage, a block, and the thousands after it; a run that
+        starts below 0 is refused."""
         run = (True, first, length, "d", {"k": 1})
+        if first < 0:
+            with pytest.raises(ValueError, match=f"negative stage {first}"):
+                self.check(0, [run], 1, None)
+            return
         self.check(0, [run], 1, None)
         self.check(1023, [run, (False, 7, 1, "one", {}), run], 1, "t")
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cantorlab.core import (
     BudgetError,
@@ -7,14 +7,20 @@ from cantorlab.core import (
     DepthExceededError,
     Dyadic,
     SearchExhaustedError,
-    extensions,
     first_extension_into,
     first_free_string,
     pair,
     unpair,
     unpair3,
 )
-from conftest import FULL_MASK, leaf_mask, leftmost_uncovered, sigma_plus
+from conftest import (
+    FULL_MASK,
+    brute_free_string,
+    extensions,
+    leaf_mask,
+    leftmost_uncovered,
+    sigma_plus,
+)
 
 bits_st = st.text(alphabet="01", min_size=0, max_size=8)
 clopen_st = st.lists(bits_st, max_size=6).map(Clopen)
@@ -186,6 +192,21 @@ class TestSearches:
         got = first_free_string(1, 6, Clopen(["0"]), pred=lambda s: len(s) >= 3)
         assert got == "100"
 
+    def test_first_free_string_cap(self):
+        """A predicate that rejects every string of a free set larger than
+        the cap is asked 200,001 times, then the search gives up."""
+        asked = []
+
+        def reject(sigma):
+            asked.append(sigma)
+            return False
+
+        with pytest.raises(SearchExhaustedError, match="exceeded 200000 candidates"):
+            first_free_string(0, 18, Clopen(["0000"]), pred=reject)
+        assert len(asked) == 200_001
+        assert asked[:3] == ["1", "01", "10"]
+        assert len(set(asked)) == len(asked)
+
     def test_leftmost_uncovered(self):
         assert leftmost_uncovered(3, Clopen(["00", "010"])) == "011"
         assert leftmost_uncovered(2, Clopen([])) == "00"
@@ -253,6 +274,28 @@ class TestQueriesAgainstOracle:
         expected = next((sigma for sigma in extensions("", length)
                          if not _oracle_covers(strings, sigma)), None)
         assert leftmost_uncovered(length, Clopen(strings)) == expected
+
+    @settings(max_examples=500)
+    @given(covered=st.one_of(st.lists(st.text(alphabet="01", max_size=7), max_size=6),
+                             st.just([""])).map(Clopen),
+           max_len=st.integers(0, 7), below=st.integers(0, 7),
+           accept=st.none() | st.sets(st.text(alphabet="01", max_size=7)))
+    @example(covered=Clopen(), max_len=0, below=0, accept=None)  # the empty string
+    @example(covered=Clopen([""]), max_len=3, below=3, accept=None)  # all covered
+    def test_first_free_string(self, covered, max_len, below, accept):
+        """The span walk finds what the string-by-string search finds, or
+        raises the same error, with and without a predicate, for each
+        ``min_len`` from 0 to ``max_len``."""
+        min_len = max(max_len - below, 0)
+        pred = None if accept is None else accept.__contains__
+
+        def outcome(search):
+            try:
+                return search(min_len, max_len, covered, pred)
+            except (DepthExceededError, SearchExhaustedError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(first_free_string) == outcome(brute_free_string)
 
     @given(strings_st, strings_st)
     def test_equal_iff_cylinders_equal(self, sa, sb):

@@ -10,7 +10,7 @@ from cantorlab.deficiency import (
     rd_at_stage,
 )
 from cantorlab.enumeration import Enumeration, MLTest
-from conftest import eval_table, leaf_mask
+from conftest import eval_table, leaf_mask, starts_with, stream_bit
 
 
 def stream_of(bits8: str) -> Stream:
@@ -21,7 +21,7 @@ class TestStream:
     def test_prefix_and_bit(self):
         x = Stream("x", "001", "10")
         assert x.prefix(7) == "0011010"
-        assert [x.bit(k) for k in range(5)] == list("00110")
+        assert [stream_bit(x, k) for k in range(5)] == list("00110")
 
     def test_prepend(self):
         x = Stream("x", "01", "1")
@@ -131,7 +131,7 @@ def _naive_rd(x: Stream, t: MLTest, s: int) -> int:
     """Least index none of whose cylinders scheduled by stage ``s`` prefixes
     ``x``, scanned straight off the schedules."""
     for i, comp in enumerate(t.components):
-        if not any(x.starts_with(c) for stage, c in comp.schedule if stage <= s):
+        if not any(starts_with(x, c) for stage, c in comp.schedule if stage <= s):
             return i
     return t.max_index + 1
 

@@ -39,7 +39,7 @@ from cantorlab.realizers import (
     stable_value,
     verify_pads,
 )
-from conftest import decoded_events, written_lines
+from conftest import decoded_events, starts_with, stream_bit, written_lines
 
 
 def _stage_lengths(segments):
@@ -357,7 +357,7 @@ class TestSemiDecidable:
         [g_side] = _events(run.trace, "g_side")
         for m in (0, 3, 100, budgets.max_stage):
             view = main_scenario.opens["layerA"][g_side["level"]].stage_view(m)
-            assert not any(x.starts_with(c) for c in view.cylinders)
+            assert not any(starts_with(x, c) for c in view.cylinders)
 
     def test_in_stream_certified(self, surrogate, budgets, main_scenario):
         x = main_scenario.stream("x3")
@@ -530,7 +530,7 @@ def _stepped_reference(source, grace, first, last, pads, progress):
         elif s in progress:
             last_progress = s
         if s - last_progress > grace:
-            committed += source.bit(cursor)
+            committed += stream_bit(source, cursor)
             cursor += 1
         history.append(len(committed))
     return committed, cursor, history

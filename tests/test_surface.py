@@ -31,8 +31,6 @@ ALLOWED = {
     "bundled_scenario": "the path to a bundled scenario, for the tests and users",
     "__version__": "the package version, for users",
     "intersect_all": "the meet_view oracle; perfbench's tracer test patches it",
-    "Stream.bit": "the reference emitter of the realizer tests reads streams by bit",
-    "Stream.starts_with": "the naive membership oracle of the tests",
 }
 
 

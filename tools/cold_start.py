@@ -19,11 +19,13 @@ Each child runs with bytecode writing off (``-B``), so a tree without
 ``__pycache__`` compiles the package from source at every start; a tree
 that has one under ``src`` is refused.  Pair ``i`` runs the parent first
 when ``i`` is even and the change first otherwise.  The output gives each
-side's median and quartiles (``statistics.quantiles(n=4,
-method='inclusive')``), in ms, the pairs in which the change is faster,
-the number of modules the child's code loads on each side, and whether the
-medians are apart by more than the parent's interquartile distance, then
-the same as one JSON line.  Both sides must exit with the same code.
+side's median and quartiles in ms and the number of modules the child's
+code loads on each side, then the pairs in which the change is faster and
+whether the gain rule holds, then the same as one JSON line.  The
+statistics and the rule are ``tools/ab_pairs.py``'s ``summarize``: the
+change faster in at least nine tenths of the pairs, and the medians apart
+by more than the parent's interquartile distance.  Both sides must exit
+with the same code.
 
 Example, a construction's run in a clean interpreter:
 
@@ -37,11 +39,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from ab_pairs import summarize
 
 CHILD = """\
 import sys
@@ -74,11 +77,6 @@ def child(tree: Path, args: argparse.Namespace, census: bool
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
     return time.perf_counter() - start, proc.returncode, proc.stderr
-
-
-def quartiles(values: list[float]) -> list[float]:
-    q = statistics.quantiles(values, n=4, method="inclusive")
-    return [q[0], q[2]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,24 +116,17 @@ def main(argv: list[str] | None = None) -> int:
     if len(codes) != 1:
         raise SystemExit(f"the children exited with different codes: {sorted(codes)}")
 
+    stats = summarize(times["parent"], times["change"], "lower")
     summary: dict = {"command": argv if argv is not None else sys.argv[1:],
-                     "exit_code": codes.pop(), "pairs": args.pairs}
-    for name, ms in times.items():
-        q1, q3 = quartiles(ms)
-        summary[name] = {"median_ms": round(statistics.median(ms), 2),
-                         "quartiles_ms": [round(q1, 2), round(q3, 2)],
-                         "modules_loaded": modules[name]}
-        print(f"{name:<7} median {statistics.median(ms):7.2f} ms  "
+                     "exit_code": codes.pop(), "modules_loaded": modules, "unit": "ms",
+                     **stats}
+    for name in trees:
+        q1, q3 = stats[f"{name}_quartiles"]
+        print(f"{name:<7} median {stats[f'{name}_median']:7.2f} ms  "
               f"(q1 {q1:.2f}, q3 {q3:.2f})  modules loaded {modules[name]}")
-    pm, cm = statistics.median(times["parent"]), statistics.median(times["change"])
-    q1, q3 = quartiles(times["parent"])
-    faster = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    summary.update(change_over_parent=round(cm / pm, 4), pairs_change_faster=faster,
-                   gap_exceeds_parent_iqr=abs(pm - cm) > q3 - q1)
-    print(f"change/parent {cm / pm:.4f}; change faster in {faster}/{args.pairs} pairs; "
-          f"median gap {pm - cm:+.2f} ms against the parent's interquartile "
-          f"distance {q3 - q1:.2f} ms: "
-          f"{'exceeds' if summary['gap_exceeds_parent_iqr'] else 'within'}")
+    print(f"change/parent {stats['change_over_parent_median']:.4f}; change faster in "
+          f"{stats['pairs_change_better']}/{args.pairs} pairs; gain rule "
+          f"{'met' if stats['gain_rule_met'] else 'not met'}")
     print(json.dumps(summary))
     return 0
 
