@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .core import (
     CantorError,
-    Dyadic,
     Frozen,
     ScenarioError,
     SearchExhaustedError,
@@ -64,14 +63,14 @@ def _budget_sweep(trace: ConstructionTrace, tests: dict[str, MLTest],
     Every grid point counts as a check, but each component's measure is
     read once, at the last grid point: views only grow, so a measure never
     falls, and its value there is its largest on the grid.  From the last
-    scheduled stage on, it is the final measure, which builds no view.
+    scheduled stage on, it is the final measure, which builds no view.  It
+    is checked against 2**-i exactly, on its integers (``Dyadic.within``).
     """
     last = budgets.max_stage - budgets.max_stage % stride
     points = last // stride + 1
     checks = 0
     for name, t in sorted(tests.items()):
-        ok = all(comp.measure_at(last) <= Dyadic.exp2(-i)
-                 for i, comp in enumerate(t.components))
+        ok = all(comp.measure_at(last).within(i) for i, comp in enumerate(t.components))
         checks += points * len(t.components)
         trace.witness(f"budget.{name}", ok, components=len(t.components))
     trace.add(-1, "budget_sweep", checks=checks, stride=stride)

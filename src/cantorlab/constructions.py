@@ -255,8 +255,7 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None,
                   all(len(sig) >= s + 2 for s, sig in enumerate(sigmas)),
                   lengths=[len(s) for s in sigmas])
     trace.witness("lemma31.v_budget",
-                  all(Dyadic.exp2(-len(sig)) <= Dyadic.exp2(-(i + 2))
-                      for i, sig in enumerate(sigmas)))
+                  all(len(sig) >= i + 2 for i, sig in enumerate(sigmas)))
     for i, sig in enumerate(sigmas):
         inside = marker_cones[i].intersect(w_final)
         bound = u.stage_view(len(sig) + 1, final).measure()
@@ -370,7 +369,7 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
     final = big_s
     for e in indices:
         trace.witness(f"thm33.w_budget.{e}",
-                      w.component(e).final_measure() <= Dyadic.exp2(-e))
+                      w.component(e).final_measure().within(e))
         for s in conv_stages[e]:
             ok = u.stage_view(e + 1, s).is_subset_of(w.stage_view(e, s + 1))
             trace.witness(f"thm33.conv_lag.{e}.{s}", ok)
@@ -476,7 +475,7 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
             trace.add(s, "trigger", e=i, t=t, sigma=sigma, vote=vote,
                       e_index=e_state[i])
             trace.witness(f"thm41.sigma_measure.{i}",
-                          Dyadic.exp2(-len(sigma)) <= Dyadic.exp2(-(s + 5)),
+                          len(sigma) >= s + 5,
                           sigma=sigma, stage=s)
             sound = (in_set.intersect(out_set) == Clopen()
                      and in_set.measure() <= Dyadic(1, 4)
@@ -499,7 +498,7 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
 
     w = MLTest([Enumeration(w_sched[i]) for i in range(max_i + 1)], check=False)
     for i in range(max_i + 1):
-        if w.component(i).final_measure() > Dyadic.exp2(-(i + 4)):
+        if not w.component(i).final_measure().within(i + 4):
             raise BudgetError(f"component {i} exceeded its 2^-{i + 4} bound")
     trace.outputs = {"w": w, "in": in_set, "out": out_set,
                      "triggers": {str(k): v for k, v in sorted(triggered.items())}}
@@ -541,7 +540,7 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
     previous component from the halt stage on.  Without ``obligations`` it
     returns once the outputs are set."""
     for i in range(v.max_index + 1):
-        if v.component(i).final_measure() > Dyadic.exp2(-(i + 2)):
+        if not v.component(i).final_measure().within(i + 2):
             raise BudgetError(
                 f"input component {i} must stay within 2^-{i + 2}")
     depth = budgets.max_depth
@@ -575,7 +574,7 @@ def build_thm410(v: MLTest, halting: Mapping[int, int], budgets: Budgets,
         lhs = u.component(i + 1).final_measure()
         rhs = vstr.component(i + 1).final_measure() + vstr.component(i).final_measure()
         trace.witness(f"thm410.budget_sum.{i + 1}",
-                      lhs <= rhs and lhs <= Dyadic.exp2(-(i + 1)),
+                      lhs <= rhs and lhs.within(i + 1),
                       measure=lhs, bound=rhs)
 
     probe = [e for e in range(min(6, budgets.max_layers + 1)) if e not in halting]

@@ -157,6 +157,10 @@ class Dyadic:
         """The value 2**e (e may be negative)."""
         return cls(1, -e) if e < 0 else cls(1 << e, 0)
 
+    def within(self, i: int) -> bool:
+        """Whether the value is at most 2**-i, for ``i >= 0``, on integers."""
+        return self.numerator << i <= 1 << self.exponent
+
     def half(self) -> "Dyadic":
         return Dyadic(self.numerator, self.exponent + 1)
 

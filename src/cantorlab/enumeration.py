@@ -7,9 +7,10 @@ grow, and they change only at the stages that schedule something.  The
 views are built together when a stage before the last is first read: one
 walk of the schedule merges each cylinder's leaf span, at the depth of the
 longest cylinder, into one list of span boundaries, and each change stage
-makes one clopen of the list; the final measure is one sorted pass over
-those spans.  A test is an indexed family of enumerations where component
-``i`` must stay within measure ``2**-i``, checked exactly on final measures.
+makes one clopen of the list; the final measure is one pass over the
+distinct cylinders sorted as strings, with no view built.  A test is an
+indexed family of enumerations where component ``i`` must stay within
+measure ``2**-i``, checked exactly on the integers of final measures.
 """
 
 from __future__ import annotations
@@ -63,11 +64,16 @@ class Enumeration:
     def _copied(cls, schedule: Iterable[tuple[int, str]]) -> "Enumeration":
         """The enumeration of checked pairs, read by the scenario reader or taken
         from checked enumerations and kept or re-rooted: none is checked again."""
+        return cls._of_items({(st, len(c), c) for st, c in schedule})
+
+    @classmethod
+    def _of_items(cls, items: Iterable[tuple[int, int, str]]) -> "Enumeration":
+        """The enumeration of distinct checked ``(stage, length, cylinder)``."""
         e = cls.__new__(cls)
-        e._set({(st, len(c), c) for st, c in schedule})
+        e._set(items)
         return e
 
-    def _set(self, items: set[tuple[int, int, str]]) -> None:
+    def _set(self, items: Iterable[tuple[int, int, str]]) -> None:
         self.schedule: tuple[tuple[int, str], ...] = tuple(
             [(st, c) for st, _, c in sorted(items)])
         self._stages = self._views = self._final = None
@@ -75,10 +81,11 @@ class Enumeration:
     @classmethod
     def _of_views(cls, stages: list[int], views: list[Clopen]) -> "Enumeration":
         """The enumeration whose view becomes ``views[k]`` at ``stages[k]``
-        (increasing stages, growing nonempty views): it schedules each
-        view's canonical cylinders, already length-lex, at its stage."""
-        e = cls._copied((s, c) for s, v in zip(stages, views) for c in v.cylinders)
-        e._stages, e._views = stages, views
+        (strictly increasing stages, growing nonempty views), unsorted: each
+        view's canonical cylinders, distinct and length-lex, are in schedule order."""
+        e = cls.__new__(cls)
+        e.schedule = tuple([(s, c) for s, v in zip(stages, views) for c in v.cylinders])
+        e._stages, e._views, e._final = stages, views, None
         return e
 
     def _ensure(self) -> None:
@@ -117,14 +124,16 @@ class Enumeration:
         return tuple(self._stages)
 
     def final_measure(self) -> Dyadic:
-        """The last view's measure, from one sorted pass over the leaf spans
-        of the cylinders at the deepest one's depth: no view is built."""
+        """The last view's measure, no view built: of the distinct cylinders
+        sorted as strings, each that does not start with the last one counted
+        (in lex order, its shortest prefix in the set) adds its leaves."""
         if self._final is None:
-            d, leaves, reach = self.max_length(), 0, 0
-            for lo, hi in sorted([_leaf_span(c, d) for _, c in self.schedule]):
-                if hi > reach:
-                    leaves += hi - max(lo, reach)
-                    reach = hi
+            cyls = sorted({c for _, c in self.schedule})
+            d, leaves, last = max(map(len, cyls), default=0), 0, "-"  # no cylinder starts "-"
+            for c in cyls:
+                if not c.startswith(last):
+                    leaves += 1 << (d - len(c))
+                    last = c
             self._final = Dyadic(leaves, d)
         return self._final
 
@@ -215,9 +224,10 @@ class MLTest:
         return meet
 
     def ensure_budget(self) -> None:
+        """Each final measure within 2**-i, checked exactly on its integers."""
         for i, comp in enumerate(self.components):
             m = comp.final_measure()
-            if m > Dyadic.exp2(-i):
+            if not m.within(i):
                 raise BudgetError(
                     f"component {i} has measure {m} exceeding 2^-{i}")
 
@@ -675,13 +685,12 @@ def shift_union(v: MLTest) -> MLTest:
     The union is truncated at the test's own top index; the truncation point
     is recorded in the notes so traces carry it.
     """
-    comps = []
-    for i in range(v.max_index + 1):
-        sched: list[tuple[int, str]] = []
-        for j in range(i + 1, v.max_index + 1):
-            sched.extend(v.component(j).schedule)
-        comps.append(Enumeration._copied(sched))
-    return MLTest(comps, notes={"union_truncated_at": v.max_index})
+    items: set[tuple[int, int, str]] = set()  # top-down: components above i
+    comps = [Enumeration._of_items(items)]
+    for j in range(v.max_index, 0, -1):
+        items.update([(s, len(c), c) for s, c in v.component(j).schedule])
+        comps.append(Enumeration._of_items(items))
+    return MLTest(comps[::-1], notes={"union_truncated_at": v.max_index})
 
 
 def stratify(u: MLTest, budgets: Budgets) -> MLTest:
@@ -689,7 +698,8 @@ def stratify(u: MLTest, budgets: Budgets) -> MLTest:
     every component-(i+1) cylinder re-rooted below 1**l 0 for l <= L.
 
     Re-rooted cylinders that would exceed the depth budget are skipped and
-    counted in the notes.
+    counted in the notes: ``c`` fits below the layers ``l <= K - 1 - len(c)``.
+    No triple repeats, since a re-rooted cylinder's first 0 marks its layer.
     """
     depth, layers = budgets.max_depth, budgets.max_layers
     comps: list[Enumeration] = []
@@ -699,15 +709,12 @@ def stratify(u: MLTest, budgets: Budgets) -> MLTest:
         if len(head) > depth:
             raise DepthExceededError(
                 f"stratification head 1^{i + 3} exceeds depth K={depth}")
-        sched: list[tuple[int, str]] = [(0, head)]
+        items = [(0, i + 3, head)]
         for s, c in u.component(i + 1).schedule:
-            for layer in range(layers + 1):
-                moved = "1" * layer + "0" + c
-                if len(moved) <= depth:
-                    sched.append((s, moved))
-                else:
-                    skipped += 1
-        comps.append(Enumeration._copied(sched))
+            top = max(min(layers, depth - 1 - len(c)), -1)
+            skipped += layers - top
+            items += [(s, layer + 1 + len(c), "1" * layer + "0" + c) for layer in range(top + 1)]
+        comps.append(Enumeration._of_items(items))
     if not comps:
         raise BudgetError("stratification needs a test with at least two components")
     return MLTest(comps, notes={"depth_skipped": skipped})

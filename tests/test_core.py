@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -44,6 +46,14 @@ class TestDyadic:
         assert Dyadic(1, 2) < Dyadic(1, 1) <= Dyadic.one()
         assert Dyadic.exp2(-3) == Dyadic(1, 3)
         assert Dyadic.exp2(2) == Dyadic(4, 0)
+
+    @given(st.integers(0, 1 << 40), st.integers(0, 60), st.integers(0, 70))
+    @example(1, 3, 3)
+    @example(3, 3, 2)
+    @example(0, 0, 70)
+    def test_within_matches_fractions(self, n, e, i):
+        """``within(i)`` is ``<= 2**-i`` of the exact fractions, on integers."""
+        assert Dyadic(n, e).within(i) == (Fraction(n, 2 ** e) <= Fraction(1, 2 ** i))
 
     def test_exponent_cap(self):
         with pytest.raises(BudgetError):

@@ -1,15 +1,17 @@
 import copy
+import hashlib
 import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cantorlab import bundled_scenario
 from cantorlab.cli import _budget_sweep, main
 from cantorlab.constructions import ConstructionTrace
 from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError, SearchExhaustedError
 from cantorlab.enumeration import (
+    Budgets,
     Enumeration,
     MLTest,
     descending_chain,
@@ -431,6 +433,120 @@ class TestStratify:
                 assert got == d - 1, (name, layer)
                 pairs += 1
         assert pairs >= 15
+
+
+def _shift_union_by_loops(v: MLTest) -> MLTest:
+    """The reference construction of ``shift_union``: component i collects
+    the schedules of every component above i."""
+    comps = []
+    for i in range(v.max_index + 1):
+        sched: list[tuple[int, str]] = []
+        for j in range(i + 1, v.max_index + 1):
+            sched.extend(v.component(j).schedule)
+        comps.append(Enumeration(sched))
+    return MLTest(comps, notes={"union_truncated_at": v.max_index}, check=False)
+
+
+def _stratify_by_loops(u: MLTest, budgets: Budgets) -> MLTest:
+    """The reference construction of ``stratify``: each re-rooted cylinder
+    is kept, or skipped and counted, one layer at a time."""
+    depth, layers = budgets.max_depth, budgets.max_layers
+    comps: list[Enumeration] = []
+    skipped = 0
+    for i in range(u.max_index):
+        sched: list[tuple[int, str]] = [(0, "1" * (i + 3))]
+        for s, c in u.component(i + 1).schedule:
+            for layer in range(layers + 1):
+                moved = "1" * layer + "0" + c
+                if len(moved) <= depth:
+                    sched.append((s, moved))
+                else:
+                    skipped += 1
+        comps.append(Enumeration(sched))
+    return MLTest(comps, notes={"depth_skipped": skipped}, check=False)
+
+
+def _assert_same_test(got: MLTest, want: MLTest) -> None:
+    """The same notes and component schedules, and each final measure
+    equal to the measure of the reference's last view."""
+    assert got.notes == want.notes
+    for g, w in zip(got.components, want.components, strict=True):
+        assert g.schedule == w.schedule
+        assert g.final_measure() == w.stage_view(w.last_stage()).measure()
+
+
+@st.composite
+def builder_world_st(draw):
+    """A test of 2..5 components, component i below 0^i (so within 2^-i),
+    over budgets with K in I+2..9 and L in 0..K: small enough that
+    stratify skips re-rooted cylinders."""
+    n = draw(st.integers(2, 5))
+    comps = [[(t, "0" * i + c) for t, c in draw(st.lists(
+        st.tuples(st.integers(0, 7), st.text(alphabet="01", max_size=3)), max_size=5))]
+        for i in range(n)]
+    depth = draw(st.integers(n + 1, 9))
+    return comps, Budgets(n - 1, 20, depth, draw(st.integers(0, depth)))
+
+
+# The combinators trace on ``main`` at K=16, recorded with the loop-built
+# shift_union and stratify; stratify skips 28 re-rooted cylinders there.
+COMBINATORS_K16 = (14156, "87dabaefc35184694b2bf51631b0b262d0509061a73d03c70b34e593fec9d18c")
+
+
+class TestBuildersAgainstLoops:
+    @given(builder_world_st())
+    @example(([[(0, "1")], [(1, "01"), (2, "00")], [(3, "00")]], Budgets(2, 20, 4, 4)))
+    def test_same_tests_as_the_loops(self, world):
+        comps, budgets = world
+        u = MLTest([Enumeration(c) for c in comps])
+        _assert_same_test(shift_union(u), _shift_union_by_loops(u))
+        _assert_same_test(stratify(u, budgets), _stratify_by_loops(u, budgets))
+
+    def test_example_skips(self):
+        # K=4: each of the three 2-bit cylinders of components 1 and 2 fits
+        # below 1^l 0 for l <= 1 only, so 3 of its 5 layers are skipped
+        u = MLTest([Enumeration([(0, "1")]), Enumeration([(1, "01"), (2, "00")]),
+                    Enumeration([(3, "00")])])
+        strat = stratify(u, Budgets(2, 20, 4, 4))
+        assert strat.notes == {"depth_skipped": 9}
+        assert strat.component(0).schedule == (
+            (0, "111"), (1, "001"), (1, "1001"), (2, "000"), (2, "1000"))
+
+    @pytest.mark.parametrize("depth, skipped", [(16, 28), (17, 21), (20, 6), (64, 0)])
+    def test_main_under_depth_overrides(self, depth, skipped):
+        sc = load_scenario(bundled_scenario("main"), {"K": depth})
+        u = sc.universal
+        _assert_same_test(shift_union(u), _shift_union_by_loops(u))
+        _assert_same_test(sc.derived["stratify"], _stratify_by_loops(u, sc.budgets))
+        assert sc.derived["stratify"].notes == {"depth_skipped": skipped}
+
+    def test_combinators_trace_at_depth_16(self, tmp_path, capsys):
+        path = tmp_path / "combinators.jsonl"
+        assert main(["run", "--scenario", str(bundled_scenario("main")), "--select",
+                     "combinators", "--depth", "16", "--trace", str(path)]) == 0
+        data = path.read_bytes()
+        assert b'"depth_skipped":28' in data
+        assert (len(data), hashlib.sha256(data).hexdigest()) == COMBINATORS_K16
+
+
+class TestBudgetsOnIntegers:
+    def test_no_dyadic_comparison(self, monkeypatch):
+        """Building the tests of ``main`` and their derived family, and
+        sweeping the family's budgets, compare no two ``Dyadic`` values:
+        each budget is checked by ``Dyadic.within``."""
+        calls = []
+        for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            compare = getattr(Dyadic, op)
+            monkeypatch.setattr(Dyadic, op, lambda a, b, op=op, compare=compare: (
+                calls.append(op) or compare(a, b)))
+        sc = load_scenario(bundled_scenario("main"))
+        rebuilt = [MLTest(t.components, notes=t.notes) for t in sc.derived.values()]
+        assert len(rebuilt) == 5
+        _budget_sweep(ConstructionTrace(), sc.derived, sc.budgets, 1)
+        with pytest.raises(BudgetError, match=r"^component 1 has measure 3/2\^2 exceeding 2\^-1$"):
+            MLTest([Enumeration(), Enumeration([(0, "0"), (0, "10")])])
+        assert calls == []
+        assert Dyadic(1, 1) <= Dyadic.one() and calls == ["__le__"]  # the counter counts
 
 
 class TestIndexShift:
