@@ -24,7 +24,10 @@ dead view last moved (92 of 1,384), an init is the first leaf past the
 intervals, and event lines come from fixed-shape templates.  The
 half-measure pass looks up a cone only when the build could not show it
 inside an earlier one (114 of 5,468), and each stretch of its witnesses
-that share their data is one run (71 on deep, holding 5,470).
+that share their data is one run (71 on deep, holding 5,470).  ``lemma31``
+keeps one union of its markers and one of their pieces, meeting a marker
+with its component's view again only when that view moves; ``thm33`` tests
+a candidate's cone against each 2^-j on the integers of the union's measure.
 """
 
 from __future__ import annotations
@@ -175,6 +178,10 @@ class ConstructionTrace:
         return out
 
 
+def _below(m: Dyadic, j: int) -> bool:  # m < 2^-j, on its integers
+    return m.numerator << j < 1 << m.exponent
+
+
 # ---------------------------------------------------------------------------
 # non-containment cover: a single open set no small component fits inside
 # ---------------------------------------------------------------------------
@@ -201,8 +208,9 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None,
     # goes into the trace before the w0_view event of stage k.
     markers = ConstructionTrace()
     sigmas: list[str] = []
+    cones, marks = [], [Clopen()]  # marks[t]: the union of the first t markers
     for s in range(n_sigma):
-        covered = u.stage_view(2, s).union(Clopen(sigmas))
+        covered = u.stage_view(2, s).union(marks[s])
         try:
             sigma = first_free_string(s + 2, depth, covered)
         except SearchExhaustedError:
@@ -214,29 +222,28 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None,
                         length=len(sigma))
             break
         sigmas.append(sigma)
+        cones.append(Clopen([sigma]))
+        marks.append(marks[s].union(cones[s]))
         markers.add(s, "sigma", value=sigma, length=len(sigma))
 
-    relevant: set[int] = {0}
-    relevant.update(range(len(sigmas)))
-    relevant.update(u.component(2).change_stages())
-    for sig in sigmas:
-        relevant.update(u.component(len(sig) + 1).change_stages())
-    relevant = {s for s in relevant if s <= big_s}
+    relevant = {0, *range(len(sigmas)), *u.component(2).change_stages(),
+                *(s for sig in sigmas for s in u.component(len(sig) + 1).change_stages())}
 
-    marker_cones = [Clopen([sig]) for sig in sigmas]
+    # pieces: each emitted marker met with its component's view.  Views only
+    # grow, so a marker is met again only when that view object has moved.
     w_sched: list[tuple[int, str]] = []
     prev: Clopen | None = None
+    pieces, met = Clopen(), [Clopen()] * len(sigmas)
     k = 0  # the next marker event
-    for s in sorted(relevant):
+    for s in sorted(s for s in relevant if s <= big_s):
         trace.events += markers.events[k:s + 1]
         k = s + 1
-        emitted = [sig for t, sig in enumerate(sigmas) if t <= s]
-        outside = u.stage_view(2, s).difference(Clopen(emitted), depth)
-        view = outside
-        for t, sig in enumerate(sigmas):
-            if t <= s:
-                view = view.union(marker_cones[t].intersect(
-                    u.stage_view(len(sig) + 1, s)))
+        for t in range(emitted := min(k, len(sigmas))):
+            small = u.stage_view(len(sigmas[t]) + 1, s)
+            if small and small is not met[t]:
+                met[t] = small
+                pieces = pieces.union(cones[t].intersect(small))
+        view = u.stage_view(2, s).difference(marks[emitted], depth).union(pieces)
         if view != prev:
             w_sched.extend((s, c) for c in view.cylinders)
             trace.add(s, "w0_view", cylinders=view, measure=view.measure())
@@ -257,15 +264,15 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None,
     trace.witness("lemma31.v_budget",
                   all(len(sig) >= i + 2 for i, sig in enumerate(sigmas)))
     for i, sig in enumerate(sigmas):
-        inside = marker_cones[i].intersect(w_final)
+        inside = cones[i].intersect(w_final)
         bound = u.stage_view(len(sig) + 1, final).measure()
-        ok = (inside.measure() <= bound and bound < Dyadic.exp2(-len(sig)))
+        ok = (inside.measure() <= bound and _below(bound, len(sig)))
         trace.witness(f"lemma31.meet_bound.{i}", ok,
                       inside=inside.measure(), bound=bound, marker=sig)
         # Containment into a growing set is monotone, so the final stage
         # certifies every earlier one.
         trace.witness(f"lemma31.non_containment.{i}",
-                      not Clopen([sig]).is_subset_of(w_final), marker=sig)
+                      not cones[i].is_subset_of(w_final), marker=sig)
     return trace
 
 
@@ -303,7 +310,7 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
     w_current: dict[int, Clopen] = {e: Clopen() for e in indices}
     w_prev_view: dict[int, Clopen] = {e: Clopen() for e in indices}
     v_sched: list[tuple[int, int, str]] = []
-    v_current: dict[int, Clopen] = {}
+    v_current = [Clopen()] * (u.max_index + 1)  # v_j so far; no j planted exceeds I
     conv_stages: dict[int, list[int]] = {e: [] for e in indices}
     decisive: dict[int, str] = {}
 
@@ -326,18 +333,16 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
             w_add(e, s + 1, u.stage_view(e + 1, s))
             n = n_state[e]
 
-            def fits(sig: str, n=n) -> bool:
-                cost = Dyadic.exp2(-len(sig))
-                for j in range(n + 1):
-                    vj = v_current.get(j, Clopen())
-                    if not (vj.union(Clopen([sig])).measure() < Dyadic.exp2(-j)):
-                        return False
-                return True
+            def fits(sig: str, n=n) -> bool:  # each v_j with sig's cone below 2^-j
+                cone = Clopen([sig])
+                return all(_below((vj.union(cone) if vj else cone).measure(), j)
+                           for j, vj in enumerate(v_current[:n + 1]))
 
             sigma = first_free_string(0, depth, w_current[e], pred=fits)
+            cone = Clopen([sigma])
             for j in range(n + 1):
                 v_sched.append((s + 1, j, sigma))
-                v_current[j] = v_current.get(j, Clopen()).union(Clopen([sigma]))
+                v_current[j] = v_current[j].union(cone) if v_current[j] else cone
             decisive[e] = sigma
             n_state[e] = n + 1
             new_e = max(e_state[e], len(sigma)) + 1
@@ -379,7 +384,7 @@ def build_thm33(u: MLTest, tables: Mapping[int, Mapping[int, tuple[int, int]]],
             w_final = w.stage_view(e, final)
             inside = Clopen([sig]).intersect(w_final)
             trace.witness(f"thm33.decisive_escape.{e}",
-                          inside.measure() < Dyadic.exp2(-len(sig)),
+                          _below(inside.measure(), len(sig)),
                           sigma=sig, inside=inside.measure())
             for j in range(n):
                 # Monotone target: the final stage certifies all stages.

@@ -50,7 +50,7 @@ class Enumeration:
     until the next change stage.
     """
 
-    __slots__ = ("schedule", "_stages", "_views", "_final")
+    __slots__ = ("_schedule", "_stages", "_views", "_final")
 
     def __init__(self, schedule: Iterable[tuple[int, str]] = ()) -> None:
         items = set()  # (stage, len, cylinder) sorts as stage, then length-lex
@@ -74,29 +74,38 @@ class Enumeration:
         return e
 
     def _set(self, items: Iterable[tuple[int, int, str]]) -> None:
-        self.schedule: tuple[tuple[int, str], ...] = tuple(
-            [(st, c) for st, _, c in sorted(items)])
+        self._schedule = tuple([(st, c) for st, _, c in sorted(items)])
         self._stages = self._views = self._final = None
 
     @classmethod
     def _of_views(cls, stages: list[int], views: list[Clopen]) -> "Enumeration":
         """The enumeration whose view becomes ``views[k]`` at ``stages[k]``
-        (strictly increasing stages, growing nonempty views), unsorted: each
-        view's canonical cylinders, distinct and length-lex, are in schedule order."""
+        (strictly increasing stages, growing nonempty views).  It keeps the
+        views, its final measure is its last view's, and its schedule is
+        derived when first read."""
         e = cls.__new__(cls)
-        e.schedule = tuple([(s, c) for s, v in zip(stages, views) for c in v.cylinders])
-        e._stages, e._views, e._final = stages, views, None
+        e._schedule, e._stages, e._views = None, stages, views
+        e._final = views[-1].measure() if views else Dyadic.zero()
         return e
+
+    @property
+    def schedule(self) -> tuple[tuple[int, str], ...]:
+        """The ``(stage, cylinder)`` pairs in stage, then length-lex, order;
+        of an enumeration of views, each view's canonical cylinders as they stand."""
+        if self._schedule is None:
+            self._schedule = tuple([(s, c) for s, v in zip(self._stages, self._views)
+                                    for c in v.cylinders])
+        return self._schedule
 
     def _ensure(self) -> None:
         """Build the views: merge each stage's leaf spans, at the longest
         cylinder's depth, into the boundaries so far, and make one clopen
         of them per change stage."""
-        d = self.max_length()
+        d = max((len(c) for _, c in self._schedule), default=0)
         stages: list[int] = []
         views: list[Clopen] = []
         out: list[int] = []
-        for s, entries in groupby(self.schedule, key=itemgetter(0)):
+        for s, entries in groupby(self._schedule, key=itemgetter(0)):
             _merge_spans(out, [x for _, c in entries for x in _leaf_span(c, d)])
             stages.append(s)
             views.append(Clopen(_spans=(d, out)))
@@ -124,11 +133,12 @@ class Enumeration:
         return tuple(self._stages)
 
     def final_measure(self) -> Dyadic:
-        """The last view's measure, no view built: of the distinct cylinders
+        """The last view's measure.  An enumeration of views measured its
+        last view; otherwise no view is built: of the distinct cylinders
         sorted as strings, each that does not start with the last one counted
         (in lex order, its shortest prefix in the set) adds its leaves."""
         if self._final is None:
-            cyls = sorted({c for _, c in self.schedule})
+            cyls = sorted({c for _, c in self._schedule})
             d, leaves, last = max(map(len, cyls), default=0), 0, "-"  # no cylinder starts "-"
             for c in cyls:
                 if not c.startswith(last):
@@ -138,10 +148,9 @@ class Enumeration:
         return self._final
 
     def last_stage(self) -> int:
-        return self.schedule[-1][0] if self.schedule else 0
-
-    def max_length(self) -> int:
-        return max((len(c) for _, c in self.schedule), default=0)
+        if self._schedule is None:  # an enumeration of views
+            return self._stages[-1] if self._stages else 0
+        return self._schedule[-1][0] if self._schedule else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Enumeration):
@@ -207,8 +216,8 @@ class MLTest:
 
         Memoized per (n, change interval): no view moves between two
         consecutive change stages, so the key is exact, and the shared
-        clopen is immutable.  A new key extends the largest memoized k < n
-        by one ``intersect`` per index.
+        clopen is immutable; ``descending_chain`` fills it too.  A new key
+        extends the largest memoized k < n by one ``intersect`` per index.
         """
         if s < 0 or n < 0:
             raise ValueError("index and stage must be non-negative")
@@ -232,10 +241,11 @@ class MLTest:
                     f"component {i} has measure {m} exceeding 2^-{i}")
 
     def check_nested_stagewise(self) -> bool:
-        stages = self.change_stages() or (0,)
-        for i in range(self.max_index):
-            for s in stages:
-                if not self.stage_view(i + 1, s).is_subset_of(self.stage_view(i, s)):
+        """Whether each view lies inside the one before it at every stage,
+        checked for (i, i+1) at those two components' change stages only."""
+        for outer, inner in zip(self.components, self.components[1:]):
+            for s in sorted({*outer.change_stages(), *inner.change_stages()}):
+                if not inner.stage_view(s).is_subset_of(outer.stage_view(s)):
                     return False
         return True
 
@@ -595,21 +605,21 @@ def validate_scenario(sc: Scenario) -> None:
                 f"padding reservoir missing: intersection of components 0..{i} "
                 "is empty at stage 0")
 
-    for name in sc.random_streams:
-        x = sc.stream(name)
-        if rd_at_stage(x, surrogate, b.max_stage) > top:
+    rds = {name: rd_at_stage(sc.stream(name), surrogate, b.max_stage)
+           for name in sc.random_streams}  # each read once
+    for name, d in rds.items():
+        if d > top:
             raise ScenarioError(
                 f"stream {name!r} declared random but captured by every "
                 f"contentful component at stage {b.max_stage}")
 
     for name in sc.parallel_family:
-        if name not in sc.random_streams:
+        if name not in rds:
             raise ScenarioError(
                 f"parallel family member {name!r} is not a declared random stream")
-        d = rd_at_stage(sc.stream(name), surrogate, b.max_stage)
-        if d > sc.parallel_bound:
+        if rds[name] > sc.parallel_bound:
             raise ScenarioError(
-                f"parallel family member {name!r} has deficiency {d} "
+                f"parallel family member {name!r} has deficiency {rds[name]} "
                 f"above the declared bound {sc.parallel_bound}")
 
 
@@ -652,17 +662,22 @@ def universal_sum(sc: Scenario) -> MLTest:
 def descending_chain(u: MLTest) -> MLTest:
     """The stagewise intersections V_n of components 0..n; nested by design.
     V_n = V_{n-1} ∩ U_n is computed only at the stages where V_{n-1} or U_n
-    changes: both views are constant between them."""
+    changes, both views being constant between them, and as V_n(s) is
+    ``u.meet_view(n, s)``, it is read from or stored in ``u``'s meet memo."""
+    changes, meets = u.change_stages(), u._meets
     comps: list[Enumeration] = []
     for n in range(u.max_index + 1):
         un, prev = u.component(n), comps[-1] if comps else None
         at = (un.change_stages() if prev is None  # an empty V_{n-1} leaves V_n empty
-              else sorted({*prev.change_stages(), *un.change_stages()}) if prev.schedule else ())
+              else sorted({*prev.change_stages(), *un.change_stages()}) if prev._views else ())
         stages: list[int] = []
         views: list[Clopen] = []
         for s in at:
-            view = un.stage_view(s)
-            view = view if prev is None else prev.stage_view(s).intersect(view)
+            key = n, bisect_right(changes, s)
+            view = meets.get(key)
+            if view is None:
+                view = un.stage_view(s)
+                view = meets[key] = view if prev is None else prev.stage_view(s).intersect(view)
             if view and (not views or view != views[-1]):
                 stages.append(s)
                 views.append(view)

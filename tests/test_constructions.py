@@ -5,10 +5,11 @@ import hashlib
 import json
 import random
 from bisect import bisect_right
+from fractions import Fraction
 from typing import Mapping
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorlab import bundled_scenario, cli, constructions, realizers
 from cantorlab.core import (
@@ -1678,3 +1679,140 @@ class TestLemma63AliveCache:
         calls = _alive_calls(monkeypatch)
         build_lemma63(sc.tree("positive"), sc.budgets)
         assert 0 < len(calls) <= bound
+
+
+# ---------------------------------------------------------------------------
+# lemma31's running unions and thm33's integer budget test
+# ---------------------------------------------------------------------------
+
+def _lemma31_by_stages(u: MLTest, budgets: Budgets, sigma_stages: int | None = None,
+                       *, obligations: bool = True) -> ConstructionTrace:
+    """The per-stage assembly ``build_lemma31`` ran before it kept running
+    unions: each relevant stage rebuilds the markers' union from their
+    strings and meets every emitted marker with its component's view."""
+    if u.max_index < 2:
+        raise BudgetError("construction needs component 2")
+    big_s, depth = budgets.max_stage, budgets.max_depth
+    n_sigma = min(sigma_stages if sigma_stages is not None else 16, big_s, depth - 2)
+    trace = ConstructionTrace()
+
+    # The marker phase adds one event at each stage 0..k; markers.events[k]
+    # goes into the trace before the w0_view event of stage k.
+    markers = ConstructionTrace()
+    sigmas: list[str] = []
+    for s in range(n_sigma):
+        covered = u.stage_view(2, s).union(Clopen(sigmas))
+        try:
+            sigma = first_free_string(s + 2, depth, covered)
+        except SearchExhaustedError:
+            markers.add(s, "sigma_search_exhausted")
+            break
+        if len(sigma) + 1 > u.max_index:
+            markers.add(s, "sigma_emission_stopped",
+                        reason="marker length outgrew the index budget",
+                        length=len(sigma))
+            break
+        sigmas.append(sigma)
+        markers.add(s, "sigma", value=sigma, length=len(sigma))
+
+    relevant: set[int] = {0}
+    relevant.update(range(len(sigmas)))
+    relevant.update(u.component(2).change_stages())
+    for sig in sigmas:
+        relevant.update(u.component(len(sig) + 1).change_stages())
+    relevant = {s for s in relevant if s <= big_s}
+
+    marker_cones = [Clopen([sig]) for sig in sigmas]
+    w_sched: list[tuple[int, str]] = []
+    prev: Clopen | None = None
+    k = 0  # the next marker event
+    for s in sorted(relevant):
+        trace.events += markers.events[k:s + 1]
+        k = s + 1
+        emitted = [sig for t, sig in enumerate(sigmas) if t <= s]
+        outside = u.stage_view(2, s).difference(Clopen(emitted), depth)
+        view = outside
+        for t, sig in enumerate(sigmas):
+            if t <= s:
+                view = view.union(marker_cones[t].intersect(
+                    u.stage_view(len(sig) + 1, s)))
+        if view != prev:
+            w_sched.extend((s, c) for c in view.cylinders)
+            trace.add(s, "w0_view", cylinders=view, measure=view.measure())
+            prev = view
+    trace.events += markers.events[k:]
+    w0 = Enumeration(w_sched)
+
+    v = MLTest([Enumeration([(i, sig)]) for i, sig in enumerate(sigmas)])
+    trace.outputs = {"w0": w0, "v": v, "sigmas": list(sigmas)}
+    if not obligations:
+        return trace
+
+    final = max(big_s, w0.last_stage())
+    w_final = w0.stage_view(final)
+    trace.witness("lemma31.sigma_length",
+                  all(len(sig) >= s + 2 for s, sig in enumerate(sigmas)),
+                  lengths=[len(s) for s in sigmas])
+    trace.witness("lemma31.v_budget",
+                  all(len(sig) >= i + 2 for i, sig in enumerate(sigmas)))
+    for i, sig in enumerate(sigmas):
+        inside = marker_cones[i].intersect(w_final)
+        bound = u.stage_view(len(sig) + 1, final).measure()
+        ok = (inside.measure() <= bound and bound < Dyadic.exp2(-len(sig)))
+        trace.witness(f"lemma31.meet_bound.{i}", ok,
+                      inside=inside.measure(), bound=bound, marker=sig)
+        # Containment into a growing set is monotone, so the final stage
+        # certifies every earlier one.
+        trace.witness(f"lemma31.non_containment.{i}",
+                      not Clopen([sig]).is_subset_of(w_final), marker=sig)
+    return trace
+
+
+
+@st.composite
+def small_world_st(draw):
+    """A test of 3-6 components, component i below 0^i with cylinders of at
+    most 4 more bits at stages 0..8, and budgets with K in 6..10."""
+    n = draw(st.integers(3, 6))
+    comps = [Enumeration([(t, "0" * i + c) for t, c in draw(st.lists(
+        st.tuples(st.integers(0, 8), st.text(alphabet="01", max_size=4)), max_size=5))])
+        for i in range(n)]
+    depth = draw(st.integers(max(6, n + 1), 10))  # I = n - 1 <= K - 2
+    budgets = Budgets(n - 1, draw(st.integers(0, 12)), depth, depth // 2)
+    return MLTest(comps), budgets
+
+
+class TestLemma31AgainstStages:
+    @given(small_world_st(), st.integers(1, 16))
+    @settings(max_examples=150, deadline=None)
+    def test_same_trace_as_the_stage_loop(self, world, sigma_stages):
+        u, budgets = world
+        for obligations in (True, False):
+            try:  # no marker at all: both raise building the empty family
+                want = _lemma31_by_stages(u, budgets, sigma_stages, obligations=obligations)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    build_lemma31(u, budgets, sigma_stages, obligations=obligations)
+                continue
+            got = build_lemma31(u, budgets, sigma_stages, obligations=obligations)
+            assert got.lines() == want.lines()
+            assert got.outputs["w0"] == want.outputs["w0"]
+            assert got.outputs["sigmas"] == want.outputs["sigmas"]
+            assert got.outputs["v"].components == want.outputs["v"].components
+
+    @pytest.mark.parametrize("name", ["main", "deep"])
+    @pytest.mark.parametrize("sigma_stages", [None, 1, 3, 10])
+    def test_bundles(self, request, name, sigma_stages):
+        sc = request.getfixturevalue(f"{name}_scenario")
+        args = (sc.universal, sc.budgets, sigma_stages)
+        assert build_lemma31(*args).lines() == _lemma31_by_stages(*args).lines()
+
+
+@given(st.integers(0, 1 << 40), st.integers(0, 60), st.integers(0, 70))
+@example(1, 3, 3)
+@example(1, 4, 3)
+@example(3, 3, 2)
+@example(0, 0, 70)
+def test_below_matches_fractions(n, e, j):
+    """``_below(m, j)`` is ``m < 2**-j`` of the exact fractions, on integers."""
+    assert constructions._below(Dyadic(n, e), j) == (Fraction(n, 2 ** e) < Fraction(1, 2 ** j))

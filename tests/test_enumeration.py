@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cantorlab import bundled_scenario
-from cantorlab.cli import _budget_sweep, main
+from cantorlab.cli import _budget_sweep, main, produce
 from cantorlab.constructions import ConstructionTrace
 from cantorlab.core import BudgetError, Clopen, Dyadic, ScenarioError, SearchExhaustedError
 from cantorlab.enumeration import (
@@ -137,14 +137,20 @@ class TestEnumeration:
 
     def test_building_views_measures_none(self, monkeypatch):
         """Views are built for their clopens only: a measure is read when
-        asked for, so building them, for a test or its chain, measures none."""
-        calls = []
-        measure = Clopen.measure
+        asked for, so building a test's views measures none.  Building its
+        chain measures, for the chain's budget check, the last view of each
+        non-empty component and nothing else, and reads no view's cylinders."""
+        calls, read = [], []
+        measure, cylinders = Clopen.measure, Clopen.cylinders.fget
         monkeypatch.setattr(Clopen, "measure", lambda v: calls.append(v) or measure(v))
         u = universal_sum(load_scenario(bundled_scenario("main")))
-        assert all(c.change_stages() for c in u.components[:3])
+        assert all(c.change_stages() for c in u.components[:3]) and calls == []
+        monkeypatch.setattr(Clopen, "cylinders",
+                            property(lambda v: read.append(v) or cylinders(v)))
         chain = descending_chain(u)
-        assert chain.component(2).change_stages() and calls == []
+        assert chain.component(2).change_stages() and read == []
+        lasts = [c._views[-1] for c in chain.components if c._views]
+        assert len(lasts) >= 3 and [*map(id, calls)] == [*map(id, lasts)]
 
 
 class TestMLTest:
@@ -304,12 +310,49 @@ class TestChainAgainstMeets:
                 assert g.measure_at(s) == w.measure_at(s)
             assert g.final_measure() == w.final_measure()
 
+    @given(st.lists(short_schedule_st, min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=8),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=8))
+    def test_meet_memo_shared_with_the_chain(self, schedules, before, after):
+        """The chain reads and fills ``u``'s meet memo: meets drawn before
+        and after it, every memo entry and every chain component match the
+        oracle's."""
+        from cantorlab.core import intersect_all
+        comps = [[(t, "0" * i + c) for t, c in sched] for i, sched in enumerate(schedules)]
+        u = MLTest([Enumeration(c) for c in comps])
+        want = _chain_by_meets(MLTest([Enumeration(c) for c in comps]))
+
+        def meet(n, s):
+            return intersect_all(u.stage_view(i, s) for i in range(n + 1))
+        for n, s in before:
+            assert u.meet_view(min(n, u.max_index), s) == meet(min(n, u.max_index), s)
+        got = descending_chain(u)
+        for n, s in after:
+            assert u.meet_view(min(n, u.max_index), s) == meet(min(n, u.max_index), s)
+        changes = u.change_stages()
+        for (n, at), view in u._meets.items():  # a stage of the key's interval
+            assert view == meet(n, changes[at - 1] if at else 0)
+        for n, (w, g) in enumerate(zip(want.components, got.components, strict=True)):
+            assert g.schedule == w.schedule
+            for s in range(10):
+                assert g.stage_view(s) == w.stage_view(s) == meet(n, s)
+            assert g.final_measure() == w.final_measure()
+
     def test_sweep_builds_no_views_of_copied_tests(self):
         sc = load_scenario(bundled_scenario("main"))
         validate_scenario(sc)
         _budget_sweep(ConstructionTrace(), sc.derived, sc.budgets, 1)
         for name in ("shift_union", "stratify"):
             assert all(c._stages is None for c in sc.derived[name].components)
+
+    def test_replay_and_sweep_derive_no_chain_schedule(self):
+        """lemma31 does not read the chain, and the sweep reads its budgets
+        from its views: no chain component's string schedule is derived."""
+        sc = load_scenario(bundled_scenario("main"))
+        produce(sc, "lemma31", None, None, 1)
+        _budget_sweep(ConstructionTrace(), sc.derived, sc.budgets, 1)
+        assert all(c._schedule is None for c in sc.chain.components)
+        assert sc.chain.component(1).schedule  # derived when read
 
 
 class TestMeetView:
@@ -556,9 +599,48 @@ class TestIndexShift:
         assert t.max_index == surrogate.max_index - 2
 
 
+def _nested_at_every_change(t: MLTest) -> bool:
+    """The reference ``check_nested_stagewise``: every pair (i, i+1) at
+    every change stage of the whole test."""
+    stages = t.change_stages() or (0,)
+    for i in range(t.max_index):
+        for s in stages:
+            if not t.stage_view(i + 1, s).is_subset_of(t.stage_view(i, s)):
+                return False
+    return True
+
+
+class TestNestedAgainstEveryChange:
+    @given(st.lists(short_schedule_st, min_size=1, max_size=6), st.booleans())
+    @example([[(3, "1")], [(3, "1"), (5, "")]], False)  # "01" outside "1" at 3
+    @example([[(3, "1")], [(3, "1"), (5, "")]], True)
+    @example([[(0, "0")], [(1, "0")]], False)
+    def test_same_answer(self, schedules, chained):
+        """Drawn tests, below 0^i as in ``TestChainAgainstMeets``, or their
+        chains, which are nested."""
+        t = MLTest([Enumeration([(s, "0" * i + c) for s, c in sched])
+                    for i, sched in enumerate(schedules)])
+        if chained:
+            t = descending_chain(t)
+        assert t.check_nested_stagewise() is _nested_at_every_change(t)
+        assert t.check_nested_stagewise() or not chained
+
+
 class TestScenario:
     def test_effective_top(self, surrogate):
         assert effective_top(surrogate) == surrogate.max_index - 1
+
+    def test_validation_reads_each_deficiency_once(self, monkeypatch):
+        """``main`` declares 5 random streams; ``alt``, ``x1`` and ``x2``
+        are also parallel family members, read once all the same."""
+        import cantorlab.enumeration as enumeration
+        calls = []
+        monkeypatch.setattr(enumeration, "rd_at_stage",
+                            lambda x, t, s: calls.append(x.name) or rd_at_stage(x, t, s))
+        sc = load_scenario(bundled_scenario("main"))
+        validate_scenario(sc)
+        assert sorted(calls) == sorted(sc.random_streams) and len(calls) == 5
+        assert {"alt", "x1", "x2"} <= set(sc.parallel_family) <= set(calls)
 
     def test_validation_passes(self, main_scenario):
         validate_scenario(main_scenario)
