@@ -406,7 +406,8 @@ def _text_blocks(lines: Iterable[str | tuple]) -> Iterator[str]:
     in blocks of at most 1024 lines: writing and comparing a trace never
     builds its whole text.  This is the one place a run entry is expanded:
     a witness run ``(head, stages, tail)`` to ``head + str(q) + tail`` at
-    each stage ``q``, an event run ``(head, first, stop)`` to ``head +
+    each stage ``q``, up to 1024 stages written by one ``%d,`` format whose
+    commas become ``tail + "\n" + head``, an event run ``(head, first, stop)`` to ``head +
     str(s) + "}"``, its stages that share ``k = s // 1000`` as one block, a
     join over a digit table slice: each line is ``head + str(k)`` and then
     the 3-digit ``s % 1000``, or, for k = 0, ``head`` and the unpadded
@@ -414,13 +415,14 @@ def _text_blocks(lines: Iterable[str | tuple]) -> Iterator[str]:
     for kind, group in groupby(lines, type):
         if kind is str:
             while block := list(islice(group, 1024)):
-                yield "\n".join(block) + "\n"
+                yield "\n".join([*block, ""])
             continue
         for head, first, stop in group:
             if type(first) is list:  # a witness run; stop is its tail
                 sep = stop + "\n" + head
-                for a in range(0, len(first), 1024):
-                    yield head + sep.join(map(str, first[a:a + 1024])) + stop + "\n"
+                for a in range(0, len(first), 1024):  # a block's stages in one format
+                    block = tuple(first[a:a + 1024])
+                    yield f'{head}{("%d," * len(block) % block)[:-1].replace(",", sep)}{stop}\n'
                 continue
             for k in range(first // 1000, (stop + 999) // 1000):
                 lo, hi = max(first - 1000 * k, 0), min(stop - 1000 * k, 1000)

@@ -20,11 +20,15 @@ compares integer bounds; the last covering length is asked first (5,333 of
 deep's 5,405 covered visits), and a cone found alive at its last visit is
 compared only with the lengths moved since (7,378 comparisons, not 16,568).
 The tree is asked only about an uncovered cone not found alive since its
-dead view last moved (92 of 1,384), an init is the first leaf past the
-intervals, and event lines come from fixed-shape templates.  The
+dead view last moved (92 of 1,384).  An init is the first leaf past the
+intervals, read in the fixed order of their low ends; a replace line is
+written in place from a head per length and one template per reason.  The
+cone list's JSON is one join of its pairs, handed to ``lines``.  The
 half-measure pass looks up a cone only when the build could not show it
-inside an earlier one (114 of 5,468), and each stretch of its witnesses
-that share their data is one run (71 on deep, holding 5,470).  ``lemma31``
+inside an earlier one (114 of 5,468), takes a Python step only there and
+at the loud stages (118 of deep's 5,470 stages), finds where each quiet
+stretch ends with one ``list.index``, and holds each stretch of witnesses
+that share their data as one run (71 on deep).  ``lemma31``
 keeps one union of its markers and one of their pieces, meeting a marker
 with its component's view again only when that view moves; ``thm33`` tests
 a candidate's cone against each 2^-j on the integers of the union's measure.
@@ -33,6 +37,8 @@ a candidate's cone against each 2^-j on the integers of the union's measure.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
+from itertools import filterfalse
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
@@ -93,14 +99,17 @@ class ConstructionTrace:
     obligations.  An event is held as its encoded line, and a run of one
     event over consecutive stages as one entry ``(head, first, stop)``, line
     ``f"{head}{s}}}"`` at stage ``s``; a witness as a dict, and a run of
-    witnesses that share status and data as ``(prefix, stages, status, data)``."""
+    witnesses that share status and data as ``(prefix, stages, status, data)``.
+    A builder may hand ``lines`` the JSON text of an output value it will not
+    change, as a pair ``(value, text)`` in ``encoded``."""
 
-    __slots__ = ("events", "outputs", "witnesses")
+    __slots__ = ("events", "outputs", "witnesses", "encoded")
 
     def __init__(self) -> None:
         self.events: list[str | tuple[str, int, int]] = []
         self.outputs: dict[str, object] = {}
         self.witnesses: list[dict | tuple[str, list[int], str, dict]] = []
+        self.encoded: list[tuple[object, str]] = []
 
     def add(self, stage: int, action: str, /, **payload) -> None:
         """One event; ``stage`` and ``action`` are positional, so any name,
@@ -116,7 +125,8 @@ class ConstructionTrace:
 
     def event_count(self) -> int:
         """The number of events, a run counting as its stages."""
-        return sum(1 if type(e) is str else e[2] - e[1] for e in self.events)
+        return len(self.events) + sum(
+            e[2] - e[1] - 1 for e in filterfalse(str.__instancecheck__, self.events))
 
     def witness(self, claim: str, ok: bool, **data) -> None:
         self.witnesses.append({"claim": claim, "status": "pass" if ok else "fail",
@@ -155,19 +165,21 @@ class ConstructionTrace:
         ``cli._text_blocks`` expands runs when the trace is written or
         compared, so no list of their lines is built.  The outputs record is
         written from the encodings of its values in sorted key order, and a
-        value that several keys share is encoded once; a key is written as
+        value that several keys share is encoded once, and one in
+        ``encoded`` not at all; a key is written as
         the encoder writes a string, so one that is not a string raises
         TypeError."""
         out = self.events.copy()
         string = json.encoder.encode_basestring_ascii
-        memo: dict[int, str] = {}  # by the identity of a value
-        items = []
+        memo = {id(v): text for v, text in self.encoded}  # by the identity of a value
+        parts = []  # joined once: a value's text is copied only into the line
         for k, v in sorted(self.outputs.items()):
             encoded = memo.get(id(v))
             if encoded is None:
                 encoded = memo[id(v)] = _encode(v)
-            items.append(f"{string(k)}:{encoded}")
-        out.append(f'{{"action":"outputs","payload":{{{",".join(items)}}},"stage":-1}}')
+            parts += (",", string(k), ":", encoded)
+        parts[:1] = ['{"action":"outputs","payload":{']  # in place of the first comma
+        out.append("".join([*parts, '},"stage":-1}']))
         for w in self.witnesses:
             if type(w) is dict:  # sort_keys writes claim, data, status
                 out.append(_encode(w))
@@ -209,17 +221,20 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None,
     markers = ConstructionTrace()
     sigmas: list[str] = []
     cones, marks = [], [Clopen()]  # marks[t]: the union of the first t markers
+    why = f"min(sigma_stages, S, K - 2) is {n_sigma}"  # if no marker is emitted
     for s in range(n_sigma):
         covered = u.stage_view(2, s).union(marks[s])
         try:
             sigma = first_free_string(s + 2, depth, covered)
         except SearchExhaustedError:
             markers.add(s, "sigma_search_exhausted")
+            why = "the stage-0 search was exhausted"
             break
         if len(sigma) + 1 > u.max_index:
             markers.add(s, "sigma_emission_stopped",
                         reason="marker length outgrew the index budget",
                         length=len(sigma))
+            why = f"the first marker, of length {len(sigma)}, outgrew I = {u.max_index}"
             break
         sigmas.append(sigma)
         cones.append(Clopen([sigma]))
@@ -251,6 +266,8 @@ def build_lemma31(u: MLTest, budgets: Budgets, sigma_stages: int | None = None,
     trace.events += markers.events[k:]
     w0 = Enumeration(w_sched)
 
+    if not sigmas:
+        raise BudgetError(f"no marker emitted: {why}")
     v = MLTest([Enumeration([(i, sig)]) for i, sig in enumerate(sigmas)])
     trace.outputs = {"w0": w0, "v": v, "sigmas": list(sigmas)}
     if not obligations:
@@ -615,12 +632,6 @@ def _init_line(s: int, n: int, sigma: str) -> str:
     return f'{{"action":"init","payload":{{"length":{n},"sigma":"{sigma}"}},"stage":{s}}}'
 
 
-def _replace_line(s: int, n: int, old: str, new: str, reason: str) -> str:
-    """``jline`` of a ``replace`` event, written like ``_init_line``."""
-    return (f'{{"action":"replace","payload":{{"length":{n},"new":"{new}",'
-            f'"old":"{old}","reason":"{reason}"}},"stage":{s}}}')
-
-
 def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     """Enumerate, per length, one tracked cylinder meeting the tree, shifting
     it one step right whenever it dies in the tree or is swallowed by a
@@ -648,15 +659,19 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     # length whose interval last held a prefix of it, or -1.  alive_in[i] is
     # the dead interval, the count of dead changes up to the stage, in which
     # the tracked cone was last found alive, or -1: the tree's dead view is
-    # constant in an interval, so the cone stays alive there.
+    # constant in an interval, so the cone stays alive there.  order holds
+    # the lengths by their lows, which never move, scaled to one length.
     top = depth - n0
     sigmas: list[str] = []
     lows: list[int] = []
     highs: list[int] = []
+    order: list[int] = []
     last = [-1] * (top + 1)
     alive_in = [-1] * (top + 1)
     dead_changes, interval = tree.change_stages(), 0
-    specs = [f"0{n0 + i}b" for i in range(top + 1)]
+    past = max(tree.depth - n0 + 1, 0)  # the first length past the tree
+    add_cone, add_inside, add_event = cones.append, inside.append, events.append
+    heads = [f'{{"action":"replace","payload":{{"length":{n0 + i},"new":"' for i in range(top + 1)]
 
     # Stage s = pair(i, t) visits length n0 + i; diagonal w holds the stages
     # w(w+1)/2 + i for i <= w, in stage order, and lengths past the depth
@@ -664,10 +679,8 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
     w, first = 0, 0
     while first <= big_s:
         moved: list[int] = []  # the lengths that moved in this diagonal
-        for i in range(min(w - 1, top, big_s - first) + 1):
-            s, n = first + i, n0 + i
-            if n > tree.depth:  # raises, as for a node deeper than the tree
-                tree.alive(sigmas[i], s)
+        stop = min(w - 1, top, big_s - first) + 1
+        for i in range(min(stop, past)):
             # No cone is shorter than n0, and the prefix of length n0 + j of
             # sigma is a cone iff it lies in length n0 + j's interval.  The
             # length j = last[i] is asked first, about its top only: v and so
@@ -682,6 +695,7 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
                         last[i] = j
                         break
                 else:
+                    s = first + i
                     while interval < len(dead_changes) and dead_changes[interval] <= s:
                         interval += 1
                     if alive_in[i] == interval or tree.alive(sigmas[i], s):
@@ -689,45 +703,51 @@ def build_lemma63(tree: CoTree, budgets: Budgets) -> ConstructionTrace:
                         continue
                     j = -1
             # n >= n0 >= 2 (2^-n0 <= 1/4 is enforced above): no tracked string
-            # is empty, so its int(sigma, 2) at init cannot raise, and
-            # v + 1 == 2**n means sigma was all ones.
+            # is empty, v + 1 == 2**n means sigma was all ones, and otherwise
+            # bin(v | 1 << n)[3:] is v written in n bits.
+            s, n = first + i, n0 + i
             v += 1
             if v >> n:
                 raise SearchExhaustedError(
                     f"right neighbour exhausted at length {n} "
                     "(tree measure precondition violated)")
-            old, new = sigmas[i], format(v, specs[i])
-            cones.append([s, new])
-            # The prefix of the new cone of length n0 + j is in that length's
-            # interval, hence a cone added before it, whenever it is at most
-            # the interval's top.
-            inside.append(j >= 0 and v >> (i - j) <= highs[j])
+            old, new = sigmas[i], bin(v | 1 << n)[3:]
+            add_cone([s, new])
             sigmas[i], highs[i], alive_in[i] = new, v, -1
             moved.append(i)
-            events.append(_replace_line(s, n, old, new,
-                                        "dead" if j < 0 else "covered"))
+            # The prefix of the new cone of length n0 + j is in that length's
+            # interval, hence a cone added before it, whenever it is at most
+            # the interval's top.  The line is the record's jline, written
+            # from its length's head and one template per reason.
+            add_inside(j >= 0 and v >> (i - j) <= highs[j])
+            add_event(f'{heads[i]}{new}","old":"{old}","reason":"dead"}},"stage":{s}}}' if j < 0
+                      else f'{heads[i]}{new}","old":"{old}","reason":"covered"}},"stage":{s}}}')
+        if stop > past:  # raises, as for a node deeper than the tree
+            tree.alive(sigmas[past], first + past)
         if w <= top and first + w <= big_s:  # t == 0: the first visit of length w
             s, n = first + w, n0 + w
             # The new cone: the leftmost length-n leaf past the shorter intervals.
             v = 0
-            for lo, hi in sorted([(lows[j] << w - j, highs[j] + 1 << w - j)
-                                  for j in range(w)]):
-                if lo > v:
+            for j in order:
+                if lows[j] << w - j > v:
                     break
-                v = max(v, hi)
+                v = max(v, highs[j] + 1 << w - j)
             if v >> n:
                 raise SearchExhaustedError(f"no uncovered string of length {n}")
-            sigma = format(v, specs[w])
-            cones.append([s, sigma])
-            inside.append(False)
+            sigma = bin(v | 1 << n)[3:]
+            add_cone([s, sigma])
+            add_inside(False)
             sigmas.append(sigma)
             lows.append(v)
             highs.append(v)
-            events.append(_init_line(s, n, sigma))
+            insort(order, w, key=lambda j: lows[j] << top - j)
+            add_event(_init_line(s, n, sigma))
         w += 1
         first += w
 
     trace.outputs = {"a": cones, "cones": cones, "n0": n0}
+    # Ints and binary strings need no escaping: the pairs' JSON is one join.
+    trace.encoded = [(cones, "".join(["[", ",".join([f'[{s},"{c}"]' for s, c in cones]), "]"]))]
     return _finish_lemma63(tree, budgets, trace, cones, n0, inside)
 
 
@@ -742,6 +762,11 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     cone_stages = [st for st, _ in cones]
     loud = {0, *dead_changes, big_s}
     stages = sorted(cone_stages + [*loud])  # a merge; a loud stage may repeat
+    # quiet[k]: cones[k] lies inside an earlier cone and no loud stage falls
+    # after the cone before it and at or before its stage; False ends the list.
+    quiet = [*inside, False]
+    for st in loud:
+        quiet[bisect_left(cone_stages, st)] = False
     # One pass over the stages: the union of the cones up to s, cones[:upto],
     # meets the live set in a running intersection, which grows by the new
     # cones' pieces and is cut to the live set when the dead view grows.  A
@@ -750,14 +775,12 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     # and the count of dead changes up to s only move forward.
     witnesses = trace.witnesses
     n_cones, n_dead, n_stages = len(cone_stages), len(dead_changes), len(stages)
-    inter, data, run = Clopen(), None, [-1]  # run: the stages of the last run
+    inter, data, run = Clopen(), None, []  # run: the stages of the last run
     upto = key = seen = i = 0
     interval = -1
     while i < n_stages:
         s = stages[i]
-        i += 1
-        if s == run[-1]:
-            continue
+        i += 1 + (i + 1 < n_stages and stages[i + 1] == s)  # past a repeat of s
         t = min(s, big_s)
         while upto < n_cones and cone_stages[upto] <= s:
             upto += 1
@@ -785,14 +808,12 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
             run = []
             witnesses.append(("lemma63.half_measure.", run, status, data))
         run.append(s)
-        # A stage that is not loud is the stage of the next cone.  The stages
-        # next after s whose cone lies inside an earlier cone are quiet: the
-        # intersection stays, so their witnesses join this run.
-        j = i
-        while j < n_stages and stages[j] not in loud and inside[upto]:
-            j, upto = j + 1, upto + 1
-        run += stages[i:j]
-        seen, i = upto, j
+        # The quiet cones next after s keep the intersection, so their
+        # stages, the next in stages, join this run in one step.
+        j = quiet.index(False, upto)
+        run += cone_stages[upto:j]
+        i += j - upto
+        seen = upto = j
 
     live, union = tree.live_clopen(big_s), Clopen()  # the first m cones' union
     for m in range(min(21, n_cones)):

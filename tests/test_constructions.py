@@ -32,7 +32,6 @@ from cantorlab.constructions import (
     _finish_lemma63,
     _half_coverage_stage,
     _init_line,
-    _replace_line,
     build_lemma31,
     build_lemma63,
     build_thm33,
@@ -564,17 +563,23 @@ class TestEventLines:
         trace.lines()
         assert sum(v is self._SHARED for v in seen) == 1
 
-    @given(stage=st.integers(0, 10**6),
-           old=st.text(alphabet="01", min_size=1, max_size=64),
-           new=st.text(alphabet="01", min_size=1, max_size=64),
-           reason=st.sampled_from(["covered", "dead"]))
-    def test_lemma63_event_templates(self, stage, old, new, reason):
-        n = len(old)
-        assert _init_line(stage, n, old) == _ENCODER.encode(
-            {"action": "init", "payload": {"length": n, "sigma": old}, "stage": stage})
-        assert _replace_line(stage, n, old, new, reason) == _ENCODER.encode(
-            {"action": "replace", "stage": stage,
-             "payload": {"length": n, "old": old, "new": new, "reason": reason}})
+    @given(stage=st.integers(0, 10**6), sigma=st.text(alphabet="01", min_size=1, max_size=64))
+    def test_lemma63_event_templates(self, stage, sigma):
+        n = len(sigma)
+        assert _init_line(stage, n, sigma) == _ENCODER.encode(
+            {"action": "init", "payload": {"length": n, "sigma": sigma}, "stage": stage})
+
+    @pytest.mark.parametrize("name", ["main", "deep"])
+    def test_lemma63_replace_lines(self, request, name):
+        """``build_lemma63`` writes each ``replace`` line in place, from a
+        head per length and one template per reason: every line is the
+        encoding of its record."""
+        sc = request.getfixturevalue(f"{name}_scenario")
+        events = build_lemma63(sc.tree("positive"), sc.budgets).events
+        replaced = [line for line in events if '"action":"replace"' in line]
+        assert {json.loads(line)["payload"]["reason"] for line in replaced} == {
+            "covered", "dead"}
+        assert [_ENCODER.encode(json.loads(line)) for line in replaced] == replaced
 
     @given(claims=st.lists(st.text(alphabet=st.sampled_from('ab."\\éσ\U0001d11e\n'),
                                    max_size=8), min_size=1, max_size=6),
@@ -1168,6 +1173,27 @@ def _deep_dead_tree_world(sc, seed):
     return CoTree(Enumeration(dead), budgets.max_depth), budgets
 
 
+def _loud_world(sc, seed):
+    """A seeded lemma63 world, the bundled positive tree with loud stages
+    on cones: a dead change at the stage of a covered replace, which reads
+    no tree and so stays a cone stage, and a stage budget S at a later
+    covered replace; half the worlds also get a dead change past S.  Returns
+    the tree, the budgets and the two chosen stages."""
+    r = random.Random(seed)
+    budgets = sc.budgets
+    dead = list(sc.trees["positive"].schedule)
+    base = build_lemma63(CoTree(Enumeration(dead), budgets.max_depth), budgets)
+    covered = [e["stage"] for e in decoded_events(base) if e["action"] == "replace"
+               and e["payload"]["reason"] == "covered"]
+    d = r.choice(covered[:-1])
+    big_s = r.choice([c for c in covered if c > d])
+    for stage in (d, big_s + r.randint(1, 40)) if seed % 2 else (d,):
+        dead.append((stage, "".join(r.choice("01") for _ in range(r.randint(10, 20)))))
+    b = budgets
+    return (CoTree(Enumeration(dead), b.max_depth),
+            Budgets(b.max_index, big_s, b.max_depth, b.max_layers), d, big_s)
+
+
 class TestClockedAgainstEveryStage:
     """The clocked constructions leave the same trace lines and outputs, or
     raise the same error, as the per-stage loops they replaced."""
@@ -1212,6 +1238,7 @@ class TestClockedAgainstEveryStage:
                 == _outcome(_lemma63_every_stage, tree, budgets))
         trace = build_lemma63(tree, budgets)
         cones = trace.outputs["cones"]
+        assert trace.encoded == [(cones, _encode(cones))]  # the handed-over text
         clocked = [jline(w) for w in trace.obligations()
                    if w["claim"].startswith("lemma63.half_measure.")]
         assert clocked == [jline(w) for w in _half_measure_every_stage(cones, tree, budgets)]
@@ -1242,6 +1269,21 @@ class TestClockedAgainstEveryStage:
                 elif min(cone_stages) < d < max(cone_stages):
                     kinds.add("between")
         assert kinds == {"at", "between"}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lemma63_loud_stages_on_cones(self, main_scenario, seed):
+        """A dead change at a cone's stage, so that loud stage repeats in the
+        pass's merged stages, and a cone at stage S.  The dead cone at d is
+        inside an earlier cone, so the half-measure pass would join it to
+        the run before d if its skip did not stop at loud stages."""
+        tree, budgets, d, big_s = _loud_world(main_scenario, seed)
+        cones = self._check_lemma63(tree, budgets).outputs["cones"]
+        stages = {s: c for s, c in cones}
+        assert d in tree.change_stages() and d in stages
+        assert big_s == budgets.max_stage and big_s in stages
+        assert any(stages[d].startswith(c) for s, c in cones if s < d)
+        if seed % 2:
+            assert max(tree.change_stages()) > big_s
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lemma63_seeded_deep_dead_trees(self, deep_scenario, seed):
@@ -1788,10 +1830,11 @@ class TestLemma31AgainstStages:
     def test_same_trace_as_the_stage_loop(self, world, sigma_stages):
         u, budgets = world
         for obligations in (True, False):
-            try:  # no marker at all: both raise building the empty family
+            try:  # no marker at all: the stage loop builds the empty family,
+                # which the build refuses first, naming why
                 want = _lemma31_by_stages(u, budgets, sigma_stages, obligations=obligations)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=str(exc)):
+            except ValueError:
+                with pytest.raises(BudgetError, match="^no marker emitted: "):
                     build_lemma31(u, budgets, sigma_stages, obligations=obligations)
                 continue
             got = build_lemma31(u, budgets, sigma_stages, obligations=obligations)
@@ -1806,6 +1849,30 @@ class TestLemma31AgainstStages:
         sc = request.getfixturevalue(f"{name}_scenario")
         args = (sc.universal, sc.budgets, sigma_stages)
         assert build_lemma31(*args).lines() == _lemma31_by_stages(*args).lines()
+
+
+class TestLemma31NoMarker:
+    """With no marker to emit, ``build_lemma31`` raises BudgetError naming
+    the cause, where it built an empty family before."""
+
+    def test_zero_budget(self, main_scenario):
+        budgets = Budgets(12, 0, 64, 8)
+        with pytest.raises(BudgetError) as err:
+            build_lemma31(main_scenario.universal, budgets)
+        assert str(err.value) == "no marker emitted: min(sigma_stages, S, K - 2) is 0"
+
+    def test_stage_zero_search_exhausted(self):
+        whole = Enumeration([(0, "")])  # component 2 covers everything at stage 0
+        u = MLTest([whole, whole, whole, whole], check=False)
+        with pytest.raises(BudgetError) as err:
+            build_lemma31(u, Budgets(3, 4, 6, 3))
+        assert str(err.value) == "no marker emitted: the stage-0 search was exhausted"
+
+    def test_first_marker_outgrew_the_index_budget(self):
+        u = MLTest([Enumeration([]) for _ in range(3)])  # I = 2 < len("00") + 1
+        with pytest.raises(BudgetError) as err:
+            build_lemma31(u, Budgets(2, 4, 6, 3))
+        assert str(err.value) == "no marker emitted: the first marker, of length 2, outgrew I = 2"
 
 
 @given(st.integers(0, 1 << 40), st.integers(0, 60), st.integers(0, 70))

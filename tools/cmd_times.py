@@ -3,7 +3,7 @@
 Usage (from the repository root; standard library only):
 
     python3 tools/cmd_times.py [--src DIR] [--scenario main] [--reps 5] \\
-        [--select SEL ...]
+        [--select SEL ...] [--against DIR [--rounds 5]]
 
 ``--src`` (default: this repository's ``src``) is put first on
 ``sys.path``, so another checkout's package can be timed.  Each rep runs,
@@ -16,6 +16,15 @@ per ``(kind, selector)`` command, slowest median first, with the median and
 range of its wall times in ms, and ends with one JSON line holding every
 median and naming the two slowest commands.  Times are raw wall times, so
 compare two trees only in alternating runs on the same machine.
+
+``--against DIR`` does that: it compares ``--src`` with ``DIR/src`` in
+``--rounds`` rounds, each running this script once per tree, one process at
+a time, with the other options as given; even rounds time ``--src`` first
+and odd rounds ``DIR`` first.  A command's reading in a round is that
+process's median.  It prints one line per command, slowest first: the median
+over the rounds for each tree, the change from ``DIR``'s in percent, and the
+rounds in which ``--src`` was faster; then one JSON line with the medians of
+both trees and those round counts.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import gc
 import io
 import json
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -47,13 +57,45 @@ def timed(main, argv: list[str]) -> float:
     return wall
 
 
+def against(args: argparse.Namespace) -> None:
+    """Alternating rounds of this script on ``--src`` and ``DIR/src``."""
+    srcs = [str(Path(args.src).resolve()), str((Path(args.against) / "src").resolve())]
+    rounds = max(args.rounds, 1)
+    readings: dict[str, tuple[list[float], list[float]]] = {}
+    for r in range(rounds):
+        for side in (0, 1) if r % 2 == 0 else (1, 0):
+            argv = [sys.executable, __file__, "--src", srcs[side], "--scenario",
+                    args.scenario, "--reps", str(args.reps)]
+            if args.select:
+                argv += ["--select", *args.select]
+            out = subprocess.run(argv, check=True, text=True, stdout=subprocess.PIPE).stdout
+            for cmd, ms in json.loads(out.splitlines()[-1])["median_ms"].items():
+                readings.setdefault(cmd, ([], []))[side].append(ms)
+    medians = {cmd: [statistics.median(ts) for ts in sides] for cmd, sides in readings.items()}
+    won = {cmd: sum(a < b for a, b in zip(*sides)) for cmd, sides in readings.items()}
+    ranked = sorted(medians, key=lambda cmd: max(medians[cmd]), reverse=True)
+    for cmd in ranked:
+        this, other = medians[cmd]
+        print(f"{cmd:<28} {this:8.3f} ms  against {other:8.3f} ms  "
+              f"({(this / other - 1) * 100:+6.1f}%)  faster in {won[cmd]}/{rounds}")
+    print(json.dumps({"scenario": args.scenario, "reps": max(args.reps, 1), "rounds": rounds,
+                      "against": args.against,
+                      "median_ms": {cmd: [round(ms, 4) for ms in medians[cmd]] for cmd in ranked},
+                      "won": {cmd: won[cmd] for cmd in ranked}}))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--scenario", default="main")
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--select", nargs="+")
+    ap.add_argument("--against")
+    ap.add_argument("--rounds", type=int, default=5)
     args = ap.parse_args()
+    if args.against:
+        against(args)
+        return
     sys.path.insert(0, str(Path(args.src).resolve()))
     import cantorlab.cli as cli
     from cantorlab import bundled_scenario
