@@ -165,6 +165,28 @@ class TestRun:
                            "--trace", str(trace))
             assert code == 0, entry.name
 
+    @pytest.mark.parametrize("selector", ["lemma31", "thm32", "combinators"])
+    def test_no_marker_stages(self, tmp_path, capsys, selector):
+        """A valid scenario whose stage budget leaves lemma31 no marker exits
+        2 naming that budget, not the empty family built from it."""
+        raw = json.loads(Path(MAIN).read_text())
+
+        def zero(node):
+            for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+                if key == "stage":
+                    node[key] = 0
+                elif isinstance(value, (dict, list)):
+                    zero(value)
+        zero(raw)
+        raw["budgets"]["S"] = 0
+        scenario = tmp_path / "zero.json"
+        scenario.write_text(json.dumps(raw))
+        assert run_cli("run", "--scenario", str(scenario), "--select", selector) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: validation: no marker emitted: min(sigma_stages, S, K - 2) is 0"]
+        assert captured.out == ""
+
 
 def _break_period(raw):
     raw["streams"][0]["period"] = ""
@@ -534,28 +556,6 @@ class TestVerify:
         assert out[1:] == ["FAIL failing.bound", data, "PASS failing.ok"]
         assert run_cli("verify", "--trace", str(trace), "--quiet") == EXIT_OBLIGATION
         assert capsys.readouterr().out.splitlines() == out[:1]
-
-    @pytest.mark.parametrize("selector", ["lemma31", "thm32", "combinators"])
-    def test_no_marker_stages(self, tmp_path, capsys, selector):
-        """A valid scenario whose stage budget leaves lemma31 no marker exits
-        2 naming that budget, not the empty family built from it."""
-        raw = json.loads(Path(MAIN).read_text())
-
-        def zero(node):
-            for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
-                if key == "stage":
-                    node[key] = 0
-                elif isinstance(value, (dict, list)):
-                    zero(value)
-        zero(raw)
-        raw["budgets"]["S"] = 0
-        scenario = tmp_path / "zero.json"
-        scenario.write_text(json.dumps(raw))
-        assert run_cli("run", "--scenario", str(scenario), "--select", selector) == EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            "error: validation: no marker emitted: min(sigma_stages, S, K - 2) is 0"]
-        assert captured.out == ""
 
     def test_run_with_inline_verify(self, tmp_path):
         trace = tmp_path / "t.jsonl"

@@ -31,7 +31,7 @@ def test_cmd_times_against_a_tree():
     report = json.loads(last)
     assert sorted(report["median_ms"]) == ["run lemma31", "verify lemma31"] and len(rows) == 2
     assert all(len(ms) == 2 and min(ms) > 0 for ms in report["median_ms"].values())
-    assert sorted(report["won"]) == sorted(report["median_ms"])
+    assert sorted(report["won"]) == sorted(report["change_pct"]) == sorted(report["median_ms"])
     assert set(report["won"].values()) <= {0, 1}
     assert (report["scenario"], report["reps"], report["rounds"]) == ("main", 1, 1)
     assert report["against"] == str(ROOT)

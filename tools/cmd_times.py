@@ -22,9 +22,10 @@ compare two trees only in alternating runs on the same machine.
 a time, with the other options as given; even rounds time ``--src`` first
 and odd rounds ``DIR`` first.  A command's reading in a round is that
 process's median.  It prints one line per command, slowest first: the median
-over the rounds for each tree, the change from ``DIR``'s in percent, and the
-rounds in which ``--src`` was faster; then one JSON line with the medians of
-both trees and those round counts.
+over the rounds for each tree, the change from ``DIR`` in percent (the
+median over the rounds of the ratio of the two readings, which were taken
+back to back), and the rounds in which ``--src`` was faster; then one JSON
+line with the medians of both trees, the changes and those round counts.
 """
 
 from __future__ import annotations
@@ -73,14 +74,18 @@ def against(args: argparse.Namespace) -> None:
                 readings.setdefault(cmd, ([], []))[side].append(ms)
     medians = {cmd: [statistics.median(ts) for ts in sides] for cmd, sides in readings.items()}
     won = {cmd: sum(a < b for a, b in zip(*sides)) for cmd, sides in readings.items()}
+    # A round's two processes ran back to back, so their ratio is paired.
+    change = {cmd: (statistics.median(a / b for a, b in zip(*sides)) - 1) * 100
+              for cmd, sides in readings.items()}
     ranked = sorted(medians, key=lambda cmd: max(medians[cmd]), reverse=True)
     for cmd in ranked:
         this, other = medians[cmd]
         print(f"{cmd:<28} {this:8.3f} ms  against {other:8.3f} ms  "
-              f"({(this / other - 1) * 100:+6.1f}%)  faster in {won[cmd]}/{rounds}")
+              f"({change[cmd]:+6.1f}%)  faster in {won[cmd]}/{rounds}")
     print(json.dumps({"scenario": args.scenario, "reps": max(args.reps, 1), "rounds": rounds,
                       "against": args.against,
                       "median_ms": {cmd: [round(ms, 4) for ms in medians[cmd]] for cmd in ranked},
+                      "change_pct": {cmd: round(change[cmd], 2) for cmd in ranked},
                       "won": {cmd: won[cmd] for cmd in ranked}}))
 
 
