@@ -47,6 +47,10 @@ from .core import (
     Dyadic,
     ScenarioError,
     SearchExhaustedError,
+    _clip,
+    _leaf_span,
+    _merge_spans,
+    _within,
     first_free_string,
     pair,
     str_order_key,
@@ -756,7 +760,10 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
                     inside: Sequence[bool]) -> ConstructionTrace:
     """Add the witnesses of the ``[stage, cone]`` pairs ``cones``.  A true
     ``inside[k]`` says that ``cones[k]`` lies inside an earlier cone, whose
-    live piece the running intersection already holds."""
+    live piece the running intersection already holds.  The live set, the
+    running intersection and the ``noncover`` union are span boundaries at
+    the tree's depth, which bounds every cone; measures are leaf counts, and
+    the only clopen built is the live set, once per dead interval."""
     big_s = budgets.max_stage
     dead_changes = tree.change_stages()
     cone_stages = [st for st, _ in cones]
@@ -772,10 +779,11 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
     # cones' pieces and is cut to the live set when the dead view grows.  A
     # witness's data is built only when the intersection or the tree moved;
     # the witnesses that share it are one run.  The stages ascend, so upto
-    # and the count of dead changes up to s only move forward.
-    witnesses = trace.witnesses
+    # and the count of dead changes up to s only move forward.  A half
+    # measure is compared on leaves: count / 2**depth <= total / 2**(depth+1).
+    witnesses, depth = trace.witnesses, tree.depth
     n_cones, n_dead, n_stages = len(cone_stages), len(dead_changes), len(stages)
-    inter, data, run = Clopen(), None, []  # run: the stages of the last run
+    inter, data, run = [], None, []  # run: the stages of the last run
     upto = key = seen = i = 0
     interval = -1
     while i < n_stages:
@@ -787,24 +795,22 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
         while key < n_dead and dead_changes[key] <= t:
             key += 1
         if key != interval:
-            interval = key
-            live, measure = tree.live_clopen(t), tree.path_measure(t)
-            half, tree_str = measure.half(), str(measure)
-            inter, data = inter.intersect(live), None
-        grown = inter
+            interval, data, live = key, None, tree.live_clopen(t)
+            live = [v << depth - live._d for v in live._b]
+            total = sum(live[1::2]) - sum(live[::2])
+            tree_str = str(Dyadic(total, depth))
+            inter = [v for lo, hi in zip(inter[::2], inter[1::2]) for v in _clip(live, lo, hi)]
         for k in range(seen, upto):
-            c = cones[k][1]
-            # A cone inside an earlier cone, or inside the intersection, has
-            # a live piece that is a subset too.
-            if not inside[k] and not grown.covers(c):
-                piece = Clopen([c]).intersect(live)
-                if not piece.is_subset_of(grown):
-                    grown = grown.union(piece)
-        if grown is not inter:
-            inter, data = grown, None
+            # A cone inside an earlier cone has a live piece inside it too.
+            if not inside[k]:
+                piece = _clip(live, *_leaf_span(cones[k][1], depth))
+                if not _within(piece, inter):
+                    _merge_spans(inter, piece)
+                    data = None
         if data is None:
-            status = "pass" if inter.measure() <= half else "fail"
-            data = {"intersection": str(inter.measure()), "tree": tree_str}
+            count = sum(inter[1::2]) - sum(inter[::2])
+            status = "pass" if 2 * count <= total else "fail"
+            data = {"intersection": str(Dyadic(count, depth)), "tree": tree_str}
             run = []
             witnesses.append(("lemma63.half_measure.", run, status, data))
         run.append(s)
@@ -815,12 +821,14 @@ def _finish_lemma63(tree: CoTree, budgets: Budgets, trace: ConstructionTrace,
         i += j - upto
         seen = upto = j
 
-    live, union = tree.live_clopen(big_s), Clopen()  # the first m cones' union
+    # The last stage is S, so live is the live set at S.  union: the first
+    # m cones' spans; a cone with no live part lies within any union.
+    union: list[int] = []
     for m in range(min(21, n_cones)):
         trace.witness(f"lemma63.noncover.{m}", any(
-            (part := Clopen([cones[k][1]]).intersect(live)) and not part.is_subset_of(union)
+            not _within(_clip(live, *_leaf_span(cones[k][1], depth)), union)
             for k in range(m, n_cones)))
-        union = union.union(Clopen([cones[m][1]]))
+        _merge_spans(union, _leaf_span(cones[m][1], depth))
     trace.witness("lemma63.n0_bound",
                   Dyadic.exp2(-n0) <= tree.path_measure(big_s).half().half())
     return trace

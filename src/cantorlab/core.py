@@ -8,7 +8,10 @@ decidable queries.  Measures are dyadic rationals with arbitrary-precision
 numerators.  No floats anywhere.
 
 Bit strings are plain ``str`` over ``{'0', '1'}``; the empty string denotes
-the whole space's root.
+the whole space's root.  Callers that hold a string's bits as an integer
+(streams, tree nodes, committed outputs) ask ``Clopen._covers`` on the
+integer, and the span helpers ``_clip``, ``_merge_spans`` and ``_within``
+serve code that keeps a set as raw span boundaries at a fixed depth.
 """
 
 from __future__ import annotations
@@ -224,6 +227,15 @@ def _clip(b: Sequence[int], lo: int, hi: int) -> list[int]:
     return [lo] * (i % 2) + list(b[i:j]) + [hi] * (j % 2)
 
 
+def _within(x: Sequence[int], y: Sequence[int]) -> bool:
+    """Whether the spans ``x`` lie inside the spans ``y``, at one depth."""
+    for lo, hi in zip(x[::2], x[1::2]):
+        i = bisect_right(y, lo)
+        if i % 2 == 0 or y[i] < hi:
+            return False
+    return True
+
+
 def _blocks(d: int, b: Sequence[int]) -> Iterator[tuple[int, int]]:
     """``(length, value)`` of each maximal aligned block of depth-``d`` leaves
     in the spans ``b``: the cylinder of the ``length``-bit expansion of value."""
@@ -318,6 +330,15 @@ class Clopen:
         i = bisect_right(b, lo)
         return i % 2 == 1 and b[i] >= hi
 
+    def _covers(self, v: int, n: int) -> bool:
+        """``covers`` for the ``n``-bit expansion of ``v``, on integers: a node
+        at least ``d`` long lies in the leaf ``v >> n - d``, one bisect."""
+        d, b = self._d, self._b
+        if n >= d:
+            return bisect_right(b, v >> n - d) % 2 == 1
+        i = bisect_right(b, v << d - n)
+        return i % 2 == 1 and b[i] >= v + 1 << d - n
+
     def meets(self, bits: str) -> bool:
         """True iff the cylinder of ``bits`` intersects this set."""
         d, b = self._d, self._b
@@ -384,11 +405,7 @@ class Clopen:
     def is_subset_of(self, other: "Clopen") -> bool:
         """True iff every point of this set lies in ``other``."""
         _, x, y = self._aligned(other)
-        for lo, hi in zip(x[::2], x[1::2]):
-            i = bisect_right(y, lo)
-            if i % 2 == 0 or y[i] < hi:
-                return False
-        return True
+        return _within(x, y)
 
 
 def intersect_all(clopens: Iterable[Clopen]) -> Clopen:

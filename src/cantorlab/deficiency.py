@@ -7,10 +7,19 @@ least component index whose current stage view misses the stream, or one past
 the top index when every view captures it; it is monotone in the stage and
 freezes once the test's schedules are exhausted.  Every reduction and decoder
 reads deficiencies through it.
+
+Membership is read on integer leaves: a stream holds its first 64 bits as one
+integer, and a view of depth ``d`` (at most 64 in any scenario, since K is)
+holds the stream iff the leaf of its first ``d`` bits falls in one of the
+view's spans, one shift and one ``bisect``.  A deeper view reads the
+stream's prefix of that length instead.  A co-tree node is a bit string or
+the integer ``1 << n | v`` of its ``n`` bits ``v``, and is met with the dead
+view in the same way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from .core import Clopen, Dyadic, Frozen, check_bits
@@ -20,16 +29,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Stream(Frozen):
-    """A deterministic infinite bit sequence: ``pad`` then ``period`` cycling."""
+    """A deterministic infinite bit sequence: ``pad`` then ``period`` cycling.
 
-    __slots__ = ("name", "pad", "period")
+    Its fields are ``name``, ``pad`` and ``period``.  The slot ``_head``, its
+    first 64 bits as one integer, is worked out once and is no field: it is
+    left out of equality, hash, repr and copies, which read ``_values``."""
+
+    __slots__ = ("name", "pad", "period", "_head")
 
     def __init__(self, name: str, pad: str, period: str) -> None:
         check_bits(pad)
         check_bits(period)
         if not period:
             raise ValueError(f"stream {name!r} needs a non-empty period")
-        self._set(name, pad, period)
+        self._set(name, pad, period, int((pad[:64] + period * 64)[:64], 2))
+
+    def _values(self) -> tuple:
+        return self.name, self.pad, self.period
+
+    def _leading(self, n: int) -> int:
+        """The first ``n`` bits as an integer: a shift of the head, or past
+        64 bits (deeper than any scenario's clopens) the prefix parsed."""
+        return self._head >> 64 - n if n <= 64 else int(self.prefix(n), 2)
 
     def prefix(self, k: int) -> str:
         if k <= len(self.pad):
@@ -46,8 +67,9 @@ def prepend(bits: str, stream: Stream) -> Stream:
 
 def _inside(x: Stream, view: Clopen) -> bool:
     """True iff some cylinder of ``view`` prefixes ``x``: no cylinder is longer
-    than ``view.max_length()``, so that prefix of ``x`` decides it."""
-    return view.covers(x.prefix(view.max_length()))
+    than the view's depth ``d``, so the leaf of ``x``'s first ``d`` bits
+    decides it, one bisect into the view's span boundaries."""
+    return bisect_right(view._b, x._leading(view._d)) % 2 == 1
 
 
 def member_at_stage(x: Stream, t: "MLTest", i: int, s: int) -> bool:
@@ -84,10 +106,15 @@ class CoTree:
         self.dead = dead
         self.depth = depth
 
-    def alive(self, node: str, s: int) -> bool:
-        if len(node) > self.depth:
-            raise ValueError(f"node {node!r} deeper than tree depth {self.depth}")
-        return not self.dead.stage_view(s).covers(node)
+    def alive(self, node: str | int, s: int) -> bool:
+        """Whether ``node`` is in the tree at stage ``s``.  A node is a bit
+        string, or the integer whose binary expansion is ``1`` then it."""
+        if type(node) is str:
+            node = int("1" + node, 2)
+        n = node.bit_length() - 1
+        if n > self.depth:
+            raise ValueError(f"node {bin(node)[3:]!r} deeper than tree depth {self.depth}")
+        return not self.dead.stage_view(s)._covers(node ^ 1 << n, n)
 
     def change_stages(self) -> tuple[int, ...]:
         return self.dead.change_stages()
@@ -101,4 +128,4 @@ class CoTree:
 
     def carries(self, x: Stream, s: int) -> bool:
         """True iff the depth-``depth`` prefix of ``x`` is still in the tree."""
-        return self.alive(x.prefix(self.depth), s)
+        return self.alive(x._leading(self.depth) | 1 << self.depth, s)

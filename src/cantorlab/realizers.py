@@ -85,6 +85,14 @@ class Emitter:
         ``cursor``, so committing a bit is O(1)."""
         return self.base + self.source.prefix(self.cursor)
 
+    def _committed_in(self, target: Clopen) -> bool:
+        """``target.covers(self.committed)``, without building the committed
+        output: its first ``n`` bits are the base's, then the source's."""
+        base = self.base
+        n = min(target.max_length(), len(base) + self.cursor)
+        k = max(n - len(base), 0)
+        return target._covers(int(base[:n] or "0", 2) << k | self.source._leading(k), n)
+
     @property
     def output(self) -> Stream:
         """The output stream: the last restart point, then the source."""
@@ -304,7 +312,7 @@ def parallel_merge(u: MLTest, xs: Sequence[Stream], budgets: Budgets,
         if s in firing:
             i, n, t = unpair3(s)
             target = u.meet_view(n, s)
-            if not target.covers(em.committed):
+            if not em._committed_in(target):
                 em.trace.add(s, "trigger", input=i, index=n, seen_at=t)
                 em.pad_into(s, target, list(range(n + 1)))
         return False  # no watch can fire before the next firing stage
@@ -481,7 +489,7 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
             return True
         bound = min(s, top)
         target = u.meet_view(bound, s)
-        padded = not target.covers(em.committed)
+        padded = not em._committed_in(target)
         if padded or s < settled:
             em.trace.add(s, "stable", value=now)
             if padded:
@@ -521,7 +529,7 @@ def delta02_to_lay_phi(u: MLTest, t_trees: Sequence[CoTree],
         if j >= len(t_trees) or j + 1 > top:
             return False
         for n in range(budgets.max_depth + 1):
-            node = x.prefix(n)
+            node = x._leading(n) | 1 << n
             if not t_trees[j].alive(node, s) and not s_trees[j].alive(node, s):
                 em.trace.add(s, "trigger", index=j, escape_at=n)
                 em.pad_into(s, u.stage_view(j + 1, s), [j + 1])
@@ -540,7 +548,7 @@ def delta02_to_lay_psi(t_trees: Sequence[CoTree], s_trees: Sequence[CoTree],
     to the advice index names the other side as the answer."""
     hi = min(advice, len(t_trees) - 1)
     for n in range(depth + 1):
-        node = x.prefix(n)
+        node = x._leading(n) | 1 << n
         if all(not t_trees[j].alive(node, stage) for j in range(hi + 1)):
             return 0
         if all(not s_trees[j].alive(node, stage) for j in range(hi + 1)):

@@ -9,7 +9,7 @@ import pytest
 from cantorlab import bundled_scenario
 from cantorlab.cli import _text_blocks
 from cantorlab.core import Clopen, SearchExhaustedError, check_bits
-from cantorlab.deficiency import Stream
+from cantorlab.deficiency import CoTree, Stream
 from cantorlab.enumeration import (
     Scenario,
     descending_chain,
@@ -61,6 +61,20 @@ def brute_free_string(min_len: int, max_len: int, covered: Clopen,
                 raise SearchExhaustedError("free-string search exceeded 200000 candidates")
     raise SearchExhaustedError(
         f"no free string of length in [{min_len}, {max_len}] outside {covered!r}")
+
+
+def string_inside(x: Stream, view: Clopen) -> bool:
+    """The string path of ``deficiency._inside``: the prefix of ``x`` as long
+    as the view's depth, built and parsed by ``covers``."""
+    return view.covers(x.prefix(view.max_length()))
+
+
+def string_alive(tree: CoTree, node: str, s: int) -> bool:
+    """The string path of ``CoTree.alive``: ``covers`` of the node string,
+    with the same depth check."""
+    if len(node) > tree.depth:
+        raise ValueError(f"node {node!r} deeper than tree depth {tree.depth}")
+    return not tree.dead.stage_view(s).covers(node)
 
 
 def stream_bit(x: Stream, k: int) -> str:

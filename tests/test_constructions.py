@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Mapping
@@ -1194,6 +1195,37 @@ def _loud_world(sc, seed):
             Budgets(b.max_index, big_s, b.max_depth, b.max_layers), d, big_s)
 
 
+def _cut_world(sc, seed):
+    """A seeded lemma63 world, the bundled positive tree plus one dead cone
+    that cuts the running intersection strictly between the stages of two
+    consecutive cones, both covered replaces: it extends a cone enumerated
+    before them by 6 to 12 bits and is alive there, so the live piece of
+    that cone shrinks.  At S = 3,000 the diagonals outgrow the lengths, so
+    some diagonals have no init, and a covered cone can be the next cone
+    after a covered cone a diagonal back.  Returns the tree, the budgets and
+    the dead stage."""
+    r = random.Random(seed)
+    b = sc.budgets
+    budgets = Budgets(b.max_index, 3000, b.max_depth, b.max_layers)
+    dead = list(sc.trees["positive"].schedule)
+    tree = CoTree(Enumeration(dead), budgets.max_depth)
+    base = build_lemma63(tree, budgets)
+    cones = base.outputs["cones"]
+    covered = {e["stage"] for e in decoded_events(base) if e["action"] == "replace"
+               and e["payload"]["reason"] == "covered"}
+    gaps = [(a, b) for (a, _), (b, _) in zip(cones, cones[1:])
+            if a in covered and b in covered and b - a > 1]
+    a, b = r.choice(gaps)
+    d = r.randint(a + 1, b - 1)
+    while True:
+        cut = r.choice([c for s, c in cones if s <= a]) + "".join(
+            r.choice("01") for _ in range(r.randint(6, 12)))
+        if len(cut) <= budgets.max_depth and tree.alive(cut, d):
+            break
+    dead.append((d, cut))
+    return CoTree(Enumeration(dead), budgets.max_depth), budgets, d
+
+
 class TestClockedAgainstEveryStage:
     """The clocked constructions leave the same trace lines and outputs, or
     raise the same error, as the per-stage loops they replaced."""
@@ -1284,6 +1316,25 @@ class TestClockedAgainstEveryStage:
         assert any(stages[d].startswith(c) for s, c in cones if s < d)
         if seed % 2:
             assert max(tree.change_stages()) > big_s
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lemma63_cut_between_covered_cones(self, main_scenario, seed):
+        """A dead change strictly between two consecutive covered cones cuts
+        the running intersection: the every-stage intersection at the dead
+        stage is smaller than at the stage before it, so the pass, which
+        skips quiet cones, must stop there and cut its spans."""
+        tree, budgets, d = _cut_world(main_scenario, seed)
+        trace = self._check_lemma63(tree, budgets)
+        cones = trace.outputs["cones"]
+        covered = {e["stage"] for e in decoded_events(trace) if e["action"] == "replace"
+                   and e["payload"]["reason"] == "covered"}
+        k = bisect_right([s for s, _ in cones], d)
+        assert cones[k - 1][0] < d < cones[k][0]
+        assert cones[k - 1][0] in covered and cones[k][0] in covered
+        every = {int(w["claim"].rpartition(".")[2]): w["data"]["intersection"]
+                 for w in _half_measure_every_stage(cones, tree, budgets)}
+        before = max(s for s in every if s < d)
+        assert every[d] < every[before]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lemma63_seeded_deep_dead_trees(self, deep_scenario, seed):
@@ -1499,14 +1550,15 @@ def test_view_lookups_do_not_grow_with_stage_budget(main_scenario, monkeypatch):
 def test_half_measure_pass_looks_up_few_cones(deep_scenario, monkeypatch):
     """The build marks each cone that lies inside an earlier, shorter cone,
     and the half-measure pass asks its running intersection about the other
-    cones only: on deep, 114 of the 5,468 cones (5,466 lookups when every
-    cone was asked)."""
+    cones only: on deep, 115 of the 5,468 cones (5,466 lookups when every
+    cone was asked).  A lookup is a ``_within`` of the cone's live piece
+    called by the pass itself; the noncover witnesses' calls are not counted."""
     calls, finishing = [0], [False]
-    covers, finish = Clopen.covers, constructions._finish_lemma63
+    within, finish = constructions._within, constructions._finish_lemma63
 
-    def counted(self, bits):
-        calls[0] += finishing[0]
-        return covers(self, bits)
+    def counted(x, y):
+        calls[0] += finishing[0] and sys._getframe(1).f_code.co_name == "_finish_lemma63"
+        return within(x, y)
 
     def finish_counted(*args):
         finishing[0] = True
@@ -1515,11 +1567,38 @@ def test_half_measure_pass_looks_up_few_cones(deep_scenario, monkeypatch):
         finally:
             finishing[0] = False
 
-    monkeypatch.setattr(Clopen, "covers", counted)
+    monkeypatch.setattr(constructions, "_within", counted)
     monkeypatch.setattr(constructions, "_finish_lemma63", finish_counted)
     trace = build_lemma63(deep_scenario.tree("positive"), deep_scenario.budgets)
     assert len(trace.outputs["cones"]) == 5468
     assert 0 < calls[0] <= 150
+
+
+def test_half_measure_pass_builds_no_clopen_per_step(deep_scenario, monkeypatch):
+    """The half-measure pass keeps its live set and running intersection as
+    span boundaries at the tree's depth: on deep, the finish builds one
+    clopen per dead interval, the live set (3; 306 when the intersection
+    and each cone's piece were clopens), whatever its 118 steps."""
+    builds, finishing = [0], [False]
+    init, finish = Clopen.__init__, constructions._finish_lemma63
+
+    def counted(self, *args, **kwargs):
+        builds[0] += finishing[0]
+        init(self, *args, **kwargs)
+
+    def finish_counted(*args):
+        finishing[0] = True
+        try:
+            return finish(*args)
+        finally:
+            finishing[0] = False
+
+    monkeypatch.setattr(Clopen, "__init__", counted)
+    monkeypatch.setattr(constructions, "_finish_lemma63", finish_counted)
+    tree = deep_scenario.tree("positive")
+    trace = build_lemma63(tree, deep_scenario.budgets)
+    assert trace.witness_count() == 5492
+    assert builds[0] == len(tree.change_stages()) == 3
 
 
 def test_deep_lemma63_witness_runs_and_cone_spans(deep_scenario, monkeypatch,

@@ -2,15 +2,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorlab.core import Clopen
 from cantorlab.deficiency import (
     CoTree,
     Stream,
+    _inside,
     member_at_stage,
     prepend,
     rd_at_stage,
 )
-from cantorlab.enumeration import Enumeration, MLTest
-from conftest import eval_table, leaf_mask, starts_with, stream_bit
+from cantorlab.enumeration import Budgets, Enumeration, MLTest
+from cantorlab.realizers import Emitter
+from conftest import (
+    eval_table,
+    leaf_mask,
+    starts_with,
+    stream_bit,
+    string_alive,
+    string_inside,
+)
 
 
 def stream_of(bits8: str) -> Stream:
@@ -151,3 +161,74 @@ def test_rd_at_stage_is_a_monotone_descent(comps, pad, period, s, ds):
     assert d <= rd_at_stage(x, t, s2)
     assert d == _naive_rd(x, t, s)
     assert rd_at_stage(x, t, s2) == _naive_rd(x, t, s2)
+
+
+# ---------------------------------------------------------------------------
+# integer leaves against the string path
+# ---------------------------------------------------------------------------
+
+streams = st.builds(Stream, st.just("x"), st.text("01", max_size=80),
+                    st.text("01", min_size=1, max_size=9))
+
+
+@st.composite
+def near(draw, x: Stream, most: int = 70) -> str:
+    """A string of 0..``most`` bits: a prefix of ``x``, one with its last bit
+    flipped, one padded with zeros, or random bits, so that views both hold
+    and miss ``x`` and a shorter node can start inside a deeper cylinder."""
+    k = draw(st.integers(0, most))
+    kind = draw(st.sampled_from(("prefix", "flip", "zeros", "random")))
+    if kind == "random":
+        return draw(st.text("01", min_size=k, max_size=k))
+    if kind == "zeros":
+        return x.prefix(j := draw(st.integers(0, k))) + "0" * (k - j)
+    p = x.prefix(k)
+    return p[:-1] + "10"[int(p[-1])] if kind == "flip" and p else p
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=streams, data=st.data())
+def test_integer_leaves_match_the_string_path(x, data):
+    """``_inside``, ``member_at_stage``, ``rd_at_stage``, ``CoTree.alive`` (on
+    a node string and on its integer), ``carries`` and the committed-output
+    check answer as the string path does: pads of up to 80 bits, periods of
+    1 to 9, views of depth 0 to 70 (deeper than the 64-bit head) among them
+    the empty set and the whole space."""
+    comps = data.draw(st.lists(st.lists(st.tuples(st.integers(0, 3), near(x)), max_size=3),
+                               min_size=1, max_size=4))
+    comps = data.draw(st.permutations(comps + [[], [(0, "")]]))
+    t = MLTest([Enumeration(c) for c in comps], check=False)
+    depth = data.draw(st.integers(0, 72))
+    dead = data.draw(st.sampled_from(comps))
+    tree = CoTree(Enumeration(dead), depth)
+    # nodes on x's path, near it, and prefixes of the dead cylinders
+    nodes = [x.prefix(min(depth, 70)), data.draw(near(x, depth))] + [
+        c[:data.draw(st.integers(0, min(len(c), depth)))] for _, c in dead]
+    em = Emitter("e", x, Budgets(2, 8, 8, 4), 0)
+    em.base, em.cursor = data.draw(near(x, 80)), data.draw(st.integers(0, 80))
+    for s in range(5):
+        views = [t.stage_view(i, s) for i in range(t.max_index + 1)]
+        members = [string_inside(x, v) for v in views]
+        assert [_inside(x, v) for v in views] == members
+        assert [member_at_stage(x, t, i, s) for i in range(len(views))] == members
+        assert rd_at_stage(x, t, s) == (members + [False]).index(False)
+        assert [em._committed_in(v) for v in views] == [v.covers(em.committed) for v in views]
+        for node in nodes:
+            want = string_alive(tree, node, s)
+            assert tree.alive(node, s) == tree.alive(int("1" + node, 2), s) == want
+        assert tree.carries(x, s) == string_alive(tree, x.prefix(depth), s)
+    deeper = x.prefix(depth + 1)
+    for node in (deeper, int("1" + deeper, 2)):
+        with pytest.raises(ValueError, match=f"^node {deeper!r} deeper than tree depth {depth}$"):
+            tree.alive(node, 0)
+
+
+def test_views_past_the_head():
+    """Views deeper than 64 bits read the prefix itself: a stream that
+    leaves a 70-bit cylinder only at bit 69 is outside it, and a 65-bit
+    committed output is checked on all 65 bits."""
+    x = Stream("x", "0" * 69 + "1", "0")
+    assert not _inside(x, Clopen(["0" * 70])) and _inside(x, Clopen(["0" * 69 + "1"]))
+    em = Emitter("e", Stream("z", "", "0"), Budgets(2, 8, 8, 4), 0)
+    em.base, em.cursor = "0" * 64, 1
+    assert em._committed_in(Clopen(["0" * 65])) and not em._committed_in(Clopen(["0" * 64 + "1"]))

@@ -95,6 +95,17 @@ def test_frozen_records(a, same, other):
     assert repr(a).startswith(f"{type(a).__name__}({a.__slots__[0]}=")
 
 
+def test_stream_head_is_no_field():
+    """A stream's first 64 bits, the integer slot ``_head``, stay out of its
+    record: equality, hash, repr and copies read the three fields only."""
+    x = Stream("x", "01", "1")
+    assert x == Stream("x", "01", "1") and hash(x) == hash(("x", "01", "1"))
+    assert repr(x) == "Stream(name='x', pad='01', period='1')"
+    assert x.__reduce__() == (Stream, ("x", "01", "1"))
+    assert pickle.loads(pickle.dumps(x))._head == x._head == int("01" + "1" * 62, 2)
+    assert Stream("y", "1" * 80, "0")._head == (1 << 64) - 1
+
+
 def test_records_compare_by_type():
     assert Budgets(1, 8, 8, 4) != (1, 8, 8, 4)
     assert len({Budgets(1, 8, 8, 4), Budgets(1, 8, 8, 4),

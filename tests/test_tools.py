@@ -13,11 +13,15 @@ def test_cmd_times_names_the_two_slowest():
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "cmd_times.py"), "--select", "combinators",
          "--reps", "1"], check=True, capture_output=True, text=True, timeout=60).stdout
-    *rows, last = out.splitlines()
+    *rows, total, last = out.splitlines()
     report = json.loads(last)
     assert sorted(report["slowest"]) == ["run combinators", "verify combinators"]
     assert sorted(report["median_ms"]) == sorted(report["slowest"]) and len(rows) == 2
     assert report["scenario"] == "main" and report["reps"] == 1
+    # one selector: each kind's total is its one command's median
+    assert report["total_ms"] == {"run": report["median_ms"]["run combinators"],
+                                  "verify": report["median_ms"]["verify combinators"]}
+    assert total.startswith("total run ") and " total verify " in total
 
 
 def test_cmd_times_against_a_tree():
@@ -29,9 +33,17 @@ def test_cmd_times_against_a_tree():
         check=True, capture_output=True, text=True, timeout=60).stdout
     *rows, last = out.splitlines()
     report = json.loads(last)
-    assert sorted(report["median_ms"]) == ["run lemma31", "verify lemma31"] and len(rows) == 2
+    assert sorted(report["median_ms"]) == ["run lemma31", "verify lemma31"] and len(rows) == 4
     assert all(len(ms) == 2 and min(ms) > 0 for ms in report["median_ms"].values())
     assert sorted(report["won"]) == sorted(report["change_pct"]) == sorted(report["median_ms"])
     assert set(report["won"].values()) <= {0, 1}
+    # the per-kind totals, paired per round like the commands
+    assert report["total_median_ms"] == {"run": report["median_ms"]["run lemma31"],
+                                         "verify": report["median_ms"]["verify lemma31"]}
+    assert report["total_change_pct"] == {"run": report["change_pct"]["run lemma31"],
+                                          "verify": report["change_pct"]["verify lemma31"]}
+    assert report["total_won"] == {"run": report["won"]["run lemma31"],
+                                   "verify": report["won"]["verify lemma31"]}
+    assert sorted(row.split("  ")[0].strip() for row in rows[2:]) == ["total run", "total verify"]
     assert (report["scenario"], report["reps"], report["rounds"]) == ("main", 1, 1)
     assert report["against"] == str(ROOT)

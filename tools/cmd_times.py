@@ -13,9 +13,12 @@ for every selector (all 16 by default, in catalog order), ``run --trace
 ``gc.collect()`` before each command and the trace unlinked after its
 verify.  A command that exits non-zero stops the tool.  It prints one line
 per ``(kind, selector)`` command, slowest median first, with the median and
-range of its wall times in ms, and ends with one JSON line holding every
-median and naming the two slowest commands.  Times are raw wall times, so
-compare two trees only in alternating runs on the same machine.
+range of its wall times in ms, then one line with the sum of the ``run``
+medians and the sum of the ``verify`` medians (an in-process proxy for
+perfbench's ``run_s`` and ``verify_s``), and ends with one JSON line holding
+every median, those two totals and the two slowest commands.  Times are raw
+wall times, so compare two trees only in alternating runs on the same
+machine.
 
 ``--against DIR`` does that: it compares ``--src`` with ``DIR/src`` in
 ``--rounds`` rounds, each running this script once per tree, one process at
@@ -24,8 +27,10 @@ and odd rounds ``DIR`` first.  A command's reading in a round is that
 process's median.  It prints one line per command, slowest first: the median
 over the rounds for each tree, the change from ``DIR`` in percent (the
 median over the rounds of the ratio of the two readings, which were taken
-back to back), and the rounds in which ``--src`` was faster; then one JSON
-line with the medians of both trees, the changes and those round counts.
+back to back), and the rounds in which ``--src`` was faster; then the same
+for the ``run`` and ``verify`` totals, each round's total being the sum of
+that process's medians; then one JSON line with the medians of both trees,
+the changes and those round counts, per command and per total.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ def against(args: argparse.Namespace) -> None:
     srcs = [str(Path(args.src).resolve()), str((Path(args.against) / "src").resolve())]
     rounds = max(args.rounds, 1)
     readings: dict[str, tuple[list[float], list[float]]] = {}
+    totals: dict[str, tuple[list[float], list[float]]] = {}
     for r in range(rounds):
         for side in (0, 1) if r % 2 == 0 else (1, 0):
             argv = [sys.executable, __file__, "--src", srcs[side], "--scenario",
@@ -70,23 +76,28 @@ def against(args: argparse.Namespace) -> None:
             if args.select:
                 argv += ["--select", *args.select]
             out = subprocess.run(argv, check=True, text=True, stdout=subprocess.PIPE).stdout
-            for cmd, ms in json.loads(out.splitlines()[-1])["median_ms"].items():
-                readings.setdefault(cmd, ([], []))[side].append(ms)
-    medians = {cmd: [statistics.median(ts) for ts in sides] for cmd, sides in readings.items()}
-    won = {cmd: sum(a < b for a, b in zip(*sides)) for cmd, sides in readings.items()}
-    # A round's two processes ran back to back, so their ratio is paired.
-    change = {cmd: (statistics.median(a / b for a, b in zip(*sides)) - 1) * 100
-              for cmd, sides in readings.items()}
-    ranked = sorted(medians, key=lambda cmd: max(medians[cmd]), reverse=True)
-    for cmd in ranked:
-        this, other = medians[cmd]
-        print(f"{cmd:<28} {this:8.3f} ms  against {other:8.3f} ms  "
-              f"({change[cmd]:+6.1f}%)  faster in {won[cmd]}/{rounds}")
+            report = json.loads(out.splitlines()[-1])
+            for into, key in ((readings, "median_ms"), (totals, "total_ms")):
+                for cmd, ms in report[key].items():
+                    into.setdefault(cmd, ([], []))[side].append(ms)
+    summary: dict[str, dict] = {}
+    for into, prefix in ((readings, ""), (totals, "total_")):
+        medians = {cmd: [statistics.median(ts) for ts in sides] for cmd, sides in into.items()}
+        won = {cmd: sum(a < b for a, b in zip(*sides)) for cmd, sides in into.items()}
+        # A round's two processes ran back to back, so their ratio is paired.
+        change = {cmd: (statistics.median(a / b for a, b in zip(*sides)) - 1) * 100
+                  for cmd, sides in into.items()}
+        ranked = sorted(medians, key=lambda cmd: max(medians[cmd]), reverse=True)
+        for cmd in ranked:
+            this, other = medians[cmd]
+            print(f"{prefix.replace('_', ' ') + cmd:<28} {this:8.3f} ms  against {other:8.3f} ms  "
+                  f"({change[cmd]:+6.1f}%)  faster in {won[cmd]}/{rounds}")
+        summary |= {
+            prefix + "median_ms": {cmd: [round(ms, 4) for ms in medians[cmd]] for cmd in ranked},
+            prefix + "change_pct": {cmd: round(change[cmd], 2) for cmd in ranked},
+            prefix + "won": {cmd: won[cmd] for cmd in ranked}}
     print(json.dumps({"scenario": args.scenario, "reps": max(args.reps, 1), "rounds": rounds,
-                      "against": args.against,
-                      "median_ms": {cmd: [round(ms, 4) for ms in medians[cmd]] for cmd in ranked},
-                      "change_pct": {cmd: round(change[cmd], 2) for cmd in ranked},
-                      "won": {cmd: won[cmd] for cmd in ranked}}))
+                      "against": args.against, **summary}))
 
 
 def main() -> None:
@@ -119,12 +130,16 @@ def main() -> None:
                 trace.unlink()
     medians = {cmd: statistics.median(ts) * 1e3 for cmd, ts in times.items()}
     ranked = sorted(medians, key=medians.get, reverse=True)
+    totals = {kind: sum(ms for cmd, ms in medians.items() if cmd.split()[0] == kind)
+              for kind in ("run", "verify")}
     for cmd in ranked:
         ts = times[cmd]
         print(f"{cmd:<28} {medians[cmd]:8.3f} ms  ({min(ts) * 1e3:.3f}-{max(ts) * 1e3:.3f})")
+    print(f"total run {totals['run']:.3f} ms  total verify {totals['verify']:.3f} ms")
     print(json.dumps({"scenario": args.scenario, "reps": max(args.reps, 1),
                       "slowest": ranked[:2],
-                      "median_ms": {cmd: round(medians[cmd], 4) for cmd in ranked}}))
+                      "median_ms": {cmd: round(medians[cmd], 4) for cmd in ranked},
+                      "total_ms": {kind: round(ms, 4) for kind, ms in totals.items()}}))
 
 
 if __name__ == "__main__":
