@@ -325,10 +325,8 @@ class Clopen:
     def covers(self, bits: str) -> bool:
         """True iff the cylinder of ``bits`` lies inside this set.  Only the
         first ``d`` bits are read: a longer string lies in one leaf."""
-        d, b = self._d, self._b
-        lo, hi = _leaf_span(bits[:d], d)
-        i = bisect_right(b, lo)
-        return i % 2 == 1 and b[i] >= hi
+        bits = bits[:self._d]
+        return self._covers(int(bits or "0", 2), len(bits))
 
     def _covers(self, v: int, n: int) -> bool:
         """``covers`` for the ``n``-bit expansion of ``v``, on integers: a node
