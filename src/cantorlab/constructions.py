@@ -8,27 +8,26 @@ byte for byte.  A caller that keeps only the outputs (``cli.produced_tests``)
 passes ``obligations=False`` to ``lemma31``, ``thm33``, ``thm41`` and
 ``thm410``, which then return before their closing witnesses.
 
-``thm33`` and ``thm41`` run on the realizers' event clock
-(``enumeration._run_clock``): they step only the stages at which a watched
-view or a table can move, so their cost grows with the number of change
-stages, not with the stage budget.  ``lemma63`` dovetails over its visits,
-the stages ``pair(i, t) <= S`` whose length ``n0 + i`` is within the depth;
-it adds a cone at most of them (5,468 of 6,851 on the bundled deep
-scenario), so its loop stays O(visits).  A visit costs a few integer
-operations: each length's cones form one lex interval, so the covered test
-compares integer bounds; the last covering length is asked first (5,333 of
-deep's 5,405 covered visits), and a cone found alive at its last visit is
-compared only with the lengths moved since (7,378 comparisons, not 16,568).
-The tree is asked only about an uncovered cone not found alive since its
-dead view last moved (92 of 1,384).  An init is the first leaf past the
-intervals, read in the fixed order of their low ends; a replace line is
-written in place from a head per length and one template per reason.  The
-cone list's JSON is one join of its pairs, handed to ``lines``.  The
-half-measure pass looks up a cone only when the build could not show it
-inside an earlier one (114 of 5,468), takes a Python step only there and
-at the loud stages (118 of deep's 5,470 stages), finds where each quiet
-stretch ends with one ``list.index``, and holds each stretch of witnesses
-that share their data as one run (71 on deep).  ``lemma31``
+``thm33`` runs on the realizers' event clock (``enumeration._run_clock``),
+and ``thm41`` steps only the visits at which one of its rows can move: each
+steps only the stages at which a watched view or a table can move, so its
+cost grows with the number of change stages, not with the stage budget.
+``lemma63`` dovetails over its visits, the stages ``pair(i, t) <= S`` whose
+length ``n0 + i`` is within the depth, and adds at most one cone per visit,
+so its loop stays O(visits).  A visit costs a few integer operations: each
+length's cones form one lex interval, so the covered test compares integer
+bounds; the length that last covered a cone is asked first, as a cone only
+moves right, and a cone found alive at its last visit is compared only with
+the lengths moved since, the only ones that can cover it now.  The tree is
+asked only about an uncovered cone not found alive since its dead view last
+moved.  An init is the first leaf past the intervals, read in the fixed
+order of their low ends; a replace line is written in place from a head per
+length and one template per reason.  The cone list's JSON is one join of
+its pairs, handed to ``lines``.  The half-measure pass looks up a cone only
+when the build could not show it inside an earlier one, takes a Python step
+only there and at the loud stages (0, S and the dead view's change stages),
+finds where each quiet stretch ends with one ``list.index``, and holds each
+stretch of witnesses that share their data as one run.  ``lemma31``
 keeps one union of its markers and one of their pieces, meeting a marker
 with its component's view again only when that view moves; ``thm33`` tests
 a candidate's cone against each 2^-j on the integers of the union's measure.
@@ -469,11 +468,13 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
     w_current: dict[int, Clopen] = {i: Clopen() for i in range(max_i + 1)}
     triggered: dict[int, dict] = {}
 
-    def y_view(e: int, t: int) -> Clopen:
-        return y.stage_view(e, t) if e <= y.max_index else Clopen()
-
-    def step(s: int) -> bool:
-        nonlocal in_set, out_set
+    # Row i <= max_i moves only at t = 0, a change stage of y, or its trigger
+    # t_half[i]: in between its view repeats, and a repeated view is inside
+    # w_current[i].  So only these visits are stepped, in stage order.
+    row_moves = {0, *y.change_stages()}
+    visits = {pair(i, t) for i in range(max_i + 1)
+              for t in row_moves | ({t_half.get(i)} - {None})}
+    for s in sorted(v for v in visits if v <= big_s):
         i, t = unpair(s)
         tbl = functionals.get(i)
         if tbl is not None and t_half.get(i) == t and i not in triggered:
@@ -508,19 +509,10 @@ def build_thm41(y: MLTest, functionals: Mapping[int, Mapping[tuple[str, int], in
                      and out_set.measure() <= Dyadic(1, 4))
             trace.witness(f"thm41.in_out_stage.{s}", sound)
             in_out.append((s, sound))
-        view = y_view(e_state[i], t)
+        view = y.stage_view(e_state[i], t) if e_state[i] <= y.max_index else Clopen()
         if view and not view.is_subset_of(w_current[i]):
             w_sched[i].extend((s, c) for c in view.cylinders)
             w_current[i] = w_current[i].union(view)
-        return False
-
-    # Row i <= max_i moves only at t = 0, a change stage of y, or its trigger
-    # t_half[i]: in between its view repeats, and a repeated view is inside
-    # w_current[i].  No step acts, so only these visits are stepped.
-    row_moves = {0, *y.change_stages()}
-    visits = {pair(i, t) for i in range(max_i + 1)
-              for t in row_moves | ({t_half.get(i)} - {None})}
-    _run_clock(sorted(v for v in visits if v <= big_s), 0, big_s, step)
 
     w = MLTest([Enumeration(w_sched[i]) for i in range(max_i + 1)], check=False)
     for i in range(max_i + 1):

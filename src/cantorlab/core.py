@@ -5,7 +5,8 @@ set of all sequences extending a finite string; a clopen set is a finite union
 of cylinders, held in a canonical form (sorted integer spans of leaves at the
 set's own depth) so that equality, containment, and measure are exact
 decidable queries.  Measures are dyadic rationals with arbitrary-precision
-numerators.  No floats anywhere.
+numerators.  No floats anywhere.  Clopens and dyadics compare by value, and
+only dyadics hash; the ``Frozen`` records compare and hash by identity.
 
 Bit strings are plain ``str`` over ``{'0', '1'}``; the empty string denotes
 the whole space's root.  Callers that hold a string's bits as an integer
@@ -71,7 +72,7 @@ def json_bits(value: object, name: str, most: int | None = None) -> str:
 class Frozen:
     """Base of the immutable value records: a subclass lists its fields in
     ``__slots__`` and its ``__init__`` sets them once, in that order, with
-    ``_set``.  Records compare, hash and show as the tuple of their fields."""
+    ``_set``.  Records compare and hash by identity."""
 
     __slots__ = ()
 
@@ -79,29 +80,11 @@ class Frozen:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self) -> tuple:  # copy and pickle go through __init__
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +131,6 @@ class Dyadic:
         self.exponent = exponent
 
     @classmethod
-    def zero(cls) -> "Dyadic":
-        return cls(0, 0)
-
-    @classmethod
-    def one(cls) -> "Dyadic":
-        return cls(1, 0)
-
-    @classmethod
     def exp2(cls, e: int) -> "Dyadic":
         """The value 2**e (e may be negative)."""
         return cls(1, -e) if e < 0 else cls(1 << e, 0)
@@ -197,12 +172,6 @@ class Dyadic:
     def __le__(self, other: "Dyadic") -> bool:
         a, b, _ = self._pair(other)
         return a <= b
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return other <= self
 
     def __str__(self) -> str:
         return f"{self.numerator}/2^{self.exponent}"
@@ -264,6 +233,8 @@ class Clopen:
     cylinder.  So the pair is unique per set, and the set operations are
     merges of sorted boundaries.  ``cylinders``, the canonical (prefix-free,
     sibling-merged) cylinders in length-lex order, is derived on first read.
+    Two clopens are equal iff their pairs are; a clopen does not hash, and
+    its repr lists its cylinders.
     """
 
     __slots__ = ("_d", "_b", "_cyl")
@@ -305,17 +276,8 @@ class Clopen:
             return NotImplemented
         return self._d == other._d and self._b == other._b
 
-    def __hash__(self) -> int:
-        return hash((self._d, self._b))
-
     def __bool__(self) -> bool:
         return bool(self._b)
-
-    def __len__(self) -> int:
-        return len(self.cylinders)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.cylinders)
 
     def __repr__(self) -> str:
         return "Clopen({" + ", ".join(self.cylinders) + "})"

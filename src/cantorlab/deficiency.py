@@ -31,9 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Stream(Frozen):
     """A deterministic infinite bit sequence: ``pad`` then ``period`` cycling.
 
-    Its fields are ``name``, ``pad`` and ``period``.  The slot ``_head``, its
-    first 64 bits as one integer, is worked out once and is no field: it is
-    left out of equality, hash, repr and copies, which read ``_values``."""
+    Its fields are ``name``, ``pad`` and ``period``; the private slot
+    ``_head`` holds its first 64 bits as one integer, worked out once."""
 
     __slots__ = ("name", "pad", "period", "_head")
 
@@ -43,9 +42,6 @@ class Stream(Frozen):
         if not period:
             raise ValueError(f"stream {name!r} needs a non-empty period")
         self._set(name, pad, period, int((pad[:64] + period * 64)[:64], 2))
-
-    def _values(self) -> tuple:
-        return self.name, self.pad, self.period
 
     def _leading(self, n: int) -> int:
         """The first ``n`` bits as an integer: a shift of the head, or past
@@ -121,7 +117,7 @@ class CoTree:
 
     def path_measure(self, s: int) -> Dyadic:
         """Exact measure of the set of paths at stage ``s``."""
-        return Dyadic.one() - self.dead.stage_view(s).measure()
+        return Dyadic(1) - self.dead.stage_view(s).measure()
 
     def live_clopen(self, s: int) -> Clopen:
         return self.dead.stage_view(s).complement(self.depth)

@@ -47,7 +47,8 @@ class Enumeration:
 
     The view and its measure are constant between consecutive
     ``change_stages()``, so anything derived from views at one stage holds
-    until the next change stage.
+    until the next change stage.  Enumerations compare and hash by identity:
+    to compare two by value, compare their ``schedule`` pairs.
     """
 
     __slots__ = ("_schedule", "_stages", "_views", "_final")
@@ -61,14 +62,10 @@ class Enumeration:
         self._set(items)
 
     @classmethod
-    def _copied(cls, schedule: Iterable[tuple[int, str]]) -> "Enumeration":
-        """The enumeration of checked pairs, read by the scenario reader or taken
-        from checked enumerations and kept or re-rooted: none is checked again."""
-        return cls._of_items({(st, len(c), c) for st, c in schedule})
-
-    @classmethod
     def _of_items(cls, items: Iterable[tuple[int, int, str]]) -> "Enumeration":
-        """The enumeration of distinct checked ``(stage, length, cylinder)``."""
+        """The enumeration of distinct checked ``(stage, length, cylinder)``:
+        read by the scenario reader, or taken from checked enumerations and
+        kept or re-rooted, so none is checked again."""
         e = cls.__new__(cls)
         e._set(items)
         return e
@@ -85,7 +82,7 @@ class Enumeration:
         derived when first read."""
         e = cls.__new__(cls)
         e._schedule, e._stages, e._views = None, stages, views
-        e._final = views[-1].measure() if views else Dyadic.zero()
+        e._final = views[-1].measure() if views else Dyadic(0)
         return e
 
     @property
@@ -125,7 +122,7 @@ class Enumeration:
         final measure from the last scheduled stage on."""
         if s >= self.last_stage():
             return self.final_measure()
-        return self.stage_view(s).measure() if s >= 0 else Dyadic.zero()
+        return self.stage_view(s).measure() if s >= 0 else Dyadic(0)
 
     def change_stages(self) -> tuple[int, ...]:
         if self._stages is None:
@@ -151,17 +148,6 @@ class Enumeration:
         if self._schedule is None:  # an enumeration of views
             return self._stages[-1] if self._stages else 0
         return self._schedule[-1][0] if self._schedule else 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Enumeration):
-            return NotImplemented
-        return self.schedule == other.schedule
-
-    def __hash__(self) -> int:
-        return hash(self.schedule)
-
-    def __repr__(self) -> str:
-        return f"Enumeration({list(self.schedule)!r})"
 
 
 class MLTest:
@@ -251,13 +237,15 @@ class MLTest:
 
 
 def effective_top(t: MLTest) -> int:
-    """Largest component index with any scheduled content.
+    """Largest component index with any scheduled content, that is, with a
+    positive final measure, as every cylinder has one: no string schedule
+    is derived.
 
     Components above it are structurally empty (their defining indices fall
     outside the index budget), so intersections and pad targets stop here.
     """
     for i in range(t.max_index, -1, -1):
-        if t.component(i).schedule:
+        if t.component(i).final_measure().numerator:
             return i
     return 0
 
@@ -471,15 +459,15 @@ def _read_scenario(raw: dict, budgets: Budgets) -> Scenario:
         return json_int(e["stage"], ".stage", 0, cap), json_bits(e["cylinder"], ".cylinder", big_k)
 
     def schedule(entries: object) -> Enumeration:
-        return Enumeration._copied(_each(entries, entry, True))
+        return Enumeration._of_items({(st, len(c), c) for st, c in _each(entries, entry, True)})
 
     def test(entries: object) -> MLTest:
-        schedules: list[list[tuple[int, str]]] = [[] for _ in range(big_i + 1)]
-        for comp, pair in _each(entries, lambda e: (
+        items: list[set[tuple[int, int, str]]] = [set() for _ in range(big_i + 1)]
+        for comp, (st, c) in _each(entries, lambda e: (
                 json_int(e["component"], ".component", 0, big_i), entry(e, big_s)), True):
-            schedules[comp].append(pair)
+            items[comp].add((st, len(c), c))
         try:
-            return MLTest([Enumeration._copied(s) for s in schedules])
+            return MLTest([Enumeration._of_items(s) for s in items])
         except BudgetError as exc:
             raise ScenarioError(f" {exc}") from None
 
@@ -654,8 +642,8 @@ def universal_sum(sc: Scenario) -> MLTest:
                 terms.append(t.component(j))
             else:
                 truncated.append([n, e])
-        comps.append(terms[0] if len(terms) == 1 else
-                     Enumeration._copied(p for c in terms for p in c.schedule))
+        comps.append(terms[0] if len(terms) == 1 else Enumeration._of_items(
+            {(s, len(c), c) for term in terms for s, c in term.schedule}))
     return MLTest(comps, notes={"truncated_terms": truncated})
 
 

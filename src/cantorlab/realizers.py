@@ -110,9 +110,6 @@ class Emitter:
         self.next = stop
         self.segments.append((first, stop, n, first_emit))
 
-    def note_progress(self, stage: int) -> None:
-        self.last_progress = stage
-
     def pad(self, stage: int, tau: str, demanded: list[int]) -> None:
         """Commit ``tau``, record the demanded component indices, restart."""
         self.base = self.committed + tau
@@ -345,7 +342,7 @@ def compose_star(u: MLTest, x: Stream, z: Stream, budgets: Budgets,
         if d_y <= u.max_index and member_at_stage(x, u, d_y, s):
             d_y += 1
             em.trace.add(s, "raise_dy", d_y=d_y)
-            em.note_progress(s)
+            em.last_progress = s
             return True
         if d_z <= u.max_index and member_at_stage(z, u, d_z, s):
             em.trace.add(s, "raise_dz", d_z=d_z + 1)
@@ -485,7 +482,7 @@ def cn_times_mlr_to_lay(u: MLTest, f_values: Sequence[int], x: Stream,
         now, nxt = values[min(s, settled)], values[min(s + 1, settled)]
         if now != nxt:
             em.trace.add(s, "changed", value=nxt)
-            em.note_progress(s)
+            em.last_progress = s
             return True
         bound = min(s, top)
         target = u.meet_view(bound, s)

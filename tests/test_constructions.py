@@ -1918,9 +1918,10 @@ class TestLemma31AgainstStages:
                 continue
             got = build_lemma31(u, budgets, sigma_stages, obligations=obligations)
             assert got.lines() == want.lines()
-            assert got.outputs["w0"] == want.outputs["w0"]
+            assert got.outputs["w0"].schedule == want.outputs["w0"].schedule
             assert got.outputs["sigmas"] == want.outputs["sigmas"]
-            assert got.outputs["v"].components == want.outputs["v"].components
+            assert ([c.schedule for c in got.outputs["v"].components]
+                    == [c.schedule for c in want.outputs["v"].components])
 
     @pytest.mark.parametrize("name", ["main", "deep"])
     @pytest.mark.parametrize("sigma_stages", [None, 1, 3, 10])

@@ -31,7 +31,7 @@ clopen_st = st.lists(bits_st, max_size=6).map(Clopen)
 class TestDyadic:
     def test_normalization(self):
         assert Dyadic(4, 3) == Dyadic(1, 1)
-        assert Dyadic(0, 7) == Dyadic.zero()
+        assert Dyadic(0, 7) == Dyadic(0)
         d = Dyadic(6, 0)
         assert (d.numerator, d.exponent) == (6, 0)
 
@@ -43,7 +43,7 @@ class TestDyadic:
             Dyadic(1, 2) - Dyadic(1, 1)
 
     def test_ordering(self):
-        assert Dyadic(1, 2) < Dyadic(1, 1) <= Dyadic.one()
+        assert Dyadic(1, 2) < Dyadic(1, 1) <= Dyadic(1)
         assert Dyadic.exp2(-3) == Dyadic(1, 3)
         assert Dyadic.exp2(2) == Dyadic(4, 0)
 
@@ -54,6 +54,19 @@ class TestDyadic:
     def test_within_matches_fractions(self, n, e, i):
         """``within(i)`` is ``<= 2**-i`` of the exact fractions, on integers."""
         assert Dyadic(n, e).within(i) == (Fraction(n, 2 ** e) <= Fraction(1, 2 ** i))
+
+    @given(st.integers(0, 1 << 90), st.integers(0, 80),
+           st.integers(0, 1 << 90), st.integers(0, 80))
+    @example(0, 0, 0, 80)
+    @example(1, 80, 1, 79)
+    @example(2, 1, 1, 0)
+    def test_order_matches_fractions(self, n, e, m, f):
+        """``<``, ``<=``, ``>``, ``>=`` and ``==`` agree with the exact
+        fractions; ``>`` and ``>=`` are ``__lt__`` and ``__le__`` reflected."""
+        a, b = Dyadic(n, e), Dyadic(m, f)
+        x, y = Fraction(n, 2 ** e), Fraction(m, 2 ** f)
+        assert ((a < b), (a <= b), (a > b), (a >= b), (a == b), (a != b)) == (
+            (x < y), (x <= y), (x > y), (x >= y), (x == y), (x != y))
 
     def test_exponent_cap(self):
         with pytest.raises(BudgetError):
@@ -104,7 +117,7 @@ class TestCanonicalize:
 
 class TestMeasure:
     def test_examples(self):
-        assert Clopen([]).measure() == Dyadic.zero()
+        assert Clopen([]).measure() == Dyadic(0)
         assert Clopen(["01"]).measure() == Dyadic(1, 2)
         assert Clopen(["0", "10"]).measure() == Dyadic(3, 2)
 
@@ -313,7 +326,6 @@ class TestQueriesAgainstOracle:
         assert (a == b) == (a.cylinders == b.cylinders) == (_mask(sa) == _mask(sb))
         halves = Clopen([c + t for c in a.cylinders for t in "01"])
         assert halves == a and halves.cylinders == a.cylinders
-        assert hash(halves) == hash(a)
 
 
 class TestLongCylinders:
@@ -388,7 +400,7 @@ class TestFastPathsAgainstOracle:
                                   "one_zeros4096"])
     def test_one_cylinder_at_the_ends(self, c):
         one = Clopen([c])
-        assert one == Clopen([c, c]) and hash(one) == hash(Clopen([c, c]))
+        assert one == Clopen([c, c])
         assert one.cylinders == (c,) and one.max_length() == len(c)
         assert one.measure() == Dyadic(1, len(c))
         assert one.covers(c) and not (c and one.covers(c[:-1]))

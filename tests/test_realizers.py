@@ -333,9 +333,9 @@ class TestDelta02:
         # a positive-measure tree
         open_set = Clopen(["0010", "000010"])
         depth = budgets.max_depth
-        t_trees = [CoTree(Enumeration((0, c) for c in open_set.complement(depth)),
+        t_trees = [CoTree(Enumeration((0, c) for c in open_set.complement(depth).cylinders),
                           depth)]
-        s_trees = [CoTree(Enumeration((0, c) for c in open_set), depth)]
+        s_trees = [CoTree(Enumeration((0, c) for c in open_set.cylinders), depth)]
         big_s = budgets.max_stage
         for name in main_scenario.random_streams:
             x = main_scenario.stream(name)
@@ -558,7 +558,7 @@ def test_closed_form_fill_matches_every_stage(pad, period, last, first, grace,
             em.pad(s, pads[s], [])
             return s not in quiet  # a pad after which no watch can fire
         if s in progress:
-            em.note_progress(s)
+            em.last_progress = s
             return True
         return False
 
@@ -665,7 +665,7 @@ def _cn_times_mlr_every_stage(u, f_values, x, budgets, grace):
                 em.pad_into(s, target, list(range(bound + 1)))
         else:
             trace.add(s, "changed", value=nxt)
-            em.note_progress(s)
+            em.last_progress = s
         em.record(s)
     return em.finish()
 

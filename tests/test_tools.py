@@ -1,11 +1,27 @@
 """Smoke tests of the measurement scripts in ``tools/``."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Lines 5, 6, 9 and 11 are code: a docstring, a comment-only line and a
+# blank line are not, and each line of a continued expression is.
+SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment-only line
+x = (1 +
+     2)  # a trailing comment
+
+
+def f():
+    """A function docstring."""
+    return x
+'''
 
 
 def test_cmd_times_names_the_two_slowest():
@@ -47,3 +63,22 @@ def test_cmd_times_against_a_tree():
     assert sorted(row.split("  ")[0].strip() for row in rows[2:]) == ["total run", "total verify"]
     assert (report["scenario"], report["reps"], report["rounds"]) == ("main", 1, 1)
     assert report["against"] == str(ROOT)
+
+
+def test_code_lines_counts_only_code():
+    spec = importlib.util.spec_from_file_location(
+        "compile_cost", ROOT / "tools" / "compile_cost.py")
+    compile_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compile_cost)
+    assert compile_cost.code_lines(SAMPLE) == 4
+    assert compile_cost.code_lines("") == 0
+
+
+def test_compile_cost_ends_with_the_counts(tmp_path):
+    """The last line is JSON: each module's lines and code lines, and the totals."""
+    (tmp_path / "sample.py").write_text(SAMPLE, encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compile_cost.py"), "--src", str(tmp_path)],
+        check=True, capture_output=True, text=True, timeout=60).stdout
+    assert json.loads(out.splitlines()[-1]) == {
+        "modules": {"sample": {"lines": 11, "code": 4}}, "total": {"lines": 11, "code": 4}}

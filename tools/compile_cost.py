@@ -7,8 +7,10 @@ Usage (from the repository root; standard library only):
 For each ``*.py`` file in ``DIR`` (default: this repository's
 ``src/cantorlab``) it prints the file's lines, its code lines, the best
 of 20 timings of ``compile()`` of its source, in ms, and the spread of
-those timings (their interquartile range), then the totals.  A code line
-holds a token that is not a comment and not part of a docstring.  Each of
+those timings (their interquartile range), then the totals, then one JSON
+line ``{"modules": {name: {"lines", "code"}}, "total": {"lines", "code"}}``
+for pasting two trees' counts side by side.  A code line holds a token that
+is not a comment and not part of a docstring.  Each of
 the 20 rounds compiles every module once, in the order of the round before
 rotated by one, so no module always follows the same one: a module's time
 depends on what was compiled just before it.  Every command that imports
@@ -30,6 +32,7 @@ import argparse
 import ast
 import gc
 import io
+import json
 import statistics
 import time
 import tokenize
@@ -55,6 +58,9 @@ def docstring_lines(tree: ast.Module) -> set[int]:
 
 
 def code_lines(source: str) -> int:
+    """The number of lines of ``source`` that hold a token that is not a
+    comment and not part of a docstring; an expression continued over
+    several lines counts each of them."""
     lines: set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NOT_CODE:
@@ -86,12 +92,15 @@ def main() -> None:
     times = compile_times(sources)
     print(f"{'module':<16}{'lines':>7}{'code':>7}{'compile_ms':>12}{'spread_ms':>11}")
     totals = [0, 0, 0.0]
+    counts = {}
     for path, (source, _), ms in zip(paths, sources, times):
         q1, _, q3 = statistics.quantiles(ms, n=4)
         row = (source.count("\n"), code_lines(source), min(ms))
         totals = [t + v for t, v in zip(totals, row)]
+        counts[path.stem] = {"lines": row[0], "code": row[1]}
         print(f"{path.stem:<16}{row[0]:>7}{row[1]:>7}{row[2]:>12.2f}{q3 - q1:>11.3f}")
     print(f"{'total':<16}{totals[0]:>7}{totals[1]:>7}{totals[2]:>12.2f}")
+    print(json.dumps({"modules": counts, "total": {"lines": totals[0], "code": totals[1]}}))
 
 
 if __name__ == "__main__":
